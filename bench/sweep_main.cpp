@@ -27,15 +27,23 @@
  *       replay every cached cell into the final document (cells no
  *       worker finished are executed locally; cells that exhausted
  *       their retries are marked failed from the claim table).
+ *
+ * Every flag is one row of flagTable(): the row both parses the flag
+ * and documents it in --help.
  */
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -57,172 +65,359 @@
 namespace
 {
 
-int
-usage(int code)
+using namespace osp;
+
+/** Everything the command line sets. */
+struct Options
 {
-    std::ostream &os = code ? std::cerr : std::cout;
-    os << "usage: sweep <name> [options]\n"
-          "       sweep --list\n"
-          "\n"
-          "options:\n"
-          "  --threads N    worker threads (default: one per core)\n"
-          "  --out PATH     write results JSON (default: "
-          "results.json; '-' for stdout)\n"
-          "  --seed S       base seed (default "
-       << osp::experimentSeed
-       << ")\n"
-          "  --smoke        shrink work volume ~20x (also: "
-          "OSPREDICT_SMOKE=1)\n"
-          "  --no-timing    omit wall-clock fields (canonical, "
-          "thread-count-invariant bytes)\n"
-          "  --backend {plt,learned}\n"
-          "                 prediction backend for every predictor "
-          "variant (default plt, the paper's clustering; learned = "
-          "online feature-vector model). Folds into cached-cell "
-          "identity; non-default choices are recorded in the "
-          "document's sweep.backends field\n"
-          "  --sample intervals=N,strata=K,rate=R[,alloc=A]\n"
-          "                 enable stratified interval sampling: "
-          "adds a sampled cell per Full baseline and a "
-          "sampled-accel cell per Accelerated one (N = interval "
-          "length in app instructions, K = strata, R = sampled "
-          "fraction in (0,1], A = proportional|neyman). Folds into "
-          "cached-cell identity; results gain the "
-          "ospredict-sample-v1 section\n"
-          "  --trace PATH   enable per-cell event tracing and dump "
-          "the rings as chrome://tracing JSON\n"
-          "  --accuracy-report PATH\n"
-          "                 write the human-readable prediction-"
-          "accuracy / error-budget tables ('-' for stdout)\n"
-          "  --bench-json PATH\n"
-          "                 merge this sweep's wall-clock into an "
-          "ospredict-bench-v1 document (see "
-          "tools/check_perf_baseline.py)\n"
-          "  --log-level {silent,warn,inform}\n"
-          "                 global verbosity (default inform)\n"
-          "  --store PATH   persistent result store: record every "
-          "executed cell, content-addressed by its expanded spec, "
-          "seed and the simulator code fingerprint\n"
-          "  --incremental  reuse cells cached in --store instead "
-          "of re-simulating them (results are byte-identical to a "
-          "cold run)\n"
-          "  --store-stats PATH\n"
-          "                 write the volatile cache/store "
-          "statistics document ('-' for stdout; requires --store)\n"
-          "  --plt {save,warm,warm,save}\n"
-          "                 archive learned PLT profiles into the "
-          "store (save) and/or warm-start predictors from archived "
-          "ones (warm; changes simulated results and the cells' "
-          "cache identity)\n"
-          "  --fingerprint STR\n"
-          "                 override the built-in code fingerprint "
-          "(testing)\n"
-          "  --store-wait MS\n"
-          "                 wait up to MS ms for another read-write "
-          "handle to release the store instead of failing "
-          "immediately (requires --store)\n"
-          "\n"
-          "distributed execution (all require --store):\n"
-          "  --jobs N       fork N worker processes that claim "
-          "cells from the shared store, then assemble the results "
-          "document (byte-identical to a single-process run)\n"
-          "  --worker       run one claim-loop worker process and "
-          "exit (no results document; combine with --store-stats)\n"
-          "  --assemble     assemble the results document from "
-          "cached cells and the claim table (implies "
-          "--incremental)\n"
-          "  --owner ID     worker id recorded in claim records "
-          "(default: pid<pid>)\n"
-          "  --lease-ticks N\n"
-          "                 heartbeats before an idle claim is "
-          "reclaimable (default 64)\n"
-          "  --max-retries N\n"
-          "                 attempts before a cell is marked failed "
-          "(default 3)\n"
-          "  --poll-ms MS   initial idle-poll sleep while other "
-          "workers hold leases (default 50)\n"
-          "  --refresh-ms MS\n"
-          "                 lease-refresh period while a cell "
-          "executes (default 200; 0 disables)\n"
-          "  --kill-after-claim\n"
-          "                 crash-test seam: SIGKILL after the "
-          "first claim commits (--worker: ourselves; --jobs: the "
-          "first forked worker becomes the victim)\n"
-          "\n"
-          "fleet observability (all require --store; see "
-          "EXPERIMENTS.md \"Monitoring distributed sweeps\"):\n"
-          "  --monitor      poll the store read-only and render "
-          "live fleet status until the sweep completes (pass the "
-          "same --trace/--plt/--fingerprint flags as the fleet so "
-          "cell identities match)\n"
-          "  --monitor-interval MS\n"
-          "                 poll period (default 500)\n"
-          "  --monitor-max N\n"
-          "                 stop after N polls even if incomplete "
-          "(default 0 = until complete)\n"
-          "  --fleet-report PATH\n"
-          "                 write the deterministic "
-          "ospredict-fleet-v1 worker-telemetry report ('-' for "
-          "stdout)\n"
-          "  --fleet-prom PATH\n"
-          "                 write the same view as Prometheus text "
-          "exposition ('-' for stdout)\n"
-          "\n"
-          "with --jobs/--assemble, --trace writes the *merged* "
-          "timeline: every cell's lanes plus one lane per worker "
-          "pid\n";
-    return code;
+    std::string name;
+    std::string outPath = "results.json";
+    std::string tracePath;
+    std::string accuracyPath;
+    std::string benchJsonPath;
+    std::string storePath;
+    std::string storeStatsPath;
+    std::string fingerprint = OSP_CODE_FINGERPRINT;
+    PredictorBackendKind backend = PredictorBackendKind::Plt;
+    SampleParams sample;
+    bool incremental = false;
+    bool pltSave = false;
+    bool pltWarm = false;
+    std::uint64_t seed = experimentSeed;
+    unsigned threads = 0;
+    bool timing = true;
+    unsigned jobs = 0;
+    bool worker = false;
+    bool assemble = false;
+    bool monitor = false;
+    long monitorIntervalMs = 500;
+    std::uint64_t monitorMax = 0;
+    std::string fleetReportPath;
+    std::string fleetPromPath;
+    long storeWaitMs = 0;
+    bool list = false;
+    bool help = false;
+    WorkerOptions wopts;
+
+    /** The per-cell event-ring size: --trace turns tracing on. */
+    std::size_t
+    traceCapacity() const
+    {
+        return tracePath.empty() ? 0 : 4096;
+    }
+};
+
+/** Applies one flag given its value (nullptr for a flag without
+ *  one); false rejects the value. */
+using Handler = std::function<bool(const char *)>;
+
+/** One command-line flag: parsed by @c handle, documented by the
+ *  rest of the row. */
+struct Flag
+{
+    const char *name;
+    /** Placeholder of the flag's value in --help; nullptr when the
+     *  flag takes no value. */
+    const char *value;
+    std::string help;
+    Handler handle;
+};
+
+Handler
+setTrue(bool &field)
+{
+    return [&field](const char *) {
+        field = true;
+        return true;
+    };
+}
+
+Handler
+setText(std::string &field)
+{
+    return [&field](const char *v) {
+        field = v;
+        return true;
+    };
+}
+
+/** Accepts a whole non-negative decimal that fits @p field: no
+ *  sign, no trailing characters. */
+template <typename T>
+Handler
+setNumber(T &field)
+{
+    return [&field](const char *v) {
+        std::uint64_t n = 0;
+        const char *end = v + std::strlen(v);
+        auto [ptr, ec] = std::from_chars(v, end, n);
+        if (ec != std::errc() || ptr != end ||
+            n > static_cast<std::uint64_t>(
+                    std::numeric_limits<T>::max()))
+            return false;
+        field = static_cast<T>(n);
+        return true;
+    };
 }
 
 /** Parse "intervals=N,strata=K,rate=R[,alloc=A]" (any subset, any
  *  order; unset knobs keep their defaults). */
 bool
-parseSampleSpec(const std::string &text, osp::SampleParams &out)
+parseSampleSpec(const std::string &text, SampleParams &out)
 {
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        std::size_t comma = text.find(',', pos);
-        if (comma == std::string::npos)
-            comma = text.size();
-        std::string item = text.substr(pos, comma - pos);
-        pos = comma + 1;
+    std::istringstream items(text);
+    for (std::string item; std::getline(items, item, ',');) {
         std::size_t eq = item.find('=');
-        if (eq == std::string::npos)
-            return false;
         std::string key = item.substr(0, eq);
-        std::string val = item.substr(eq + 1);
-        if (val.empty())
-            return false;
+        const char *val =
+            eq == std::string::npos ? "" : item.c_str() + eq + 1;
+        char *end = nullptr;
+        bool ok = false;
         if (key == "intervals") {
-            out.intervalLen =
-                std::strtoull(val.c_str(), nullptr, 10);
-            if (out.intervalLen == 0)
-                return false;
+            ok = setNumber(out.intervalLen)(val) && out.intervalLen > 0;
         } else if (key == "strata") {
-            out.strata = static_cast<std::uint32_t>(
-                std::strtoul(val.c_str(), nullptr, 10));
-            if (out.strata == 0)
-                return false;
+            ok = setNumber(out.strata)(val) && out.strata > 0;
         } else if (key == "rate") {
-            out.rate = std::strtod(val.c_str(), nullptr);
-            if (!(out.rate > 0.0) || out.rate > 1.0)
-                return false;
+            out.rate = std::strtod(val, &end);
+            ok = *val && !*end && out.rate > 0.0 && out.rate <= 1.0;
         } else if (key == "alloc") {
-            if (val == "proportional") {
-                out.allocation =
-                    osp::StratifyParams::Allocation::Proportional;
-            } else if (val == "neyman") {
-                out.allocation =
-                    osp::StratifyParams::Allocation::Neyman;
-            } else {
-                return false;
+            for (auto a : {StratifyParams::Allocation::Proportional,
+                           StratifyParams::Allocation::Neyman}) {
+                if (std::strcmp(val, allocationName(a)) == 0) {
+                    out.allocation = a;
+                    ok = true;
+                }
             }
-        } else {
-            return false;
         }
+        if (!ok)
+            return false;
     }
     out.enabled = true;
     return true;
+}
+
+std::vector<Flag>
+flagTable(Options &o)
+{
+    WorkerOptions &w = o.wopts;
+    return {
+        {"--list", nullptr, "print the named sweeps and exit",
+         setTrue(o.list)},
+        {"--help", nullptr, "print this help and exit",
+         setTrue(o.help)},
+        {"-h", nullptr, "same as --help", setTrue(o.help)},
+        {"--threads", "N", "worker threads (default: one per core)",
+         setNumber(o.threads)},
+        {"--out", "PATH",
+         "results JSON (default results.json; '-' for stdout)",
+         setText(o.outPath)},
+        {"--seed", "S",
+         "base seed (default " + std::to_string(experimentSeed) + ")",
+         setNumber(o.seed)},
+        // Applied by bench::init() before parsing.
+        {"--smoke", nullptr,
+         "shrink work volume ~20x (also: OSPREDICT_SMOKE=1)",
+         [](const char *) { return true; }},
+        {"--no-timing", nullptr,
+         "omit wall-clock fields (canonical, thread-count-invariant "
+         "bytes)",
+         [&o](const char *) {
+             o.timing = false;
+             return true;
+         }},
+        {"--backend", "{plt,learned}",
+         "prediction backend of every predictor variant (default "
+         "plt, the paper's clustering; learned = online "
+         "feature-vector model); part of cell identity",
+         [&o](const char *v) {
+             return predictorBackendFromName(v, o.backend);
+         }},
+        {"--sample", "intervals=N,strata=K,rate=R[,alloc=A]",
+         "stratified interval sampling: adds a sampled cell per Full "
+         "one and a sampled-accel cell per Accelerated one (N = "
+         "interval length in app instructions, K = strata, R = "
+         "sampled fraction in (0,1], A = proportional|neyman); part "
+         "of cell identity",
+         [&o](const char *v) { return parseSampleSpec(v, o.sample); }},
+        {"--trace", "PATH",
+         "per-cell event tracing, dumped as chrome://tracing JSON "
+         "('-' for stdout); with --jobs/--assemble, one more lane "
+         "per worker pid",
+         setText(o.tracePath)},
+        {"--accuracy-report", "PATH",
+         "human-readable prediction-accuracy and error-budget tables "
+         "('-' for stdout)",
+         setText(o.accuracyPath)},
+        {"--bench-json", "PATH",
+         "merge this sweep's wall-clock into an ospredict-bench-v1 "
+         "document (see tools/check_perf_baseline.py)",
+         setText(o.benchJsonPath)},
+        {"--log-level", "{silent,warn,inform}",
+         "global verbosity (default inform)",
+         [](const char *v) {
+             std::string level = v;
+             if (level == "silent")
+                 setLogLevel(LogLevel::Silent);
+             else if (level == "warn")
+                 setLogLevel(LogLevel::Warn);
+             else if (level == "inform")
+                 setLogLevel(LogLevel::Inform);
+             else
+                 return false;
+             return true;
+         }},
+        {"--store", "PATH",
+         "persistent store recording every executed cell under its "
+         "content address (spec, seed, code fingerprint)",
+         setText(o.storePath)},
+        {"--incremental", nullptr,
+         "reuse cells cached in --store (byte-identical results)",
+         setTrue(o.incremental)},
+        {"--store-stats", "PATH",
+         "volatile cache/store statistics ('-' for stdout)",
+         setText(o.storeStatsPath)},
+        {"--plt", "{save,warm,warm,save}",
+         "archive learned PLT profiles into the store (save) and/or "
+         "warm-start predictors from them (warm; changes results and "
+         "cell identity)",
+         [&o](const char *v) {
+             std::string m = v;
+             bool both = m == "warm,save" || m == "save,warm";
+             o.pltSave = both || m == "save";
+             o.pltWarm = both || m == "warm";
+             return o.pltSave || o.pltWarm;
+         }},
+        {"--fingerprint", "STR",
+         "override the built-in code fingerprint (testing)",
+         setText(o.fingerprint)},
+        {"--store-wait", "MS",
+         "wait up to MS ms for another writer to release the store",
+         setNumber(o.storeWaitMs)},
+        {"--jobs", "N",
+         "fork N worker processes over the shared store, then "
+         "assemble (same bytes as a single-process run)",
+         [&o](const char *v) {
+             return setNumber(o.jobs)(v) && o.jobs > 0;
+         }},
+        {"--worker", nullptr,
+         "run one claim-loop worker and exit (no results document)",
+         setTrue(o.worker)},
+        {"--assemble", nullptr,
+         "build the results document from cached cells and the "
+         "claim table (implies --incremental)",
+         setTrue(o.assemble)},
+        {"--owner", "ID",
+         "worker id in claim records (default pid<pid>)",
+         setText(w.owner)},
+        {"--lease-ticks", "N",
+         "heartbeats before an idle claim is reclaimable (default 64)",
+         setNumber(w.leaseTicks)},
+        {"--max-retries", "N",
+         "attempts before a cell is marked failed (default 3)",
+         setNumber(w.maxRetries)},
+        {"--poll-ms", "MS",
+         "initial idle-poll sleep while other workers hold leases "
+         "(default 50)",
+         setNumber(w.pollMs)},
+        {"--refresh-ms", "MS",
+         "lease-refresh period while a cell runs (default 200; 0 "
+         "disables)",
+         setNumber(w.refreshMs)},
+        {"--kill-after-claim", nullptr,
+         "crash-test seam: SIGKILL after the first claim (--jobs: "
+         "of the first worker)",
+         setTrue(w.killAfterFirstClaim)},
+        {"--monitor", nullptr,
+         "render live fleet status until the sweep completes (pass "
+         "the fleet's --trace/--plt/--fingerprint)",
+         setTrue(o.monitor)},
+        {"--monitor-interval", "MS", "poll period (default 500)",
+         setNumber(o.monitorIntervalMs)},
+        {"--monitor-max", "N",
+         "stop after N polls (default 0 = until complete)",
+         setNumber(o.monitorMax)},
+        {"--fleet-report", "PATH",
+         "ospredict-fleet-v1 worker-telemetry report ('-' for stdout)",
+         setText(o.fleetReportPath)},
+        {"--fleet-prom", "PATH",
+         "the same view as Prometheus text ('-' for stdout)",
+         setText(o.fleetPromPath)},
+    };
+}
+
+int
+usage(int code, const std::vector<Flag> &flags)
+{
+    constexpr std::size_t indent = 17;
+    constexpr std::size_t width = 72;
+    std::ostream &os = code ? std::cerr : std::cout;
+    os << "usage: sweep <name> [options]\n"
+          "       sweep --list\n"
+          "\n"
+          "--incremental, --store-stats, --plt, --store-wait, --jobs,\n"
+          "--worker, --assemble, --monitor, --fleet-report and\n"
+          "--fleet-prom require --store.\n"
+          "\n"
+          "options:\n";
+    for (const Flag &f : flags) {
+        std::string line = std::string("  ") + f.name +
+                           (f.value ? std::string(" ") + f.value : "");
+        if (line.size() >= indent) {
+            os << line << "\n";
+            line.clear();
+        }
+        std::istringstream words(f.help);
+        for (std::string word; words >> word;) {
+            if (line.size() + 1 + word.size() > width) {
+                os << line << "\n";
+                line.clear();
+            }
+            line.resize(std::max(line.size() + 1, indent), ' ');
+            line += word;
+        }
+        os << line << "\n";
+    }
+    return code;
+}
+
+/** Write one output document: to stdout for "-", else to @p path.
+ *  False (with a message) when the file cannot be opened. */
+bool
+writeOutput(const std::string &path,
+            const std::function<void(std::ostream &)> &fn)
+{
+    if (path == "-") {
+        fn(std::cout);
+        return true;
+    }
+    std::ofstream os(path);
+    if (!os) {
+        std::cerr << "sweep: cannot write " << path << "\n";
+        return false;
+    }
+    fn(os);
+    return true;
+}
+
+/**
+ * The archived PLT profile of every workload of @p spec that has
+ * one. Each profile changes its cells' simulated results, so its
+ * hash is folded into @p cache's cell identities.
+ */
+std::map<std::string, std::string>
+loadWarmProfiles(store::PageStore &store, const SweepSpec &spec,
+                 CellCache &cache)
+{
+    std::map<std::string, std::string> profiles;
+    store::PltArchive archive(store);
+    for (const std::string &w : spec.workloads) {
+        std::optional<std::string> profile = archive.load(w);
+        if (!profile)
+            continue;
+        cache.setWarmProfileHash(w, stableHash64(*profile));
+        profiles.emplace(w, std::move(*profile));
+    }
+    return profiles;
 }
 
 /**
@@ -231,34 +426,20 @@ parseSampleSpec(const std::string &text, osp::SampleParams &out)
  * optionally dump the per-worker stats document.
  */
 int
-runWorkerProcess(const osp::SweepSpec &spec,
-                 const std::string &store_path,
-                 const std::string &fingerprint, bool plt_warm,
-                 osp::WorkerOptions wopts,
-                 const std::string &stats_path)
+runWorkerProcess(const SweepSpec &spec, const Options &o,
+                 WorkerOptions wopts, const std::string &stats_path)
 {
-    using namespace osp;
     try {
         store::StoreOptions sopts;
         sopts.shared = true;
         std::unique_ptr<store::PageStore> pstore =
-            store::PageStore::open(store_path, sopts);
-        CellCache cache(*pstore, fingerprint);
+            store::PageStore::open(o.storePath, sopts);
+        CellCache cache(*pstore, o.fingerprint);
         std::map<std::string, std::string> warm_profiles;
-        if (plt_warm) {
-            store::PltArchive archive(*pstore);
-            for (const std::string &w : spec.workloads) {
-                std::optional<std::string> profile =
-                    archive.load(w);
-                if (!profile)
-                    continue;
-                cache.setWarmProfileHash(w,
-                                         stableHash64(*profile));
-                warm_profiles.emplace(w, std::move(*profile));
-            }
-        }
-        if (!warm_profiles.empty())
-            wopts.warmProfiles = &warm_profiles;
+        if (o.pltWarm)
+            warm_profiles = loadWarmProfiles(*pstore, spec, cache);
+        wopts.warmProfiles = &warm_profiles;
+        wopts.traceCapacity = o.traceCapacity();
 
         WorkerStats stats = runSweepWorker(spec, cache, wopts);
 
@@ -266,14 +447,11 @@ runWorkerProcess(const osp::SweepSpec &spec,
             JsonValue doc = cache.statsToJson();
             doc.add("worker",
                     workerStatsToJson(stats, wopts.owner));
-            std::ofstream ss(stats_path);
-            if (!ss) {
-                std::cerr << "sweep: cannot write " << stats_path
-                          << "\n";
+            if (!writeOutput(stats_path, [&](std::ostream &os) {
+                    doc.write(os, 2);
+                    os << "\n";
+                }))
                 return 1;
-            }
-            doc.write(ss, 2);
-            ss << "\n";
         }
         std::cerr << "sweep worker " << wopts.owner << ": claimed "
                   << stats.claimed << ", committed "
@@ -288,18 +466,98 @@ runWorkerProcess(const osp::SweepSpec &spec,
     }
 }
 
-/** The sweep's cell keys in index order — the same identity every
- *  worker computes, so fleet aggregation finds their results. */
-std::vector<std::string>
-cellKeysFor(const osp::SweepSpec &spec, osp::CellCache &cache,
-            std::size_t trace_capacity)
+/** --monitor: render live fleet status until the sweep completes
+ *  (or --monitor-max polls). */
+int
+runMonitor(const SweepSpec &spec, const Options &o)
 {
-    std::vector<osp::SweepCell> cells = osp::expandSweep(spec);
-    std::vector<std::string> keys(cells.size());
-    for (const osp::SweepCell &cell : cells)
-        keys[cell.index] =
-            cache.cellKey(spec, cell, trace_capacity);
-    return keys;
+    // Each poll re-opens the store read-only: the open picks the
+    // newest valid meta page atomically, so every rendering is one
+    // crash-consistent snapshot of a live fleet, and the monitor
+    // never contends for the transaction gate.
+    for (std::uint64_t polls = 1;; ++polls) {
+        bool complete = false;
+        try {
+            store::StoreOptions sopts;
+            sopts.readOnly = true;
+            std::unique_ptr<store::PageStore> ps =
+                store::PageStore::open(o.storePath, sopts);
+            CellCache mcache(*ps, o.fingerprint);
+            if (o.pltWarm)
+                loadWarmProfiles(*ps, spec, mcache);
+            FleetView view =
+                readFleetView(*ps, o.fingerprint,
+                              mcache.cellKeys(spec, o.traceCapacity()));
+            view.sweep = spec.name;
+            renderFleetStatus(std::cout, view, o.wopts.leaseTicks);
+            warnFleetDrops(view);
+            complete = view.cells.outstanding() == 0;
+        } catch (const std::exception &e) {
+            std::cout << "monitor: " << e.what() << " (waiting)\n";
+        }
+        std::cout.flush();
+        if (complete || (o.monitorMax && polls >= o.monitorMax))
+            return 0;
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(o.monitorIntervalMs));
+    }
+}
+
+/**
+ * --jobs: fork the worker fleet and wait for it. Returns the fleet's
+ * wall-clock seconds, or nullopt when a fork failed.
+ */
+std::optional<double>
+runFleet(const SweepSpec &spec, const Options &o)
+{
+    // Fork the fleet before opening the store: flock(2) state is
+    // shared across fork, so the parent must not hold any handle
+    // the children would inherit. Each child opens the store itself
+    // in shared mode.
+    auto fleet_start = std::chrono::steady_clock::now();
+    std::vector<pid_t> pids;
+    for (unsigned k = 0; k < o.jobs; ++k) {
+        pid_t pid = ::fork();
+        if (pid < 0) {
+            std::cerr << "sweep: fork failed\n";
+            return std::nullopt;
+        }
+        if (pid == 0) {
+            WorkerOptions w = o.wopts;
+            w.owner = o.wopts.owner + "-w" + std::to_string(k + 1);
+            // --kill-after-claim elects the first worker as the
+            // crash victim; the survivors reclaim its lease and CI
+            // asserts the victim's published fleet snapshot
+            // outlived it.
+            w.killAfterFirstClaim =
+                o.wopts.killAfterFirstClaim && k == 0;
+            std::string stats_path =
+                o.storeStatsPath.empty() || o.storeStatsPath == "-"
+                    ? std::string()
+                    : o.storeStatsPath + ".w" +
+                          std::to_string(k + 1);
+            ::_exit(runWorkerProcess(spec, o, w, stats_path));
+        }
+        pids.push_back(pid);
+    }
+    unsigned failed_workers = 0;
+    for (pid_t pid : pids) {
+        int status = 0;
+        if (::waitpid(pid, &status, 0) < 0 || !WIFEXITED(status) ||
+            WEXITSTATUS(status) != 0)
+            ++failed_workers;
+    }
+    if (failed_workers > 0) {
+        // Assembly recovers whatever the fleet did finish (and
+        // executes the rest locally), so a dead worker is a
+        // warning, not an error.
+        std::cerr << "sweep: " << failed_workers << " of " << o.jobs
+                  << " worker(s) failed; assembling from what was "
+                     "committed\n";
+    }
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - fleet_start)
+        .count();
 }
 
 } // namespace
@@ -307,354 +565,120 @@ cellKeysFor(const osp::SweepSpec &spec, osp::CellCache &cache,
 int
 main(int argc, char **argv)
 {
-    using namespace osp;
     osp::bench::init(argc, argv);
 
-    std::string name;
-    std::string out_path = "results.json";
-    std::string trace_path;
-    std::string accuracy_path;
-    std::string bench_json_path;
-    std::string store_path;
-    std::string store_stats_path;
-    std::string fingerprint = OSP_CODE_FINGERPRINT;
-    PredictorBackendKind backend = PredictorBackendKind::Plt;
-    SampleParams sample;
-    bool incremental = false;
-    bool plt_save = false;
-    bool plt_warm = false;
-    std::uint64_t seed = experimentSeed;
-    unsigned threads = 0;
-    bool timing = true;
-    unsigned jobs = 0;
-    bool worker_mode = false;
-    bool assemble = false;
-    bool monitor = false;
-    long monitor_interval_ms = 500;
-    std::uint64_t monitor_max = 0;
-    std::string fleet_report_path;
-    std::string fleet_prom_path;
-    long store_wait_ms = 0;
-    WorkerOptions wopts;
-    wopts.owner = "pid" + std::to_string(::getpid());
-
+    Options o;
+    o.wopts.owner = "pid" + std::to_string(::getpid());
+    const std::vector<Flag> flags = flagTable(o);
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if (arg == "--list") {
-            for (const auto &n : namedSweeps())
-                std::cout << n << "\n";
-            return 0;
-        } else if (arg == "--help" || arg == "-h") {
-            return usage(0);
-        } else if (arg == "--smoke") {
-            // consumed by bench::init()
-        } else if (arg == "--no-timing") {
-            timing = false;
-        } else if (arg == "--backend" && i + 1 < argc) {
-            std::string bname = argv[++i];
-            if (!predictorBackendFromName(bname, backend)) {
-                std::cerr << "sweep: bad backend '" << bname
-                          << "' (want plt or learned)\n";
-                return usage(2);
+        auto flag = std::find_if(
+            flags.begin(), flags.end(),
+            [&](const Flag &f) { return arg == f.name; });
+        if (flag == flags.end()) {
+            if (!arg.empty() && arg[0] != '-' && o.name.empty()) {
+                o.name = arg;
+                continue;
             }
-        } else if (arg == "--sample" && i + 1 < argc) {
-            std::string sdesc = argv[++i];
-            if (!parseSampleSpec(sdesc, sample)) {
-                std::cerr << "sweep: bad --sample spec '" << sdesc
-                          << "' (want intervals=N,strata=K,rate=R"
-                             "[,alloc=proportional|neyman])\n";
-                return usage(2);
-            }
-        } else if (arg == "--threads" && i + 1 < argc) {
-            threads = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else if (arg == "--out" && i + 1 < argc) {
-            out_path = argv[++i];
-        } else if (arg == "--trace" && i + 1 < argc) {
-            trace_path = argv[++i];
-        } else if (arg == "--accuracy-report" && i + 1 < argc) {
-            accuracy_path = argv[++i];
-        } else if (arg == "--bench-json" && i + 1 < argc) {
-            bench_json_path = argv[++i];
-        } else if (arg == "--log-level" && i + 1 < argc) {
-            std::string level = argv[++i];
-            if (level == "silent") {
-                setLogLevel(LogLevel::Silent);
-            } else if (level == "warn") {
-                setLogLevel(LogLevel::Warn);
-            } else if (level == "inform") {
-                setLogLevel(LogLevel::Inform);
-            } else {
-                std::cerr << "sweep: bad log level '" << level
-                          << "'\n";
-                return usage(2);
-            }
-        } else if (arg == "--store" && i + 1 < argc) {
-            store_path = argv[++i];
-        } else if (arg == "--incremental") {
-            incremental = true;
-        } else if (arg == "--store-stats" && i + 1 < argc) {
-            store_stats_path = argv[++i];
-        } else if (arg == "--plt" && i + 1 < argc) {
-            std::string modes = argv[++i];
-            plt_save = modes.find("save") != std::string::npos;
-            plt_warm = modes.find("warm") != std::string::npos;
-            if (!plt_save && !plt_warm) {
-                std::cerr << "sweep: bad --plt mode '" << modes
-                          << "' (want save, warm or warm,save)\n";
-                return usage(2);
-            }
-        } else if (arg == "--fingerprint" && i + 1 < argc) {
-            fingerprint = argv[++i];
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-            if (jobs == 0) {
-                std::cerr << "sweep: --jobs wants N >= 1\n";
-                return usage(2);
-            }
-        } else if (arg == "--worker") {
-            worker_mode = true;
-        } else if (arg == "--assemble") {
-            assemble = true;
-        } else if (arg == "--owner" && i + 1 < argc) {
-            wopts.owner = argv[++i];
-        } else if (arg == "--lease-ticks" && i + 1 < argc) {
-            wopts.leaseTicks =
-                std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--max-retries" && i + 1 < argc) {
-            wopts.maxRetries =
-                std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--poll-ms" && i + 1 < argc) {
-            wopts.pollMs = std::strtol(argv[++i], nullptr, 10);
-        } else if (arg == "--refresh-ms" && i + 1 < argc) {
-            wopts.refreshMs =
-                std::strtol(argv[++i], nullptr, 10);
-        } else if (arg == "--kill-after-claim") {
-            wopts.killAfterFirstClaim = true;
-        } else if (arg == "--monitor") {
-            monitor = true;
-        } else if (arg == "--monitor-interval" && i + 1 < argc) {
-            monitor_interval_ms =
-                std::strtol(argv[++i], nullptr, 10);
-        } else if (arg == "--monitor-max" && i + 1 < argc) {
-            monitor_max = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--fleet-report" && i + 1 < argc) {
-            fleet_report_path = argv[++i];
-        } else if (arg == "--fleet-prom" && i + 1 < argc) {
-            fleet_prom_path = argv[++i];
-        } else if (arg == "--store-wait" && i + 1 < argc) {
-            store_wait_ms = std::strtol(argv[++i], nullptr, 10);
-        } else if (arg == "--seed" && i + 1 < argc) {
-            seed = std::strtoull(argv[++i], nullptr, 10);
-        } else if (!arg.empty() && arg[0] != '-' && name.empty()) {
-            name = arg;
-        } else {
             std::cerr << "sweep: bad argument '" << arg << "'\n";
-            return usage(2);
+            return usage(2, flags);
+        }
+        const char *value = nullptr;
+        if (flag->value) {
+            if (i + 1 == argc) {
+                std::cerr << "sweep: " << arg << " wants a value\n";
+                return usage(2, flags);
+            }
+            value = argv[++i];
+        }
+        if (!flag->handle(value)) {
+            std::cerr << "sweep: bad value '" << value << "' for "
+                      << arg << "\n";
+            return usage(2, flags);
         }
     }
-    if (name.empty())
-        return usage(2);
+    if (o.help)
+        return usage(0, flags);
+    if (o.list) {
+        for (const auto &n : namedSweeps())
+            std::cout << n << "\n";
+        return 0;
+    }
+    if (o.name.empty())
+        return usage(2, flags);
     const auto &names = namedSweeps();
-    if (std::find(names.begin(), names.end(), name) ==
+    if (std::find(names.begin(), names.end(), o.name) ==
         names.end()) {
-        std::cerr << "sweep: unknown sweep '" << name
+        std::cerr << "sweep: unknown sweep '" << o.name
                   << "' (try --list)\n";
         return 2;
     }
 
-    if (store_path.empty() &&
-        (incremental || plt_save || plt_warm ||
-         !store_stats_path.empty())) {
-        std::cerr << "sweep: --incremental/--plt/--store-stats "
-                     "require --store\n";
-        return usage(2);
+    if (o.storePath.empty() &&
+        (o.incremental || o.pltSave || o.pltWarm ||
+         !o.storeStatsPath.empty() || o.storeWaitMs > 0 ||
+         o.jobs > 0 || o.worker || o.assemble || o.monitor ||
+         !o.fleetReportPath.empty() || !o.fleetPromPath.empty())) {
+        std::cerr << "sweep: missing --store\n";
+        return usage(2, flags);
     }
-    if (store_path.empty() &&
-        (jobs > 0 || worker_mode || assemble || monitor ||
-         !fleet_report_path.empty() || !fleet_prom_path.empty() ||
-         store_wait_ms > 0)) {
-        std::cerr << "sweep: --jobs/--worker/--assemble/--monitor/"
-                     "--fleet-report/--fleet-prom/--store-wait "
-                     "require --store\n";
-        return usage(2);
-    }
-    if ((jobs > 0) + (worker_mode ? 1 : 0) + (assemble ? 1 : 0) +
-            (monitor ? 1 : 0) >
-        1) {
+    if ((o.jobs > 0) + o.worker + o.assemble + o.monitor > 1) {
         std::cerr << "sweep: --jobs, --worker, --assemble and "
                      "--monitor are mutually exclusive\n";
-        return usage(2);
+        return usage(2, flags);
     }
-    if (assemble)
-        incremental = true;
 
-    SweepSpec spec = makeNamedSweep(name, bench::smokeFactor(),
+    SweepSpec spec = makeNamedSweep(o.name, bench::smokeFactor(),
                                     bench::smokeMode());
-    spec.baseSeed = seed;
+    spec.baseSeed = o.seed;
     // Applied before any fork: --jobs workers inherit the spec, so
     // fleet, --worker and assembly all simulate the same backend.
-    setSweepBackend(spec, backend);
+    setSweepBackend(spec, o.backend);
     // Likewise pre-fork, so every execution path (including cell
     // identity hashing) sees the same sampled modes and knobs.
-    if (sample.enabled)
-        applySweepSampling(spec, sample);
+    if (o.sample.enabled)
+        applySweepSampling(spec, o.sample);
 
-    if (worker_mode) {
-        wopts.traceCapacity = trace_path.empty() ? 0 : 4096;
-        return runWorkerProcess(spec, store_path, fingerprint,
-                                plt_warm, wopts,
-                                store_stats_path);
-    }
-
-    if (monitor) {
-        // Each poll re-opens the store read-only: the open picks
-        // the newest valid meta page atomically, so every rendering
-        // is one crash-consistent snapshot of a live fleet, and the
-        // monitor never contends for the transaction gate.
-        std::size_t cap = trace_path.empty() ? 0 : 4096;
-        std::uint64_t polls = 0;
-        for (;;) {
-            bool complete = false;
-            try {
-                store::StoreOptions sopts;
-                sopts.readOnly = true;
-                std::unique_ptr<store::PageStore> ps =
-                    store::PageStore::open(store_path, sopts);
-                CellCache mcache(*ps, fingerprint);
-                if (plt_warm) {
-                    store::PltArchive archive(*ps);
-                    for (const std::string &w : spec.workloads) {
-                        std::optional<std::string> profile =
-                            archive.load(w);
-                        if (profile)
-                            mcache.setWarmProfileHash(
-                                w, stableHash64(*profile));
-                    }
-                }
-                FleetView view = readFleetView(
-                    *ps, fingerprint,
-                    cellKeysFor(spec, mcache, cap));
-                view.sweep = spec.name;
-                renderFleetStatus(std::cout, view,
-                                  wopts.leaseTicks);
-                warnFleetDrops(view);
-                complete = view.cells.outstanding() == 0;
-            } catch (const std::exception &e) {
-                std::cout << "monitor: " << e.what()
-                          << " (waiting)\n";
-            }
-            std::cout.flush();
-            ++polls;
-            if (complete)
-                return 0;
-            if (monitor_max && polls >= monitor_max)
-                return 0;
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(monitor_interval_ms));
-        }
-    }
+    if (o.worker)
+        return runWorkerProcess(spec, o, o.wopts, o.storeStatsPath);
+    if (o.monitor)
+        return runMonitor(spec, o);
 
     double fleet_seconds = 0.0;
-    if (jobs > 0) {
-        // Fork the fleet before opening the store: flock(2) state
-        // is shared across fork, so the parent must not hold any
-        // handle the children would inherit. Each child opens the
-        // store itself in shared mode.
-        auto fleet_start = std::chrono::steady_clock::now();
-        std::vector<pid_t> pids;
-        for (unsigned k = 0; k < jobs; ++k) {
-            pid_t pid = ::fork();
-            if (pid < 0) {
-                std::cerr << "sweep: fork failed\n";
-                return 1;
-            }
-            if (pid == 0) {
-                WorkerOptions w = wopts;
-                w.owner = wopts.owner + "-w" +
-                          std::to_string(k + 1);
-                // --kill-after-claim elects the first worker as
-                // the crash victim; the survivors reclaim its
-                // lease and CI asserts the victim's published
-                // fleet snapshot outlived it.
-                w.killAfterFirstClaim =
-                    wopts.killAfterFirstClaim && k == 0;
-                w.traceCapacity = trace_path.empty() ? 0 : 4096;
-                std::string stats_path =
-                    store_stats_path.empty() ||
-                            store_stats_path == "-"
-                        ? std::string()
-                        : store_stats_path + ".w" +
-                              std::to_string(k + 1);
-                int code = runWorkerProcess(spec, store_path,
-                                            fingerprint, plt_warm,
-                                            w, stats_path);
-                ::_exit(code);
-            }
-            pids.push_back(pid);
-        }
-        unsigned failed_workers = 0;
-        for (pid_t pid : pids) {
-            int status = 0;
-            if (::waitpid(pid, &status, 0) < 0 ||
-                !WIFEXITED(status) || WEXITSTATUS(status) != 0)
-                ++failed_workers;
-        }
-        auto fleet_end = std::chrono::steady_clock::now();
-        fleet_seconds = std::chrono::duration<double>(fleet_end -
-                                                      fleet_start)
-                            .count();
-        if (failed_workers > 0) {
-            // Assembly recovers whatever the fleet did finish (and
-            // executes the rest locally), so a dead worker is a
-            // warning, not an error.
-            std::cerr << "sweep: " << failed_workers << " of "
-                      << jobs << " worker(s) failed; assembling "
-                      << "from what was committed\n";
-        }
+    if (o.jobs > 0) {
+        std::optional<double> secs = runFleet(spec, o);
+        if (!secs)
+            return 1;
+        fleet_seconds = *secs;
         // The remainder of main() is the assembly pass.
-        assemble = true;
-        incremental = true;
+        o.assemble = true;
     }
+    if (o.assemble)
+        o.incremental = true;
 
     RunnerOptions opts;
-    opts.threads = threads;
-    if (!trace_path.empty())
-        opts.traceCapacity = 4096;
-    opts.claimAware = assemble;
+    opts.threads = o.threads;
+    opts.traceCapacity = o.traceCapacity();
+    opts.claimAware = o.assemble;
 
     std::unique_ptr<store::PageStore> pstore;
     std::unique_ptr<CellCache> cache;
     std::map<std::string, std::string> warm_profiles;
-    if (!store_path.empty()) {
+    if (!o.storePath.empty()) {
         try {
             store::StoreOptions sopts;
-            sopts.lockWaitMs = store_wait_ms;
-            pstore = store::PageStore::open(store_path, sopts);
+            sopts.lockWaitMs = o.storeWaitMs;
+            pstore = store::PageStore::open(o.storePath, sopts);
         } catch (const std::exception &e) {
             std::cerr << "sweep: " << e.what() << "\n";
             return 1;
         }
-        cache = std::make_unique<CellCache>(*pstore, fingerprint);
-        if (plt_warm) {
-            store::PltArchive archive(*pstore);
-            for (const std::string &w : spec.workloads) {
-                std::optional<std::string> profile =
-                    archive.load(w);
-                if (!profile)
-                    continue;
-                // The profile changes the cells' simulated
-                // results, so its hash is part of their identity.
-                cache->setWarmProfileHash(
-                    w, stableHash64(*profile));
-                warm_profiles.emplace(w, std::move(*profile));
-            }
-        }
+        cache = std::make_unique<CellCache>(*pstore, o.fingerprint);
+        if (o.pltWarm)
+            warm_profiles = loadWarmProfiles(*pstore, spec, *cache);
         opts.cache = cache.get();
-        opts.incremental = incremental;
-        if (!warm_profiles.empty())
-            opts.warmProfiles = &warm_profiles;
+        opts.incremental = o.incremental;
+        opts.warmProfiles = &warm_profiles;
     }
 
     SweepResult result;
@@ -664,21 +688,14 @@ main(int argc, char **argv)
         std::cerr << "sweep: " << e.what() << "\n";
         return 1;
     }
-    result.workerProcesses = jobs;
+    result.workerProcesses = o.jobs;
 
     JsonOptions jopts;
-    jopts.includeTiming = timing;
-    if (out_path == "-") {
-        writeResultsJson(std::cout, result, jopts);
-    } else {
-        std::ofstream os(out_path);
-        if (!os) {
-            std::cerr << "sweep: cannot write " << out_path
-                      << "\n";
-            return 1;
-        }
-        writeResultsJson(os, result, jopts);
-    }
+    jopts.includeTiming = o.timing;
+    if (!writeOutput(o.outPath, [&](std::ostream &os) {
+            writeResultsJson(os, result, jopts);
+        }))
+        return 1;
 
     // Aggregate the fleet keyspace once for every consumer below:
     // the merged trace, --fleet-report and --fleet-prom all read
@@ -686,84 +703,41 @@ main(int argc, char **argv)
     // with per-owner attribution (the in-process warning died with
     // the worker).
     std::optional<FleetView> fleet_view;
-    if (!store_path.empty() &&
-        (assemble || !fleet_report_path.empty() ||
-         !fleet_prom_path.empty())) {
+    if (!o.storePath.empty() &&
+        (o.assemble || !o.fleetReportPath.empty() ||
+         !o.fleetPromPath.empty())) {
         fleet_view.emplace(readFleetView(
-            *pstore, fingerprint,
-            cellKeysFor(spec, *cache, opts.traceCapacity)));
+            *pstore, o.fingerprint,
+            cache->cellKeys(spec, opts.traceCapacity)));
         fleet_view->sweep = spec.name;
         warnFleetDrops(*fleet_view);
     }
 
-    if (!trace_path.empty()) {
-        std::ofstream ts(trace_path);
-        if (!ts) {
-            std::cerr << "sweep: cannot write " << trace_path
-                      << "\n";
-            return 1;
-        }
-        if (fleet_view && !fleet_view->workers.empty()) {
-            writeMergedChromeTrace(ts, result, *fleet_view);
-            std::cerr << "sweep: merged trace ("
-                      << fleet_view->workers.size()
-                      << " worker lane(s)) -> " << trace_path
-                      << "\n";
-        } else {
-            writeChromeTrace(ts, result);
-            std::cerr << "sweep: trace -> " << trace_path << "\n";
-        }
-    }
+    if (!o.tracePath.empty() &&
+        !writeOutput(o.tracePath, [&](std::ostream &os) {
+            if (fleet_view && !fleet_view->workers.empty())
+                writeMergedChromeTrace(os, result, *fleet_view);
+            else
+                writeChromeTrace(os, result);
+        }))
+        return 1;
+    if (!o.fleetReportPath.empty() &&
+        !writeOutput(o.fleetReportPath, [&](std::ostream &os) {
+            writeFleetReport(os, *fleet_view);
+        }))
+        return 1;
+    if (!o.fleetPromPath.empty() &&
+        !writeOutput(o.fleetPromPath, [&](std::ostream &os) {
+            writePrometheusReport(os, *fleet_view);
+        }))
+        return 1;
+    if (!o.accuracyPath.empty() &&
+        !writeOutput(o.accuracyPath, [&](std::ostream &os) {
+            writeAccuracyReport(os, result);
+        }))
+        return 1;
 
-    if (!fleet_report_path.empty()) {
-        if (fleet_report_path == "-") {
-            writeFleetReport(std::cout, *fleet_view);
-        } else {
-            std::ofstream fs(fleet_report_path);
-            if (!fs) {
-                std::cerr << "sweep: cannot write "
-                          << fleet_report_path << "\n";
-                return 1;
-            }
-            writeFleetReport(fs, *fleet_view);
-            std::cerr << "sweep: fleet report -> "
-                      << fleet_report_path << "\n";
-        }
-    }
-
-    if (!fleet_prom_path.empty()) {
-        if (fleet_prom_path == "-") {
-            writePrometheusReport(std::cout, *fleet_view);
-        } else {
-            std::ofstream fs(fleet_prom_path);
-            if (!fs) {
-                std::cerr << "sweep: cannot write "
-                          << fleet_prom_path << "\n";
-                return 1;
-            }
-            writePrometheusReport(fs, *fleet_view);
-            std::cerr << "sweep: fleet prometheus -> "
-                      << fleet_prom_path << "\n";
-        }
-    }
-
-    if (!accuracy_path.empty()) {
-        if (accuracy_path == "-") {
-            writeAccuracyReport(std::cout, result);
-        } else {
-            std::ofstream as(accuracy_path);
-            if (!as) {
-                std::cerr << "sweep: cannot write "
-                          << accuracy_path << "\n";
-                return 1;
-            }
-            writeAccuracyReport(as, result);
-            std::cerr << "sweep: accuracy report -> "
-                      << accuracy_path << "\n";
-        }
-    }
-
-    if (!bench_json_path.empty()) {
+    if (!o.benchJsonPath.empty()) {
         // Wall-clock of the whole sweep: the end-to-end hot-path
         // number the perf gate tracks alongside the microbench
         // component rates. A --jobs run reports under jobs-tagged
@@ -771,32 +745,27 @@ main(int argc, char **argv)
         // multi-process scaling headline — so single- and
         // multi-process rows coexist in one document.
         std::vector<bench::BenchMetric> metrics;
-        if (jobs > 0) {
+        if (o.jobs > 0) {
             std::string tag =
-                "sweep_" + spec.name + "_jobs" +
-                std::to_string(jobs);
+                "sweep_" + spec.name + "_jobs" + std::to_string(o.jobs);
             metrics.push_back(
                 {tag + "_fleet_seconds", fleet_seconds, "s"});
             metrics.push_back(
                 {tag + "_wall_seconds", result.wallSeconds, "s"});
         } else {
-            metrics.push_back(
-                {"sweep_" + spec.name + "_wall_seconds",
-                 result.wallSeconds, "s"});
+            metrics.push_back({"sweep_" + spec.name + "_wall_seconds",
+                               result.wallSeconds, "s"});
         }
-        if (!bench::mergeBenchJson(bench_json_path, spec.smoke,
-                                   metrics)) {
+        if (!bench::mergeBenchJson(o.benchJsonPath, spec.smoke,
+                                   metrics))
             return 1;
-        }
-        std::cerr << "sweep: bench json -> " << bench_json_path
-                  << "\n";
     }
 
-    if (plt_save) {
+    if (o.pltSave) {
         // Archive one learned profile per workload: the first
-        // accelerated, non-failed cell in index order (cached
-        // cells round-trip their profile, so warm runs re-archive
-        // the same bytes).
+        // predicting, non-failed cell in index order (cached cells
+        // round-trip their profile, so warm runs re-archive the
+        // same bytes).
         store::PltArchive archive(*pstore);
         std::uint64_t archived = 0;
         for (const std::string &w : spec.workloads) {
@@ -815,33 +784,21 @@ main(int argc, char **argv)
             }
         }
         std::cerr << "sweep: archived " << archived
-                  << " PLT profile(s) -> " << store_path << "\n";
+                  << " PLT profile(s) -> " << o.storePath << "\n";
     }
 
-    if (!store_stats_path.empty()) {
-        JsonValue stats = cache->statsToJson();
-        if (store_stats_path == "-") {
-            stats.write(std::cout, 2);
-            std::cout << "\n";
-        } else {
-            std::ofstream ss(store_stats_path);
-            if (!ss) {
-                std::cerr << "sweep: cannot write "
-                          << store_stats_path << "\n";
-                return 1;
-            }
-            stats.write(ss, 2);
-            ss << "\n";
-            std::cerr << "sweep: store stats -> "
-                      << store_stats_path << "\n";
-        }
-    }
+    if (!o.storeStatsPath.empty() &&
+        !writeOutput(o.storeStatsPath, [&](std::ostream &os) {
+            cache->statsToJson().write(os, 2);
+            os << "\n";
+        }))
+        return 1;
 
     std::cerr << "sweep " << spec.name << ": "
               << result.cells.size() << " cells in "
               << TablePrinter::fmt(result.wallSeconds, 2)
               << " s on " << result.threads << " thread(s)"
               << (spec.smoke ? " [smoke]" : "") << " -> "
-              << out_path << "\n";
+              << o.outPath << "\n";
     return 0;
 }

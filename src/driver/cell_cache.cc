@@ -1,6 +1,7 @@
 #include "cell_cache.hh"
 
 #include "cell_io.hh"
+#include "obs/snapshot_io.hh"
 #include "store/claim_table.hh"
 #include "util/hash.hh"
 
@@ -142,8 +143,7 @@ CellCache::cellKey(const SweepSpec &spec, const SweepCell &cell,
     ctx.add("seed_index", cell.seedIndex);
     ctx.add("seed", cell.seed);
     ctx.add("machine", machineContext(spec.baseConfig));
-    if (cell.mode == RunMode::Accelerated ||
-        cell.mode == RunMode::SampledAccel) {
+    if (needsPredictor(cell.mode)) {
         ctx.add("predictor_index",
                 static_cast<std::uint64_t>(cell.predictorIndex));
         ctx.add("predictor",
@@ -170,6 +170,16 @@ CellCache::cellKey(const SweepSpec &spec, const SweepCell &cell,
         ctx.add("sample", std::move(s));
     }
     return StableHash().str(ctx.dump(-1)).hex();
+}
+
+std::vector<std::string>
+CellCache::cellKeys(const SweepSpec &spec,
+                    std::size_t trace_capacity) const
+{
+    std::vector<std::string> keys;
+    for (const SweepCell &cell : expandSweep(spec))
+        keys.push_back(cellKey(spec, cell, trace_capacity));
+    return keys;
 }
 
 std::string
@@ -347,19 +357,7 @@ CellCache::statsToJson()
     JsonValue hists = JsonValue::object();
     auto hist = [](const obs::Histogram &h) {
         JsonValue v = JsonValue::object();
-        v.add("count", h.count());
-        v.add("sum", h.sum());
-        JsonValue buckets = JsonValue::array();
-        for (std::size_t i = 0; i < obs::Histogram::numBuckets;
-             ++i) {
-            if (!h.bucket(i))
-                continue;
-            JsonValue b = JsonValue::array();
-            b.append(obs::Histogram::bucketLow(i));
-            b.append(h.bucket(i));
-            buckets.append(std::move(b));
-        }
-        v.add("buckets", std::move(buckets));
+        obs::addHistogramFields(v, obs::histogramEntry("", "", h));
         return v;
     };
     hists.add("lock_wait_us", hist(prof.lockWaitUs));

@@ -60,7 +60,7 @@ class CellCache
               std::string code_fingerprint);
 
     /** Register the warm-start profile hash for @p workload:
-     *  accelerated cells of that workload get the hash folded into
+     *  predicting cells of that workload get the hash folded into
      *  their cache identity. */
     void setWarmProfileHash(const std::string &workload,
                             std::uint64_t hash);
@@ -70,6 +70,12 @@ class CellCache
     std::string cellKey(const SweepSpec &spec,
                         const SweepCell &cell,
                         std::size_t trace_capacity) const;
+
+    /** cellKey() of every cell of expandSweep(@p spec), in
+     *  cell-index order: the identity runSweep, every claim-loop
+     *  worker and the fleet view compute alike. */
+    std::vector<std::string> cellKeys(const SweepSpec &spec,
+                                      std::size_t trace_capacity) const;
 
     /** The full store key for a cell key. */
     std::string storeKey(const std::string &cell_key) const;

@@ -231,6 +231,34 @@ accuracyFromJson(const JsonValue &v, obs::AccuracySnapshot &a)
 
 } // namespace
 
+void
+addSampleFields(JsonValue &obj, const CellSampleSection &s)
+{
+    obj.add("num_intervals", s.numIntervals);
+    obj.add("num_strata", s.numStrata);
+    obj.add("sampled_intervals", s.sampledIntervals);
+    obj.add("tail_insts", s.tailInsts);
+    obj.add("tail_cycles", s.tailCycles);
+    obj.add("detailed_app_insts", s.detailedAppInsts);
+    obj.add("ff_app_insts", s.ffAppInsts);
+    obj.add("est_app_cycles", s.estAppCycles);
+    obj.add("est_total_cycles", s.estTotalCycles);
+    obj.add("ci95_half", s.ciHalfWidth);
+    obj.add("df", s.df);
+    obj.add("has_ci", s.hasCi);
+    obj.add("detailed_fraction", s.detailedFraction);
+    JsonValue strata = JsonValue::array();
+    for (const StratumEstimate &h : s.strata) {
+        JsonValue row = JsonValue::array();
+        row.append(h.population);
+        row.append(h.sampled);
+        row.append(h.mean);
+        row.append(h.sampleVar);
+        strata.append(std::move(row));
+    }
+    obj.add("strata", std::move(strata));
+}
+
 std::string
 encodeCellResult(const CellResult &r)
 {
@@ -288,32 +316,9 @@ encodeCellResult(const CellResult &r)
     // (oracle comparisons are aggregator-derived and deliberately
     // absent: a cached cell must not depend on other cells).
     if (r.sample.present) {
-        const CellSampleSection &s = r.sample;
         JsonValue sv = JsonValue::object();
-        sv.add("interval_len", s.intervalLen);
-        sv.add("num_intervals", s.numIntervals);
-        sv.add("num_strata", s.numStrata);
-        sv.add("sampled_intervals", s.sampledIntervals);
-        sv.add("tail_insts", s.tailInsts);
-        sv.add("tail_cycles", s.tailCycles);
-        sv.add("detailed_app_insts", s.detailedAppInsts);
-        sv.add("ff_app_insts", s.ffAppInsts);
-        sv.add("est_app_cycles", s.estAppCycles);
-        sv.add("est_total_cycles", s.estTotalCycles);
-        sv.add("ci95_half", s.ciHalfWidth);
-        sv.add("df", s.df);
-        sv.add("has_ci", s.hasCi);
-        sv.add("detailed_fraction", s.detailedFraction);
-        JsonValue strata = JsonValue::array();
-        for (const StratumEstimate &h : s.strata) {
-            JsonValue row = JsonValue::array();
-            row.append(h.population);
-            row.append(h.sampled);
-            row.append(h.mean);
-            row.append(h.sampleVar);
-            strata.append(std::move(row));
-        }
-        sv.add("strata", std::move(strata));
+        sv.add("interval_len", r.sample.intervalLen);
+        addSampleFields(sv, r.sample);
         doc.add("sample", std::move(sv));
     }
     return doc.dump(-1);

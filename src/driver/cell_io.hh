@@ -43,6 +43,12 @@ std::string encodeCellResult(const CellResult &result);
 /** Parse a cache value; nullopt on any schema/shape mismatch. */
 std::optional<CellResult> decodeCellResult(std::string_view text);
 
+/** Append a sample section's measured and estimated fields, from
+ *  "num_intervals" to "strata", to the JSON object @p obj: the one
+ *  field layout shared by the cell codec and the results document's
+ *  sample section. */
+void addSampleFields(JsonValue &obj, const CellSampleSection &s);
+
 } // namespace osp
 
 #endif // OSP_DRIVER_CELL_IO_HH

@@ -134,22 +134,8 @@ runSweepWorker(const SweepSpec &spec, CellCache &cache,
     store::PageStore &store = cache.store();
 
     std::vector<SweepCell> cells = expandSweep(spec);
-    std::vector<std::string> keys(cells.size());
-    for (const SweepCell &cell : cells)
-        keys[cell.index] =
-            cache.cellKey(spec, cell, options.traceCapacity);
-
-    // Warm-start profiles, as in runSweep.
-    std::vector<const std::string *> warm(cells.size(), nullptr);
-    if (options.warmProfiles) {
-        for (const SweepCell &cell : cells) {
-            if (cell.mode != RunMode::Accelerated)
-                continue;
-            auto it = options.warmProfiles->find(cell.workload);
-            if (it != options.warmProfiles->end())
-                warm[cell.index] = &it->second;
-        }
-    }
+    std::vector<std::string> keys =
+        cache.cellKeys(spec, options.traceCapacity);
 
     // The fleet publisher rides the transactions this loop was
     // making anyway, so a snapshot becomes visible exactly when the
@@ -287,31 +273,19 @@ runSweepWorker(const SweepSpec &spec, CellCache &cache,
         const SweepCell &cell = cells[*outcome.cellIndex];
         const std::string &key = keys[cell.index];
         CellResult result;
-        bool failed = false;
-        std::string error;
         std::uint64_t exec_t0 = fleet ? fleet->nowUs() : 0;
         {
             LeaseRefresher refresher(store, table, key,
                                      options.owner,
                                      options.refreshMs);
-            try {
-                result =
-                    options.cellRunner
-                        ? options.cellRunner(spec, cell,
-                                             options.traceCapacity)
-                        : runCell(spec, cell,
-                                  options.traceCapacity,
-                                  warm[cell.index]);
-                ++stats.executed;
-            } catch (const std::exception &e) {
-                failed = true;
-                error = e.what();
-            } catch (...) {
-                failed = true;
-                error = "unknown exception";
-            }
+            result = executeCell(spec, cell, options.traceCapacity,
+                                 options.warmProfiles,
+                                 options.cellRunner);
             stats.refreshes += refresher.stop();
         }
+        bool failed = result.failed;
+        if (!failed)
+            ++stats.executed;
         if (fleet && !failed) {
             std::uint64_t wall = fleet->nowUs() - exec_t0;
             fleet->noteCellWall(cell.index, wall);
@@ -355,7 +329,7 @@ runSweepWorker(const SweepSpec &spec, CellCache &cache,
                                      cell.index);
             } else {
                 next.retries = rec->retries + 1;
-                next.error = error;
+                next.error = result.error;
                 if (next.retries >= options.maxRetries) {
                     next.state = store::ClaimState::Failed;
                     ++stats.exhausted;
@@ -378,25 +352,6 @@ runSweepWorker(const SweepSpec &spec, CellCache &cache,
                 fleet->observeCommitTx(fleet->nowUs() - tx_t0);
         }
     }
-}
-
-JsonValue
-workerStatsToJson(const WorkerStats &stats,
-                  const std::string &owner)
-{
-    JsonValue doc = JsonValue::object();
-    doc.add("owner", owner);
-    doc.add("claimed", stats.claimed);
-    doc.add("executed", stats.executed);
-    doc.add("committed", stats.committed);
-    doc.add("reclaimed", stats.reclaimed);
-    doc.add("retries_recorded", stats.retriesRecorded);
-    doc.add("exhausted", stats.exhausted);
-    doc.add("lost_leases", stats.lostLeases);
-    doc.add("polls", stats.polls);
-    doc.add("heartbeats", stats.heartbeats);
-    doc.add("refreshes", stats.refreshes);
-    return doc;
 }
 
 } // namespace osp

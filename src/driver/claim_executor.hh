@@ -16,9 +16,10 @@
  *     refreshing). Reclaiming an expired lease is free: only
  *     execution failures charge retries, so lease churn alone can
  *     never drive a cell to the terminal failed state.
- *  2. *Execute.* runCell() (or the test seam) outside any
- *     transaction — the expensive part runs unserialized, which is
- *     where the multi-process speedup comes from. A background
+ *  2. *Execute.* executeCell() (runCell() or the test seam, the
+ *     step runSweep takes too) outside any transaction — the
+ *     expensive part runs unserialized, which is where the
+ *     multi-process speedup comes from. A background
  *     refresher thread re-asserts the claim's epoch every
  *     refreshMs, so the lease stays fresh however long the cell
  *     takes while other workers' poll transactions advance the

@@ -102,6 +102,18 @@ fleetEventKindName(FleetEventKind kind)
     return "unknown";
 }
 
+JsonValue
+workerStatsToJson(const WorkerStats &stats, const std::string &owner)
+{
+    // The fleet snapshot's stats object, owner first.
+    JsonValue doc = JsonValue::object();
+    doc.add("owner", owner);
+    JsonValue fields = statsToJson(stats);
+    for (const auto &[key, value] : fields.members())
+        doc.add(key, value);
+    return doc;
+}
+
 std::string
 fleetKey(const std::string &fingerprint, const std::string &owner)
 {

@@ -61,6 +61,12 @@ const char *runModeName(RunMode mode);
 /** True for the two stratified-sampling modes. */
 bool isSampledMode(RunMode mode);
 
+/** True for the two modes that attach the prediction engine
+ *  (Accelerated, SampledAccel): only their cells expand over the
+ *  predictor and pollution axes, carry a PLT profile and an
+ *  accuracy ledger, and warm-start from an archived profile. */
+bool needsPredictor(RunMode mode);
+
 /** One predictor configuration under test, with a report label. */
 struct PredictorVariant
 {
@@ -93,10 +99,11 @@ struct SweepSpec
     std::vector<std::string> workloads;
     std::vector<RunMode> modes = {RunMode::Full,
                                   RunMode::Accelerated};
-    /** Applied to Accelerated cells only; baseline modes run once
-     *  regardless of how many variants are listed. */
+    /** Applied to predicting cells only (see needsPredictor);
+     *  other modes run once regardless of how many variants are
+     *  listed. */
     std::vector<PredictorVariant> predictors;
-    /** Cache-pollution policies (Accelerated cells only). */
+    /** Cache-pollution policies (predicting cells only). */
     std::vector<PollutionPolicy> pollution = {
         PollutionPolicy::Footprint};
     std::vector<std::uint64_t> l2Sizes = {1024 * 1024};
@@ -167,9 +174,9 @@ void setSweepBackend(SweepSpec &spec, PredictorBackendKind kind);
 /**
  * Flatten a spec into cells, in deterministic order: workload
  * (outer), L2 size, seed index, mode, then predictor x pollution
- * for Accelerated cells. Baseline (Full/AppOnly) cells are emitted
- * once per (workload, L2, seed) — the predictor and pollution axes
- * do not affect them, so duplicating them would only burn cycles.
+ * for predicting cells. Other cells are emitted once per (workload,
+ * L2, seed) — the predictor and pollution axes do not affect them,
+ * so duplicating them would only burn cycles.
  */
 std::vector<SweepCell> expandSweep(const SweepSpec &spec);
 
@@ -215,7 +222,7 @@ struct CellResult
 {
     SweepCell cell;
     RunTotals totals;
-    /** Aggregate predictor statistics (Accelerated cells). */
+    /** Aggregate predictor statistics (predicting cells). */
     ServicePredictor::Stats stats{};
     bool hasStats = false;
     /**
@@ -228,8 +235,8 @@ struct CellResult
     /**
      * The cell's accuracy-ledger snapshot: per-(service, cluster)
      * audit-error distributions, drift flags and predicted-cycle
-     * mass (see obs/accuracy.hh). Empty for baseline cells — only
-     * Accelerated cells predict. Always taken by the runner.
+     * mass (see obs/accuracy.hh). Empty unless the cell predicts
+     * (see needsPredictor). Always taken by the runner.
      */
     obs::AccuracySnapshot accuracy;
     /** Retained trace events, oldest first (empty unless the runner
@@ -312,8 +319,9 @@ struct SweepResult
 
     /**
      * Cell lookup by coordinates; nullptr when the spec did not
-     * generate such a cell. Baseline modes ignore the predictor and
-     * pollution indices (they are pinned to 0 in expansion).
+     * generate such a cell. Modes that do not predict ignore the
+     * predictor and pollution indices (they are pinned to 0 in
+     * expansion).
      */
     const CellResult *find(const std::string &workload, RunMode mode,
                            std::size_t predictor_index = 0,
@@ -355,7 +363,7 @@ struct RunnerOptions
      */
     bool claimAware = false;
     /**
-     * Archived PLT profiles by workload: accelerated cells of a
+     * Archived PLT profiles by workload: predicting cells of a
      * listed workload warm-start their predictors from the profile
      * (and the profile's hash becomes part of those cells' cache
      * identity — see CellCache). Null = no warm starts.
@@ -386,13 +394,28 @@ SweepResult runSweep(const SweepSpec &spec,
  * re-run one point of a sweep.
  *
  * @param trace_capacity the cell's event-ring size (0 = no tracing)
- * @param warm_profile   archived PLT profile text to warm-start an
- *                       Accelerated cell's predictors from
+ * @param warm_profile   archived PLT profile text to warm-start a
+ *                       predicting cell's predictors from
  *                       (nullptr = learn online as usual)
  */
 CellResult runCell(const SweepSpec &spec, const SweepCell &cell,
                    std::size_t trace_capacity = 0,
                    const std::string *warm_profile = nullptr);
+
+/**
+ * The one cell-execution step shared by runSweep and the claim-loop
+ * worker (driver/claim_executor.hh): pick the cell's warm profile
+ * from @p warm_profiles (predicting cells only), run @p cell_runner
+ * when set or else runCell, and capture any exception into a failed
+ * CellResult for the cell instead of propagating it.
+ */
+CellResult executeCell(
+    const SweepSpec &spec, const SweepCell &cell,
+    std::size_t trace_capacity,
+    const std::map<std::string, std::string> *warm_profiles,
+    const std::function<CellResult(const SweepSpec &,
+                                   const SweepCell &, std::size_t)>
+        &cell_runner);
 
 /** JSON emission knobs. */
 struct JsonOptions

@@ -17,7 +17,7 @@
  * Determinism note: the pool guarantees nothing about execution
  * order — harness determinism comes from tasks writing to
  * preassigned result slots and from aggregation running after
- * wait() in a fixed order (see sweep.cc).
+ * wait() in a fixed order (see sweep_run.cc).
  */
 
 #ifndef OSP_DRIVER_THREAD_POOL_HH

@@ -3,6 +3,21 @@
 namespace osp::obs
 {
 
+void
+addHistogramFields(JsonValue &obj, const HistogramEntry &h)
+{
+    obj.add("count", h.count);
+    obj.add("sum", h.sum);
+    JsonValue buckets = JsonValue::array();
+    for (const auto &[low, count] : h.buckets) {
+        JsonValue b = JsonValue::array();
+        b.append(low);
+        b.append(count);
+        buckets.append(std::move(b));
+    }
+    obj.add("buckets", std::move(buckets));
+}
+
 JsonValue
 metricsSnapshotToJson(const MetricsSnapshot &m)
 {
@@ -30,16 +45,7 @@ metricsSnapshotToJson(const MetricsSnapshot &m)
         JsonValue e = JsonValue::object();
         e.add("component", h.component);
         e.add("name", h.name);
-        e.add("count", h.count);
-        e.add("sum", h.sum);
-        JsonValue buckets = JsonValue::array();
-        for (const auto &[low, count] : h.buckets) {
-            JsonValue b = JsonValue::array();
-            b.append(low);
-            b.append(count);
-            buckets.append(std::move(b));
-        }
-        e.add("buckets", std::move(buckets));
+        addHistogramFields(e, h);
         histograms.append(std::move(e));
     }
     v.add("histograms", std::move(histograms));

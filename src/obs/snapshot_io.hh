@@ -20,6 +20,11 @@
 namespace osp::obs
 {
 
+/** Add a histogram's "count", "sum" and occupied [low, count]
+ *  "buckets" to the JSON object @p obj: the one histogram layout of
+ *  every telemetry document. */
+void addHistogramFields(JsonValue &obj, const HistogramEntry &h);
+
 /** Encode a snapshot; inverse of metricsSnapshotFromJson. */
 JsonValue metricsSnapshotToJson(const MetricsSnapshot &m);
 

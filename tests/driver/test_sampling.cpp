@@ -1,12 +1,13 @@
 /** @file Tests for sampled-simulation sweeps: spec expansion and
  *  validation, thread-count byte-determinism of the sample section,
- *  sampled-cell codec round-trips with stale-schema rejection, and
- *  the CI-bracket guarantee of the stratified estimator on the five
- *  OS-intensive workloads. */
+ *  sampled-cell codec round-trips with stale-schema rejection, warm
+ *  starts of sampled predicting cells, and the CI-bracket guarantee
+ *  of the stratified estimator on the five OS-intensive workloads. */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -216,6 +217,57 @@ TEST(SampledSweep, CellKeySeparatesSampledIdentity)
 
     store.reset();
     std::filesystem::remove(path);
+}
+
+TEST(SampledSweep, WarmProfilesReachEveryPredictingCell)
+{
+    // An archived PLT profile must warm-start SampledAccel cells
+    // exactly as it does Accelerated ones: the cell cache already
+    // folds the profile's hash into both identities, so a swept
+    // cell that ran cold would be stored under a warm key.
+    SweepSpec spec;
+    spec.name = "sampled-warm";
+    spec.workloads = {"du"};
+    spec.modes = {RunMode::Accelerated, RunMode::SampledAccel};
+    PredictorParams pred = experimentPredictor();
+    pred.learningWindow = 20;
+    spec.predictors = {{"statistical", pred}};
+    spec.scale = 0.1;
+    spec.sample.enabled = true;
+    spec.sample.intervalLen = 2000;
+
+    std::vector<SweepCell> cells = expandSweep(spec);
+    ASSERT_EQ(cells.size(), 2u);
+    const std::string profile = runCell(spec, cells[0]).pltProfile;
+    ASSERT_FALSE(profile.empty());
+    std::map<std::string, std::string> warm = {{"du", profile}};
+
+    RunnerOptions opts;
+    opts.threads = 2;
+    opts.warmProfiles = &warm;
+    SweepResult sweep = runSweep(spec, opts);
+    ASSERT_EQ(sweep.cells.size(), cells.size());
+    for (const SweepCell &cell : cells) {
+        const CellResult &swept = sweep.cells[cell.index];
+        CellResult alone = runCell(spec, cell, 0, &profile);
+        CellResult cold = runCell(spec, cell);
+        const char *mode = runModeName(cell.mode);
+        ASSERT_FALSE(swept.failed) << mode;
+        // The warm start must matter, or this test proves nothing.
+        EXPECT_NE(alone.totals.totalCycles(),
+                  cold.totals.totalCycles())
+            << mode;
+        EXPECT_EQ(swept.totals.totalCycles(),
+                  alone.totals.totalCycles())
+            << mode;
+        EXPECT_EQ(swept.totals.osPredCycles,
+                  alone.totals.osPredCycles)
+            << mode;
+        EXPECT_EQ(swept.pltProfile, alone.pltProfile) << mode;
+        EXPECT_EQ(swept.sample.estTotalCycles,
+                  alone.sample.estTotalCycles)
+            << mode;
+    }
 }
 
 TEST(SampledSweep, Fig13BracketsOracleOnAllFiveWorkloads)

@@ -241,6 +241,59 @@ TEST(RunSweep, FindLooksUpByCoordinates)
               nullptr);
 }
 
+TEST(RunSweep, SampledAccelVariantsStayApart)
+{
+    // SampledAccel cells expand over the predictor axis exactly as
+    // Accelerated ones do, so lookups and the accuracy report must
+    // tell their variants apart.
+    SweepSpec spec = tinySpec();
+    spec.workloads = {"du"};
+    spec.modes = {RunMode::Accelerated};
+    for (PredictorVariant &p : spec.predictors)
+        p.params.learningWindow = 20;
+    SampleParams sample;
+    sample.intervalLen = 1000;
+    sample.rate = 0.3;
+    applySweepSampling(spec, sample);
+    SweepResult sweep = runSweep(spec);
+
+    for (std::size_t pi = 0; pi < spec.predictors.size(); ++pi) {
+        const CellResult *cell =
+            sweep.find("du", RunMode::SampledAccel, pi);
+        ASSERT_NE(cell, nullptr);
+        EXPECT_EQ(cell->cell.mode, RunMode::SampledAccel);
+        EXPECT_EQ(cell->cell.predictorIndex, pi);
+    }
+    EXPECT_EQ(sweep.find("du", RunMode::SampledAccel, 2), nullptr);
+
+    // The report has one row per ledger the JSON section lists,
+    // sampled-accel ledgers included and labelled as such.
+    JsonValue doc = sweepToJson(sweep);
+    std::size_t ledgers = doc["accuracy"]["cells"].size();
+    std::size_t sampled_ledgers = 0;
+    for (const JsonValue &c : doc["accuracy"]["cells"].elements())
+        sampled_ledgers +=
+            sweep.cells[c["index"].asUint()].cell.mode ==
+            RunMode::SampledAccel;
+    ASSERT_EQ(sampled_ledgers, spec.predictors.size());
+
+    std::ostringstream os;
+    writeAccuracyReport(os, sweep);
+    std::istringstream lines(os.str());
+    std::size_t rows = 0;
+    std::size_t sampled_rows = 0;
+    for (std::string line; std::getline(lines, line);) {
+        bool row = line.rfind("du", 0) == 0 &&
+                   (line.find("statistical") != std::string::npos ||
+                    line.find("eager") != std::string::npos);
+        rows += row;
+        sampled_rows +=
+            row && line.rfind("du/sampled-accel", 0) == 0;
+    }
+    EXPECT_EQ(rows, ledgers);
+    EXPECT_EQ(sampled_rows, sampled_ledgers);
+}
+
 TEST(SweepJson, DocumentShapeAndRoundTrip)
 {
     SweepSpec spec = tinySpec();
