@@ -13,6 +13,15 @@ CodeGenerator::CodeGenerator(std::uint64_t seed, std::uint64_t stream)
 }
 
 void
+CodeGenerator::restart(std::uint64_t seed, std::uint64_t stream)
+{
+    rng.reseed(seed, stream);
+    items.clear();
+    seqCursors.clear();
+    opsSinceLoad = 255;
+}
+
+void
 CodeGenerator::pushCompute(const CodeProfile &profile,
                            std::uint64_t num_ops, Region data,
                            PatternKind pattern, std::uint32_t stride)

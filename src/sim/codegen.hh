@@ -85,6 +85,16 @@ class CodeGenerator
     /** Drop all queued work. */
     void clear() { items.clear(); }
 
+    /**
+     * Return to the state of a freshly constructed
+     * CodeGenerator(seed, stream): new RNG, no queued work, no
+     * sequential cursors, no load history. The geometric tables
+     * survive, since each depends only on its probability, so a
+     * generator restarted per OS-service invocation builds every
+     * table once instead of once per invocation.
+     */
+    void restart(std::uint64_t seed, std::uint64_t stream);
+
   private:
     struct WorkItem
     {
@@ -154,7 +164,8 @@ class CodeGenerator
      * One exact-replay geometric table per distinct dep-distance
      * probability seen (a handful per run: user profile + service
      * profiles). Items reference them by index, so re-pushing a
-     * profile every few thousand ops never rebuilds a table.
+     * profile every few thousand ops never rebuilds a table, and
+     * restart() keeps them.
      */
     std::vector<Pcg32::GeomTable> geomTables;
     /** Dynamic distance (ops) since the last emitted load, for

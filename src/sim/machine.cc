@@ -35,6 +35,7 @@ Machine::Machine(const MachineConfig &config,
       inorderNoCache(config_.cpu, nullptr, &bp),
       ooo(config_.cpu, &hier, &bp),
       oooNoCache(config_.cpu, nullptr, &bp),
+      serviceGen(config_.seed, 0x05ECA11ULL),
       pollutionRng(config_.seed, 0x9011ULL)
 {
     if (!workload_)
@@ -214,10 +215,12 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
     // Close the application segment.
     drainIntoT(eng, Owner::App);
 
-    // Functional execution + plan. A fresh generator per invocation,
-    // seeded by the global invocation sequence, keeps the stream
-    // identical regardless of the chosen detail level.
-    CodeGenerator gen(config_.seed, 0x05ECA11ULL + ++serviceSeq);
+    // Functional execution + plan. Restarting the service generator
+    // per invocation, seeded by the global invocation sequence,
+    // keeps the stream identical regardless of the chosen detail
+    // level; only its geometric tables carry over.
+    CodeGenerator &gen = serviceGen;
+    gen.restart(config_.seed, 0x05ECA11ULL + ++serviceSeq);
     HierarchyCounts before = hier.counts();
     ServiceResult result = kernel_->invoke(
         req.type, req.args, totals_.totalInsts(), &gen);
@@ -298,7 +301,7 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
         if (!warm_bp && !need_mix) {
             // Nothing consumes the op stream: the plan's size is
             // known analytically, which is the fastest emulation
-            // mode (a fresh generator serves each invocation, so
+            // mode (the generator restarts for each invocation, so
             // skipping the lowering perturbs nothing).
             n = gen.pendingOps();
             gen.clear();

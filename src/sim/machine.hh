@@ -361,6 +361,9 @@ class Machine
     bool warmupDone = false;
     bool running = false;
 
+    /** Lowers every OS-service plan; restarted per invocation. */
+    CodeGenerator serviceGen;
+
     /** Footprint-pollution reservoirs (reused across intervals). */
     Pcg32 pollutionRng;
     std::vector<Addr> dataSample;

@@ -75,19 +75,22 @@ class Pcg32
     /** Construct from a seed and a stream selector. */
     explicit Pcg32(std::uint64_t seed = 0x853c49e6748fea9bULL,
                    std::uint64_t stream = 0xda3e39cb94b95bdbULL)
+        : inc((stream << 1u) | 1u)
     {
-        reseed(seed, stream);
-    }
-
-    /** Re-initialize with a new (seed, stream) pair. */
-    void
-    reseed(std::uint64_t seed, std::uint64_t stream = 0)
-    {
-        state = 0;
-        inc = (stream << 1u) | 1u;
         next();
         state += seed;
         next();
+    }
+
+    /**
+     * Re-initialize with a new (seed, stream) pair: afterwards the
+     * generator equals Pcg32(seed, stream), including the Box-Muller
+     * spare and the range/geometric memos.
+     */
+    void
+    reseed(std::uint64_t seed, std::uint64_t stream = 0)
+    {
+        *this = Pcg32(seed, stream);
     }
 
     /** Next raw 32-bit value. */

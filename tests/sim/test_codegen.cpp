@@ -288,5 +288,71 @@ TEST(CodeGenerator, NextBlockMatchesNextExactly)
     }
 }
 
+/** restart(s, t) is a fresh CodeGenerator(s, t): whatever the
+ *  generator did before — tables built, items left pending, sequential
+ *  cursors moved, a recent load — the same pushes then yield the same
+ *  op stream. The Machine's per-invocation service generator rests on
+ *  this. */
+TEST(CodeGenerator, RestartMatchesFreshGenerator)
+{
+    Region seq{0x300000, 1 << 20};
+    auto plan = [&](CodeGenerator &gen) {
+        CodeProfile p = basicProfile();
+        p.depDistMean = 4.0;
+        gen.pushCompute(p, 300, Region{0x500000, 65536},
+                        PatternKind::PointerChase);
+        gen.pushCompute(p, 700, seq, PatternKind::Sequential);
+        gen.pushCopy(p, 333, Region{0x8000, 4096},
+                     Region{0x20000, 4096});
+        p.depDistMean = 2.5;
+        gen.pushCompute(p, 500, seq, PatternKind::Sequential);
+    };
+    auto drain = [](CodeGenerator &gen) {
+        std::vector<MicroOp> ops;
+        while (!gen.done())
+            ops.push_back(gen.next());
+        return ops;
+    };
+
+    CodeGenerator fresh(29, 6);
+    plan(fresh);
+    std::vector<MicroOp> want = drain(fresh);
+
+    // Dirty every piece of per-run state: tables for other
+    // probabilities (so table indices differ from a fresh
+    // generator's), a moved Sequential cursor on the same region,
+    // opsSinceLoad set by a just-emitted load, and queued work.
+    CodeGenerator gen(3, 99);
+    CodeProfile other = basicProfile();
+    other.depDistMean = 8.0;
+    gen.pushCompute(other, 2000, seq, PatternKind::Sequential);
+    gen.pushCopy(other, 160, Region{0x8000, 4096},
+                 Region{0x20000, 4096});
+    while (!gen.done())
+        gen.next();
+    CodeProfile loads = basicProfile();
+    loads.depDistMean = 6.0;
+    loads.loadFrac = 1.0;
+    loads.storeFrac = loads.branchFrac = loads.fpFrac = 0.0;
+    gen.pushCompute(loads, 50, seq, PatternKind::Sequential);
+    gen.pushCompute(other, 400, seq, PatternKind::Random);
+    gen.next();
+    ASSERT_FALSE(gen.done());
+
+    gen.restart(29, 6);
+    EXPECT_TRUE(gen.done());
+    plan(gen);
+    std::vector<MicroOp> got = drain(gen);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].pc, want[i].pc) << i;
+        EXPECT_EQ(got[i].effAddr, want[i].effAddr) << i;
+        EXPECT_EQ(got[i].cls, want[i].cls) << i;
+        EXPECT_EQ(got[i].depDist, want[i].depDist) << i;
+        EXPECT_EQ(got[i].execLat, want[i].execLat) << i;
+        EXPECT_EQ(got[i].taken, want[i].taken) << i;
+    }
+}
+
 } // namespace
 } // namespace osp

@@ -261,5 +261,44 @@ TEST(Pcg32, GeometricEdgeProbabilities)
     EXPECT_EQ(rng.geometric(0.0), 1u);
 }
 
+TEST(Pcg32, ReseedDropsGaussianSpare)
+{
+    // gaussian() yields two values per Box-Muller round; reseed must
+    // drop the pending spare so the new stream starts clean.
+    Pcg32 rng(61, 2);
+    rng.gaussian();
+    rng.range(1000);
+    rng.geometric(0.3);
+    rng.reseed(67, 3);
+    Pcg32 fresh(67, 3);
+    for (int i = 0; i < 8; ++i)
+        ASSERT_EQ(rng.gaussian(), fresh.gaussian()) << i;
+    ASSERT_EQ(rng.next(), fresh.next());
+}
+
+/** geometricWith(makeGeomTable(p)) is geometric(p), draw for draw:
+ *  the lowering's dep-distance draws rely on it. Covers every
+ *  dep-distance probability the code profiles use, a p too small to
+ *  get a table, and the two degenerate probabilities. */
+TEST(Pcg32, GeometricTableMatchesFormula)
+{
+    const double ps[] = {1 / 2.5, 1 / 3.0, 1 / 3.5, 1 / 4.0,
+                         1 / 5.0, 1 / 6.0, 1 / 8.0, 0.005,
+                         0.0,     1.0};
+    for (double p : ps) {
+        Pcg32::GeomTable table = Pcg32::makeGeomTable(p);
+        if (p > 0.01 && p < 1.0)
+            EXPECT_GT(table.entries, 0u) << p;
+        else
+            EXPECT_EQ(table.entries, 0u) << p;
+        Pcg32 a(71, 5);
+        Pcg32 b(71, 5);
+        for (int i = 0; i < 1000000; ++i)
+            ASSERT_EQ(a.geometricWith(table), b.geometric(p))
+                << "p " << p << " draw " << i;
+        ASSERT_EQ(a.next(), b.next()) << p;
+    }
+}
+
 } // namespace
 } // namespace osp

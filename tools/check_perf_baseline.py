@@ -27,6 +27,15 @@ simulator's hot path:
 Each ratio must lie within a multiplicative factor `ratio_tol` of
 the baseline value (band [base / tol, base * tol]).
 
+Two end-to-end wall speedups get a hard floor of `wall_floor` (1.0)
+instead of a band:
+
+  - accel_vs_full_wall         = Full / Accelerated wall seconds
+  - sampled_accel_vs_full_wall = Full / SampledAccel wall seconds
+    of one fixed ab-seq cell, timed in one process on one thread
+    (microbench_components --bench-json). Skipping OS services must
+    pay for itself in host time, not only in detailed instructions.
+
 Regenerate the baseline (after an intentional hot-path change), on a
 quiet machine with a Release (-O3) build:
 
@@ -58,6 +67,10 @@ BLOCK_FLOOR = 1.0
 # gets a hard floor, not a tolerance band: median >= 3 is exactly
 # ">= 3x shrink on at least 3 of the 5 workloads".
 SAMPLED_FLOOR = 3.0
+# A predicted or sampled cell must never take longer than its
+# full-detail twin.
+WALL_FLOOR = 1.0
+WALL_SPEEDUPS = ("accel_vs_full_wall", "sampled_accel_vs_full_wall")
 
 RATIOS = {
     "block_speedup": ("emulate_block_mips", "emulate_perop_mips"),
@@ -129,6 +142,8 @@ def main():
         }
         if "sampled_vs_full_speedup" in metrics:
             baseline["sampled_floor"] = SAMPLED_FLOOR
+        if any(name in metrics for name in WALL_SPEEDUPS):
+            baseline["wall_floor"] = WALL_FLOOR
         with open(args.baseline, "w") as f:
             json.dump(baseline, f, indent=2, sort_keys=True)
             f.write("\n")
@@ -175,6 +190,14 @@ def main():
         if fraction is None or not fraction < 1.0:
             fail(f"sampled_detailed_fraction {fraction!r} must be "
                  f"below 1.0 — sampled runs are not skipping work")
+
+    wall_floor = want.get("wall_floor", WALL_FLOOR)
+    for name in WALL_SPEEDUPS:
+        if name in want.get("required_metrics", []) and \
+                metrics[name] < wall_floor:
+            fail(f"{name} {metrics[name]:.3f} fell below the floor "
+                 f"{wall_floor} — the skipping mode is slower than "
+                 f"full detail")
 
     print(f"perf baseline: OK ({len(want['ratios'])} ratios within "
           f"x{tol} of baseline; block_speedup "
