@@ -64,6 +64,31 @@ BM_CacheAccess(benchmark::State &state)
 }
 BENCHMARK(BM_CacheAccess);
 
+/**
+ * Footprint pollution of one predicted OS service at the default
+ * geometry: a full data reservoir (2048 addresses over a 4MB kernel
+ * region) installed into L1D, L2 and the DTLB, cycled to 4096
+ * lines. Reported per installed line, next to BM_CacheAccess.
+ */
+void
+BM_FootprintInstall(benchmark::State &state)
+{
+    MemoryHierarchy hier((HierarchyParams()));
+    Pcg32 rng(1);
+    std::vector<Addr> sample;
+    for (int i = 0; i < 2048; ++i)
+        sample.push_back(0xc0000000ULL + 64ULL * rng.range(65536));
+    constexpr std::uint64_t kLines = 4096;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            hier.installFootprint(sample, kLines, false, Owner::Os));
+    }
+    state.counters["per_line"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * kLines),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FootprintInstall);
+
 void
 BM_HierarchyAccess(benchmark::State &state)
 {

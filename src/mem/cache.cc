@@ -59,23 +59,49 @@ Cache::Cache(const CacheParams &params, std::uint64_t seed)
 }
 
 std::uint32_t
-Cache::victimWay(std::uint32_t set)
+Cache::findWay(std::size_t base, Addr tag,
+               std::uint32_t &free_way) const
 {
-    std::size_t base = static_cast<std::size_t>(set) * params_.assoc;
-    // Invalid way first.
+    const Addr *t = &tags_[base];
+    free_way = kNoWay;
     for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        if (tags_[base + w] == kInvalidTag)
+        if (t[w] == tag)
             return w;
+        if (t[w] == kInvalidTag && free_way == kNoWay)
+            free_way = w;
     }
+    return kNoWay;
+}
+
+std::uint32_t
+Cache::victimWay(std::size_t base, std::uint32_t free_way)
+{
+    // Invalid way first.
+    if (free_way != kNoWay)
+        return free_way;
     if (params_.repl == ReplPolicy::Random)
         return rng.range(params_.assoc);
-    const Line *ln = &lines[base];
-    std::uint32_t victim = 0;
-    for (std::uint32_t w = 1; w < params_.assoc; ++w) {
-        if (ln[w].lruStamp < ln[victim].lruStamp)
-            victim = w;
+    return lruWay(&lines[base], false);
+}
+
+std::uint32_t
+Cache::lruWay(const Line *ln, bool app_only) const
+{
+    // Branch-free argmin (the victim's way is data-dependent, so a
+    // compare-and-branch mispredicts about once per fill): a strict
+    // compare keeps the lowest way on ties, and ineligible ways
+    // never beat the ~0 start value (real stamps are far below it).
+    std::uint64_t victim = kNoWay;
+    std::uint64_t best = ~std::uint64_t(0);
+    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
+        std::uint64_t stamp = ln[w].lruStamp;
+        bool eligible = !app_only || ln[w].owner == Owner::App;
+        std::uint64_t older =
+            0 - static_cast<std::uint64_t>(eligible & (stamp < best));
+        victim = (w & older) | (victim & ~older);
+        best = (stamp & older) | (best & ~older);
     }
-    return victim;
+    return static_cast<std::uint32_t>(victim);
 }
 
 Cache::AccessResult
@@ -83,21 +109,21 @@ Cache::accessSlow(std::uint32_t set, Addr tag, std::size_t base,
                   bool is_write, Owner owner)
 {
     AccessResult result;
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        if (tags_[base + w] == tag) {
-            Line &line = lines[base + w];
-            result.hit = true;
-            line.lruStamp = lruClock;
-            if (is_write)
-                line.dirty = true;
-            mruWay_[set] = w;
-            return result;
-        }
+    std::uint32_t free_way;
+    std::uint32_t hit = findWay(base, tag, free_way);
+    if (hit != kNoWay) {
+        Line &line = lines[base + hit];
+        result.hit = true;
+        line.lruStamp = lruClock;
+        if (is_write)
+            line.dirty = true;
+        mruWay_[set] = hit;
+        return result;
     }
 
     // Miss: allocate (write-allocate policy), evicting if needed.
     stats_.misses[static_cast<int>(owner)] += 1;
-    std::uint32_t way = victimWay(set);
+    std::uint32_t way = victimWay(base, free_way);
     Line &line = lines[base + way];
     if (line.valid) {
         stats_.evictions += 1;
@@ -125,13 +151,13 @@ Cache::install(Addr addr, Owner owner)
     Addr tag = tagOf(addr);
     std::size_t base = static_cast<std::size_t>(set) * params_.assoc;
     ++lruClock;
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        if (tags_[base + w] == tag) {
-            lines[base + w].lruStamp = lruClock;
-            return false;
-        }
+    std::uint32_t free_way;
+    std::uint32_t hit = findWay(base, tag, free_way);
+    if (hit != kNoWay) {
+        lines[base + hit].lruStamp = lruClock;
+        return false;
     }
-    std::uint32_t way = victimWay(set);
+    std::uint32_t way = victimWay(base, free_way);
     Line &line = lines[base + way];
     if (line.valid)
         stats_.injectedEvictions += 1;
@@ -142,6 +168,22 @@ Cache::install(Addr addr, Owner owner)
     line.lruStamp = lruClock;
     mruWay_[set] = way;
     return true;
+}
+
+std::uint64_t
+Cache::installCycled(std::span<const Addr> sample,
+                     std::uint64_t count, Owner owner)
+{
+    std::uint64_t fills = 0;
+    if (sample.empty())
+        return fills;
+    std::size_t k = 0;
+    for (std::uint64_t i = 0; i < count; ++i) {
+        fills += install(sample[k], owner);
+        if (++k == sample.size())
+            k = 0;
+    }
+    return fills;
 }
 
 bool
@@ -174,36 +216,21 @@ Cache::pollute(std::uint64_t count, PollutionMode mode)
         std::uint32_t set = rng.range(numSets_);
         std::size_t base =
             static_cast<std::size_t>(set) * params_.assoc;
-        Line *ln = &lines[base];
+        const Line *ln = &lines[base];
 
         // Invalid slot first: a free victim for Install, a no-op
         // draw for the invalidating modes (Sec. 4.5 victim order).
-        std::int32_t invalid_way = -1;
-        for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-            if (!ln[w].valid) {
-                invalid_way = static_cast<std::int32_t>(w);
-                break;
-            }
-        }
-
-        std::int32_t victim = -1;
-        if (invalid_way >= 0) {
+        // Otherwise the LRU eligible line (any owner, or application
+        // lines only for InvalidateApp).
+        std::uint32_t unused;
+        std::uint32_t victim = findWay(base, kInvalidTag, unused);
+        if (victim != kNoWay) {
             if (mode != PollutionMode::Install)
                 continue;
-            victim = invalid_way;
         } else {
-            // LRU among eligible lines, then more recently used.
-            for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-                if (mode == PollutionMode::InvalidateApp &&
-                    ln[w].owner != Owner::App) {
-                    continue;
-                }
-                if (victim < 0 ||
-                    ln[w].lruStamp < ln[victim].lruStamp) {
-                    victim = static_cast<std::int32_t>(w);
-                }
-            }
-            if (victim < 0)
+            victim =
+                lruWay(ln, mode == PollutionMode::InvalidateApp);
+            if (victim == kNoWay)
                 continue;
         }
 

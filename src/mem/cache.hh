@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -194,6 +195,17 @@ class Cache
     bool install(Addr addr, Owner owner);
 
     /**
+     * install() the first @p count entries of @p sample cycled
+     * (sample[k % sample.size()]), in order; an empty sample
+     * installs nothing. Keeps the per-line loop next to the inlined
+     * tag scan — one call per footprint, not per line.
+     *
+     * @return number of lines filled (install() returned true).
+     */
+    std::uint64_t installCycled(std::span<const Addr> sample,
+                                std::uint64_t count, Owner owner);
+
+    /**
      * Invalidate everything (cold-start). Statistics survive. Also
      * rewinds the LRU clock, the synthetic-tag allocator and the
      * MRU-way memos: with no valid lines left, none of that state
@@ -264,8 +276,26 @@ class Cache
 
     Addr tagOf(Addr addr) const { return addr >> lineShift; }
 
-    /** Pick the victim way in a (full) set per the policy. */
-    std::uint32_t victimWay(std::uint32_t set);
+    /** "No such way" marker for the way-scan helpers. */
+    static constexpr std::uint32_t kNoWay = ~std::uint32_t(0);
+
+    /**
+     * One scan of the set at flat index @p base: returns the way
+     * holding @p tag (kNoWay on a miss). On a miss @p free_way is
+     * the set's first invalid way (kNoWay if none), which is all a
+     * miss needs to pick its victim without rescanning.
+     */
+    std::uint32_t findWay(std::size_t base, Addr tag,
+                          std::uint32_t &free_way) const;
+
+    /** Pick the victim way of a miss per the policy: @p free_way
+     *  (from findWay) when the set has one, else random or LRU. */
+    std::uint32_t victimWay(std::size_t base, std::uint32_t free_way);
+
+    /** The least recently used way of the set at @p ln (lowest way
+     *  on ties), among application-owned ways only if @p app_only;
+     *  kNoWay when none is eligible. */
+    std::uint32_t lruWay(const Line *ln, bool app_only) const;
 
     /** Way scan, fill and eviction for a non-MRU access; the stats
      *  and LRU-clock bumps already happened in access(). */

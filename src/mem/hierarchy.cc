@@ -81,15 +81,17 @@ MemoryHierarchy::pollute(std::uint64_t l1i_lines,
 }
 
 MemoryHierarchy::InstallOutcome
-MemoryHierarchy::installLine(Addr addr, bool is_code, Owner owner)
+MemoryHierarchy::installFootprint(std::span<const Addr> sample,
+                                  std::uint64_t count, bool is_code,
+                                  Owner owner)
 {
     InstallOutcome out;
-    out.l1Fill = (is_code ? l1i_ : l1d_).install(addr, owner);
-    out.l2Fill = l2_.install(addr, owner);
+    out.l1Fills =
+        (is_code ? l1i_ : l1d_).installCycled(sample, count, owner);
+    out.l2Fills = l2_.installCycled(sample, count, owner);
     // Footprint pollution displaces TLB entries too.
-    Cache *tlb = is_code ? itlb_.get() : dtlb_.get();
-    if (tlb)
-        tlb->install(addr, owner);
+    if (Cache *tlb = is_code ? itlb_.get() : dtlb_.get())
+        tlb->installCycled(sample, count, owner);
     return out;
 }
 

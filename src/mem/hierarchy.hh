@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 
 #include "cache.hh"
 #include "util/types.hh"
@@ -172,19 +173,26 @@ class MemoryHierarchy
                           Cache::PollutionMode mode =
                               Cache::PollutionMode::Install);
 
-    /** Fill outcome of installLine(). */
+    /** Fill counts of installFootprint(). */
     struct InstallOutcome
     {
-        bool l1Fill = false;
-        bool l2Fill = false;
+        std::uint64_t l1Fills = 0;
+        std::uint64_t l2Fills = 0;
     };
 
     /**
-     * Footprint-faithful pollution: silently make one address a
-     * skipped OS service touched resident in the right L1 and the
-     * L2 (see Cache::install).
+     * Footprint-faithful pollution: silently make the addresses a
+     * skipped OS service touched resident (see Cache::install) —
+     * the first @p count entries of @p sample, cycled, in the right
+     * L1, the L2 and the matching TLB. Each level takes the whole
+     * sample in turn (L1, then L2, then TLB): the levels share no
+     * state, and each still sees the same addresses in the same
+     * order, so this equals installing line by line through all
+     * three while walking each level's sets in one sweep.
      */
-    InstallOutcome installLine(Addr addr, bool is_code, Owner owner);
+    InstallOutcome installFootprint(std::span<const Addr> sample,
+                                    std::uint64_t count, bool is_code,
+                                    Owner owner);
 
     /** Total (both-owner) counter snapshot, for interval deltas. */
     HierarchyCounts counts() const;

@@ -84,6 +84,8 @@ CodeGenerator::startItem(WorkItem &item)
     item.thrDep = Pcg32::rawThreshold(p.depChance);
     item.geomIdx =
         geomTableFor(1.0 / std::max(p.depDistMean, 1.0));
+    double dep_p = geomTables[item.geomIdx].p;
+    item.depDraws = dep_p > 0.0 && dep_p < 1.0;
 
     const Region &code = item.profile.code;
     if (code.size < 64)
@@ -200,8 +202,8 @@ CodeGenerator::next()
         osp_panic("CodeGenerator::next() called with no work queued");
     WorkItem &item = items.front();
     MicroOp op = item.kind == WorkItem::Kind::Compute
-                     ? lowerCompute(item)
-                     : lowerCopy(item);
+                     ? lowerCompute<Lowering::Full>(item)
+                     : lowerCopy<Lowering::Full>(item);
     item.opsLeft -= 1;
     if (item.opsLeft == 0) {
         if (item.kind == WorkItem::Kind::Compute &&
@@ -213,6 +215,7 @@ CodeGenerator::next()
     return op;
 }
 
+template <Lowering L>
 std::size_t
 CodeGenerator::nextBlock(MicroOp *out, std::size_t cap)
 {
@@ -223,10 +226,10 @@ CodeGenerator::nextBlock(MicroOp *out, std::size_t cap)
             std::min<std::uint64_t>(cap - n, item.opsLeft));
         if (item.kind == WorkItem::Kind::Compute) {
             for (std::size_t k = 0; k < take; ++k)
-                out[n++] = lowerCompute(item);
+                out[n++] = lowerCompute<L>(item);
         } else {
             for (std::size_t k = 0; k < take; ++k)
-                out[n++] = lowerCopy(item);
+                out[n++] = lowerCopy<L>(item);
         }
         item.opsLeft -= take;
         if (item.opsLeft == 0) {
@@ -237,13 +240,25 @@ CodeGenerator::nextBlock(MicroOp *out, std::size_t cap)
             items.pop_front();
         }
     }
+    if constexpr (L == Lowering::Lean) {
+        // The per-op load-distance update was skipped; recover its
+        // end value from the block, so a later Full lowering chases
+        // the same producer it would have.
+        std::size_t i = n;
+        while (i > 0 && out[i - 1].cls != OpClass::Load)
+            --i;
+        opsSinceLoad = static_cast<std::uint32_t>(
+            i ? std::min<std::size_t>(n - i + 1, 255)
+              : std::min<std::size_t>(opsSinceLoad + n, 255));
+    }
     return n;
 }
 
+template <Lowering L>
 MicroOp
 CodeGenerator::lowerCompute(WorkItem &item)
 {
-    const CodeProfile &p = item.profile;
+    constexpr bool full = L == Lowering::Full;
     MicroOp op;
     op.pc = nextPc(item);
 
@@ -255,12 +270,15 @@ CodeGenerator::lowerCompute(WorkItem &item)
     if (roll < item.thrLoad) {
         op.cls = OpClass::Load;
         op.effAddr = dataAddr(item, chase);
-        op.execLat = 0;  // latency comes from the memory system
-        if (chase) {
-            // Serialize on the previous load (pointer dereference);
-            // opsSinceLoad is 1 when the previous op was a load.
-            op.depDist = static_cast<std::uint8_t>(
-                std::min<std::uint32_t>(opsSinceLoad, 255));
+        if constexpr (full) {
+            op.execLat = 0;  // latency comes from the memory system
+            if (chase) {
+                // Serialize on the previous load (pointer
+                // dereference); opsSinceLoad is 1 when the previous
+                // op was a load.
+                op.depDist = static_cast<std::uint8_t>(
+                    std::min<std::uint32_t>(opsSinceLoad, 255));
+            }
         }
     } else if (roll < item.thrStore) {
         op.cls = OpClass::Store;
@@ -277,7 +295,8 @@ CodeGenerator::lowerCompute(WorkItem &item)
         }
     } else if (roll < item.thrFp) {
         op.cls = OpClass::FpAlu;
-        op.execLat = p.fpLatency;
+        if constexpr (full)
+            op.execLat = item.profile.fpLatency;
     } else {
         op.cls = OpClass::IntAlu;
         op.execLat = 1;
@@ -285,36 +304,45 @@ CodeGenerator::lowerCompute(WorkItem &item)
 
     if (op.cls != OpClass::Load || !chase) {
         if (rng.chanceRaw(item.thrDep)) {
-            std::uint32_t d =
-                rng.geometricWith(geomTables[item.geomIdx]);
-            op.depDist =
-                static_cast<std::uint8_t>(std::min<std::uint32_t>(
-                    d, 255));
+            if constexpr (full) {
+                std::uint32_t d =
+                    rng.geometricWith(geomTables[item.geomIdx]);
+                op.depDist = static_cast<std::uint8_t>(
+                    std::min<std::uint32_t>(d, 255));
+            } else if (item.depDraws) {
+                rng.next();  // the distance draw, value unused
+            }
         }
     }
-    opsSinceLoad = op.cls == OpClass::Load
-                       ? 1
-                       : std::min<std::uint32_t>(opsSinceLoad + 1,
-                                                 255);
+    if constexpr (full) {
+        opsSinceLoad = op.cls == OpClass::Load
+                           ? 1
+                           : std::min<std::uint32_t>(opsSinceLoad + 1,
+                                                     255);
+    }
     return op;
 }
 
+template <Lowering L>
 MicroOp
 CodeGenerator::lowerCopy(WorkItem &item)
 {
+    constexpr bool full = L == Lowering::Full;
     MicroOp op;
     op.pc = nextPc(item);
     switch (item.copyPhase) {
       case 0:
         op.cls = OpClass::Load;
         op.effAddr = item.srcCursor;
-        op.execLat = 0;
+        if constexpr (full)
+            op.execLat = 0;
         break;
       case 1:
         op.cls = OpClass::Store;
         op.effAddr = item.dstCursor;
         op.execLat = 1;
-        op.depDist = 1;  // stores the value just loaded
+        if constexpr (full)
+            op.depDist = 1;  // stores the value just loaded
         break;
       case 2:
         op.cls = OpClass::IntAlu;
@@ -337,12 +365,19 @@ CodeGenerator::lowerCopy(WorkItem &item)
         }
         break;
     }
-    opsSinceLoad = op.cls == OpClass::Load
-                       ? 1
-                       : std::min<std::uint32_t>(opsSinceLoad + 1,
-                                                 255);
+    if constexpr (full) {
+        opsSinceLoad = op.cls == OpClass::Load
+                           ? 1
+                           : std::min<std::uint32_t>(opsSinceLoad + 1,
+                                                     255);
+    }
     item.copyPhase = (item.copyPhase + 1) & 3;
     return op;
 }
+
+template std::size_t
+CodeGenerator::nextBlock<Lowering::Full>(MicroOp *, std::size_t);
+template std::size_t
+CodeGenerator::nextBlock<Lowering::Lean>(MicroOp *, std::size_t);
 
 } // namespace osp

@@ -30,6 +30,23 @@
 namespace osp
 {
 
+/** Which MicroOp fields a lowering fills in. */
+enum class Lowering : std::uint8_t
+{
+    /** Every field: what the timing engines consume. */
+    Full,
+    /**
+     * pc, cls, effAddr and taken only: what a predicted OS service
+     * reads (op-mix tally, branch-predictor warming, footprint
+     * reservoirs). It makes exactly Full's RNG draws — a
+     * dependence-distance draw is taken and discarded — so the
+     * stream of those four fields and the generator's state after
+     * the call are Full's; depDist and execLat keep their MicroOp
+     * defaults.
+     */
+    Lean,
+};
+
 /**
  * A queue of work items lowered lazily into MicroOps.
  *
@@ -79,7 +96,12 @@ class CodeGenerator
      * cursor updates — but hoists the per-op queue-front checks and
      * kind dispatch out of the loop, which is what makes block
      * retirement in the Machine worth having.
+     *
+     * Lowering::Lean skips the dependence and latency work (the
+     * geometric-table lookup, depDist, execLat and the per-op
+     * load-distance update) for consumers that never read it.
      */
+    template <Lowering L = Lowering::Full>
     std::size_t nextBlock(MicroOp *out, std::size_t cap);
 
     /** Drop all queued work. */
@@ -142,6 +164,9 @@ class CodeGenerator
         Pcg32::RangeDraw hotDraw;
         /** Index into geomTables for the profile's dep-distance p. */
         std::uint32_t geomIdx = 0;
+        /** geometricWith() on that table consumes a draw (its p is
+         *  inside (0, 1)); what Lean lowering replays instead. */
+        bool depDraws = false;
     };
 
     /** Pick a data address for the current item and advance cursors. */
@@ -150,7 +175,9 @@ class CodeGenerator
     /** Advance the fetch point; returns the pc for the next op. */
     Addr nextPc(WorkItem &item);
 
+    template <Lowering L>
     MicroOp lowerCompute(WorkItem &item);
+    template <Lowering L>
     MicroOp lowerCopy(WorkItem &item);
 
     void startItem(WorkItem &item);

@@ -226,17 +226,12 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
         req.type, req.args, totals_.totalInsts(), &gen);
 
     InstCount n = 0;
-    std::uint64_t mix_loads = 0;
-    std::uint64_t mix_stores = 0;
-    std::uint64_t mix_branches = 0;
+    // Ops per OpClass. An indexed increment, not a switch: the
+    // class is a random draw, so a branch on it would mispredict.
+    std::uint64_t mix[numOpClasses] = {};
     bool need_mix = controller_active && controller->wantsOpMix();
     auto tally = [&](const MicroOp &op) {
-        switch (op.cls) {
-          case OpClass::Load: ++mix_loads; break;
-          case OpClass::Store: ++mix_stores; break;
-          case OpClass::Branch: ++mix_branches; break;
-          default: break;
-        }
+        ++mix[static_cast<int>(op.cls)];
     };
     MicroOp buf[kMaxBlockOps];
     std::size_t filled;
@@ -256,14 +251,17 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
     } else if (config_.pollutionPolicy == PollutionPolicy::Footprint
                && usesCaches(config_.level) && warmupDone) {
         // Emulate, reservoir-sampling the interval's real addresses
-        // for footprint-faithful pollution injection below.
+        // for footprint-faithful pollution injection below. Nothing
+        // here reads dependences or latencies, so the lowering is
+        // Lean (same draws, same pc/cls/effAddr/taken).
         dataSample.clear();
         codeSample.clear();
         std::uint64_t data_seen = 0;
         std::uint64_t code_seen = 0;
         constexpr std::size_t dataCap = 2048;
         constexpr std::size_t codeCap = 512;
-        while ((filled = gen.nextBlock(buf, kMaxBlockOps)) != 0) {
+        while ((filled = gen.nextBlock<Lowering::Lean>(
+                    buf, kMaxBlockOps)) != 0) {
             for (std::size_t i = 0; i < filled; ++i) {
                 const MicroOp &op = buf[i];
                 tally(op);
@@ -306,7 +304,8 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
             n = gen.pendingOps();
             gen.clear();
         } else {
-            while ((filled = gen.nextBlock(buf, kMaxBlockOps)) != 0) {
+            while ((filled = gen.nextBlock<Lowering::Lean>(
+                        buf, kMaxBlockOps)) != 0) {
                 for (std::size_t i = 0; i < filled; ++i) {
                     const MicroOp &op = buf[i];
                     tally(op);
@@ -351,9 +350,9 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
         outcome.type = req.type;
         outcome.invocation = invocation;
         outcome.insts = n;
-        outcome.loads = mix_loads;
-        outcome.stores = mix_stores;
-        outcome.branches = mix_branches;
+        outcome.loads = mix[static_cast<int>(OpClass::Load)];
+        outcome.stores = mix[static_cast<int>(OpClass::Store)];
+        outcome.branches = mix[static_cast<int>(OpClass::Branch)];
         outcome.detailed = detailed;
         outcome.cycles = sim_cycles;
         outcome.mem = mem_delta;
@@ -429,40 +428,27 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
                     // line already cached displace nothing, so a
                     // second pass injects synthetic displacement for
                     // whatever remains of the predicted miss counts.
-                    std::uint64_t l1d_fills = 0;
-                    std::uint64_t l1i_fills = 0;
-                    std::uint64_t l2_fills = 0;
-                    for (std::uint64_t k = 0;
-                         k < pred.mem.l1dMisses &&
-                         !dataSample.empty();
-                         ++k) {
-                        auto out = hier.installLine(
-                            dataSample[k % dataSample.size()],
-                            false, Owner::Os);
-                        l1d_fills += out.l1Fill;
-                        l2_fills += out.l2Fill;
-                    }
-                    for (std::uint64_t k = 0;
-                         k < pred.mem.l1iMisses &&
-                         !codeSample.empty();
-                         ++k) {
-                        auto out = hier.installLine(
-                            codeSample[k % codeSample.size()], true,
-                            Owner::Os);
-                        l1i_fills += out.l1Fill;
-                        l2_fills += out.l2Fill;
-                    }
+                    // Data before code: both go through the
+                    // shared L2, so the order is part of the result.
+                    auto data = hier.installFootprint(
+                        dataSample, pred.mem.l1dMisses, false,
+                        Owner::Os);
+                    auto code = hier.installFootprint(
+                        codeSample, pred.mem.l1iMisses, true,
+                        Owner::Os);
+                    std::uint64_t l2_fills =
+                        data.l2Fills + code.l2Fills;
                     auto rest = [](std::uint64_t want,
                                    std::uint64_t got) {
                         return want > got ? want - got : 0;
                     };
                     std::uint64_t fills =
-                        l1i_fills + l1d_fills + l2_fills;
+                        code.l1Fills + data.l1Fills + l2_fills;
                     if (cFootprintFills_)
                         cFootprintFills_->inc(fills);
                     affected = fills + hier.pollute(
-                        rest(pred.mem.l1iMisses, l1i_fills),
-                        rest(pred.mem.l1dMisses, l1d_fills),
+                        rest(pred.mem.l1iMisses, code.l1Fills),
+                        rest(pred.mem.l1dMisses, data.l1Fills),
                         rest(pred.mem.l2Misses, l2_fills),
                         Cache::PollutionMode::Install);
                 }

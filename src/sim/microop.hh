@@ -29,6 +29,10 @@ enum class OpClass : std::uint8_t
     Branch,   //!< conditional branch (direction in MicroOp)
 };
 
+/** Number of OpClass values (for per-class arrays). */
+inline constexpr int numOpClasses = 5;
+static_assert(static_cast<int>(OpClass::Branch) + 1 == numOpClasses);
+
 /** One dynamic instruction. */
 struct MicroOp
 {

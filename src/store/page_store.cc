@@ -299,23 +299,35 @@ PageStore::decodeLeaf(
 namespace
 {
 
-/** Is this decoded meta internally consistent for a file of
- *  @p file_len bytes at candidate page size @p page_size? */
-bool
-metaValid(const Meta &m, std::uint32_t page_size,
+/** Verdict on one decoded meta slot. */
+enum class MetaCheck
+{
+    Invalid,    //!< not a meta this store wrote (torn, garbage)
+    Valid,      //!< consistent with the file
+    /** Checksummed, so a committed meta, yet it references pages
+     *  past the end of the file: the file lost its tail. */
+    Truncated,
+};
+
+/** Check a decoded meta at candidate page size @p page_size against
+ *  a file of @p file_len bytes. */
+MetaCheck
+checkMeta(const Meta &m, std::uint32_t page_size,
           std::uint64_t file_len)
 {
     if (m.magic != storeMagic || m.version != storeVersion)
-        return false;
+        return MetaCheck::Invalid;
     if (m.pageSize != page_size || m.pageSize < 512)
-        return false;
+        return MetaCheck::Invalid;
     if (m.checksum != metaChecksum(m))
-        return false;
-    if (m.numPages < 2 || m.numPages * m.pageSize > file_len)
-        return false;
+        return MetaCheck::Invalid;
+    if (m.numPages < 2)
+        return MetaCheck::Invalid;
+    if (m.numPages * m.pageSize > file_len)
+        return MetaCheck::Truncated;
     if (m.root >= m.numPages || m.freelist >= m.numPages)
-        return false;
-    return true;
+        return MetaCheck::Invalid;
+    return MetaCheck::Valid;
 }
 
 } // namespace
@@ -407,13 +419,33 @@ PageStore::open(const std::string &path, const StoreOptions &options)
 
     // Meta 0 sits at offset 0; meta 1 at offset pageSize, which we
     // normally learn from meta 0. When meta 0 is torn, probe the
-    // usual page sizes for a valid meta 1.
+    // usual page sizes for a valid meta 1. A committed meta is only
+    // written once the file holds every page it references, so one
+    // that overruns the file means the file was cut short: fail
+    // closed rather than fall back to the older slot, whose pages
+    // merely happen to lie in the surviving prefix.
     std::vector<Meta> valid;
+    auto admit = [&](const Meta &m, std::uint32_t ps, int slot) {
+        switch (checkMeta(m, ps, file_len)) {
+          case MetaCheck::Invalid:
+            return false;
+          case MetaCheck::Truncated:
+            throw std::runtime_error(
+                "store: meta slot " + std::to_string(slot) + " of '" +
+                path + "' references " +
+                std::to_string(m.numPages * m.pageSize) +
+                " bytes but the file has " +
+                std::to_string(file_len) + " (truncated store)");
+          case MetaCheck::Valid:
+            break;
+        }
+        valid.push_back(m);
+        return true;
+    };
     if (file_len >= pageHeaderSize + metaBytes) {
         Meta m0 =
             decodeMeta(view->data() + pageHeaderSize);
-        if (metaValid(m0, m0.pageSize, file_len))
-            valid.push_back(m0);
+        admit(m0, m0.pageSize, 0);
     }
     std::vector<std::uint32_t> candidates;
     if (!valid.empty())
@@ -426,11 +458,9 @@ PageStore::open(const std::string &path, const StoreOptions &options)
             file_len < std::uint64_t{ps} + pageHeaderSize +
                            metaBytes)
             continue;
-        Meta m1 = decodeMeta(view->data() + ps + pageHeaderSize);
-        if (metaValid(m1, ps, file_len)) {
-            valid.push_back(m1);
+        if (admit(decodeMeta(view->data() + ps + pageHeaderSize), ps,
+                  1))
             break;
-        }
     }
     if (valid.empty())
         throw std::runtime_error(
@@ -543,7 +573,8 @@ PageStore::refreshFromDisk()
         if (off + metaBytes > file_len)
             continue;
         Meta m = decodeMeta(view->data() + off);
-        if (metaValid(m, meta_.pageSize, file_len) &&
+        if (checkMeta(m, meta_.pageSize, file_len) ==
+                MetaCheck::Valid &&
             m.txid > newest.txid)
             newest = m;
     }

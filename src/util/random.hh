@@ -114,34 +114,31 @@ class Pcg32
 
     /**
      * Uniform integer in [0, bound). Uses rejection sampling so the
-     * distribution is exactly uniform (no modulo bias).
+     * distribution is exactly uniform (no modulo bias): a draw r is
+     * accepted iff r >= 2^32 mod bound, and yields r % bound.
+     *
+     * Callers mostly reuse one bound (address-stream spans), so a
+     * bound requested twice in a row is memoized as a RangeDraw and
+     * served by rangeWith() with no division at all. A bound that
+     * differs from the memo — e.g. the growing bound of a reservoir
+     * sampler — takes rangeFresh() instead, which costs at most one
+     * 32-bit modulo per draw instead of the memo's modulo plus
+     * 64-bit division. Both paths make the same draws and return
+     * the same values.
      */
     std::uint32_t
     range(std::uint32_t bound)
     {
         if (bound <= 1)
             return 0;
-        // The rejection threshold and the reciprocal both depend
-        // only on the bound; callers overwhelmingly reuse the same
-        // bound (address-stream spans), so memoize them and replace
-        // two divisions per draw with two multiplies. The remainder
-        // uses Lemire's direct-computation trick, which is exact for
-        // all 32-bit operands: n % d == mulhi64(M * n, d) with
-        // M = 2^64/d + 1 (Lemire, Kaser & Kurz 2019).
-        if (bound != rangeBound) {
-            rangeBound = bound;
-            rangeThreshold = (-bound) % bound;
-            rangeMagic = ~std::uint64_t(0) / bound + 1;
-        }
-        for (;;) {
-            std::uint32_t r = next();
-            if (r >= rangeThreshold) {
-                std::uint64_t low = rangeMagic * r;
-                return static_cast<std::uint32_t>(
-                    (static_cast<unsigned __int128>(low) * bound) >>
-                    64);
+        if (bound != rangeMemo.bound) {
+            if (bound != rangeLast) {
+                rangeLast = bound;
+                return rangeFresh(bound);
             }
+            rangeMemo = makeRange(bound);
         }
+        return rangeWith(rangeMemo);
     }
 
     /** Precompute range(bound) constants for rangeWith(). */
@@ -157,8 +154,13 @@ class Pcg32
         return d;
     }
 
-    /** range(d.bound) using precomputed constants: same draws, same
-     *  rejection, same value — no divisions. */
+    /**
+     * range(d.bound) using precomputed constants: same draws, same
+     * rejection, same value — no divisions. The remainder uses
+     * Lemire's direct computation, exact for all 32-bit operands:
+     * n % d == mulhi64(M * n, d) with M = 2^64/d + 1 (Lemire, Kaser
+     * & Kurz 2019).
+     */
     std::uint32_t
     rangeWith(const RangeDraw &d)
     {
@@ -451,13 +453,31 @@ class Pcg32
     }
 
   private:
+    /**
+     * range(bound) for bound > 1 without precomputed constants. The
+     * threshold 2^32 mod bound is below bound, so a draw r >= bound
+     * is accepted outright and needs only r % bound; a draw r < bound
+     * is its own remainder and needs only the threshold. Either way
+     * one 32-bit modulo per draw.
+     */
+    std::uint32_t
+    rangeFresh(std::uint32_t bound)
+    {
+        for (;;) {
+            std::uint32_t r = next();
+            if (r >= bound)
+                return r % bound;
+            if (r >= (-bound) % bound)
+                return r;
+        }
+    }
+
     std::uint64_t state = 0;
     std::uint64_t inc = 0;
     bool haveSpare = false;
     double spare = 0.0;
-    std::uint32_t rangeBound = 0;
-    std::uint32_t rangeThreshold = 0;
-    std::uint64_t rangeMagic = 0;
+    RangeDraw rangeMemo;         //!< memoized range() bound
+    std::uint32_t rangeLast = 0;  //!< bound of the previous range()
     double geomP = -1.0;
     double geomLogOneMinusP = 1.0;
 };

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "mem/cache.hh"
@@ -460,6 +461,258 @@ TEST(Cache, PollutionInstallSyntheticLinesNeverHit)
         EXPECT_FALSE(c.probe(a)) << "addr " << a;
     }
     EXPECT_FALSE(c.access(0x2000, false, Owner::App).hit);
+}
+
+/**
+ * The replacement logic written the plain way — separate scans for
+ * the hit, the first invalid way and the LRU victim, branchy
+ * compares — with the same RNG stream as Cache. The one-scan Cache
+ * must agree with it op for op.
+ */
+class ReferenceCache
+{
+  public:
+    explicit ReferenceCache(const CacheParams &p,
+                            std::uint64_t seed = 12345)
+        : p_(p), rng_(seed, 0x9e3779b97f4a7c15ULL)
+    {
+        sets_ = static_cast<std::uint32_t>(
+            p.sizeBytes / (std::uint64_t(p.lineBytes) * p.assoc));
+        while ((1u << shift_) < p.lineBytes)
+            ++shift_;
+        ways_.resize(std::size_t(sets_) * p.assoc);
+    }
+
+    Cache::AccessResult
+    access(Addr addr, bool is_write, Owner owner)
+    {
+        stats.accesses[static_cast<int>(owner)] += 1;
+        ++clock_;
+        Cache::AccessResult r;
+        Way *set = setOf(addr);
+        for (std::uint32_t w = 0; w < p_.assoc; ++w) {
+            if (set[w].valid && set[w].tag == tagOf(addr)) {
+                set[w].stamp = clock_;
+                set[w].dirty |= is_write;
+                r.hit = true;
+                return r;
+            }
+        }
+        stats.misses[static_cast<int>(owner)] += 1;
+        Way &v = set[victim(set)];
+        if (v.valid) {
+            stats.evictions += 1;
+            if (v.dirty) {
+                stats.writebacks += 1;
+                r.writeback = true;
+            }
+            if (v.owner == Owner::App && owner == Owner::Os) {
+                stats.crossEvictions += 1;
+                r.crossEviction = true;
+            }
+        }
+        v = Way{true, is_write, owner, tagOf(addr), clock_};
+        return r;
+    }
+
+    bool
+    install(Addr addr, Owner owner)
+    {
+        ++clock_;
+        Way *set = setOf(addr);
+        for (std::uint32_t w = 0; w < p_.assoc; ++w) {
+            if (set[w].valid && set[w].tag == tagOf(addr)) {
+                set[w].stamp = clock_;
+                return false;
+            }
+        }
+        Way &v = set[victim(set)];
+        if (v.valid)
+            stats.injectedEvictions += 1;
+        stats.injectedFills += 1;
+        v = Way{true, false, owner, tagOf(addr), clock_};
+        return true;
+    }
+
+    std::uint64_t
+    pollute(std::uint64_t count, Cache::PollutionMode mode)
+    {
+        std::uint64_t app = 0, all = 0;
+        for (const Way &w : ways_) {
+            all += w.valid;
+            app += w.valid && w.owner == Owner::App;
+        }
+        if (mode == Cache::PollutionMode::InvalidateApp)
+            count = std::min(count, app);
+        else if (mode == Cache::PollutionMode::InvalidateAny)
+            count = std::min(count, all);
+        std::uint64_t affected = 0;
+        for (std::uint64_t i = 0; i < count; ++i) {
+            Way *set = &ways_[std::size_t(rng_.range(sets_)) *
+                              p_.assoc];
+            int v = -1;
+            for (std::uint32_t w = 0; w < p_.assoc && v < 0; ++w)
+                if (!set[w].valid)
+                    v = static_cast<int>(w);
+            if (v >= 0 && mode != Cache::PollutionMode::Install)
+                continue;
+            if (v < 0) {
+                for (std::uint32_t w = 0; w < p_.assoc; ++w) {
+                    if (mode == Cache::PollutionMode::InvalidateApp &&
+                        set[w].owner != Owner::App)
+                        continue;
+                    if (v < 0 || set[w].stamp < set[v].stamp)
+                        v = static_cast<int>(w);
+                }
+                if (v < 0)
+                    continue;
+            }
+            Way &line = set[v];
+            if (line.valid)
+                stats.injectedEvictions += 1;
+            if (mode == Cache::PollutionMode::Install) {
+                line = Way{true, false, Owner::Os,
+                           (1ULL << 52) + synthetic_++, ++clock_};
+                stats.injectedFills += 1;
+            } else {
+                line.valid = false;
+                line.dirty = false;
+            }
+            ++affected;
+        }
+        return affected;
+    }
+
+    bool
+    probe(Addr addr) const
+    {
+        const Way *set =
+            &ways_[std::size_t((addr >> shift_) & (sets_ - 1)) *
+                   p_.assoc];
+        for (std::uint32_t w = 0; w < p_.assoc; ++w)
+            if (set[w].valid && set[w].tag == tagOf(addr))
+                return true;
+        return false;
+    }
+
+    std::uint64_t
+    resident(Owner owner) const
+    {
+        std::uint64_t n = 0;
+        for (const Way &w : ways_)
+            n += w.valid && w.owner == owner;
+        return n;
+    }
+
+    CacheStats stats;
+
+  private:
+    struct Way
+    {
+        bool valid = false;
+        bool dirty = false;
+        Owner owner = Owner::App;
+        Addr tag = 0;
+        std::uint64_t stamp = 0;
+    };
+
+    Addr tagOf(Addr addr) const { return addr >> shift_; }
+
+    Way *
+    setOf(Addr addr)
+    {
+        return &ways_[std::size_t((addr >> shift_) & (sets_ - 1)) *
+                      p_.assoc];
+    }
+
+    std::uint32_t
+    victim(const Way *set)
+    {
+        for (std::uint32_t w = 0; w < p_.assoc; ++w)
+            if (!set[w].valid)
+                return w;
+        if (p_.repl == ReplPolicy::Random)
+            return rng_.range(p_.assoc);
+        std::uint32_t v = 0;
+        for (std::uint32_t w = 1; w < p_.assoc; ++w)
+            if (set[w].stamp < set[v].stamp)
+                v = w;
+        return v;
+    }
+
+    CacheParams p_;
+    Pcg32 rng_;
+    std::uint32_t sets_ = 0;
+    std::uint32_t shift_ = 0;
+    std::uint64_t clock_ = 0;
+    std::uint64_t synthetic_ = 0;
+    std::vector<Way> ways_;
+};
+
+void
+expectSameStats(const CacheStats &got, const CacheStats &want)
+{
+    for (int o = 0; o < numOwners; ++o) {
+        EXPECT_EQ(got.accesses[o], want.accesses[o]);
+        EXPECT_EQ(got.misses[o], want.misses[o]);
+    }
+    EXPECT_EQ(got.evictions, want.evictions);
+    EXPECT_EQ(got.writebacks, want.writebacks);
+    EXPECT_EQ(got.crossEvictions, want.crossEvictions);
+    EXPECT_EQ(got.injectedEvictions, want.injectedEvictions);
+    EXPECT_EQ(got.injectedFills, want.injectedFills);
+}
+
+/** One-scan access/install/pollute against the reference model on
+ *  random mixed streams, under both replacement policies and at two
+ *  associativities: every outcome, the statistics, the residency and
+ *  the contents must agree throughout. */
+TEST(Cache, OneScanMatchesReferenceModel)
+{
+    for (ReplPolicy repl : {ReplPolicy::Lru, ReplPolicy::Random}) {
+        for (std::uint32_t assoc : {4u, 8u}) {
+            CacheParams p = smallCache(4 * 1024, assoc);
+            p.repl = repl;
+            Cache c(p, 77);
+            ReferenceCache ref(p, 77);
+            const std::uint64_t span = 3 * 4 * 1024 / 64;
+            Pcg32 rng(5, assoc);
+            for (int i = 0; i < 20000; ++i) {
+                Addr a = 64ULL * rng.range(span) + rng.range(64);
+                Owner o = rng.range(3) ? Owner::App : Owner::Os;
+                std::uint32_t op = rng.range(20);
+                if (op < 14) {
+                    bool w = rng.range(4) == 0;
+                    auto got = c.access(a, w, o);
+                    auto want = ref.access(a, w, o);
+                    ASSERT_EQ(got.hit, want.hit) << i;
+                    ASSERT_EQ(got.writeback, want.writeback) << i;
+                    ASSERT_EQ(got.crossEviction, want.crossEviction)
+                        << i;
+                } else if (op < 18) {
+                    ASSERT_EQ(c.install(a, o), ref.install(a, o))
+                        << i;
+                } else {
+                    auto mode = static_cast<Cache::PollutionMode>(
+                        rng.range(3));
+                    std::uint64_t n = rng.range(12);
+                    ASSERT_EQ(c.pollute(n, mode),
+                              ref.pollute(n, mode))
+                        << i;
+                }
+                if (i % 1000 == 999) {
+                    expectSameStats(c.stats(), ref.stats);
+                    EXPECT_EQ(c.residentLines(Owner::App),
+                              ref.resident(Owner::App));
+                    EXPECT_EQ(c.residentLines(Owner::Os),
+                              ref.resident(Owner::Os));
+                    for (std::uint64_t l = 0; l < span; ++l)
+                        ASSERT_EQ(c.probe(64 * l), ref.probe(64 * l))
+                            << "line " << l << " after op " << i;
+                }
+            }
+        }
+    }
 }
 
 } // namespace

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "mem/hierarchy.hh"
+#include "util/random.hh"
 
 namespace osp
 {
@@ -129,14 +133,112 @@ TEST(Hierarchy, ProbeL1MatchesResidency)
 TEST(Hierarchy, InstallLineResidency)
 {
     MemoryHierarchy h(tinyParams());
-    auto out = h.installLine(0x7000, false, Owner::Os);
-    EXPECT_TRUE(out.l1Fill);
-    EXPECT_TRUE(out.l2Fill);
+    const Addr line[] = {0x7000};
+    auto out = h.installFootprint(line, 1, false, Owner::Os);
+    EXPECT_EQ(out.l1Fills, 1u);
+    EXPECT_EQ(out.l2Fills, 1u);
     // Installs do not perturb demand statistics.
     EXPECT_EQ(h.counts().l1dAccesses, 0u);
     // But the line is resident: a demand access hits.
     auto res = h.access(0x7000, AccessType::Load, Owner::App, 0);
     EXPECT_FALSE(res.l1Miss);
+}
+
+void
+expectSameStats(const CacheStats &got, const CacheStats &want,
+                const char *level)
+{
+    for (int o = 0; o < numOwners; ++o) {
+        EXPECT_EQ(got.accesses[o], want.accesses[o]) << level;
+        EXPECT_EQ(got.misses[o], want.misses[o]) << level;
+    }
+    EXPECT_EQ(got.evictions, want.evictions) << level;
+    EXPECT_EQ(got.writebacks, want.writebacks) << level;
+    EXPECT_EQ(got.crossEvictions, want.crossEvictions) << level;
+    EXPECT_EQ(got.injectedEvictions, want.injectedEvictions) << level;
+    EXPECT_EQ(got.injectedFills, want.injectedFills) << level;
+}
+
+void
+expectSameHierarchy(const MemoryHierarchy &got,
+                    const MemoryHierarchy &want)
+{
+    expectSameStats(got.l1i().stats(), want.l1i().stats(), "l1i");
+    expectSameStats(got.l1d().stats(), want.l1d().stats(), "l1d");
+    expectSameStats(got.l2().stats(), want.l2().stats(), "l2");
+    expectSameStats(got.itlb()->stats(), want.itlb()->stats(), "itlb");
+    expectSameStats(got.dtlb()->stats(), want.dtlb()->stats(), "dtlb");
+    EXPECT_EQ(got.l2().residentLines(Owner::Os),
+              want.l2().residentLines(Owner::Os));
+}
+
+/** installFootprint() takes each level in turn; installing the same
+ *  cycled sample line by line through all three levels must leave
+ *  caches, TLBs and statistics in exactly the same state — including
+ *  samples shorter than the count, an empty sample, and random
+ *  replacement (whose RNG each level owns). The follow-up demand
+ *  stream checks the replacement state the counters cannot show. */
+TEST(Hierarchy, FootprintInstallMatchesPerLineLoop)
+{
+    for (ReplPolicy repl : {ReplPolicy::Lru, ReplPolicy::Random}) {
+        HierarchyParams p = tinyParams();
+        p.l1i.repl = p.l1d.repl = p.l2.repl = repl;
+        p.tlbEntries = 8;
+        p.tlbAssoc = 2;
+        MemoryHierarchy batched(p);
+        MemoryHierarchy per_line(p);
+
+        Pcg32 rng(17);
+        auto demand = [&](int n) {
+            for (int i = 0; i < n; ++i) {
+                Addr a = 64ULL * rng.range(1024);
+                auto type = static_cast<AccessType>(rng.range(3));
+                auto x = batched.access(a, type, Owner::App, 0);
+                auto y = per_line.access(a, type, Owner::App, 0);
+                ASSERT_EQ(x.latency, y.latency) << i;
+                ASSERT_EQ(x.tlbMiss, y.tlbMiss) << i;
+            }
+        };
+        demand(3000);
+
+        std::vector<Addr> data, code;
+        for (int i = 0; i < 200; ++i)
+            data.push_back(64ULL * rng.range(4096));
+        for (int i = 0; i < 37; ++i)
+            code.push_back(0x400000 + 64ULL * rng.range(512));
+        const std::vector<Addr> empty;
+        struct Step
+        {
+            const std::vector<Addr> *sample;
+            std::uint64_t count;
+            bool is_code;
+        };
+        for (Step step : {Step{&data, 150, false},
+                          Step{&code, 100, true},   // cycles 2.7x
+                          Step{&data, 450, false},  // cycles 2.25x
+                          Step{&empty, 40, false},
+                          Step{&code, 0, true}}) {
+            const std::vector<Addr> &sample = *step.sample;
+            auto out = batched.installFootprint(
+                sample, step.count, step.is_code, Owner::Os);
+            MemoryHierarchy::InstallOutcome want;
+            for (std::uint64_t k = 0;
+                 k < step.count && !sample.empty(); ++k) {
+                std::span<const Addr> one(&sample[k % sample.size()],
+                                          1);
+                auto o = per_line.installFootprint(one, 1,
+                                                   step.is_code,
+                                                   Owner::Os);
+                want.l1Fills += o.l1Fills;
+                want.l2Fills += o.l2Fills;
+            }
+            EXPECT_EQ(out.l1Fills, want.l1Fills);
+            EXPECT_EQ(out.l2Fills, want.l2Fills);
+            expectSameHierarchy(batched, per_line);
+            demand(500);
+        }
+        expectSameHierarchy(batched, per_line);
+    }
 }
 
 TEST(Hierarchy, FlushAllDropsContents)
@@ -223,7 +325,8 @@ TEST(HierarchyTlb, FootprintInstallWarmsTlb)
     HierarchyParams p = tinyParams();
     p.tlbEntries = 8;
     MemoryHierarchy h(p);
-    h.installLine(0x9000, false, Owner::Os);
+    const Addr line[] = {0x9000};
+    h.installFootprint(line, 1, false, Owner::Os);
     auto res = h.access(0x9000, AccessType::Load, Owner::App, 0);
     EXPECT_FALSE(res.tlbMiss);
 }

@@ -354,5 +354,103 @@ TEST(CodeGenerator, RestartMatchesFreshGenerator)
     }
 }
 
+/** Lean lowering is Full lowering minus dependences and latencies:
+ *  for every access pattern and for copy items, at any block size
+ *  and mixed with Full blocks, it yields the same pc/cls/effAddr/
+ *  taken stream and leaves the generator where Full would — the
+ *  RNG and the pointer-chase load distance alike, so the Full ops
+ *  lowered next match field for field. */
+TEST(CodeGenerator, LeanLoweringMatchesFull)
+{
+    auto plan = [](CodeGenerator &gen) {
+        CodeProfile p = basicProfile();
+        p.depChance = 0.6;
+        gen.pushCompute(p, 400, Region{0x8000, 64 * 1024},
+                        PatternKind::Sequential, 24);
+        gen.pushCompute(p, 333, Region{0x20000, 64 * 1024},
+                        PatternKind::Random);
+        gen.pushCompute(p, 300, Region{0x40000, 8192},
+                        PatternKind::Hot);
+        gen.pushCompute(p, 257, Region{0x50000, 4096},
+                        PatternKind::PointerChase);
+        gen.pushCopy(p, 777, Region{0x8000, 4096},
+                     Region{0x60000, 4096});
+        // depDistMean <= 1 gives p = 1: the distance takes no draw.
+        p.depDistMean = 1.0;
+        gen.pushCompute(p, 200, Region{0x70000, 8192},
+                        PatternKind::Random);
+        p.depDistMean = 3.0;
+        p.loadFrac = 0.02;  // long load-free runs
+        gen.pushCompute(p, 600, Region{0x80000, 8192},
+                        PatternKind::PointerChase);
+    };
+    // Runs after the plan; its Full ops expose the generator state
+    // (RNG draws, pointer-chase distance) the plan left behind.
+    auto tail = [](CodeGenerator &gen) {
+        CodeProfile p = basicProfile();
+        gen.pushCompute(p, 300, Region{0x90000, 8192},
+                        PatternKind::PointerChase);
+        gen.pushCompute(p, 300, Region{0xa0000, 8192},
+                        PatternKind::Random);
+    };
+    auto drain = [](CodeGenerator &gen, std::size_t cap,
+                    bool lean_only) {
+        std::vector<MicroOp> ops;
+        MicroOp buf[64];
+        bool lean = true;
+        while (!gen.done()) {
+            std::size_t n =
+                lean ? gen.nextBlock<Lowering::Lean>(buf, cap)
+                     : gen.nextBlock(buf, cap);
+            ops.insert(ops.end(), buf, buf + n);
+            lean = lean_only || !lean;
+        }
+        return ops;
+    };
+
+    CodeGenerator ref(41, 8);
+    plan(ref);
+    std::vector<MicroOp> want;
+    MicroOp one[1];
+    while (ref.nextBlock(one, 1))
+        want.push_back(one[0]);
+    tail(ref);
+    std::vector<MicroOp> want_tail;
+    while (ref.nextBlock(one, 1))
+        want_tail.push_back(one[0]);
+
+    for (bool lean_only : {true, false}) {
+        for (std::size_t cap : {std::size_t(1), std::size_t(5),
+                                std::size_t(64)}) {
+            CodeGenerator gen(41, 8);
+            plan(gen);
+            std::vector<MicroOp> got = drain(gen, cap, lean_only);
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t i = 0; i < want.size(); ++i) {
+                ASSERT_EQ(got[i].pc, want[i].pc) << i;
+                ASSERT_EQ(got[i].cls, want[i].cls) << i;
+                ASSERT_EQ(got[i].effAddr, want[i].effAddr) << i;
+                ASSERT_EQ(got[i].taken, want[i].taken) << i;
+            }
+            tail(gen);
+            std::vector<MicroOp> got_tail;
+            while (gen.nextBlock(one, 1))
+                got_tail.push_back(one[0]);
+            ASSERT_EQ(got_tail.size(), want_tail.size());
+            for (std::size_t i = 0; i < want_tail.size(); ++i) {
+                EXPECT_EQ(got_tail[i].pc, want_tail[i].pc) << i;
+                EXPECT_EQ(got_tail[i].effAddr, want_tail[i].effAddr)
+                    << i;
+                EXPECT_EQ(got_tail[i].cls, want_tail[i].cls) << i;
+                EXPECT_EQ(got_tail[i].depDist, want_tail[i].depDist)
+                    << "cap " << cap << " op " << i;
+                EXPECT_EQ(got_tail[i].execLat, want_tail[i].execLat)
+                    << i;
+                EXPECT_EQ(got_tail[i].taken, want_tail[i].taken) << i;
+            }
+        }
+    }
+}
+
 } // namespace
 } // namespace osp

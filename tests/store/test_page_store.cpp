@@ -274,6 +274,46 @@ TEST_F(PageStoreTest, BothMetasCorruptIsAnError)
     EXPECT_THROW(PageStore::open(path_), std::runtime_error);
 }
 
+/** A file cut back past the newer commit's pages, but not past the
+ *  older one's, is still a truncated file: the newer meta slot is
+ *  checksummed, so it was committed, and the store fails closed
+ *  instead of silently serving the older snapshot. */
+TEST_F(PageStoreTest, TruncationBehindTheOlderSnapshotIsAnError)
+{
+    std::uintmax_t first_len = 0;
+    {
+        auto store = PageStore::open(path_);
+        {
+            WriteTx tx = store->beginWrite();
+            tx.put("a", "1");
+            tx.commit();
+        }
+        first_len = std::filesystem::file_size(path_);
+        {
+            WriteTx tx = store->beginWrite();
+            for (int i = 0; i < 100; ++i)
+                tx.put("big/" + std::to_string(i),
+                       std::string(4000, 'v'));
+            tx.commit();
+        }
+        ASSERT_GT(std::filesystem::file_size(path_), first_len);
+    }
+    ASSERT_NO_THROW(PageStore::open(path_));
+    std::filesystem::resize_file(path_, first_len);
+    try {
+        PageStore::open(path_);
+        FAIL() << "opened a truncated store";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("truncated store"),
+                  std::string::npos)
+            << e.what();
+    }
+    StoreOptions read_only;
+    read_only.readOnly = true;
+    EXPECT_THROW(PageStore::open(path_, read_only),
+                 std::runtime_error);
+}
+
 TEST_F(PageStoreTest, TruncatedFileIsAnError)
 {
     std::uint32_t page_size = 0;

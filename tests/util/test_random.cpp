@@ -79,6 +79,56 @@ TEST(Pcg32, RangeCoversAllValues)
     EXPECT_EQ(seen.size(), 7u);
 }
 
+/** range()'s definition, spelled out: reject draws below
+ *  2^32 mod bound, return the remainder; bound <= 1 draws nothing. */
+std::uint32_t
+referenceRange(Pcg32 &rng, std::uint32_t bound)
+{
+    if (bound <= 1)
+        return 0;
+    std::uint64_t threshold = (std::uint64_t(1) << 32) % bound;
+    for (;;) {
+        std::uint32_t r = rng.next();
+        if (r >= threshold)
+            return r % bound;
+    }
+}
+
+/** A bound that differs from the memoized one takes the cheap
+ *  fresh-bound path; a repeated bound takes the memo. Both must make
+ *  the definition's draws and return its values, including at the
+ *  edges of the rejection rule (bound 2^31+1 rejects almost half of
+ *  all draws, 0xffffffff accepts all but one). */
+TEST(Pcg32, FreshBoundRangeMatchesMemoizedPath)
+{
+    for (std::uint32_t bound :
+         {1u, 2u, 7u, 2049u, 0x80000001u, 0xffffffffu}) {
+        // Alternating with another bound: every call is fresh.
+        Pcg32 fresh(31, 4);
+        Pcg32 want(31, 4);
+        for (int i = 0; i < 4000; ++i) {
+            ASSERT_EQ(fresh.range(bound), referenceRange(want, bound))
+                << "bound " << bound << " draw " << i;
+            ASSERT_EQ(fresh.range(3), referenceRange(want, 3));
+        }
+        EXPECT_EQ(fresh.next(), want.next()) << "bound " << bound;
+
+        // The same bound over and over: memoized after the second.
+        Pcg32 memo(31, 4);
+        Pcg32 want_memo(31, 4);
+        Pcg32::RangeDraw draw = Pcg32::makeRange(bound);
+        Pcg32 with(31, 4);
+        for (int i = 0; i < 4000; ++i) {
+            std::uint32_t v = referenceRange(want_memo, bound);
+            ASSERT_EQ(memo.range(bound), v) << "bound " << bound;
+            ASSERT_EQ(with.rangeWith(draw), v) << "bound " << bound;
+        }
+        std::uint32_t tail = want_memo.next();
+        EXPECT_EQ(memo.next(), tail) << "bound " << bound;
+        EXPECT_EQ(with.next(), tail) << "bound " << bound;
+    }
+}
+
 TEST(Pcg32, RangeInclusiveBounds)
 {
     Pcg32 rng(13);

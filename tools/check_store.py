@@ -9,7 +9,9 @@ without linking the simulator:
   * both meta slots are parsed; each is checked for magic, version,
     FNV-1a checksum, and bounds (numPages within the file, root and
     freelist in range) — the valid slot with the larger txid is the
-    live one, mirroring PageStore::open()
+    live one, mirroring PageStore::open(); a checksummed slot whose
+    numPages overruns the file means a truncated file and fails
+    the store
   * the live tree is walked: the root directory run, every leaf
     (header id/flags/record framing, keys sorted and in-bounds) and
     every overflow value run
@@ -95,19 +97,23 @@ class Meta:
          self.txid) = struct.unpack(self.FMT, raw[:48])
         (self.checksum,) = struct.unpack("<Q", raw[48:56])
 
-    def valid(self, page_size: int, file_len: int) -> bool:
-        """Mirror of metaValid() in page_store.cc."""
+    def check(self, page_size: int, file_len: int) -> str:
+        """Mirror of checkMeta() in page_store.cc: "invalid",
+        "valid", or "truncated" (checksummed, so committed, yet it
+        references pages past the end of the file)."""
         if self.magic != STORE_MAGIC or self.version != STORE_VERSION:
-            return False
+            return "invalid"
         if self.page_size != page_size or self.page_size < 512:
-            return False
+            return "invalid"
         if self.checksum != fnv1a64(bytes(self_raw48(self))):
-            return False
-        if self.num_pages < 2 or self.num_pages * self.page_size > file_len:
-            return False
+            return "invalid"
+        if self.num_pages < 2:
+            return "invalid"
+        if self.num_pages * self.page_size > file_len:
+            return "truncated"
         if self.root >= self.num_pages or self.freelist >= self.num_pages:
-            return False
-        return True
+            return "invalid"
+        return "valid"
 
 
 def self_raw48(m: Meta) -> bytes:
@@ -142,27 +148,32 @@ def run_data(data: bytes, page_size: int, pid: int, want_flag: int,
 
 
 def pick_meta(data: bytes, path: str):
-    """Both meta slots, validated; the live one; per-slot status."""
+    """Both meta slots, validated; the live one; per-slot status.
+    A committed slot that overruns the file fails closed, as in
+    PageStore::open(): the file was truncated, and the older slot
+    is not a snapshot to fall back to."""
     file_len = len(data)
     slots = []
 
-    m0 = None
+    def admit(m: Meta, page_size: int, slot: int) -> bool:
+        status = m.check(page_size, file_len)
+        if status == "truncated":
+            raise Corrupt(f"meta slot {slot} of '{path}' references "
+                          f"{m.num_pages * m.page_size} bytes but the "
+                          f"file has {file_len} (truncated store)")
+        if status == "valid":
+            slots.append(m)
+        return status == "valid"
+
     if file_len >= PAGE_HEADER_SIZE + META_BYTES:
         m0 = Meta(data[PAGE_HEADER_SIZE:PAGE_HEADER_SIZE + META_BYTES])
-        if not m0.valid(m0.page_size, file_len):
-            m0 = None
-    if m0:
-        slots.append(m0)
-        candidates = (m0.page_size,)
-    else:
-        candidates = PROBE_PAGE_SIZES
+        admit(m0, m0.page_size, 0)
+    candidates = (slots[0].page_size,) if slots else PROBE_PAGE_SIZES
     for ps in candidates:
         off = ps + PAGE_HEADER_SIZE
         if file_len < off + META_BYTES:
             continue
-        m1 = Meta(data[off:off + META_BYTES])
-        if m1.valid(ps, file_len):
-            slots.append(m1)
+        if admit(Meta(data[off:off + META_BYTES]), ps, 1):
             break
 
     if not slots:
