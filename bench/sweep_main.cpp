@@ -15,9 +15,6 @@
  * Distributed execution over a shared --store (the claim/lease
  * protocol of driver/claim_executor.hh):
  *
- *   sweep table2 --store s.db --jobs 3 --out results.json
- *       fork 3 local worker processes, wait for the fleet, then
- *       assemble — one command, same bytes as --threads runs.
  *   sweep table2 --store s.db --worker --owner w1
  *       one claim-loop worker; run any number of these on the same
  *       store, from any mix of terminals on one host (flock(2)
@@ -34,7 +31,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -44,10 +40,8 @@
 #include <memory>
 #include <optional>
 #include <sstream>
-#include <thread>
 #include <vector>
 
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "bench_json.hh"
@@ -55,7 +49,6 @@
 #include "driver/cell_cache.hh"
 #include "driver/claim_executor.hh"
 #include "driver/experiments.hh"
-#include "driver/fleet.hh"
 #include "driver/sweep.hh"
 #include "store/plt_archive.hh"
 #include "util/hash.hh"
@@ -86,14 +79,8 @@ struct Options
     std::uint64_t seed = experimentSeed;
     unsigned threads = 0;
     bool timing = true;
-    unsigned jobs = 0;
     bool worker = false;
     bool assemble = false;
-    bool monitor = false;
-    long monitorIntervalMs = 500;
-    std::uint64_t monitorMax = 0;
-    std::string fleetReportPath;
-    std::string fleetPromPath;
     long storeWaitMs = 0;
     bool list = false;
     bool help = false;
@@ -241,8 +228,7 @@ flagTable(Options &o)
          [&o](const char *v) { return parseSampleSpec(v, o.sample); }},
         {"--trace", "PATH",
          "per-cell event tracing, dumped as chrome://tracing JSON "
-         "('-' for stdout); with --jobs/--assemble, one more lane "
-         "per worker pid",
+         "('-' for stdout)",
          setText(o.tracePath)},
         {"--accuracy-report", "PATH",
          "human-readable prediction-accuracy and error-budget tables "
@@ -293,12 +279,6 @@ flagTable(Options &o)
         {"--store-wait", "MS",
          "wait up to MS ms for another writer to release the store",
          setNumber(o.storeWaitMs)},
-        {"--jobs", "N",
-         "fork N worker processes over the shared store, then "
-         "assemble (same bytes as a single-process run)",
-         [&o](const char *v) {
-             return setNumber(o.jobs)(v) && o.jobs > 0;
-         }},
         {"--worker", nullptr,
          "run one claim-loop worker and exit (no results document)",
          setTrue(o.worker)},
@@ -324,24 +304,8 @@ flagTable(Options &o)
          "disables)",
          setNumber(w.refreshMs)},
         {"--kill-after-claim", nullptr,
-         "crash-test seam: SIGKILL after the first claim (--jobs: "
-         "of the first worker)",
+         "crash-test seam: SIGKILL after the first claim",
          setTrue(w.killAfterFirstClaim)},
-        {"--monitor", nullptr,
-         "render live fleet status until the sweep completes (pass "
-         "the fleet's --trace/--plt/--fingerprint)",
-         setTrue(o.monitor)},
-        {"--monitor-interval", "MS", "poll period (default 500)",
-         setNumber(o.monitorIntervalMs)},
-        {"--monitor-max", "N",
-         "stop after N polls (default 0 = until complete)",
-         setNumber(o.monitorMax)},
-        {"--fleet-report", "PATH",
-         "ospredict-fleet-v1 worker-telemetry report ('-' for stdout)",
-         setText(o.fleetReportPath)},
-        {"--fleet-prom", "PATH",
-         "the same view as Prometheus text ('-' for stdout)",
-         setText(o.fleetPromPath)},
     };
 }
 
@@ -354,9 +318,8 @@ usage(int code, const std::vector<Flag> &flags)
     os << "usage: sweep <name> [options]\n"
           "       sweep --list\n"
           "\n"
-          "--incremental, --store-stats, --plt, --store-wait, --jobs,\n"
-          "--worker, --assemble, --monitor, --fleet-report and\n"
-          "--fleet-prom require --store.\n"
+          "--incremental, --store-stats, --plt, --store-wait,\n"
+          "--worker and --assemble require --store.\n"
           "\n"
           "options:\n";
     for (const Flag &f : flags) {
@@ -421,14 +384,13 @@ loadWarmProfiles(store::PageStore &store, const SweepSpec &spec,
 }
 
 /**
- * The body of one worker process (--worker, and each --jobs
- * child): open the store in shared mode, run the claim loop, and
+ * --worker: open the store in shared mode, run the claim loop, and
  * optionally dump the per-worker stats document.
  */
 int
-runWorkerProcess(const SweepSpec &spec, const Options &o,
-                 WorkerOptions wopts, const std::string &stats_path)
+runWorkerProcess(const SweepSpec &spec, const Options &o)
 {
+    WorkerOptions wopts = o.wopts;
     try {
         store::StoreOptions sopts;
         sopts.shared = true;
@@ -443,11 +405,11 @@ runWorkerProcess(const SweepSpec &spec, const Options &o,
 
         WorkerStats stats = runSweepWorker(spec, cache, wopts);
 
-        if (!stats_path.empty()) {
+        if (!o.storeStatsPath.empty()) {
             JsonValue doc = cache.statsToJson();
             doc.add("worker",
                     workerStatsToJson(stats, wopts.owner));
-            if (!writeOutput(stats_path, [&](std::ostream &os) {
+            if (!writeOutput(o.storeStatsPath, [&](std::ostream &os) {
                     doc.write(os, 2);
                     os << "\n";
                 }))
@@ -464,100 +426,6 @@ runWorkerProcess(const SweepSpec &spec, const Options &o,
                   << e.what() << "\n";
         return 1;
     }
-}
-
-/** --monitor: render live fleet status until the sweep completes
- *  (or --monitor-max polls). */
-int
-runMonitor(const SweepSpec &spec, const Options &o)
-{
-    // Each poll re-opens the store read-only: the open picks the
-    // newest valid meta page atomically, so every rendering is one
-    // crash-consistent snapshot of a live fleet, and the monitor
-    // never contends for the transaction gate.
-    for (std::uint64_t polls = 1;; ++polls) {
-        bool complete = false;
-        try {
-            store::StoreOptions sopts;
-            sopts.readOnly = true;
-            std::unique_ptr<store::PageStore> ps =
-                store::PageStore::open(o.storePath, sopts);
-            CellCache mcache(*ps, o.fingerprint);
-            if (o.pltWarm)
-                loadWarmProfiles(*ps, spec, mcache);
-            FleetView view =
-                readFleetView(*ps, o.fingerprint,
-                              mcache.cellKeys(spec, o.traceCapacity()));
-            view.sweep = spec.name;
-            renderFleetStatus(std::cout, view, o.wopts.leaseTicks);
-            warnFleetDrops(view);
-            complete = view.cells.outstanding() == 0;
-        } catch (const std::exception &e) {
-            std::cout << "monitor: " << e.what() << " (waiting)\n";
-        }
-        std::cout.flush();
-        if (complete || (o.monitorMax && polls >= o.monitorMax))
-            return 0;
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(o.monitorIntervalMs));
-    }
-}
-
-/**
- * --jobs: fork the worker fleet and wait for it. Returns the fleet's
- * wall-clock seconds, or nullopt when a fork failed.
- */
-std::optional<double>
-runFleet(const SweepSpec &spec, const Options &o)
-{
-    // Fork the fleet before opening the store: flock(2) state is
-    // shared across fork, so the parent must not hold any handle
-    // the children would inherit. Each child opens the store itself
-    // in shared mode.
-    auto fleet_start = std::chrono::steady_clock::now();
-    std::vector<pid_t> pids;
-    for (unsigned k = 0; k < o.jobs; ++k) {
-        pid_t pid = ::fork();
-        if (pid < 0) {
-            std::cerr << "sweep: fork failed\n";
-            return std::nullopt;
-        }
-        if (pid == 0) {
-            WorkerOptions w = o.wopts;
-            w.owner = o.wopts.owner + "-w" + std::to_string(k + 1);
-            // --kill-after-claim elects the first worker as the
-            // crash victim; the survivors reclaim its lease and CI
-            // asserts the victim's published fleet snapshot
-            // outlived it.
-            w.killAfterFirstClaim =
-                o.wopts.killAfterFirstClaim && k == 0;
-            std::string stats_path =
-                o.storeStatsPath.empty() || o.storeStatsPath == "-"
-                    ? std::string()
-                    : o.storeStatsPath + ".w" +
-                          std::to_string(k + 1);
-            ::_exit(runWorkerProcess(spec, o, w, stats_path));
-        }
-        pids.push_back(pid);
-    }
-    unsigned failed_workers = 0;
-    for (pid_t pid : pids) {
-        int status = 0;
-        if (::waitpid(pid, &status, 0) < 0 || !WIFEXITED(status) ||
-            WEXITSTATUS(status) != 0)
-            ++failed_workers;
-    }
-    if (failed_workers > 0) {
-        // Assembly recovers whatever the fleet did finish (and
-        // executes the rest locally), so a dead worker is a
-        // warning, not an error.
-        std::cerr << "sweep: " << failed_workers << " of " << o.jobs
-                  << " worker(s) failed; assembling from what was "
-                     "committed\n";
-    }
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - fleet_start)
-        .count();
 }
 
 } // namespace
@@ -617,42 +485,28 @@ main(int argc, char **argv)
     if (o.storePath.empty() &&
         (o.incremental || o.pltSave || o.pltWarm ||
          !o.storeStatsPath.empty() || o.storeWaitMs > 0 ||
-         o.jobs > 0 || o.worker || o.assemble || o.monitor ||
-         !o.fleetReportPath.empty() || !o.fleetPromPath.empty())) {
+         o.worker || o.assemble)) {
         std::cerr << "sweep: missing --store\n";
         return usage(2, flags);
     }
-    if ((o.jobs > 0) + o.worker + o.assemble + o.monitor > 1) {
-        std::cerr << "sweep: --jobs, --worker, --assemble and "
-                     "--monitor are mutually exclusive\n";
+    if (o.worker && o.assemble) {
+        std::cerr << "sweep: --worker and --assemble are mutually "
+                     "exclusive\n";
         return usage(2, flags);
     }
 
     SweepSpec spec = makeNamedSweep(o.name, bench::smokeFactor(),
                                     bench::smokeMode());
     spec.baseSeed = o.seed;
-    // Applied before any fork: --jobs workers inherit the spec, so
-    // fleet, --worker and assembly all simulate the same backend.
+    // Applied before any execution path, so --worker and assembly
+    // (including cell identity hashing) see the same backend,
+    // sampled modes and knobs.
     setSweepBackend(spec, o.backend);
-    // Likewise pre-fork, so every execution path (including cell
-    // identity hashing) sees the same sampled modes and knobs.
     if (o.sample.enabled)
         applySweepSampling(spec, o.sample);
 
     if (o.worker)
-        return runWorkerProcess(spec, o, o.wopts, o.storeStatsPath);
-    if (o.monitor)
-        return runMonitor(spec, o);
-
-    double fleet_seconds = 0.0;
-    if (o.jobs > 0) {
-        std::optional<double> secs = runFleet(spec, o);
-        if (!secs)
-            return 1;
-        fleet_seconds = *secs;
-        // The remainder of main() is the assembly pass.
-        o.assemble = true;
-    }
+        return runWorkerProcess(spec, o);
     if (o.assemble)
         o.incremental = true;
 
@@ -688,7 +542,6 @@ main(int argc, char **argv)
         std::cerr << "sweep: " << e.what() << "\n";
         return 1;
     }
-    result.workerProcesses = o.jobs;
 
     JsonOptions jopts;
     jopts.includeTiming = o.timing;
@@ -697,38 +550,9 @@ main(int argc, char **argv)
         }))
         return 1;
 
-    // Aggregate the fleet keyspace once for every consumer below:
-    // the merged trace, --fleet-report and --fleet-prom all read
-    // the same view, and dropped-trace warnings are re-issued here
-    // with per-owner attribution (the in-process warning died with
-    // the worker).
-    std::optional<FleetView> fleet_view;
-    if (!o.storePath.empty() &&
-        (o.assemble || !o.fleetReportPath.empty() ||
-         !o.fleetPromPath.empty())) {
-        fleet_view.emplace(readFleetView(
-            *pstore, o.fingerprint,
-            cache->cellKeys(spec, opts.traceCapacity)));
-        fleet_view->sweep = spec.name;
-        warnFleetDrops(*fleet_view);
-    }
-
     if (!o.tracePath.empty() &&
         !writeOutput(o.tracePath, [&](std::ostream &os) {
-            if (fleet_view && !fleet_view->workers.empty())
-                writeMergedChromeTrace(os, result, *fleet_view);
-            else
-                writeChromeTrace(os, result);
-        }))
-        return 1;
-    if (!o.fleetReportPath.empty() &&
-        !writeOutput(o.fleetReportPath, [&](std::ostream &os) {
-            writeFleetReport(os, *fleet_view);
-        }))
-        return 1;
-    if (!o.fleetPromPath.empty() &&
-        !writeOutput(o.fleetPromPath, [&](std::ostream &os) {
-            writePrometheusReport(os, *fleet_view);
+            writeChromeTrace(os, result);
         }))
         return 1;
     if (!o.accuracyPath.empty() &&
@@ -740,24 +564,18 @@ main(int argc, char **argv)
     if (!o.benchJsonPath.empty()) {
         // Wall-clock of the whole sweep: the end-to-end hot-path
         // number the perf gate tracks alongside the microbench
-        // component rates. A --jobs run reports under jobs-tagged
-        // names — the fleet time (fork to last exit) is the
-        // multi-process scaling headline — so single- and
-        // multi-process rows coexist in one document.
-        std::vector<bench::BenchMetric> metrics;
-        if (o.jobs > 0) {
-            std::string tag =
-                "sweep_" + spec.name + "_jobs" + std::to_string(o.jobs);
-            metrics.push_back(
-                {tag + "_fleet_seconds", fleet_seconds, "s"});
-            metrics.push_back(
-                {tag + "_wall_seconds", result.wallSeconds, "s"});
-        } else {
-            metrics.push_back({"sweep_" + spec.name + "_wall_seconds",
-                               result.wallSeconds, "s"});
-        }
-        if (!bench::mergeBenchJson(o.benchJsonPath, spec.smoke,
-                                   metrics))
+        // component rates. An explicit --threads N tags the name
+        // (sweep_<name>_threads<N>_wall_seconds), so runs of one
+        // sweep at several thread counts coexist in one document;
+        // the default thread count, one per core, stays untagged so
+        // no metric name depends on the host.
+        std::string tag =
+            o.threads > 0 ? "_threads" + std::to_string(o.threads)
+                          : std::string();
+        if (!bench::mergeBenchJson(
+                o.benchJsonPath, spec.smoke,
+                {{"sweep_" + spec.name + tag + "_wall_seconds",
+                  result.wallSeconds, "s"}}))
             return 1;
     }
 

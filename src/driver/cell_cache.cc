@@ -278,6 +278,8 @@ CellCache::commitResults(
              std::string(cellPrefix) + fingerprint_ + "/", false},
             {"claim/", "claim/" + fingerprint_ + "/", false},
             {"claimhb/", "claimhb/" + fingerprint_, true},
+            // Worker telemetry that older builds wrote; nothing
+            // writes fleet/ keys any more, so stores shed them here.
             {"fleet/", "fleet/" + fingerprint_ + "/", false},
         };
         store::ReadTx read = store_.beginRead();

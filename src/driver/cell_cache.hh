@@ -72,8 +72,8 @@ class CellCache
                         std::size_t trace_capacity) const;
 
     /** cellKey() of every cell of expandSweep(@p spec), in
-     *  cell-index order: the identity runSweep, every claim-loop
-     *  worker and the fleet view compute alike. */
+     *  cell-index order: the identity runSweep and every
+     *  claim-loop worker compute alike. */
     std::vector<std::string> cellKeys(const SweepSpec &spec,
                                       std::size_t trace_capacity) const;
 
@@ -100,8 +100,9 @@ class CellCache
 
     /**
      * Persist executed cells in ONE transaction and drop every
-     * "cell/", "claim/", "claimhb/" or "fleet/" entry belonging to
-     * a different code fingerprint (counted as evictions). Failed
+     * "cell/", "claim/", "claimhb/" or legacy "fleet/" entry
+     * belonging to a different code fingerprint (counted as
+     * evictions). Failed
      * cells are the caller's responsibility to exclude — a cached
      * failure would never be retried.
      */

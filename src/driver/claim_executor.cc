@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <csignal>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -15,7 +14,6 @@
 
 #include "cell_cache.hh"
 #include "cell_io.hh"
-#include "fleet.hh"
 #include "store/claim_table.hh"
 
 namespace osp
@@ -137,25 +135,11 @@ runSweepWorker(const SweepSpec &spec, CellCache &cache,
     std::vector<std::string> keys =
         cache.cellKeys(spec, options.traceCapacity);
 
-    // The fleet publisher rides the transactions this loop was
-    // making anyway, so a snapshot becomes visible exactly when the
-    // claim-table mutation it describes does — including the very
-    // first claim, which is why a --kill-after-claim victim's
-    // version-1 snapshot survives its SIGKILL.
-    std::unique_ptr<FleetPublisher> fleet;
-    if (options.publishFleet)
-        fleet = std::make_unique<FleetPublisher>(
-            cache.fingerprint(), options.owner,
-            options.fleetEventCapacity);
-
     long poll_ms = options.pollMs;
-    bool first_claim = true;
-    for (;;) {
+    for (bool first_pass = true;; first_pass = false) {
         // --- claim transaction --------------------------------
         ClaimOutcome outcome;
-        bool exiting = false;
         {
-            std::uint64_t tx_t0 = fleet ? fleet->nowUs() : 0;
             store::WriteTx tx = store.beginWrite();
             // Bump even when this pass claims nothing: once every
             // other cell is done, idle polls are the only thing
@@ -221,59 +205,34 @@ runSweepWorker(const SweepSpec &spec, CellCache &cache,
                 table.put(tx, key, next);
                 outcome.cellIndex = cell.index;
             }
-            // Stats move *inside* the transaction so the snapshot
-            // published with it already reflects this pass.
-            exiting = !outcome.cellIndex && outcome.outstanding == 0;
-            if (outcome.cellIndex) {
-                ++stats.claimed;
-                if (outcome.reclaimedExpired)
-                    ++stats.reclaimed;
-            } else if (!exiting) {
-                ++stats.polls;
-            }
-            if (fleet) {
-                if (outcome.cellIndex)
-                    fleet->noteEvent(outcome.reclaimedExpired
-                                         ? FleetEventKind::Reclaimed
-                                         : FleetEventKind::Claimed,
-                                     *outcome.cellIndex);
-                else if (exiting)
-                    fleet->noteEvent(FleetEventKind::Exited);
-                else
-                    fleet->noteEvent(FleetEventKind::Poll);
-                fleet->publish(tx, store, stats, hb, exiting);
-            }
             tx.commit();
-            if (fleet)
-                fleet->observeClaimTx(fleet->nowUs() - tx_t0);
         }
-
-        if (outcome.cellIndex)
-            poll_ms = options.pollMs;
-        if (first_claim && outcome.cellIndex &&
-            options.killAfterFirstClaim) {
-            // Crash seam: die holding exactly one live lease.
-            ::kill(::getpid(), SIGKILL);
-        }
-        first_claim = false;
 
         if (!outcome.cellIndex) {
-            if (exiting)
+            if (outcome.outstanding == 0)
                 return stats;  // sweep complete (or terminal)
             // Everything left is leased by live workers: wait for
-            // them to finish, fail, or expire (the poll was already
-            // counted, and published, inside the transaction).
+            // them to finish, fail, or expire.
+            ++stats.polls;
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(poll_ms));
             poll_ms = std::min<long>(poll_ms * 2, 1000);
             continue;
+        }
+        ++stats.claimed;
+        if (outcome.reclaimedExpired)
+            ++stats.reclaimed;
+        poll_ms = options.pollMs;
+        if (first_pass && options.killAfterFirstClaim) {
+            // Crash seam: die holding exactly one live lease.
+            ::kill(::getpid(), SIGKILL);
         }
 
         // --- execute (no transaction held) --------------------
         const SweepCell &cell = cells[*outcome.cellIndex];
         const std::string &key = keys[cell.index];
         CellResult result;
-        std::uint64_t exec_t0 = fleet ? fleet->nowUs() : 0;
+        auto exec_t0 = std::chrono::steady_clock::now();
         {
             LeaseRefresher refresher(store, table, key,
                                      options.owner,
@@ -284,21 +243,19 @@ runSweepWorker(const SweepSpec &spec, CellCache &cache,
             stats.refreshes += refresher.stop();
         }
         bool failed = result.failed;
-        if (!failed)
+        if (!failed) {
             ++stats.executed;
-        if (fleet && !failed) {
-            std::uint64_t wall = fleet->nowUs() - exec_t0;
-            fleet->noteCellWall(cell.index, wall);
-            fleet->noteTraceDrops(result.traceInfo.dropped);
-            fleet->noteEvent(FleetEventKind::Executed, cell.index,
-                             wall, exec_t0);
+            stats.cellWalls.emplace_back(
+                cell.index,
+                std::chrono::duration_cast<std::chrono::microseconds>(
+                    std::chrono::steady_clock::now() - exec_t0)
+                    .count());
         }
 
         // --- commit transaction -------------------------------
         {
-            std::uint64_t tx_t0 = fleet ? fleet->nowUs() : 0;
             store::WriteTx tx = store.beginWrite();
-            std::uint64_t hb = table.bumpHeartbeat(tx);
+            table.bumpHeartbeat(tx);
             ++stats.heartbeats;
             auto rec = table.get(tx, key);
             if (!rec ||
@@ -307,14 +264,7 @@ runSweepWorker(const SweepSpec &spec, CellCache &cache,
                 // Someone reclaimed our expired lease while we ran;
                 // their (identical, deterministic) result wins.
                 ++stats.lostLeases;
-                if (fleet) {
-                    fleet->noteEvent(FleetEventKind::LostLease,
-                                     cell.index);
-                    fleet->publish(tx, store, stats, hb, false);
-                }
                 tx.commit();
-                if (fleet)
-                    fleet->observeCommitTx(fleet->nowUs() - tx_t0);
                 continue;
             }
             store::ClaimRecord next = *rec;
@@ -324,34 +274,47 @@ runSweepWorker(const SweepSpec &spec, CellCache &cache,
                 next.state = store::ClaimState::Done;
                 next.error.clear();
                 ++stats.committed;
-                if (fleet)
-                    fleet->noteEvent(FleetEventKind::Committed,
-                                     cell.index);
             } else {
                 next.retries = rec->retries + 1;
                 next.error = result.error;
                 if (next.retries >= options.maxRetries) {
                     next.state = store::ClaimState::Failed;
                     ++stats.exhausted;
-                    if (fleet)
-                        fleet->noteEvent(FleetEventKind::Failed,
-                                         cell.index);
                 } else {
                     next.state = store::ClaimState::Retry;
                     ++stats.retriesRecorded;
-                    if (fleet)
-                        fleet->noteEvent(FleetEventKind::Retry,
-                                         cell.index);
                 }
             }
             table.put(tx, key, next);
-            if (fleet)
-                fleet->publish(tx, store, stats, hb, false);
             tx.commit();
-            if (fleet)
-                fleet->observeCommitTx(fleet->nowUs() - tx_t0);
         }
     }
+}
+
+JsonValue
+workerStatsToJson(const WorkerStats &stats, const std::string &owner)
+{
+    JsonValue doc = JsonValue::object();
+    doc.add("owner", owner);
+    doc.add("claimed", stats.claimed);
+    doc.add("executed", stats.executed);
+    doc.add("committed", stats.committed);
+    doc.add("reclaimed", stats.reclaimed);
+    doc.add("retries_recorded", stats.retriesRecorded);
+    doc.add("exhausted", stats.exhausted);
+    doc.add("lost_leases", stats.lostLeases);
+    doc.add("polls", stats.polls);
+    doc.add("heartbeats", stats.heartbeats);
+    doc.add("refreshes", stats.refreshes);
+    JsonValue walls = JsonValue::array();
+    for (const auto &[index, us] : stats.cellWalls) {
+        JsonValue w = JsonValue::array();
+        w.append(index);
+        w.append(us);
+        walls.append(std::move(w));
+    }
+    doc.add("cell_walls", std::move(walls));
+    return doc;
 }
 
 } // namespace osp

@@ -44,6 +44,8 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sweep.hh"
 #include "util/json.hh"
@@ -87,17 +89,6 @@ struct WorkerOptions
      * CI gets a victim that dies holding exactly one live lease.
      */
     bool killAfterFirstClaim = false;
-    /**
-     * Publish fleet/<fingerprint>/<owner> telemetry snapshots
-     * (driver/fleet.hh) by piggybacking on every claim and commit
-     * transaction. Costs one extra key write per transaction the
-     * worker was making anyway; disable for single-process tests
-     * that assert exact store contents.
-     */
-    bool publishFleet = true;
-    /** Lifecycle-event ring size in the published snapshots (oldest
-     *  dropped beyond this; 0 keeps none). */
-    std::size_t fleetEventCapacity = 256;
 };
 
 /** What one worker did, for the per-worker stats document. */
@@ -114,6 +105,10 @@ struct WorkerStats
     std::uint64_t heartbeats = 0; //!< heartbeat bumps
     std::uint64_t refreshes = 0;  //!< lease epochs re-asserted
                                   //!< mid-execution
+    /** (cell index, wall µs) per cell this worker executed, in
+     *  execution order. Assembled cells carry no wall time, so this
+     *  is where a distributed sweep's per-cell timing lives. */
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> cellWalls;
 };
 
 /**

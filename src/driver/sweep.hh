@@ -313,9 +313,6 @@ struct SweepResult
     StoreSection store;              //!< set when a cache was used
     unsigned threads = 1;            //!< volatile (timing section)
     double wallSeconds = 0.0;        //!< volatile (timing section)
-    /** Worker processes that executed cells before this (assembly)
-     *  pass; 0 = single-process run. Volatile (timing section). */
-    unsigned workerProcesses = 0;
 
     /**
      * Cell lookup by coordinates; nullptr when the spec did not
@@ -459,13 +456,6 @@ void writeAccuracyReport(std::ostream &os,
  * as the sweep itself. Cells are emitted in index order.
  */
 void writeChromeTrace(std::ostream &os, const SweepResult &result);
-
-/** writeChromeTrace's event list without the document wrapper:
- *  append every cell's lanes to @p events. Shared with the
- *  fleet-merged trace (driver/fleet.hh), whose cell lanes must stay
- *  byte-identical to the single-process ones. */
-void appendCellTraceEvents(JsonValue &events,
-                           const SweepResult &result);
 
 } // namespace osp
 

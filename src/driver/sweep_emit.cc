@@ -371,8 +371,6 @@ sweepToJson(const SweepResult &result, const JsonOptions &options)
     if (options.includeTiming) {
         JsonValue timing = JsonValue::object();
         timing.add("threads", result.threads);
-        if (result.workerProcesses > 0)
-            timing.add("jobs", result.workerProcesses);
         timing.add("wall_s", result.wallSeconds);
         doc.add("timing", std::move(timing));
     }
@@ -420,16 +418,17 @@ writeResultsJson(std::ostream &os, const SweepResult &result,
 }
 
 void
-appendCellTraceEvents(JsonValue &events, const SweepResult &result)
+writeChromeTrace(std::ostream &os, const SweepResult &result)
 {
+    warnDroppedEvents(result, "chrome trace");
+    JsonValue doc = JsonValue::object();
+    JsonValue events = JsonValue::array();
     // chrome://tracing "JSON Array Format" events. Interval-shaped
     // events (service detailed/predicted) become complete ("X")
     // slices whose ts is the retired-instruction count and dur the
     // interval's cycles; everything else becomes an instant ("i")
     // event. One process per sweep cell, one thread per service
-    // type. Shared between writeChromeTrace and the fleet-merged
-    // trace (driver/fleet.cc), which must keep the cell lanes
-    // byte-identical to the single-process ones.
+    // type.
     for (const CellResult &r : result.cells) {
         if (r.failed)
             continue;
@@ -478,15 +477,6 @@ appendCellTraceEvents(JsonValue &events, const SweepResult &result)
             events.append(std::move(e));
         }
     }
-}
-
-void
-writeChromeTrace(std::ostream &os, const SweepResult &result)
-{
-    warnDroppedEvents(result, "chrome trace");
-    JsonValue doc = JsonValue::object();
-    JsonValue events = JsonValue::array();
-    appendCellTraceEvents(events, result);
 
     doc.add("traceEvents", std::move(events));
     doc.add("displayTimeUnit", "ns");

@@ -1,8 +1,7 @@
 /**
  * @file
- * JSON codec for MetricsSnapshot, shared by every on-disk telemetry
- * encoding (ospredict-cell-v1 cache values, ospredict-worker-v1 fleet
- * snapshots).
+ * JSON codec for MetricsSnapshot, the on-disk telemetry encoding of
+ * ospredict-cell-v1 cache values.
  *
  * The format is part of the cell cache's byte-identity contract:
  * counters and gauges as compact [component, name, value] arrays,

@@ -148,8 +148,8 @@ struct StoreInfo
  * records how long it actually blocked (StoreOptions::lockWaitMs
  * only bounds the wait), and every commit records its wall time and
  * page traffic. Process-local — each handle profiles its own view of
- * the shared file; fleet-wide pictures come from merging the
- * per-worker exports (obs::MetricsSnapshot::merge).
+ * the shared file, and each worker exports its own in the
+ * `--store-stats` document.
  */
 struct StoreProfile
 {
@@ -298,7 +298,7 @@ struct StoreOptions
     /**
      * Shared mode: how long a transaction waits for the gate. The
      * generous default covers commit-sized critical sections of
-     * any realistic worker fleet; hitting it usually means an
+     * any realistic set of workers; hitting it usually means an
      * *exclusive* handle holds the store open.
      */
     long txLockWaitMs = 60000;

@@ -4,16 +4,18 @@
  *  only on exhaustion), stale-lease reclamation (free of retry
  *  charge, including from a corrupt heartbeat counter), the
  *  background lease refresher that keeps a slow cell's claim
- *  fresh, and the claim-aware assembly of exhausted failures.
- *  Concurrency scenarios run two shared-mode store handles in one
- *  process — flock(2) makes them contend exactly like two
- *  processes. */
+ *  fresh, the claim-aware assembly of exhausted failures, and
+ *  that cells execute outside the store's writer gate. Concurrency
+ *  scenarios run two shared-mode store handles in one process —
+ *  flock(2) makes them contend exactly like two processes. */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -129,7 +131,7 @@ referenceJson(const SweepSpec &spec, const std::string &store_path,
 }
 
 /** Assemble from the claim-covered store and return the canonical
- *  bytes (exclusive open: the fleet is done). */
+ *  bytes (exclusive open: every worker is done). */
 std::string
 assembleJson(const SweepSpec &spec, const std::string &store_path,
              const RunnerOptions &base)
@@ -167,6 +169,22 @@ TEST_F(ClaimExecutorTest, SingleWorkerAssemblesColdRunBytes)
         EXPECT_EQ(stats.committed, 4u);
         EXPECT_EQ(stats.reclaimed, 0u);
         EXPECT_EQ(stats.lostLeases, 0u);
+
+        // The --store-stats "worker" section lists one
+        // [cell index, wall µs] pair per executed cell; a lone
+        // worker claims in index order.
+        JsonValue doc = workerStatsToJson(stats, "solo");
+        const JsonValue *walls = doc.find("cell_walls");
+        ASSERT_NE(walls, nullptr);
+        ASSERT_TRUE(walls->isArray());
+        ASSERT_EQ(walls->size(), 4u);
+        for (std::size_t i = 0; i < walls->size(); ++i) {
+            const JsonValue &w = walls->at(i);
+            ASSERT_TRUE(w.isArray());
+            ASSERT_EQ(w.size(), 2u);
+            EXPECT_EQ(w.at(0).asUint(), i);
+            EXPECT_EQ(w.at(1).asUint(), stats.cellWalls[i].second);
+        }
     }
     EXPECT_EQ(executions.load(), 4);
 
@@ -201,7 +219,7 @@ TEST_F(ClaimExecutorTest, TwoConcurrentWorkersAreByteInvariant)
         t1.join();
         t2.join();
     }
-    // Every cell committed exactly once across the fleet (default
+    // Every cell committed exactly once across workers (default
     // lease is far longer than this run, so no reclaims happen).
     EXPECT_EQ(s1.committed + s2.committed, 4u);
     EXPECT_EQ(s1.lostLeases + s2.lostLeases, 0u);
@@ -209,6 +227,61 @@ TEST_F(ClaimExecutorTest, TwoConcurrentWorkersAreByteInvariant)
     // The worker-count invariance contract.
     EXPECT_EQ(assembleJson(spec, path_, base),
               referenceJson(spec, path_ + ".ref", base));
+}
+
+TEST_F(ClaimExecutorTest, WorkersExecuteCellsOutsideTheWriterGate)
+{
+    // Two workers share one store, and each cell runner waits until
+    // both runners are executing at once. That can only happen if a
+    // worker holds no store transaction while its cell runs: a
+    // writer gate held across execution would block the other
+    // worker's claim, and every wait would time out.
+    SweepSpec spec = tinySpec();
+    std::mutex mu;
+    std::condition_variable cv;
+    int running = 0;
+    bool overlapped = false;
+    bool gave_up = false;
+    auto runner = [&](const SweepSpec &s, const SweepCell &c,
+                      std::size_t tc) {
+        {
+            std::unique_lock<std::mutex> lock(mu);
+            if (++running == 2)
+                overlapped = true;
+            cv.notify_all();
+            if (!cv.wait_for(lock, std::chrono::seconds(10), [&] {
+                    return overlapped || gave_up;
+                }))
+                gave_up = true;
+            --running;
+        }
+        return fakeCell(s, c, tc);
+    };
+
+    WorkerStats s1, s2;
+    {
+        auto store1 = openShared();
+        auto store2 = openShared();
+        CellCache cache1(*store1, kFingerprint);
+        CellCache cache2(*store2, kFingerprint);
+        auto work = [&](CellCache &cache, const char *owner,
+                        WorkerStats &out) {
+            WorkerOptions w;
+            w.owner = owner;
+            w.cellRunner = runner;
+            out = runSweepWorker(spec, cache, w);
+        };
+        std::thread t1(work, std::ref(cache1), "w1", std::ref(s1));
+        std::thread t2(work, std::ref(cache2), "w2", std::ref(s2));
+        t1.join();
+        t2.join();
+    }
+    EXPECT_TRUE(overlapped) << "the two workers never executed "
+                               "cells at the same time";
+    EXPECT_FALSE(gave_up);
+    EXPECT_GE(s1.executed, 1u);
+    EXPECT_GE(s2.executed, 1u);
+    EXPECT_EQ(s1.committed + s2.committed, 4u);
 }
 
 TEST_F(ClaimExecutorTest, FailedCellIsRetriedByAnotherClaimant)

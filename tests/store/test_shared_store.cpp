@@ -2,11 +2,12 @@
  *  open-lifetime writer gate (clear double-open diagnostics, the
  *  --store-wait path, lockless read-only opens) and shared worker
  *  mode (per-transaction gating, cross-handle visibility through
- *  refresh, nested-transaction rejection, gate timeouts), and the
- *  snapshot isolation the fleet telemetry plane leans on: a reader
- *  concurrent with a publishing writer sees the old or the new
- *  fleet snapshot, never a torn one, and a commit killed at the
- *  meta-write fail point leaves the previous snapshot intact.
+ *  refresh, nested-transaction rejection, gate timeouts), and
+ *  snapshot isolation: a reader concurrent with a writer sees the
+ *  old or the new value of a multi-page record together with the
+ *  heartbeat committed beside it, never a torn mix, and a commit
+ *  killed at the meta-write fail point leaves the previous pair
+ *  intact.
  *
  *  flock(2) locks belong to the open file description, so two
  *  PageStore handles in one process contend exactly like two
@@ -19,10 +20,10 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 
-#include "driver/fleet.hh"
 #include "store/claim_table.hh"
 #include "store/page_store.hh"
 
@@ -218,30 +219,40 @@ TEST_F(SharedStoreTest, TransactionGateTimesOutWithHolderHint)
     EXPECT_EQ(a->beginRead().get("k"), "v");
 }
 
-/** Build a minimal fleet snapshot whose version and epoch both
- *  equal @p n — the pairing the torn-read check below leans on. */
-osp::WorkerSnapshot
-pairedSnapshot(std::uint64_t n)
+/** A value that pairs with heartbeat @p n: "<n>:" followed by
+ *  three pages' worth of one letter chosen by @p n, so the record
+ *  spans an overflow run and a torn read shows as mixed letters. */
+std::string
+pairedValue(std::uint64_t n, const PageStore &store)
 {
-    osp::WorkerSnapshot snap;
-    snap.owner = "w";
-    snap.pid = 1;
-    snap.version = n;
-    snap.epoch = n;
-    snap.stats.claimed = n;
-    return snap;
+    return std::to_string(n) + ":" +
+           std::string(3 * store.pageSize(),
+                       static_cast<char>('a' + n % 26));
 }
 
-TEST_F(SharedStoreTest, FleetSnapshotReadersSeeOldOrNewNeverTorn)
+/** The heartbeat @p value was written with; nullopt when the
+ *  value is not exactly pairedValue() of its own prefix. */
+std::optional<std::uint64_t>
+pairedNumber(const std::string &value, const PageStore &store)
 {
-    // The monitor's crash-consistency contract: a fleet snapshot
-    // and the heartbeat it was published against are committed in
-    // one transaction, so any reader must observe them as a pair —
-    // decodable, version == heartbeat, versions never going
-    // backwards — no matter how its reads interleave with the
-    // writer's commits.
+    std::size_t colon = value.find(':');
+    if (colon == std::string::npos || colon == 0)
+        return std::nullopt;
+    std::uint64_t n = std::stoull(value.substr(0, colon));
+    if (value != pairedValue(n, store))
+        return std::nullopt;
+    return n;
+}
+
+TEST_F(SharedStoreTest, SnapshotReadersSeeOldOrNewNeverTorn)
+{
+    // A multi-page value and the heartbeat it pairs with are
+    // committed in one transaction, so any reader must observe them
+    // as a pair — intact, value == heartbeat, never going backwards
+    // — no matter how its reads interleave with the writer's
+    // commits.
     constexpr const char *fp = "tornfp";
-    const std::string key = osp::fleetKey(fp, "w");
+    const std::string key = "value/" + std::string(fp);
     const std::string hb_key = ClaimTable::heartbeatKey(fp);
     constexpr std::uint64_t rounds = 40;
 
@@ -252,8 +263,7 @@ TEST_F(SharedStoreTest, FleetSnapshotReadersSeeOldOrNewNeverTorn)
     std::thread publisher([&] {
         for (std::uint64_t i = 1; i <= rounds; ++i) {
             WriteTx tx = writer->beginWrite();
-            tx.put(key, osp::encodeWorkerSnapshot(
-                            pairedSnapshot(i)));
+            tx.put(key, pairedValue(i, *writer));
             tx.put(hb_key, std::to_string(i));
             tx.commit();
         }
@@ -270,45 +280,42 @@ TEST_F(SharedStoreTest, FleetSnapshotReadersSeeOldOrNewNeverTorn)
             hb = read.get(hb_key);
         }
         if (!raw) {
-            // Nothing published yet; the heartbeat can't have
-            // committed without the snapshot either.
+            // Nothing committed yet; the heartbeat can't have
+            // committed without the value either.
             EXPECT_FALSE(hb.has_value());
             continue;
         }
-        auto snap = osp::decodeWorkerSnapshot(*raw);
-        ASSERT_TRUE(snap.has_value()) << "torn snapshot bytes";
+        auto n = pairedNumber(*raw, *reader);
+        ASSERT_TRUE(n.has_value()) << "torn value bytes";
         ASSERT_TRUE(hb.has_value());
         // The pair is atomic and time never runs backwards.
-        EXPECT_EQ(std::to_string(snap->version), *hb);
-        EXPECT_GE(snap->version, last_seen);
-        last_seen = snap->version;
+        EXPECT_EQ(std::to_string(*n), *hb);
+        EXPECT_GE(*n, last_seen);
+        last_seen = *n;
     }
     publisher.join();
 
     // After the writer is done the final pair is durable.
     ReadTx read = reader->beginRead();
-    auto snap = osp::decodeWorkerSnapshot(*read.get(key));
-    ASSERT_TRUE(snap.has_value());
-    EXPECT_EQ(snap->version, rounds);
+    EXPECT_EQ(pairedNumber(*read.get(key), *reader), rounds);
     EXPECT_EQ(read.get(hb_key), std::to_string(rounds));
 }
 
-TEST_F(SharedStoreTest, FailedCommitPreservesPreviousFleetSnapshot)
+TEST_F(SharedStoreTest, FailedCommitPreservesPreviousSnapshot)
 {
     // Kill-point companion to the page-store crash tests: a commit
     // that dies before the meta write must leave the previously
-    // committed fleet snapshot (and its heartbeat) intact, both for
-    // this handle and for a fresh read-only open — which is what a
-    // monitor polling across a worker crash sees.
+    // committed multi-page value (and its heartbeat) intact, both
+    // for this handle and for a fresh read-only open — which is
+    // what a reader opening across a worker crash sees.
     constexpr const char *fp = "killfp";
-    const std::string key = osp::fleetKey(fp, "w");
+    const std::string key = "value/" + std::string(fp);
     const std::string hb_key = ClaimTable::heartbeatKey(fp);
 
     auto store = PageStore::open(path_, sharedOptions());
     {
         WriteTx tx = store->beginWrite();
-        tx.put(key,
-               osp::encodeWorkerSnapshot(pairedSnapshot(1)));
+        tx.put(key, pairedValue(1, *store));
         tx.put(hb_key, "1");
         tx.commit();
     }
@@ -316,45 +323,37 @@ TEST_F(SharedStoreTest, FailedCommitPreservesPreviousFleetSnapshot)
     store->setFailPoint(PageStore::FailPoint::BeforeMetaWrite);
     {
         WriteTx tx = store->beginWrite();
-        tx.put(key,
-               osp::encodeWorkerSnapshot(pairedSnapshot(2)));
+        tx.put(key, pairedValue(2, *store));
         tx.put(hb_key, "2");
         EXPECT_THROW(tx.commit(), std::runtime_error);
     }
     store->setFailPoint(PageStore::FailPoint::None);
 
-    // In-process state rolled back to version 1...
+    // In-process state rolled back to value 1...
     {
         ReadTx read = store->beginRead();
-        auto snap = osp::decodeWorkerSnapshot(*read.get(key));
-        ASSERT_TRUE(snap.has_value());
-        EXPECT_EQ(snap->version, 1u);
+        EXPECT_EQ(pairedNumber(*read.get(key), *store), 1u);
         EXPECT_EQ(read.get(hb_key), "1");
     }
-    // ...and so did the durable state a monitor would open.
+    // ...and so did the durable state a fresh reader opens.
     {
         StoreOptions ro;
         ro.readOnly = true;
-        auto monitor = PageStore::open(path_, ro);
-        auto snap = osp::decodeWorkerSnapshot(
-            *monitor->beginRead().get(key));
-        ASSERT_TRUE(snap.has_value());
-        EXPECT_EQ(snap->version, 1u);
+        auto fresh = PageStore::open(path_, ro);
+        EXPECT_EQ(
+            pairedNumber(*fresh->beginRead().get(key), *fresh), 1u);
     }
 
-    // The store keeps working on the old tree: the next publish
+    // The store keeps working on the old tree: the next commit
     // lands normally.
     {
         WriteTx tx = store->beginWrite();
-        tx.put(key,
-               osp::encodeWorkerSnapshot(pairedSnapshot(2)));
+        tx.put(key, pairedValue(2, *store));
         tx.put(hb_key, "2");
         tx.commit();
     }
-    auto snap =
-        osp::decodeWorkerSnapshot(*store->beginRead().get(key));
-    ASSERT_TRUE(snap.has_value());
-    EXPECT_EQ(snap->version, 2u);
+    EXPECT_EQ(pairedNumber(*store->beginRead().get(key), *store),
+              2u);
 }
 
 } // namespace

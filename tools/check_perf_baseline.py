@@ -18,11 +18,13 @@ simulator's hot path:
     Emulation must stay the cheap mode; a collapse of either ratio
     means someone made the emulate path expensive (or the timing
     models suspiciously cheap) without noticing.
-  - sweep_jobs_scaling   = sweep_table2_jobs1_fleet_seconds /
-                           sweep_table2_jobs2_fleet_seconds
-    Adding a second worker process to a distributed sweep must keep
-    helping: the claim/lease coordination cost (see
-    src/driver/claim_executor.hh) stays bounded.
+  - sweep_threads_scaling = sweep_table2_threads1_wall_seconds /
+                            sweep_table2_threads2_wall_seconds
+    A second thread must keep helping a sweep: the work-stealing
+    pool (src/driver/thread_pool.hh) stays free of serialisation.
+    (That claim-loop workers execute cells outside the store's
+    writer gate is a deterministic unit test,
+    ClaimExecutorTest.WorkersExecuteCellsOutsideTheWriterGate.)
 
 Each ratio must lie within a multiplicative factor `ratio_tol` of
 the baseline value (band [base / tol, base * tol]).
@@ -40,15 +42,13 @@ Regenerate the baseline (after an intentional hot-path change), on a
 quiet machine with a Release (-O3) build:
 
   ./bench/microbench_components --bench-json hotpath.json --smoke
-  ./bench/sweep fig08 --smoke --threads "$(nproc)" --out /dev/null \
+  ./bench/sweep fig08 --smoke --out /dev/null \
       --bench-json hotpath.json --log-level silent
   ./bench/fig13_sampled_speedup --smoke --threads "$(nproc)" \
       --bench-json hotpath.json > /dev/null
-  for j in 1 2; do
-    rm -f "jobs$j.db" "jobs$j.db.lock"
-    ./bench/sweep table2 --smoke --jobs "$j" --store "jobs$j.db" \
-        --threads 2 --out /dev/null --bench-json hotpath.json \
-        --log-level silent
+  for t in 1 2; do
+    ./bench/sweep table2 --smoke --threads "$t" --out /dev/null \
+        --bench-json hotpath.json --log-level silent
   done
   ./tools/check_perf_baseline.py hotpath.json \
       bench/baselines/hotpath_smoke.json --update
@@ -79,12 +79,11 @@ RATIOS = {
     "emulate_over_inorder": ("emulate_block_mips",
                              "inorder_cache_mips"),
     "emulate_over_ooo": ("emulate_block_mips", "ooo_cache_mips"),
-    # Multi-process scaling: one-worker fleet time over two-worker
-    # fleet time for the same sweep (>1 = the second process helps;
-    # the tolerance band keeps a coordination regression — e.g. a
-    # writer gate held across cell execution — from landing).
-    "sweep_jobs_scaling": ("sweep_table2_jobs1_fleet_seconds",
-                           "sweep_table2_jobs2_fleet_seconds"),
+    # Thread scaling: one-thread wall time over two-thread wall time
+    # for the same sweep (>1 = the second thread helps; the
+    # tolerance band keeps a serialisation regression from landing).
+    "sweep_threads_scaling": ("sweep_table2_threads1_wall_seconds",
+                              "sweep_table2_threads2_wall_seconds"),
 }
 
 

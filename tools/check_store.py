@@ -34,14 +34,10 @@ without linking the simulator:
     4-tuple per stratum — so a store written by a pre-sampling
     binary (or hand-edited) is rejected instead of silently
     assembling sampled cells with no estimates
-  * the fleet telemetry keyspace (src/driver/fleet.hh) is
-    cross-checked: every ``fleet/<fp>/<owner>`` value must be a
-    valid ``ospredict-worker-v1`` snapshot whose owner field matches
-    the key path, whose publish version is a positive integer, and
-    whose version and epoch do not exceed the fingerprint's
-    heartbeat (every publish rides a transaction that bumps the
-    heartbeat exactly once, so version <= heartbeat is an invariant
-    of the publish protocol, not a coincidence)
+
+Any other key (for example worker telemetry that older builds
+wrote) is opaque: its tree framing is checked, its value is not
+interpreted.
 
 Exit status 0 means the store is healthy (a report is printed,
 ``--json`` for machine-readable form); any corruption exits 1 with
@@ -186,14 +182,13 @@ def pick_meta(data: bytes, path: str):
 def walk_tree(data: bytes, meta: Meta):
     """Validate the live tree; returns (stats, reachable page set,
     coordination view). The coordination view is what the claim and
-    payload checkers need: claim records, heartbeats, cell results
-    and fleet snapshots by key (raw values)."""
+    payload checkers need: claim records, heartbeats and cell
+    results by key (raw values)."""
     ps = meta.page_size
     reachable = {0, 1}
     stats = {"leaf_pages": 0, "overflow_pages": 0,
              "root_run_pages": 0, "keys": 0, "value_bytes": 0}
-    coord = {"claims": {}, "heartbeats": {}, "cells": {},
-             "fleet": {}}
+    coord = {"claims": {}, "heartbeats": {}, "cells": {}}
     if meta.root == 0:
         return stats, reachable, coord
 
@@ -247,7 +242,7 @@ def walk_tree(data: bytes, meta: Meta):
             prev_key = key
             value = None
             want_value = key.startswith(
-                (b"claim/", b"claimhb/", b"cell/", b"fleet/"))
+                (b"claim/", b"claimhb/", b"cell/"))
             if is_overflow:
                 (ov,) = struct.unpack_from(
                     "<Q", data, base + pos + 9 + ksize)
@@ -280,9 +275,6 @@ def walk_tree(data: bytes, meta: Meta):
                     "utf-8", "replace")] = value
             elif key.startswith(b"cell/"):
                 coord["cells"][key.decode("utf-8",
-                                          "replace")] = value
-            elif key.startswith(b"fleet/"):
-                coord["fleet"][key.decode("utf-8",
                                           "replace")] = value
             stats["keys"] += 1
             stats["value_bytes"] += vsize
@@ -451,58 +443,6 @@ def check_cells(coord: dict) -> dict:
     return counts
 
 
-WORKER_SCHEMA = "ospredict-worker-v1"
-
-
-def check_fleet(coord: dict) -> int:
-    """Validate the fleet/<fp>/<owner> telemetry keyspace (see
-    module docstring); returns the worker-snapshot count."""
-    heartbeats = {}
-    for key, raw in coord["heartbeats"].items():
-        heartbeats[key[len("claimhb/"):]] = int(raw.decode("ascii"))
-
-    for key, raw in sorted(coord["fleet"].items()):
-        fp, _, owner = key[len("fleet/"):].partition("/")
-        if not owner:
-            raise Corrupt(f"fleet key {key} lacks an owner")
-        try:
-            snap = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            raise Corrupt(f"fleet snapshot {key} is not valid JSON")
-        if not isinstance(snap, dict):
-            raise Corrupt(f"fleet snapshot {key} is not an object")
-        if snap.get("schema") != WORKER_SCHEMA:
-            raise Corrupt(f"fleet snapshot {key} schema is "
-                          f"{snap.get('schema')!r}, want "
-                          f"{WORKER_SCHEMA!r}")
-        if snap.get("owner") != owner:
-            raise Corrupt(f"fleet snapshot {key} owner "
-                          f"{snap.get('owner')!r} mismatches its "
-                          "key path")
-        version = snap.get("version")
-        if not isinstance(version, int) or version < 1:
-            raise Corrupt(f"fleet snapshot {key} version "
-                          f"{version!r} is not a positive integer")
-        epoch = snap.get("epoch")
-        if not isinstance(epoch, int) or epoch < 0:
-            raise Corrupt(f"fleet snapshot {key} epoch {epoch!r} "
-                          "is not a non-negative integer")
-        hb = heartbeats.get(fp)
-        if hb is None:
-            raise Corrupt(f"fleet snapshot {key} has no heartbeat "
-                          f"claimhb/{fp}")
-        # Every publish rides a transaction that bumps the
-        # heartbeat exactly once, so neither counter can be ahead
-        # of the clock they advance.
-        if version > hb:
-            raise Corrupt(f"fleet snapshot {key} version {version} "
-                          f"is ahead of heartbeat {hb}")
-        if epoch > hb:
-            raise Corrupt(f"fleet snapshot {key} epoch {epoch} is "
-                          f"ahead of heartbeat {hb}")
-    return len(coord["fleet"])
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(
         description="Validate an ospredict page-store file.")
@@ -530,7 +470,6 @@ def main() -> int:
             data, meta, reachable)
         claim_counts = check_claims(coord, args.no_orphans)
         cell_counts = check_cells(coord)
-        fleet_workers = check_fleet(coord)
     except Corrupt as e:
         print(f"check_store: {args.store}: CORRUPT: {e}",
               file=sys.stderr)
@@ -549,7 +488,6 @@ def main() -> int:
         **stats,
         "claims": claim_counts,
         "cells": cell_counts,
-        "fleet_workers": fleet_workers,
     }
     if args.expect_keys is not None and stats["keys"] != args.expect_keys:
         print(f"check_store: {args.store}: expected "
@@ -572,9 +510,7 @@ def main() -> int:
               + (f"; claims: {claims}" if claims else "")
               + (f"; cells: {cell_counts['total']} "
                  f"({cell_counts['sampled']} sampled)"
-                 if cell_counts["total"] else "")
-              + (f"; fleet: {fleet_workers} worker(s)"
-                 if fleet_workers else ""))
+                 if cell_counts["total"] else ""))
     return 0
 
 
