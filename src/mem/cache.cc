@@ -55,6 +55,7 @@ Cache::Cache(const CacheParams &params, std::uint64_t seed)
     std::size_t n = static_cast<std::size_t>(numSets_) * params_.assoc;
     lines.resize(n);
     tags_.assign(n, kInvalidTag);
+    stamps_.assign(n, 0);
     mruWay_.assign(numSets_, 0);
 }
 
@@ -81,65 +82,64 @@ Cache::victimWay(std::size_t base, std::uint32_t free_way)
         return free_way;
     if (params_.repl == ReplPolicy::Random)
         return rng.range(params_.assoc);
-    return lruWay(&lines[base], false);
+    return lruWay(base, false);
 }
 
 std::uint32_t
-Cache::lruWay(const Line *ln, bool app_only) const
+Cache::lruWay(std::size_t base, bool app_only) const
 {
     // Branch-free argmin (the victim's way is data-dependent, so a
     // compare-and-branch mispredicts about once per fill): a strict
     // compare keeps the lowest way on ties, and ineligible ways
     // never beat the ~0 start value (real stamps are far below it).
+    const std::uint64_t *stamp = &stamps_[base];
     std::uint64_t victim = kNoWay;
     std::uint64_t best = ~std::uint64_t(0);
     for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        std::uint64_t stamp = ln[w].lruStamp;
-        bool eligible = !app_only || ln[w].owner == Owner::App;
-        std::uint64_t older =
-            0 - static_cast<std::uint64_t>(eligible & (stamp < best));
+        bool eligible =
+            !app_only || lines[base + w].owner == Owner::App;
+        std::uint64_t older = 0 - static_cast<std::uint64_t>(
+                                      eligible & (stamp[w] < best));
         victim = (w & older) | (victim & ~older);
-        best = (stamp & older) | (best & ~older);
+        best = (stamp[w] & older) | (best & ~older);
     }
     return static_cast<std::uint32_t>(victim);
 }
 
-Cache::AccessResult
+unsigned
 Cache::accessSlow(std::uint32_t set, Addr tag, std::size_t base,
                   bool is_write, Owner owner)
 {
-    AccessResult result;
     std::uint32_t free_way;
     std::uint32_t hit = findWay(base, tag, free_way);
     if (hit != kNoWay) {
-        Line &line = lines[base + hit];
-        result.hit = true;
-        line.lruStamp = lruClock;
+        stamps_[base + hit] = lruClock;
         if (is_write)
-            line.dirty = true;
+            lines[base + hit].dirty = true;
         mruWay_[set] = hit;
-        return result;
+        return kHitBit;
     }
 
     // Miss: allocate (write-allocate policy), evicting if needed.
     stats_.misses[static_cast<int>(owner)] += 1;
+    unsigned result = 0;
     std::uint32_t way = victimWay(base, free_way);
     Line &line = lines[base + way];
     if (line.valid) {
         stats_.evictions += 1;
         if (line.dirty) {
             stats_.writebacks += 1;
-            result.writeback = true;
+            result |= kWritebackBit;
         }
         if (line.owner == Owner::App && owner == Owner::Os) {
             stats_.crossEvictions += 1;
-            result.crossEviction = true;
+            result |= kCrossEvictionBit;
         }
     }
     retag(base + way, true, owner);
     tags_[base + way] = tag;
     line.dirty = is_write;
-    line.lruStamp = lruClock;
+    stamps_[base + way] = lruClock;
     mruWay_[set] = way;
     return result;
 }
@@ -154,7 +154,7 @@ Cache::install(Addr addr, Owner owner)
     std::uint32_t free_way;
     std::uint32_t hit = findWay(base, tag, free_way);
     if (hit != kNoWay) {
-        lines[base + hit].lruStamp = lruClock;
+        stamps_[base + hit] = lruClock;
         return false;
     }
     std::uint32_t way = victimWay(base, free_way);
@@ -165,7 +165,7 @@ Cache::install(Addr addr, Owner owner)
     retag(base + way, true, owner);
     tags_[base + way] = tag;
     line.dirty = false;
-    line.lruStamp = lruClock;
+    stamps_[base + way] = lruClock;
     mruWay_[set] = way;
     return true;
 }
@@ -216,7 +216,6 @@ Cache::pollute(std::uint64_t count, PollutionMode mode)
         std::uint32_t set = rng.range(numSets_);
         std::size_t base =
             static_cast<std::size_t>(set) * params_.assoc;
-        const Line *ln = &lines[base];
 
         // Invalid slot first: a free victim for Install, a no-op
         // draw for the invalidating modes (Sec. 4.5 victim order).
@@ -229,7 +228,7 @@ Cache::pollute(std::uint64_t count, PollutionMode mode)
                 continue;
         } else {
             victim =
-                lruWay(ln, mode == PollutionMode::InvalidateApp);
+                lruWay(base, mode == PollutionMode::InvalidateApp);
             if (victim == kNoWay)
                 continue;
         }
@@ -244,7 +243,7 @@ Cache::pollute(std::uint64_t count, PollutionMode mode)
             retag(idx, true, Owner::Os);
             tags_[idx] = (1ULL << 52) + syntheticTag++;
             line.dirty = false;
-            line.lruStamp = ++lruClock;
+            stamps_[idx] = ++lruClock;
             stats_.injectedFills += 1;
         } else {
             retag(idx, false, line.owner);
@@ -265,9 +264,9 @@ Cache::flush()
     for (Line &line : lines) {
         line.valid = false;
         line.dirty = false;
-        line.lruStamp = 0;
     }
     std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+    std::fill(stamps_.begin(), stamps_.end(), 0);
     std::fill(mruWay_.begin(), mruWay_.end(), 0u);
     validLines_[0] = 0;
     validLines_[1] = 0;

@@ -140,13 +140,19 @@ class Cache
         // consulted.
         std::uint32_t mru = mruWay_[set];
         if (tags_[base + mru] == tag) {
-            Line &line = lines[base + mru];
-            line.lruStamp = lruClock;
+            stamps_[base + mru] = lruClock;
             if (is_write)
-                line.dirty = true;
+                lines[base + mru].dirty = true;
             return AccessResult{true, false, false};
         }
-        return accessSlow(set, tag, base, is_write, owner);
+        // The slow path returns its three outcomes packed in one
+        // register; rebuilding the struct here keeps it out of
+        // memory (a stack round trip of three bools would reload
+        // them as one wide word and stall store forwarding).
+        unsigned bits = accessSlow(set, tag, base, is_write, owner);
+        return AccessResult{(bits & kHitBit) != 0,
+                            (bits & kWritebackBit) != 0,
+                            (bits & kCrossEvictionBit) != 0};
     }
 
     /** True if the address is currently resident (no state change,
@@ -245,18 +251,18 @@ class Cache
 
   private:
     /**
-     * Per-line metadata. The tag itself lives in the separate
-     * compact tags_ array (8 bytes per way, sequential in memory),
-     * so the hit path — by far the hottest loop in the simulator —
-     * touches one dense cache line per set instead of striding
-     * through this struct.
+     * Per-line metadata. The tag and the LRU stamp live in the
+     * separate compact tags_ and stamps_ arrays (8 bytes per way
+     * each, sequential in memory), so the hit path — by far the
+     * hottest loop in the simulator — and a victim scan each touch
+     * one dense run per set instead of striding through this
+     * struct.
      */
     struct Line
     {
         bool valid = false;
         bool dirty = false;
         Owner owner = Owner::App;
-        std::uint64_t lruStamp = 0;
     };
 
     /**
@@ -292,16 +298,21 @@ class Cache
      *  (from findWay) when the set has one, else random or LRU. */
     std::uint32_t victimWay(std::size_t base, std::uint32_t free_way);
 
-    /** The least recently used way of the set at @p ln (lowest way
-     *  on ties), among application-owned ways only if @p app_only;
-     *  kNoWay when none is eligible. */
-    std::uint32_t lruWay(const Line *ln, bool app_only) const;
+    /** The least recently used way of the set at flat index
+     *  @p base (lowest way on ties), among application-owned ways
+     *  only if @p app_only; kNoWay when none is eligible. */
+    std::uint32_t lruWay(std::size_t base, bool app_only) const;
+
+    /** accessSlow() result bits (the AccessResult fields). */
+    static constexpr unsigned kHitBit = 1;
+    static constexpr unsigned kWritebackBit = 2;
+    static constexpr unsigned kCrossEvictionBit = 4;
 
     /** Way scan, fill and eviction for a non-MRU access; the stats
-     *  and LRU-clock bumps already happened in access(). */
-    AccessResult accessSlow(std::uint32_t set, Addr tag,
-                            std::size_t base, bool is_write,
-                            Owner owner);
+     *  and LRU-clock bumps already happened in access(). Returns
+     *  the outcome as k*Bit flags. */
+    unsigned accessSlow(std::uint32_t set, Addr tag, std::size_t base,
+                        bool is_write, Owner owner);
 
     /**
      * Transition the residency of the line at flat index @p idx,
@@ -332,6 +343,8 @@ class Cache
     std::vector<Line> lines;  //!< numSets * assoc, set-major
     /** Compact tag-or-sentinel per way, same indexing as lines. */
     std::vector<Addr> tags_;
+    /** LRU clock value of each way's last touch, same indexing. */
+    std::vector<std::uint64_t> stamps_;
     /**
      * Per-set memo of the most recently hitting/filled way: the
      * common "hit the same line again" case is a single compare

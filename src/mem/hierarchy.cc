@@ -59,14 +59,6 @@ MemoryHierarchy::accessBeyondL1(Addr addr, bool is_write,
     return out;
 }
 
-bool
-MemoryHierarchy::probeL1(Addr addr, AccessType type) const
-{
-    const Cache &l1 =
-        type == AccessType::InstFetch ? l1i_ : l1d_;
-    return l1.probe(addr);
-}
-
 std::uint64_t
 MemoryHierarchy::pollute(std::uint64_t l1i_lines,
                          std::uint64_t l1d_lines,

@@ -125,7 +125,8 @@ class MemoryHierarchy
     explicit MemoryHierarchy(const HierarchyParams &params);
 
     /**
-     * Perform one demand access.
+     * Perform one demand access: accessL1(), then accessBeyondL1()
+     * at @p now if the L1 missed.
      *
      * Defined inline (below the class) so the dominant TLB-hit +
      * L1-hit chain collapses into the Cache::access header fast
@@ -139,14 +140,20 @@ class MemoryHierarchy
     AccessOutcome access(Addr addr, AccessType type, Owner owner,
                          Cycles now);
 
+    /**
+     * TLB-and-L1 half of access(). Neither level reads the clock,
+     * so a CPU model that needs to know whether a request misses
+     * before it can time it (MSHR or write-buffer admission) calls
+     * this, picks its slot, then finishes an l1Miss outcome with
+     * accessBeyondL1() at the admitted cycle: the state changes and
+     * the result equal access() at that cycle, with one L1 lookup.
+     */
+    AccessOutcome accessL1(Addr addr, AccessType type, Owner owner);
+
     /** L2-and-beyond half of access(), taken on an L1 miss. */
     AccessOutcome accessBeyondL1(Addr addr, bool is_write,
                                  Owner owner, Cycles now,
                                  AccessOutcome out);
-
-    /** Would this access hit in its L1? (No state change; used by
-     *  CPU models to decide MSHR admission before accessing.) */
-    bool probeL1(Addr addr, AccessType type) const;
 
     /**
      * Functional-warming access: update TLB/L1/L2 contents (and the
@@ -227,8 +234,7 @@ class MemoryHierarchy
 };
 
 inline AccessOutcome
-MemoryHierarchy::access(Addr addr, AccessType type, Owner owner,
-                        Cycles now)
+MemoryHierarchy::accessL1(Addr addr, AccessType type, Owner owner)
 {
     AccessOutcome out;
     bool is_fetch = (type == AccessType::InstFetch);
@@ -247,13 +253,20 @@ MemoryHierarchy::access(Addr addr, AccessType type, Owner owner,
         }
     }
 
-    auto l1_res = l1.access(addr, is_write, owner);
+    out.l1Miss = !l1.access(addr, is_write, owner).hit;
     out.latency += l1_lat;
-    if (l1_res.hit)
-        return out;
+    return out;
+}
 
-    out.l1Miss = true;
-    return accessBeyondL1(addr, is_write, owner, now, out);
+inline AccessOutcome
+MemoryHierarchy::access(Addr addr, AccessType type, Owner owner,
+                        Cycles now)
+{
+    AccessOutcome out = accessL1(addr, type, owner);
+    if (!out.l1Miss)
+        return out;
+    return accessBeyondL1(addr, type == AccessType::Store, owner, now,
+                          out);
 }
 
 inline void

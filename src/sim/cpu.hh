@@ -15,7 +15,9 @@
 #ifndef OSP_SIM_CPU_HH
 #define OSP_SIM_CPU_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "branch_predictor.hh"
 #include "mem/hierarchy.hh"
@@ -37,6 +39,26 @@ struct CpuParams
      *  (the "nocache" detail levels of Table 1). */
     Cycles noCacheMemLatency = 2;
 };
+
+/**
+ * Index of the entry of @p busy_until that frees earliest, lowest
+ * index on ties: the MSHR or write-buffer slot a miss takes. The
+ * winner is data-dependent, so the scan selects instead of
+ * branching (a compare-and-branch would mispredict about once per
+ * miss).
+ */
+inline std::size_t
+earliestFree(const std::vector<Cycles> &busy_until)
+{
+    std::size_t best = 0;
+    Cycles best_at = busy_until[0];
+    for (std::size_t i = 1; i < busy_until.size(); ++i) {
+        bool earlier = busy_until[i] < best_at;
+        best = earlier ? i : best;
+        best_at = earlier ? busy_until[i] : best_at;
+    }
+    return best;
+}
 
 /**
  * Interface of an interval-draining timing model.

@@ -98,22 +98,16 @@ InOrderCpu::execute(const MicroOp &op, Owner owner)
         }
       case OpClass::Store:
         if (hier) {
-            if (hier->probeL1(op.effAddr, AccessType::Store)) {
-                hier->access(op.effAddr, AccessType::Store, owner,
-                             now_);
-            } else {
+            auto out =
+                hier->accessL1(op.effAddr, AccessType::Store, owner);
+            if (out.l1Miss) {
                 // Store miss: take a write-buffer slot; stall only
                 // when every slot is still busy.
-                std::size_t best = 0;
-                for (std::size_t i = 1;
-                     i < storeBusyUntil.size(); ++i) {
-                    if (storeBusyUntil[i] < storeBusyUntil[best])
-                        best = i;
-                }
+                std::size_t best = earliestFree(storeBusyUntil);
                 Cycles start =
                     std::max(now_, storeBusyUntil[best]);
-                auto out = hier->access(
-                    op.effAddr, AccessType::Store, owner, start);
+                out = hier->accessBeyondL1(op.effAddr, true, owner,
+                                           start, out);
                 storeBusyUntil[best] = start + out.latency;
                 now_ = start;
             }

@@ -66,6 +66,22 @@ class UserProgram
         return 0;
     }
 
+    /**
+     * opBlock() for a block no timing engine will execute: only
+     * each op's pc, cls, effAddr and taken need be right (depDist
+     * and execLat may keep their MicroOp defaults), and the program
+     * must end in the state opBlock() would have left — the same
+     * ops, the same generator state — so later blocks are
+     * unchanged. The Machine asks for it in Emulate-level runs,
+     * during warm-up and in fast-forwarded sampling intervals. The
+     * default lowers in full, which is always exact.
+     */
+    virtual std::size_t
+    opBlockLean(MicroOp *buf, std::size_t cap)
+    {
+        return opBlock(buf, cap);
+    }
+
     /** Deliver the result of a completed synchronous service. */
     virtual void onServiceReturn(ServiceType type,
                                  ServiceResult result) = 0;

@@ -556,10 +556,24 @@ Machine::runLoop(EngineT *eng, InstCount max_insts)
 
         // Fetch a block of queued user compute; fall back to
         // step() for syscalls, completion and non-batching
-        // programs.
-        std::size_t n = block_cap > 1
-                            ? workload_->opBlock(buf, block_cap)
-                            : 0;
+        // programs. A block no timing engine will execute — in an
+        // Emulate-level run, during warm-up, or in a fast-forwarded
+        // interval (capped at the interval's edge, so it never
+        // reaches the next, possibly sampled, one) — is lowered
+        // lean: everything that reads it (page faults, the
+        // profiler, warmOp) uses only pc, cls, effAddr and taken.
+        bool lean = !timing || !warmupDone;
+        std::size_t cap = block_cap;
+        if (!lean && samplePlan_ && interval_len &&
+            !samplePlan_->sampled(totals_.appInsts / interval_len)) {
+            lean = true;
+            cap = static_cast<std::size_t>(std::min<InstCount>(
+                cap, interval_len - totals_.appInsts % interval_len));
+        }
+        std::size_t n = 0;
+        if (block_cap > 1)
+            n = lean ? workload_->opBlockLean(buf, cap)
+                     : workload_->opBlock(buf, cap);
         if (n == 0) {
             UserProgram::Step s = workload_->step(op, req);
             if (s == UserProgram::Step::Done)

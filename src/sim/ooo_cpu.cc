@@ -26,19 +26,12 @@ OooCpu::producerReady(std::uint32_t dist, Cycles dflt) const
         return dflt;
     if (seq < intervalSeq + dist)
         return dflt;  // producer predates this interval (drained)
-    std::uint64_t producer = seq - dist;
-    return rob[producer % params.windowSize].ready;
-}
-
-std::size_t
-OooCpu::earliestMshr() const
-{
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < mshrBusyUntil.size(); ++i) {
-        if (mshrBusyUntil[i] < mshrBusyUntil[best])
-            best = i;
-    }
-    return best;
+    // (seq - dist) % windowSize without a division: dist is at most
+    // windowSize, so one wrap-around suffices.
+    std::uint32_t producer = robIdx >= dist
+                                 ? robIdx - dist
+                                 : robIdx + params.windowSize - dist;
+    return rob[producer].ready;
 }
 
 void
@@ -48,9 +41,8 @@ OooCpu::execute(const MicroOp &op, Owner owner)
 
     // Reorder-buffer occupancy: the slot this op will take frees at
     // the commit time of the op windowSize earlier.
-    std::uint64_t idx = seq % params.windowSize;
     if (seq >= intervalSeq + params.windowSize) {
-        Cycles slot_free = rob[idx].commit;
+        Cycles slot_free = rob[robIdx].commit;
         if (fetchCycle < slot_free) {
             fetchCycle = slot_free;
             fetchedThisCycle = 0;
@@ -92,20 +84,20 @@ OooCpu::execute(const MicroOp &op, Owner owner)
         {
             Cycles issue = std::max(dispatch, dep_ready);
             if (hier) {
-                if (hier->probeL1(op.effAddr, AccessType::Load)) {
-                    auto out = hier->access(
-                        op.effAddr, AccessType::Load, owner, issue);
+                auto out =
+                    hier->accessL1(op.effAddr, AccessType::Load, owner);
+                if (!out.l1Miss) {
                     ready = issue + out.latency;
                 } else {
                     // Long-latency miss: admission into an MSHR
                     // gates the request (and, transitively, the
                     // bus), so a saturated memory system
                     // back-pressures the core.
-                    std::size_t m = earliestMshr();
+                    std::size_t m = earliestFree(mshrBusyUntil);
                     Cycles start =
                         std::max(issue, mshrBusyUntil[m]);
-                    auto out = hier->access(
-                        op.effAddr, AccessType::Load, owner, start);
+                    out = hier->accessBeyondL1(op.effAddr, false,
+                                               owner, start, out);
                     mshrBusyUntil[m] = start + out.latency;
                     ready = start + out.latency;
                 }
@@ -119,20 +111,18 @@ OooCpu::execute(const MicroOp &op, Owner owner)
             Cycles issue = std::max(dispatch, dep_ready);
             ready = issue + 1;
             if (hier) {
-                if (hier->probeL1(op.effAddr, AccessType::Store)) {
-                    hier->access(op.effAddr, AccessType::Store,
-                                 owner, issue);
-                } else {
+                auto out = hier->accessL1(op.effAddr,
+                                          AccessType::Store, owner);
+                if (out.l1Miss) {
                     // A store miss occupies an MSHR like a load;
                     // the store retires once admitted (write
                     // buffer), hiding the fill latency but not
                     // unbounded memory-system pressure.
-                    std::size_t m = earliestMshr();
+                    std::size_t m = earliestFree(mshrBusyUntil);
                     Cycles start =
                         std::max(issue, mshrBusyUntil[m]);
-                    auto out = hier->access(
-                        op.effAddr, AccessType::Store, owner,
-                        start);
+                    out = hier->accessBeyondL1(op.effAddr, true,
+                                               owner, start, out);
                     mshrBusyUntil[m] = start + out.latency;
                     ready = start + 1;
                 }
@@ -167,9 +157,11 @@ OooCpu::execute(const MicroOp &op, Owner owner)
     }
     lastCommit = commit;
 
-    rob[idx].ready = ready;
-    rob[idx].commit = commit;
+    rob[robIdx].ready = ready;
+    rob[robIdx].commit = commit;
     ++seq;
+    if (++robIdx == params.windowSize)
+        robIdx = 0;
 }
 
 Cycles
@@ -191,6 +183,7 @@ OooCpu::reset()
 {
     rob.assign(params.windowSize, RobSlot());
     mshrBusyUntil.assign(mshrBusyUntil.size(), 0);
+    robIdx = 0;
     seq = 0;
     intervalSeq = 0;
     fetchCycle = 0;

@@ -56,14 +56,12 @@ class OooCpu final : public CpuModel
      *  left the window / predates the interval. */
     Cycles producerReady(std::uint32_t dist, Cycles dflt) const;
 
-    /** Index of the MSHR that frees earliest. */
-    std::size_t earliestMshr() const;
-
     CpuParams params;
     MemoryHierarchy *hier;
     GshareBp *bp;
 
     std::vector<RobSlot> rob;     //!< ring buffer of windowSize
+    std::uint32_t robIdx = 0;     //!< seq % windowSize, kept wrapping
     std::uint64_t seq = 0;        //!< ops dispatched since reset
     std::uint64_t intervalSeq = 0;  //!< seq at last drain
 

@@ -56,6 +56,14 @@ class BaseWorkload : public UserProgram
         return gen.nextBlock(buf, cap);
     }
 
+    /** Lowering::Lean: the same draws and generator state as
+     *  opBlock(), minus the dependence and latency work. */
+    std::size_t
+    opBlockLean(MicroOp *buf, std::size_t cap) final
+    {
+        return gen.nextBlock<Lowering::Lean>(buf, cap);
+    }
+
     void
     onServiceReturn(ServiceType type, ServiceResult result) override
     {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <list>
 #include <vector>
 
 #include "mem/cache.hh"
@@ -712,6 +713,273 @@ TEST(Cache, OneScanMatchesReferenceModel)
                 }
             }
         }
+    }
+}
+
+/**
+ * LRU kept the textbook way: an explicit recency list per set (most
+ * recent first) holding the valid ways, no stamps. A victim is the
+ * set's first invalid way, else the least recent eligible way on the
+ * list. Shares Cache's pollution RNG stream, so the two must agree
+ * on every outcome.
+ */
+class ListLruCache
+{
+  public:
+    ListLruCache(const CacheParams &p, std::uint64_t seed)
+        : p_(p), rng_(seed, 0x9e3779b97f4a7c15ULL)
+    {
+        sets_ = static_cast<std::uint32_t>(
+            p.sizeBytes / (std::uint64_t(p.lineBytes) * p.assoc));
+        while ((1u << shift_) < p.lineBytes)
+            ++shift_;
+        ways_.resize(std::size_t(sets_) * p.assoc);
+        recency_.resize(sets_);
+    }
+
+    Cache::AccessResult
+    access(Addr addr, bool is_write, Owner owner)
+    {
+        stats.accesses[static_cast<int>(owner)] += 1;
+        Cache::AccessResult r;
+        const std::uint32_t set = setOf(addr);
+        int w = find(set, addr >> shift_);
+        if (w >= 0) {
+            way(set, w).dirty |= is_write;
+            touch(set, w);
+            r.hit = true;
+            return r;
+        }
+        stats.misses[static_cast<int>(owner)] += 1;
+        w = victim(set, false);
+        Way &v = way(set, w);
+        if (v.valid) {
+            stats.evictions += 1;
+            if (v.dirty) {
+                stats.writebacks += 1;
+                r.writeback = true;
+            }
+            if (v.owner == Owner::App && owner == Owner::Os) {
+                stats.crossEvictions += 1;
+                r.crossEviction = true;
+            }
+        }
+        v = Way{true, is_write, owner, addr >> shift_};
+        touch(set, w);
+        return r;
+    }
+
+    bool
+    install(Addr addr, Owner owner)
+    {
+        const std::uint32_t set = setOf(addr);
+        int w = find(set, addr >> shift_);
+        if (w >= 0) {
+            touch(set, w);
+            return false;
+        }
+        w = victim(set, false);
+        Way &v = way(set, w);
+        if (v.valid)
+            stats.injectedEvictions += 1;
+        stats.injectedFills += 1;
+        v = Way{true, false, owner, addr >> shift_};
+        touch(set, w);
+        return true;
+    }
+
+    std::uint64_t
+    pollute(std::uint64_t count, Cache::PollutionMode mode)
+    {
+        if (mode == Cache::PollutionMode::InvalidateApp)
+            count = std::min(count, resident(Owner::App));
+        else if (mode == Cache::PollutionMode::InvalidateAny)
+            count = std::min(count, resident(Owner::App) +
+                                        resident(Owner::Os));
+        std::uint64_t affected = 0;
+        for (std::uint64_t i = 0; i < count; ++i) {
+            const std::uint32_t set = rng_.range(sets_);
+            int w = firstInvalid(set);
+            if (w >= 0 && mode != Cache::PollutionMode::Install)
+                continue;
+            if (w < 0)
+                w = victim(set,
+                           mode == Cache::PollutionMode::InvalidateApp);
+            if (w < 0)
+                continue;
+            Way &line = way(set, w);
+            if (line.valid)
+                stats.injectedEvictions += 1;
+            if (mode == Cache::PollutionMode::Install) {
+                line = Way{true, false, Owner::Os,
+                           (1ULL << 52) + synthetic_++};
+                touch(set, w);
+                stats.injectedFills += 1;
+            } else {
+                line.valid = false;
+                line.dirty = false;
+                recency_[set].remove(w);
+            }
+            ++affected;
+        }
+        return affected;
+    }
+
+    void
+    flush()
+    {
+        for (Way &w : ways_)
+            w = Way{};
+        for (auto &list : recency_)
+            list.clear();
+        synthetic_ = 0;
+    }
+
+    bool
+    probe(Addr addr) const
+    {
+        const std::uint32_t set = setOf(addr);
+        for (std::uint32_t w = 0; w < p_.assoc; ++w) {
+            const Way &line = ways_[std::size_t(set) * p_.assoc + w];
+            if (line.valid && line.tag == addr >> shift_)
+                return true;
+        }
+        return false;
+    }
+
+    std::uint64_t
+    resident(Owner owner) const
+    {
+        std::uint64_t n = 0;
+        for (const Way &w : ways_)
+            n += w.valid && w.owner == owner;
+        return n;
+    }
+
+    CacheStats stats;
+
+  private:
+    struct Way
+    {
+        bool valid = false;
+        bool dirty = false;
+        Owner owner = Owner::App;
+        Addr tag = 0;
+    };
+
+    std::uint32_t
+    setOf(Addr addr) const
+    {
+        return static_cast<std::uint32_t>((addr >> shift_) &
+                                          (sets_ - 1));
+    }
+
+    Way &
+    way(std::uint32_t set, int w)
+    {
+        return ways_[std::size_t(set) * p_.assoc +
+                     static_cast<std::size_t>(w)];
+    }
+
+    int
+    find(std::uint32_t set, Addr tag)
+    {
+        for (std::uint32_t w = 0; w < p_.assoc; ++w)
+            if (way(set, int(w)).valid && way(set, int(w)).tag == tag)
+                return static_cast<int>(w);
+        return -1;
+    }
+
+    int
+    firstInvalid(std::uint32_t set)
+    {
+        for (std::uint32_t w = 0; w < p_.assoc; ++w)
+            if (!way(set, int(w)).valid)
+                return static_cast<int>(w);
+        return -1;
+    }
+
+    /** First invalid way, else the least recent eligible one. */
+    int
+    victim(std::uint32_t set, bool app_only)
+    {
+        int w = firstInvalid(set);
+        if (w >= 0)
+            return w;
+        const std::list<int> &order = recency_[set];
+        for (auto it = order.rbegin(); it != order.rend(); ++it)
+            if (!app_only || way(set, *it).owner == Owner::App)
+                return *it;
+        return -1;
+    }
+
+    void
+    touch(std::uint32_t set, int w)
+    {
+        recency_[set].remove(w);
+        recency_[set].push_front(w);
+    }
+
+    CacheParams p_;
+    Pcg32 rng_;
+    std::uint32_t sets_ = 0;
+    std::uint32_t shift_ = 0;
+    std::uint64_t synthetic_ = 0;
+    std::vector<Way> ways_;
+    std::vector<std::list<int>> recency_;  //!< per set, MRU first
+};
+
+/** The stamp array against a recency-list LRU on 2-, 4- and 8-way
+ *  geometries: random access, install, pollute in all three modes
+ *  and the occasional flush must yield the same outcomes, victims
+ *  (hence residency), evictions, writebacks and injected counts. */
+TEST(Cache, LruVictimsMatchReferenceModel)
+{
+    for (std::uint32_t assoc : {2u, 4u, 8u}) {
+        const CacheParams p = smallCache(16ULL * 64 * assoc, assoc);
+        Cache c(p, 31);
+        ListLruCache ref(p, 31);
+        const std::uint64_t span = 3 * 16 * assoc;
+        Pcg32 rng(11, assoc);
+        for (int i = 0; i < 30000; ++i) {
+            Addr a = 64ULL * rng.range(span) + rng.range(64);
+            Owner o = rng.range(3) ? Owner::App : Owner::Os;
+            std::uint32_t op = rng.range(1000);
+            if (op < 600) {
+                bool w = rng.range(4) == 0;
+                auto got = c.access(a, w, o);
+                auto want = ref.access(a, w, o);
+                ASSERT_EQ(got.hit, want.hit) << i;
+                ASSERT_EQ(got.writeback, want.writeback) << i;
+                ASSERT_EQ(got.crossEviction, want.crossEviction) << i;
+            } else if (op < 800) {
+                ASSERT_EQ(c.install(a, o), ref.install(a, o)) << i;
+            } else if (op < 998) {
+                auto mode =
+                    static_cast<Cache::PollutionMode>(rng.range(3));
+                std::uint64_t n = rng.range(12);
+                ASSERT_EQ(c.pollute(n, mode), ref.pollute(n, mode))
+                    << i;
+            } else {
+                c.flush();
+                ref.flush();
+            }
+            if (i % 500 == 499) {
+                expectSameStats(c.stats(), ref.stats);
+                ASSERT_EQ(c.residentLines(Owner::App),
+                          ref.resident(Owner::App))
+                    << i;
+                ASSERT_EQ(c.residentLines(Owner::Os),
+                          ref.resident(Owner::Os))
+                    << i;
+                for (std::uint64_t l = 0; l < span; ++l)
+                    ASSERT_EQ(c.probe(64 * l), ref.probe(64 * l))
+                        << "line " << l << " after op " << i;
+            }
+        }
+        EXPECT_GT(c.stats().evictions, 0u);
+        EXPECT_GT(c.stats().writebacks, 0u);
+        EXPECT_GT(c.stats().injectedEvictions, 0u);
     }
 }
 

@@ -6,6 +6,7 @@
 
 #include "sim/inorder_cpu.hh"
 #include "sim/ooo_cpu.hh"
+#include "util/random.hh"
 
 namespace osp
 {
@@ -260,6 +261,119 @@ TEST(InOrderCpu, StoreMissesBoundedByWriteBuffer)
     // All miss; the bus serializes ~40 cycles per line + writeback.
     EXPECT_LT(cycles, static_cast<Cycles>(n) * 200);
     EXPECT_GT(cycles, static_cast<Cycles>(n) * 10);
+}
+
+/** Cycle total and hierarchy counters of one golden-stream run. */
+struct GoldenRun
+{
+    Cycles cycles = 0;
+    HierarchyCounts counts;
+};
+
+/**
+ * Drive @p cpu with a fixed Pcg32 stream of hand-made ops: every
+ * class, dependence distances up to 255 (past the 126-entry window),
+ * code past the L1I and data past the L2 (TLB misses, dirty
+ * writebacks), both owners. Drains every 997 ops and resets the core
+ * once midway; the result is the sum of the drained cycles. Integer
+ * arithmetic only, so the pins hold on every compiler.
+ */
+template <class Cpu>
+GoldenRun
+runGoldenStream(Cpu &cpu, const MemoryHierarchy &hier)
+{
+    Pcg32 rng(2024, 7);
+    GoldenRun run;
+    Addr pc = 0x400000;
+    Addr stream = 0x40000000;
+    for (int i = 1; i <= 50000; ++i) {
+        MicroOp op;
+        if (rng.range(16) == 0)
+            pc = 0x400000 + 64ULL * rng.range(4096);  // 256KB code
+        op.pc = pc;
+        pc += 4;
+        std::uint32_t kind = rng.range(10);
+        op.cls = kind < 3   ? OpClass::IntAlu
+                 : kind < 4 ? OpClass::FpAlu
+                 : kind < 7 ? OpClass::Load
+                 : kind < 9 ? OpClass::Store
+                            : OpClass::Branch;
+        op.depDist = static_cast<std::uint8_t>(
+            rng.range(4) == 0 ? rng.range(256) : rng.range(8));
+        op.execLat = op.cls == OpClass::FpAlu
+                         ? static_cast<std::uint8_t>(1 + rng.range(6))
+                     : op.cls == OpClass::Load ? 0
+                                               : 1;
+        if (op.cls == OpClass::Load || op.cls == OpClass::Store) {
+            switch (rng.range(8)) {
+              case 4:  // 512KB: L2-resident, L1-missing
+                op.effAddr = 0x20000000 + 8ULL * rng.range(65536);
+                break;
+              case 5:  // 4MB: past the L2
+                op.effAddr = 0x30000000 + 64ULL * rng.range(65536);
+                break;
+              case 6:
+              case 7:  // streaming, eight ops per line
+                op.effAddr = stream;
+                stream += 8;
+                break;
+              default:  // hot 4KB
+                op.effAddr = 0x10000000 + 8ULL * rng.range(512);
+                break;
+            }
+        }
+        if (op.cls == OpClass::Branch)
+            op.taken = rng.range(4) == 0 ? rng.range(2) == 0
+                                         : rng.range(16) != 0;
+        cpu.execute(op, rng.range(8) == 0 ? Owner::Os : Owner::App);
+        if (i % 997 == 0)
+            run.cycles += cpu.drain();
+        if (i == 25000) {
+            run.cycles += cpu.drain();
+            cpu.reset();
+        }
+    }
+    run.cycles += cpu.drain();
+    run.counts = hier.counts();
+    return run;
+}
+
+void
+expectGolden(const GoldenRun &got, Cycles cycles,
+             const HierarchyCounts &want)
+{
+    EXPECT_EQ(got.cycles, cycles);
+    EXPECT_EQ(got.counts.l1iAccesses, want.l1iAccesses);
+    EXPECT_EQ(got.counts.l1iMisses, want.l1iMisses);
+    EXPECT_EQ(got.counts.l1dAccesses, want.l1dAccesses);
+    EXPECT_EQ(got.counts.l1dMisses, want.l1dMisses);
+    EXPECT_EQ(got.counts.l2Accesses, want.l2Accesses);
+    EXPECT_EQ(got.counts.l2Misses, want.l2Misses);
+}
+
+/** Pins the OOO engine's cycles and the hierarchy's counters on
+ *  the golden stream: a host-speed rework of the engine (ROB ring,
+ *  MSHR choice, L1 lookup) must not move a simulated value. */
+TEST(OooCpu, GoldenCyclesOnSeededStream)
+{
+    MemoryHierarchy hier{HierarchyParams{}};
+    GshareBp bp(12);
+    OooCpu cpu(CpuParams{}, &hier, &bp);
+    GoldenRun run = runGoldenStream(cpu, hier);
+    expectGolden(run, 2198555,
+                 HierarchyCounts{4875, 4568, 25159, 7278, 11846, 9358});
+}
+
+/** As above for the in-order engine (blocking loads, write-buffer
+ *  store misses). */
+TEST(InOrderCpu, GoldenCyclesOnSeededStream)
+{
+    MemoryHierarchy hier{HierarchyParams{}};
+    GshareBp bp(12);
+    InOrderCpu cpu(CpuParams{}, &hier, &bp);
+    GoldenRun run = runGoldenStream(cpu, hier);
+    expectGolden(run, 3758033,
+                 HierarchyCounts{4831, 4568, 25159, 7278, 11846, 9358});
 }
 
 } // namespace

@@ -25,9 +25,46 @@ testConfig()
     return cfg;
 }
 
+/**
+ * Forwards to a workload but keeps UserProgram's default
+ * opBlockLean(), so the Machine gets every block lowered in full.
+ */
+class FullLoweringProgram : public UserProgram
+{
+  public:
+    explicit FullLoweringProgram(std::unique_ptr<UserProgram> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    Step
+    step(MicroOp &op, ServiceRequest &req) override
+    {
+        return inner_->step(op, req);
+    }
+
+    std::size_t
+    opBlock(MicroOp *buf, std::size_t cap) override
+    {
+        return inner_->opBlock(buf, cap);
+    }
+
+    void
+    onServiceReturn(ServiceType type, ServiceResult result) override
+    {
+        inner_->onServiceReturn(type, result);
+    }
+
+    bool inWarmup() const override { return inner_->inWarmup(); }
+    const char *name() const override { return inner_->name(); }
+
+  private:
+    std::unique_ptr<UserProgram> inner_;
+};
+
 std::unique_ptr<Machine>
 makeIperf(MachineConfig cfg, std::uint32_t writes = 50,
-          std::uint32_t warmup = 0)
+          std::uint32_t warmup = 0, bool full_lowering = false)
 {
     KernelParams kp = kernelParamsFor("iperf", cfg.seed);
     auto kernel = std::make_unique<SyntheticKernel>(kp);
@@ -35,8 +72,10 @@ makeIperf(MachineConfig cfg, std::uint32_t writes = 50,
     p.warmupWrites = warmup;
     p.measureWrites = writes;
     p.reportEvery = 16;
-    auto wl =
+    std::unique_ptr<UserProgram> wl =
         std::make_unique<IperfWorkload>(*kernel, p, cfg.seed);
+    if (full_lowering)
+        wl = std::make_unique<FullLoweringProgram>(std::move(wl));
     return std::make_unique<Machine>(cfg, std::move(wl),
                                      std::move(kernel));
 }
@@ -319,6 +358,137 @@ TEST(Machine, MaxInstsExactUnderAppOnlyEmulation)
         auto m = makeIperf(cfg, 100000);
         const RunTotals &t = m->run(12345);
         EXPECT_EQ(t.totalInsts(), 12345u) << "block " << block;
+    }
+}
+
+void
+expectSameMem(const HierarchyCounts &got, const HierarchyCounts &want)
+{
+    EXPECT_EQ(got.l1iAccesses, want.l1iAccesses);
+    EXPECT_EQ(got.l1iMisses, want.l1iMisses);
+    EXPECT_EQ(got.l1dAccesses, want.l1dAccesses);
+    EXPECT_EQ(got.l1dMisses, want.l1dMisses);
+    EXPECT_EQ(got.l2Accesses, want.l2Accesses);
+    EXPECT_EQ(got.l2Misses, want.l2Misses);
+}
+
+void
+expectSameTotals(const RunTotals &got, const RunTotals &want)
+{
+    EXPECT_EQ(got.appInsts, want.appInsts);
+    EXPECT_EQ(got.osInsts, want.osInsts);
+    EXPECT_EQ(got.osPredInsts, want.osPredInsts);
+    EXPECT_EQ(got.appCycles, want.appCycles);
+    EXPECT_EQ(got.osSimCycles, want.osSimCycles);
+    EXPECT_EQ(got.osPredCycles, want.osPredCycles);
+    EXPECT_EQ(got.osInvocations, want.osInvocations);
+    EXPECT_EQ(got.osSimulated, want.osSimulated);
+    EXPECT_EQ(got.osPredicted, want.osPredicted);
+    expectSameMem(got.measuredMem, want.measuredMem);
+    expectSameMem(got.predictedMem, want.predictedMem);
+    for (std::size_t i = 0; i < got.perService.size(); ++i) {
+        EXPECT_EQ(got.perService[i].invocations,
+                  want.perService[i].invocations);
+        EXPECT_EQ(got.perService[i].insts, want.perService[i].insts);
+        EXPECT_EQ(got.perService[i].cycles,
+                  want.perService[i].cycles);
+    }
+}
+
+void
+expectSameRun(Machine &got, Machine &want)
+{
+    expectSameTotals(got.totals(), want.totals());
+    ASSERT_EQ(got.sampleLog().size(), want.sampleLog().size());
+    for (std::size_t i = 0; i < got.sampleLog().size(); ++i) {
+        EXPECT_EQ(got.sampleLog()[i].index, want.sampleLog()[i].index);
+        EXPECT_EQ(got.sampleLog()[i].appCycles,
+                  want.sampleLog()[i].appCycles);
+        EXPECT_EQ(got.sampleLog()[i].appInsts,
+                  want.sampleLog()[i].appInsts);
+    }
+    ASSERT_EQ(got.intervals().size(), want.intervals().size());
+    for (std::size_t i = 0; i < got.intervals().size(); ++i) {
+        const IntervalRecord &a = got.intervals()[i];
+        const IntervalRecord &b = want.intervals()[i];
+        EXPECT_EQ(a.type, b.type);
+        EXPECT_EQ(a.invocation, b.invocation);
+        EXPECT_EQ(a.insts, b.insts);
+        EXPECT_EQ(a.detailed, b.detailed);
+        EXPECT_EQ(a.cycles, b.cycles);
+        expectSameMem(a.mem, b.mem);
+    }
+}
+
+void
+expectSameProfile(const IntervalProfiler &got,
+                  const IntervalProfiler &want)
+{
+    EXPECT_EQ(got.fullIntervals(), want.fullIntervals());
+    EXPECT_EQ(got.tailInsts(), want.tailInsts());
+    ASSERT_EQ(got.intervals().size(), want.intervals().size());
+    for (std::size_t i = 0; i < got.intervals().size(); ++i) {
+        const IntervalFeatures &a = got.intervals()[i];
+        const IntervalFeatures &b = want.intervals()[i];
+        EXPECT_EQ(a.ops, b.ops) << i;
+        EXPECT_EQ(a.loads, b.loads) << i;
+        EXPECT_EQ(a.stores, b.stores) << i;
+        EXPECT_EQ(a.branches, b.branches) << i;
+        EXPECT_EQ(a.fp, b.fp) << i;
+        EXPECT_EQ(a.taken, b.taken) << i;
+        EXPECT_EQ(a.svcInvocations, b.svcInvocations) << i;
+        EXPECT_EQ(a.svcInsts, b.svcInsts) << i;
+        EXPECT_EQ(a.svcCounts, b.svcCounts) << i;
+    }
+}
+
+/** Lean lowering of the app blocks no engine executes is a pure
+ *  speed-up: against a wrapper that always lowers in full, the run
+ *  must match exactly — at OooCache with a sample plan (warm-up and
+ *  fast-forwarded intervals lean, sampled ones full), at OooCache
+ *  without one (warm-up only) and in an Emulate-level profiling
+ *  pass (every block lean). */
+TEST(Machine, LeanAppBlocksDoNotChangeOutcome)
+{
+    constexpr InstCount kIntervalLen = 1000;
+    MachineConfig emu = testConfig();
+    emu.level = DetailLevel::Emulate;
+    IntervalProfiler lean_profile(kIntervalLen);
+    IntervalProfiler full_profile(kIntervalLen);
+    auto lean_emu = makeIperf(emu, 200, 20);
+    auto full_emu = makeIperf(emu, 200, 20, true);
+    lean_emu->setIntervalProfiler(&lean_profile);
+    full_emu->setIntervalProfiler(&full_profile);
+    lean_emu->run();
+    full_emu->run();
+    expectSameRun(*lean_emu, *full_emu);
+    expectSameProfile(lean_profile, full_profile);
+    ASSERT_GT(lean_profile.fullIntervals(), 8u);
+
+    // Every third interval sampled; the rest fast-forward.
+    SamplePlan plan;
+    plan.intervalLen = kIntervalLen;
+    plan.fullIntervals = lean_profile.fullIntervals();
+    plan.sampledMask.resize(plan.fullIntervals);
+    for (std::size_t i = 0; i < plan.sampledMask.size(); ++i)
+        plan.sampledMask[i] = i % 3 == 1;
+
+    const SamplePlan *plans[] = {&plan, nullptr};
+    for (const SamplePlan *p : plans) {
+        MachineConfig cfg = testConfig();
+        cfg.level = DetailLevel::OooCache;
+        auto lean = makeIperf(cfg, 200, 20);
+        auto full = makeIperf(cfg, 200, 20, true);
+        lean->setSamplePlan(p);
+        full->setSamplePlan(p);
+        lean->run();
+        full->run();
+        expectSameRun(*lean, *full);
+        EXPECT_GT(lean->totals().appCycles, 0u);
+        if (p) {
+            EXPECT_GT(lean->sampleLog().size(), 0u);
+            EXPECT_LT(lean->sampleLog().size(), plan.fullIntervals);
+        }
     }
 }
 
