@@ -289,12 +289,35 @@ BENCHMARK(BM_MachineInOrderCacheBlock)
 
 /**
  * One distributed-sweep coordination unit: the claim transaction
- * (heartbeat bump + claim record) and the commit transaction
- * (heartbeat bump + cell value + done record) a worker pays per
- * cell on top of the simulation itself — two synced store commits
- * through the shared-mode writer gate. Bounds how small a cell can
- * get before coordination dominates (driver/claim_executor.hh).
+ * (claim record) and the commit transaction (cell value + done
+ * record) a worker pays per cell on top of the simulation itself —
+ * two synced store commits through the shared-mode writer gate.
+ * Bounds how small a cell can get before coordination dominates
+ * (driver/claim_executor.hh). BM_SweepClaimLoop and the
+ * `claim_commit_pairs_per_sec` metric both time this.
  */
+void
+claimCommitPair(store::PageStore &pstore,
+                const store::ClaimTable &table, std::uint64_t i)
+{
+    std::string key = "k" + std::to_string(i);
+    {
+        store::WriteTx tx = pstore.beginWrite();
+        store::ClaimRecord rec;
+        rec.owner = "bench";
+        table.put(tx, key, rec);
+        tx.commit();
+    }
+    {
+        store::WriteTx tx = pstore.beginWrite();
+        auto rec = table.get(tx, key);
+        rec->state = store::ClaimState::Done;
+        tx.put("cell/fp/" + key, "value");
+        table.put(tx, key, *rec);
+        tx.commit();
+    }
+}
+
 void
 BM_SweepClaimLoop(benchmark::State &state)
 {
@@ -308,27 +331,8 @@ BM_SweepClaimLoop(benchmark::State &state)
         auto pstore = store::PageStore::open(path, sopts);
         store::ClaimTable table("fp");
         std::uint64_t i = 0;
-        for (auto _ : state) {
-            std::string key = "k" + std::to_string(i++);
-            {
-                store::WriteTx tx = pstore->beginWrite();
-                std::uint64_t hb = table.bumpHeartbeat(tx);
-                store::ClaimRecord rec;
-                rec.owner = "bench";
-                rec.epoch = hb;
-                table.put(tx, key, rec);
-                tx.commit();
-            }
-            {
-                store::WriteTx tx = pstore->beginWrite();
-                table.bumpHeartbeat(tx);
-                auto rec = table.get(tx, key);
-                rec->state = store::ClaimState::Done;
-                tx.put("cell/fp/" + key, "value");
-                table.put(tx, key, *rec);
-                tx.commit();
-            }
-        }
+        for (auto _ : state)
+            claimCommitPair(*pstore, table, i++);
     }
     std::remove(path.c_str());
     std::remove((path + ".lock").c_str());
@@ -423,27 +427,8 @@ timeClaimLoop(std::uint64_t pairs)
         auto pstore = store::PageStore::open(path, sopts);
         store::ClaimTable table("fp");
         auto t0 = std::chrono::steady_clock::now();
-        for (std::uint64_t i = 0; i < pairs; ++i) {
-            std::string key = "k" + std::to_string(i);
-            {
-                store::WriteTx tx = pstore->beginWrite();
-                std::uint64_t hb = table.bumpHeartbeat(tx);
-                store::ClaimRecord rec;
-                rec.owner = "bench";
-                rec.epoch = hb;
-                table.put(tx, key, rec);
-                tx.commit();
-            }
-            {
-                store::WriteTx tx = pstore->beginWrite();
-                table.bumpHeartbeat(tx);
-                auto rec = table.get(tx, key);
-                rec->state = store::ClaimState::Done;
-                tx.put("cell/fp/" + key, "value");
-                table.put(tx, key, *rec);
-                tx.commit();
-            }
-        }
+        for (std::uint64_t i = 0; i < pairs; ++i)
+            claimCommitPair(*pstore, table, i);
         auto t1 = std::chrono::steady_clock::now();
         double secs =
             std::chrono::duration<double>(t1 - t0).count() /

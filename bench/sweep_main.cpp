@@ -12,8 +12,8 @@
  * for any --threads value at the same seed — CI runs the smoke
  * sweep at 1 and N threads and diffs the two files.
  *
- * Distributed execution over a shared --store (the claim/lease
- * protocol of driver/claim_executor.hh):
+ * Distributed execution over a shared --store (the claim protocol
+ * of driver/claim_executor.hh):
  *
  *   sweep table2 --store s.db --worker --owner w1
  *       one claim-loop worker; run any number of these on the same
@@ -289,20 +289,13 @@ flagTable(Options &o)
         {"--owner", "ID",
          "worker id in claim records (default pid<pid>)",
          setText(w.owner)},
-        {"--lease-ticks", "N",
-         "heartbeats before an idle claim is reclaimable (default 64)",
-         setNumber(w.leaseTicks)},
         {"--max-retries", "N",
          "attempts before a cell is marked failed (default 3)",
          setNumber(w.maxRetries)},
         {"--poll-ms", "MS",
-         "initial idle-poll sleep while other workers hold leases "
+         "initial idle-poll sleep while other workers hold claims "
          "(default 50)",
          setNumber(w.pollMs)},
-        {"--refresh-ms", "MS",
-         "lease-refresh period while a cell runs (default 200; 0 "
-         "disables)",
-         setNumber(w.refreshMs)},
         {"--kill-after-claim", nullptr,
          "crash-test seam: SIGKILL after the first claim",
          setTrue(w.killAfterFirstClaim)},

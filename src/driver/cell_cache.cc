@@ -1,7 +1,6 @@
 #include "cell_cache.hh"
 
 #include "cell_io.hh"
-#include "obs/snapshot_io.hh"
 #include "store/claim_table.hh"
 #include "util/hash.hh"
 
@@ -263,34 +262,29 @@ CellCache::commitResults(
     // keyspaces age out with the cells they coordinated.
     std::vector<std::string> stale;
     {
-        // cell/ and claim/ hold many keys per fingerprint, so the
-        // live set is a prefix; claimhb/ holds exactly one key per
-        // fingerprint, so it is matched exactly (a prefix test
-        // would let a fingerprint that merely extends ours escape
-        // eviction).
+        // A key is live when it starts with its family's live
+        // prefix. Older builds wrote claimhb/ counters and fleet/
+        // worker telemetry; nothing writes either any more, and
+        // claimhb/ has no live prefix, so every such key is shed.
         struct Family
         {
             std::string prefix, live;
-            bool exact;
         };
         const Family families[] = {
             {std::string(cellPrefix),
-             std::string(cellPrefix) + fingerprint_ + "/", false},
-            {"claim/", "claim/" + fingerprint_ + "/", false},
-            {"claimhb/", "claimhb/" + fingerprint_, true},
-            // Worker telemetry that older builds wrote; nothing
-            // writes fleet/ keys any more, so stores shed them here.
-            {"fleet/", "fleet/" + fingerprint_ + "/", false},
+             std::string(cellPrefix) + fingerprint_ + "/"},
+            {"claim/", "claim/" + fingerprint_ + "/"},
+            {"claimhb/", ""},
+            {"fleet/", "fleet/" + fingerprint_ + "/"},
         };
         store::ReadTx read = store_.beginRead();
         for (const Family &family : families) {
             read.scan(family.prefix, [&](std::string_view k,
                                          std::string_view) {
                 bool is_live =
-                    family.exact
-                        ? k == family.live
-                        : k.compare(0, family.live.size(),
-                                    family.live) == 0;
+                    !family.live.empty() &&
+                    k.compare(0, family.live.size(), family.live) ==
+                        0;
                 if (!is_live)
                     stale.emplace_back(k);
                 return true;
@@ -355,18 +349,6 @@ CellCache::statsToJson()
     s.add("commit_us_total", prof.commitUsTotal);
     s.add("pages_written_total", prof.pagesWrittenTotal);
     doc.add("store", std::move(s));
-
-    JsonValue hists = JsonValue::object();
-    auto hist = [](const obs::Histogram &h) {
-        JsonValue v = JsonValue::object();
-        obs::addHistogramFields(v, obs::histogramEntry("", "", h));
-        return v;
-    };
-    hists.add("lock_wait_us", hist(prof.lockWaitUs));
-    hists.add("commit_us", hist(prof.commitUs));
-    hists.add("commit_cow_pages", hist(prof.commitCowPages));
-    hists.add("commit_leaf_reads", hist(prof.commitLeafReads));
-    doc.add("store_profile", std::move(hists));
     return doc;
 }
 

@@ -100,11 +100,11 @@ class CellCache
 
     /**
      * Persist executed cells in ONE transaction and drop every
-     * "cell/", "claim/", "claimhb/" or legacy "fleet/" entry
-     * belonging to a different code fingerprint (counted as
-     * evictions). Failed
-     * cells are the caller's responsibility to exclude — a cached
-     * failure would never be retried.
+     * "cell/", "claim/" or legacy "fleet/" entry belonging to a
+     * different code fingerprint, and every legacy "claimhb/"
+     * entry (counted as evictions). Failed cells are the caller's
+     * responsibility to exclude — a cached failure would never be
+     * retried.
      */
     void commitResults(
         const std::vector<std::pair<std::string,

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <csignal>
-#include <limits>
-#include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -28,98 +26,16 @@ struct ClaimOutcome
     /** Index into the expansion of the cell we claimed. */
     std::optional<std::size_t> cellIndex;
     /** Cells neither committed nor terminal — some worker still
-     *  owes a result (live lease or awaiting retry by us). */
+     *  owes a result (a live owner's claim or awaiting retry by
+     *  us). */
     std::uint64_t outstanding = 0;
-    bool reclaimedExpired = false;
+    bool reclaimedDead = false;
 };
 
-/**
- * Background lease refresher: while a cell executes, periodically
- * re-assert the claim's epoch so the lease stays fresh however
- * fast other workers' poll/claim/commit transactions advance the
- * heartbeat. Best-effort — a refresh that loses the store gate or
- * hits an I/O error is simply skipped; the worst case (the lease
- * expires and another worker re-runs the cell) is benign because
- * reclaims are free and cells are deterministic.
- */
-class LeaseRefresher
-{
-  public:
-    LeaseRefresher(store::PageStore &store,
-                   const store::ClaimTable &table,
-                   const std::string &cell_key,
-                   const std::string &owner, long period_ms)
-        : store_(store), table_(table), cellKey_(cell_key),
-          owner_(owner)
-    {
-        if (period_ms > 0)
-            thread_ = std::thread(
-                [this, period_ms] { run(period_ms); });
-    }
-
-    ~LeaseRefresher() { stop(); }
-
-    /** Join the refresher; returns how many refreshes landed. */
-    std::uint64_t
-    stop()
-    {
-        if (thread_.joinable()) {
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                stop_ = true;
-            }
-            cv_.notify_one();
-            thread_.join();
-        }
-        return refreshes_;
-    }
-
-  private:
-    void
-    run(long period_ms)
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        while (!cv_.wait_for(lock,
-                             std::chrono::milliseconds(period_ms),
-                             [this] { return stop_; })) {
-            lock.unlock();
-            refreshOnce();
-            lock.lock();
-        }
-    }
-
-    void
-    refreshOnce()
-    {
-        try {
-            store::WriteTx tx = store_.beginWrite();
-            auto rec = table_.get(tx, cellKey_);
-            if (!rec ||
-                rec->state != store::ClaimState::Claimed ||
-                rec->owner != owner_)
-                return;  // reclaimed under us; drop the tx
-            std::uint64_t hb = table_.heartbeat(tx);
-            if (rec->epoch == hb)
-                return;  // already fresh; nothing to commit
-            rec->epoch = hb;
-            table_.put(tx, cellKey_, *rec);
-            tx.commit();
-            ++refreshes_;
-        } catch (...) {
-            // Skip this refresh; the next period tries again.
-        }
-    }
-
-    store::PageStore &store_;
-    const store::ClaimTable &table_;
-    std::string cellKey_;
-    std::string owner_;
-    std::thread thread_;
-    std::mutex mu_;
-    std::condition_variable cv_;
-    bool stop_ = false;
-    std::uint64_t refreshes_ = 0;
-};
+/** How long a starting worker waits for its own owner lock.
+ *  Probers hold it for microseconds, so a lock still held after
+ *  this long belongs to a live worker with the same owner id. */
+constexpr long kOwnerLockWaitMs = 1000;
 
 } // namespace
 
@@ -131,6 +47,21 @@ runSweepWorker(const SweepSpec &spec, CellCache &cache,
     store::ClaimTable table(cache.fingerprint());
     store::PageStore &store = cache.store();
 
+    // Held until we return: the kernel drops it when this process
+    // dies, which is how peers tell our claims from a dead
+    // worker's.
+    store::FileLock self(
+        store::ClaimTable::ownerLockPath(store.path(), options.owner));
+    if (!self.tryLock("worker " + options.owner, kOwnerLockWaitMs)) {
+        std::string holder = self.holderHint();
+        if (!holder.empty())
+            holder = " [" + holder + "]";
+        throw std::runtime_error(
+            "owner '" + options.owner +
+            "' already has a live worker on '" + store.path() + "'" +
+            holder + "; give each worker its own --owner");
+    }
+
     std::vector<SweepCell> cells = expandSweep(spec);
     std::vector<std::string> keys =
         cache.cellKeys(spec, options.traceCapacity);
@@ -141,15 +72,6 @@ runSweepWorker(const SweepSpec &spec, CellCache &cache,
         ClaimOutcome outcome;
         {
             store::WriteTx tx = store.beginWrite();
-            // Bump even when this pass claims nothing: once every
-            // other cell is done, idle polls are the only thing
-            // still advancing the clock, and without them a
-            // crashed worker's last lease would never expire. Live
-            // owners are immune to the resulting churn — their
-            // refresher re-asserts the epoch while they execute,
-            // and reclaiming never charges a retry.
-            std::uint64_t hb = table.bumpHeartbeat(tx);
-            ++stats.heartbeats;
             for (const SweepCell &cell : cells) {
                 const std::string &key = keys[cell.index];
                 if (tx.get(cache.storeKey(key)))
@@ -166,41 +88,30 @@ runSweepWorker(const SweepSpec &spec, CellCache &cache,
                 store::ClaimRecord next;
                 next.owner = options.owner;
                 next.state = store::ClaimState::Claimed;
-                next.epoch = hb;
                 if (!rec) {
                     // Unclaimed: take it.
                 } else if (rec->state == store::ClaimState::Retry) {
                     next.retries = rec->retries;
                 } else if (rec->owner == options.owner) {
-                    // Our own stale lease (a previous incarnation
-                    // of this owner id): re-claim at full price.
+                    // Our own claim from a previous incarnation of
+                    // this owner id (we hold the owner lock, so it
+                    // is dead): re-claim at full price.
                     next.retries = rec->retries;
                 } else {
-                    // hb is this transaction's bump, so any well-
-                    // formed store has epoch <= hb (check_store
-                    // asserts it). An epoch from the future means
-                    // the heartbeat record was corrupted and the
-                    // counter restarted near zero: treat the lease
-                    // as infinitely old so the keyspace heals
-                    // through reclaim.
-                    std::uint64_t age =
-                        hb >= rec->epoch
-                            ? hb - rec->epoch
-                            : std::numeric_limits<
-                                  std::uint64_t>::max();
-                    if (age <= options.leaseTicks) {
-                        ++outcome.outstanding;  // live lease
+                    store::FileLock probe(
+                        store::ClaimTable::ownerLockPath(store.path(),
+                                                         rec->owner));
+                    if (!probe.tryLock("probe by " + options.owner,
+                                       0)) {
+                        ++outcome.outstanding;  // owner is alive
                         continue;
                     }
-                    // Expired lease: the owner stopped refreshing
-                    // (crashed, killed, hung). Reclaiming is free
-                    // — only execution failures charge retries —
-                    // so a slow but live owner can never be driven
-                    // to terminal failure by lease churn; the
-                    // duplicate run it causes is benign because
-                    // cells are deterministic.
+                    // The owner's lock was free, so it died
+                    // (crashed, killed). Reclaiming is free — only
+                    // execution failures charge retries — and the
+                    // probe's lock is released with it.
                     next.retries = rec->retries;
-                    outcome.reclaimedExpired = true;
+                    outcome.reclaimedDead = true;
                 }
                 table.put(tx, key, next);
                 outcome.cellIndex = cell.index;
@@ -211,8 +122,8 @@ runSweepWorker(const SweepSpec &spec, CellCache &cache,
         if (!outcome.cellIndex) {
             if (outcome.outstanding == 0)
                 return stats;  // sweep complete (or terminal)
-            // Everything left is leased by live workers: wait for
-            // them to finish, fail, or expire.
+            // Everything left is claimed by live workers: wait for
+            // them to finish, fail, or die.
             ++stats.polls;
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(poll_ms));
@@ -220,28 +131,21 @@ runSweepWorker(const SweepSpec &spec, CellCache &cache,
             continue;
         }
         ++stats.claimed;
-        if (outcome.reclaimedExpired)
+        if (outcome.reclaimedDead)
             ++stats.reclaimed;
         poll_ms = options.pollMs;
         if (first_pass && options.killAfterFirstClaim) {
-            // Crash seam: die holding exactly one live lease.
+            // Crash seam: die holding exactly one claim.
             ::kill(::getpid(), SIGKILL);
         }
 
         // --- execute (no transaction held) --------------------
         const SweepCell &cell = cells[*outcome.cellIndex];
         const std::string &key = keys[cell.index];
-        CellResult result;
         auto exec_t0 = std::chrono::steady_clock::now();
-        {
-            LeaseRefresher refresher(store, table, key,
-                                     options.owner,
-                                     options.refreshMs);
-            result = executeCell(spec, cell, options.traceCapacity,
-                                 options.warmProfiles,
-                                 options.cellRunner);
-            stats.refreshes += refresher.stop();
-        }
+        CellResult result =
+            executeCell(spec, cell, options.traceCapacity,
+                        options.warmProfiles, options.cellRunner);
         bool failed = result.failed;
         if (!failed) {
             ++stats.executed;
@@ -255,14 +159,13 @@ runSweepWorker(const SweepSpec &spec, CellCache &cache,
         // --- commit transaction -------------------------------
         {
             store::WriteTx tx = store.beginWrite();
-            table.bumpHeartbeat(tx);
-            ++stats.heartbeats;
             auto rec = table.get(tx, key);
             if (!rec ||
                 rec->state != store::ClaimState::Claimed ||
                 rec->owner != options.owner) {
-                // Someone reclaimed our expired lease while we ran;
-                // their (identical, deterministic) result wins.
+                // Someone reclaimed our claim while we ran (only a
+                // peer that saw our owner lock free can); their
+                // identical, deterministic result wins.
                 ++stats.lostLeases;
                 tx.commit();
                 continue;
@@ -304,8 +207,6 @@ workerStatsToJson(const WorkerStats &stats, const std::string &owner)
     doc.add("exhausted", stats.exhausted);
     doc.add("lost_leases", stats.lostLeases);
     doc.add("polls", stats.polls);
-    doc.add("heartbeats", stats.heartbeats);
-    doc.add("refreshes", stats.refreshes);
     JsonValue walls = JsonValue::array();
     for (const auto &[index, us] : stats.cellWalls) {
         JsonValue w = JsonValue::array();

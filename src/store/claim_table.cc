@@ -1,7 +1,6 @@
 #include "claim_table.hh"
 
-#include <cstdlib>
-
+#include "util/hash.hh"
 #include "util/json.hh"
 
 namespace osp::store
@@ -45,9 +44,11 @@ ClaimTable::claimKey(const std::string &fingerprint,
 }
 
 std::string
-ClaimTable::heartbeatKey(const std::string &fingerprint)
+ClaimTable::ownerLockPath(const std::string &store_path,
+                          const std::string &owner)
 {
-    return "claimhb/" + fingerprint;
+    return store_path + ".owner." +
+           StableHash().bytes(owner.data(), owner.size()).hex();
 }
 
 std::string
@@ -56,7 +57,6 @@ ClaimTable::encode(const ClaimRecord &record)
     JsonValue doc = JsonValue::object();
     doc.add("owner", record.owner);
     doc.add("state", claimStateName(record.state));
-    doc.add("epoch", record.epoch);
     doc.add("retries", record.retries);
     if (!record.error.empty())
         doc.add("error", record.error);
@@ -73,11 +73,9 @@ ClaimTable::decode(std::string_view text)
 
     const JsonValue *owner = doc.find("owner");
     const JsonValue *state = doc.find("state");
-    const JsonValue *epoch = doc.find("epoch");
     const JsonValue *retries = doc.find("retries");
     if (!owner || !owner->isString() || !state ||
-        !state->isString() || !epoch || !epoch->isNumber() ||
-        !retries || !retries->isNumber())
+        !state->isString() || !retries || !retries->isNumber())
         return std::nullopt;
     auto parsed_state = claimStateFromName(state->asString());
     if (!parsed_state)
@@ -86,25 +84,11 @@ ClaimTable::decode(std::string_view text)
     ClaimRecord record;
     record.owner = owner->asString();
     record.state = *parsed_state;
-    record.epoch = epoch->asUint();
     record.retries = retries->asUint();
     if (const JsonValue *error = doc.find("error");
         error && error->isString())
         record.error = error->asString();
     return record;
-}
-
-std::uint64_t
-ClaimTable::parseHeartbeat(const std::string &raw)
-{
-    // Decimal string written by bumpHeartbeat(); anything else is
-    // treated as 0 so a corrupt counter fails toward "everything
-    // expired" (reclaim + deterministic re-execution is benign).
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(raw.c_str(), &end, 10);
-    if (end == raw.c_str() || *end != '\0')
-        return 0;
-    return static_cast<std::uint64_t>(v);
 }
 
 } // namespace osp::store

@@ -1,31 +1,23 @@
 /**
  * @file
- * The claim/lease keyspace that turns the page store into a
- * coordination substrate for multi-process sweeps.
+ * The claim keyspace that turns the page store into a coordination
+ * substrate for multi-process sweeps.
  *
- * Workers cooperating on one sweep spec rendezvous on two key
- * families, both living next to the `cell/<fp>/...` result keys:
+ * Workers cooperating on one sweep spec rendezvous on one key
+ * family, next to the `cell/<fp>/...` result keys:
+ * `claim/<fingerprint>/<cellkey>` holds one record per cell a
+ * worker has taken responsibility for, encoding the owner id, the
+ * claim state, the retry count and (for failed cells) the last
+ * error text.
  *
- *  - `claim/<fingerprint>/<cellkey>` — one record per cell a worker
- *    has taken responsibility for, encoding the owner id, the claim
- *    state, the logical heartbeat epoch at which the current lease
- *    was taken, the retry count, and (for failed cells) the last
- *    error text.
- *  - `claimhb/<fingerprint>` — a monotonically increasing logical
- *    heartbeat counter. Every worker claim, commit, and idle-poll
- *    transaction bumps it, so it advances whenever any worker is
- *    making progress *or waiting on someone else's lease* (idle
- *    bumps are what let a crashed worker's last lease expire once
- *    everything else is done). Leases expire in heartbeat ticks,
- *    not wall time: a claim whose epoch lags the counter by more
- *    than the lease length belongs to a worker that has stopped
- *    participating and may be reclaimed. A live owner keeps its
- *    lease fresh however long a cell takes — a background
- *    refresher (driver/claim_executor) re-asserts the claim's
- *    epoch while it executes — and reclaiming never charges a
- *    retry, so even a spuriously expired lease (an owner alive but
- *    stalled past its refresh period) costs only benign duplicate
- *    execution, never a terminal failure.
+ * Whether a `claimed` record's owner is still alive is the
+ * kernel's answer, not the store's: each worker holds an flock(2)
+ * on its owner sidecar (ownerLockPath()) for as long as it runs,
+ * and process death, SIGKILL included, releases it. A claim whose
+ * owner's sidecar can be locked belongs to a dead worker and may
+ * be reclaimed (driver/claim_executor). Older builds also kept a
+ * `claimhb/<fingerprint>` counter; nothing reads or writes it any
+ * more, and the cell cache evicts it.
  *
  * Records are canonical compact JSON so tools/check_store.py can
  * validate the keyspace without C++ help. Encoding is deterministic
@@ -52,7 +44,7 @@ namespace osp::store
 /** Lifecycle of one cell's claim record. */
 enum class ClaimState
 {
-    Claimed, //!< a worker holds a live lease and is executing
+    Claimed, //!< a worker took the cell and is executing it
     Retry,   //!< last attempt threw; awaiting another claimant
     Done,    //!< result committed under the matching cell key
     Failed,  //!< retries exhausted; terminal
@@ -69,7 +61,6 @@ struct ClaimRecord
 {
     std::string owner;       //!< claiming worker's id
     ClaimState state = ClaimState::Claimed;
-    std::uint64_t epoch = 0; //!< heartbeat value when claimed
     std::uint64_t retries = 0;
     std::string error;       //!< last failure text ("" when none)
 };
@@ -83,8 +74,10 @@ class ClaimTable
     static std::string claimKey(const std::string &fingerprint,
                                 const std::string &cell_key);
 
-    /** `claimhb/<fingerprint>`. */
-    static std::string heartbeatKey(const std::string &fingerprint);
+    /** `<store path>.owner.<16-hex stableHash64(owner)>`: the
+     *  sidecar a live worker named @p owner holds flock'ed. */
+    static std::string ownerLockPath(const std::string &store_path,
+                                     const std::string &owner);
 
     /** Canonical compact-JSON encoding ("error" omitted when
      *  empty). */
@@ -121,29 +114,7 @@ class ClaimTable
         tx.put(claimKey(fingerprint_, cell_key), encode(record));
     }
 
-    /** Current heartbeat in @p tx (0 when never bumped). */
-    template <typename Tx>
-    std::uint64_t
-    heartbeat(const Tx &tx) const
-    {
-        auto raw = tx.get(heartbeatKey(fingerprint_));
-        if (!raw)
-            return 0;
-        return parseHeartbeat(*raw);
-    }
-
-    /** Increment the heartbeat in @p tx; returns the new value. */
-    std::uint64_t
-    bumpHeartbeat(WriteTx &tx) const
-    {
-        std::uint64_t next = heartbeat(tx) + 1;
-        tx.put(heartbeatKey(fingerprint_), std::to_string(next));
-        return next;
-    }
-
   private:
-    static std::uint64_t parseHeartbeat(const std::string &raw);
-
     std::string fingerprint_;
 };
 

@@ -1185,8 +1185,7 @@ PageStore::commitTx(WriteTx &tx)
         meta_ = m;
         if (!freed.empty())
             pending_.emplace(m.txid, std::move(freed));
-        recordCommit(elapsedUs(commit_t0), writes.size(),
-                     tx.leaves_.size());
+        recordCommit(elapsedUs(commit_t0), writes.size());
     } catch (...) {
         free_ = std::move(free_backup);
         allocHigh_ = alloc_backup;
@@ -1200,20 +1199,15 @@ PageStore::recordLockWait(std::uint64_t us)
     std::lock_guard<std::mutex> lock(profileMu_);
     ++profile_.lockAcquisitions;
     profile_.lockWaitUsTotal += us;
-    profile_.lockWaitUs.observe(us);
 }
 
 void
-PageStore::recordCommit(std::uint64_t us, std::uint64_t cow_pages,
-                        std::uint64_t leaf_reads)
+PageStore::recordCommit(std::uint64_t us, std::uint64_t cow_pages)
 {
     std::lock_guard<std::mutex> lock(profileMu_);
     ++profile_.commitCount;
     profile_.commitUsTotal += us;
     profile_.pagesWrittenTotal += cow_pages;
-    profile_.commitUs.observe(us);
-    profile_.commitCowPages.observe(cow_pages);
-    profile_.commitLeafReads.observe(leaf_reads);
 }
 
 StoreProfile

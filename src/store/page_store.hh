@@ -83,7 +83,6 @@
 #include <vector>
 
 #include "mmap_file.hh"
-#include "obs/metrics.hh"
 
 namespace osp::store
 {
@@ -158,10 +157,6 @@ struct StoreProfile
     std::uint64_t commitCount = 0;
     std::uint64_t commitUsTotal = 0;
     std::uint64_t pagesWrittenTotal = 0;  //!< COW pages across commits
-    obs::Histogram lockWaitUs;       //!< µs blocked per acquisition
-    obs::Histogram commitUs;         //!< µs per commit
-    obs::Histogram commitCowPages;   //!< pages written per commit
-    obs::Histogram commitLeafReads;  //!< B+tree leaves decoded per commit
 };
 
 class PageStore;
@@ -402,8 +397,7 @@ class PageStore
 
     /** Self-profiling recorders (thread-safe; see StoreProfile). */
     void recordLockWait(std::uint64_t us);
-    void recordCommit(std::uint64_t us, std::uint64_t cow_pages,
-                      std::uint64_t leaf_reads);
+    void recordCommit(std::uint64_t us, std::uint64_t cow_pages);
 
     std::unique_ptr<MmapFile> file_;
     Meta meta_;                     //!< last committed meta

@@ -1,25 +1,30 @@
 /** @file Tests for the distributed claim-loop executor: worker-
  *  count byte-invariance of the assembled document, cross-worker
  *  retry of failed cells up to the policy limit (terminal failure
- *  only on exhaustion), stale-lease reclamation (free of retry
- *  charge, including from a corrupt heartbeat counter), the
- *  background lease refresher that keeps a slow cell's claim
- *  fresh, the claim-aware assembly of exhausted failures, and
- *  that cells execute outside the store's writer gate. Concurrency
- *  scenarios run two shared-mode store handles in one process —
- *  flock(2) makes them contend exactly like two processes. */
+ *  only on exhaustion), reclamation of a dead owner's claim (free
+ *  of retry charge, including after a real SIGKILL), that a live
+ *  owner's claim is never stolen and a second live worker with the
+ *  same owner id is rejected, the claim-aware assembly of
+ *  exhausted failures, and that cells execute outside the store's
+ *  writer gate. Concurrency scenarios run two shared-mode store
+ *  handles in one process — flock(2) makes them contend exactly
+ *  like two processes; the crash scenario forks a real one. */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <csignal>
 #include <filesystem>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "driver/cell_cache.hh"
 #include "driver/cell_io.hh"
@@ -56,10 +61,16 @@ class ClaimExecutorTest : public ::testing::Test
     void
     removeFiles()
     {
-        std::filesystem::remove(path_);
-        std::filesystem::remove(path_ + ".lock");
-        std::filesystem::remove(path_ + ".ref");
-        std::filesystem::remove(path_ + ".ref.lock");
+        // The store, its gate, the reference store and every owner
+        // lock sidecar share path_'s name as a prefix.
+        std::filesystem::path base(path_);
+        std::string stem = base.filename().string();
+        for (const auto &entry : std::filesystem::directory_iterator(
+                 base.parent_path())) {
+            std::string name = entry.path().filename().string();
+            if (name.compare(0, stem.size(), stem) == 0)
+                std::filesystem::remove(entry.path());
+        }
     }
 
     std::unique_ptr<store::PageStore>
@@ -219,8 +230,8 @@ TEST_F(ClaimExecutorTest, TwoConcurrentWorkersAreByteInvariant)
         t1.join();
         t2.join();
     }
-    // Every cell committed exactly once across workers (default
-    // lease is far longer than this run, so no reclaims happen).
+    // Every cell committed exactly once across workers (both
+    // owners stay alive, so no reclaims happen).
     EXPECT_EQ(s1.committed + s2.committed, 4u);
     EXPECT_EQ(s1.lostLeases + s2.lostLeases, 0u);
 
@@ -300,11 +311,9 @@ TEST_F(ClaimExecutorTest, FailedCellIsRetriedByAnotherClaimant)
         victim_key = cache.cellKey(spec, cells[victim_index], 0);
         store::ClaimTable table(kFingerprint);
         store::WriteTx tx = store->beginWrite();
-        table.bumpHeartbeat(tx);
         store::ClaimRecord rec;
         rec.owner = "w1";
         rec.state = store::ClaimState::Retry;
-        rec.epoch = 1;
         rec.retries = 1;
         rec.error = "transient failure in w1";
         table.put(tx, victim_key, rec);
@@ -397,16 +406,16 @@ TEST_F(ClaimExecutorTest, CellFailsOnlyAfterRetryExhaustion)
     EXPECT_NE(assembled.find(error), std::string::npos);
 }
 
-TEST_F(ClaimExecutorTest, ExpiredLeaseIsReclaimedAndReRun)
+TEST_F(ClaimExecutorTest, DeadOwnerIsReclaimedFree)
 {
     SweepSpec spec = tinySpec();
     std::vector<SweepCell> cells = expandSweep(spec);
     const std::size_t stuck_index = 0;
 
-    // A crashed worker's footprint: a live claim whose epoch is
-    // far behind the heartbeat. Its retry count already sits one
-    // below the limit, so a reclaim that charged a retry would
-    // terminally fail the cell.
+    // A crashed worker's footprint: a live claim whose owner lock
+    // nobody holds. Its retry count already sits one below the
+    // limit, so a reclaim that charged a retry would terminally
+    // fail the cell.
     std::string stuck_key;
     {
         auto store = openShared();
@@ -417,11 +426,8 @@ TEST_F(ClaimExecutorTest, ExpiredLeaseIsReclaimedAndReRun)
         store::ClaimRecord rec;
         rec.owner = "ghost";
         rec.state = store::ClaimState::Claimed;
-        rec.epoch = 1;
         rec.retries = 2;
         table.put(tx, stuck_key, rec);
-        tx.put(store::ClaimTable::heartbeatKey(kFingerprint),
-               "100");
         tx.commit();
     }
 
@@ -430,13 +436,14 @@ TEST_F(ClaimExecutorTest, ExpiredLeaseIsReclaimedAndReRun)
         CellCache cache(*store, kFingerprint);
         WorkerOptions w;
         w.owner = "rescuer";
-        w.leaseTicks = 8;  // 100 - 1 >> 8: expired
         w.maxRetries = 3;
         w.cellRunner = fakeCell;
         WorkerStats stats = runSweepWorker(spec, cache, w);
         EXPECT_EQ(stats.committed, 4u);
         EXPECT_EQ(stats.reclaimed, 1u);
         EXPECT_EQ(stats.exhausted, 0u);
+        // Reclaimed on the first pass: nothing to wait for.
+        EXPECT_EQ(stats.polls, 0u);
     }
     {
         auto store = openShared();
@@ -446,7 +453,7 @@ TEST_F(ClaimExecutorTest, ExpiredLeaseIsReclaimedAndReRun)
         EXPECT_EQ(rec->state, store::ClaimState::Done);
         EXPECT_EQ(rec->owner, "rescuer");
         // Reclaiming is free: only execution failures charge
-        // retries, so lease churn can never exhaust a cell.
+        // retries, so crashes alone can never exhaust a cell.
         EXPECT_EQ(rec->retries, 2u);
     }
 
@@ -456,132 +463,44 @@ TEST_F(ClaimExecutorTest, ExpiredLeaseIsReclaimedAndReRun)
               referenceJson(spec, path_ + ".ref", base));
 }
 
-TEST_F(ClaimExecutorTest, CorruptHeartbeatHealsByFreeReclaim)
+TEST_F(ClaimExecutorTest, KilledWorkerIsReclaimedAfterExit)
 {
     SweepSpec spec = tinySpec();
-    std::vector<SweepCell> cells = expandSweep(spec);
 
-    // A corrupt heartbeat record parses as 0, so the bumped
-    // counter restarts at 1 — *below* every recorded epoch. The
-    // claim must read as infinitely old (not as fresh forever, and
-    // not underflow into a retry charge): the cell is reclaimed at
-    // no cost and the keyspace heals.
-    std::string stuck_key;
-    {
-        auto store = openShared();
-        CellCache cache(*store, kFingerprint);
-        stuck_key = cache.cellKey(spec, cells[0], 0);
-        store::ClaimTable table(kFingerprint);
-        store::WriteTx tx = store->beginWrite();
-        store::ClaimRecord rec;
-        rec.owner = "ghost";
-        rec.state = store::ClaimState::Claimed;
-        rec.epoch = 50;
-        rec.retries = 2;  // one reclaim charge from terminal
-        table.put(tx, stuck_key, rec);
-        tx.put(store::ClaimTable::heartbeatKey(kFingerprint),
-               "not a number");
-        tx.commit();
+    // A real crash: the child claims one cell and SIGKILLs itself
+    // holding it, so only the kernel can release its owner lock.
+    pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        try {
+            auto store = openShared();
+            CellCache cache(*store, kFingerprint);
+            WorkerOptions w;
+            w.owner = "victim";
+            w.cellRunner = fakeCell;
+            w.killAfterFirstClaim = true;
+            runSweepWorker(spec, cache, w);
+        } catch (...) {
+        }
+        ::_exit(1);  // only reached when the kill seam failed
     }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFSIGNALED(status)) << "child exited " << status;
+    ASSERT_EQ(WTERMSIG(status), SIGKILL);
 
-    {
-        auto store = openShared();
-        CellCache cache(*store, kFingerprint);
-        WorkerOptions w;
-        w.owner = "healer";
-        w.leaseTicks = 8;
-        w.maxRetries = 3;
-        w.cellRunner = fakeCell;
-        WorkerStats stats = runSweepWorker(spec, cache, w);
-        EXPECT_EQ(stats.committed, 4u);
-        EXPECT_EQ(stats.reclaimed, 1u);
-        EXPECT_EQ(stats.exhausted, 0u);
-    }
-    {
-        auto store = openShared();
-        store::ClaimTable table(kFingerprint);
-        store::ReadTx read = store->beginRead();
-        auto rec = table.get(read, stuck_key);
-        ASSERT_TRUE(rec.has_value());
-        EXPECT_EQ(rec->state, store::ClaimState::Done);
-        EXPECT_EQ(rec->owner, "healer");
-        EXPECT_EQ(rec->retries, 2u);
-        // The counter is a decimal clock again, ahead of every
-        // epoch (what check_store.py asserts).
-        EXPECT_GE(table.heartbeat(read), rec->epoch);
-    }
-
-    RunnerOptions base;
-    base.cellRunner = fakeCell;
-    EXPECT_EQ(assembleJson(spec, path_, base),
-              referenceJson(spec, path_ + ".ref", base));
-}
-
-TEST_F(ClaimExecutorTest, RefresherKeepsSlowCellLeaseFresh)
-{
-    SweepSpec spec = tinySpec();
-    std::vector<SweepCell> cells = expandSweep(spec);
-
-    // While cell 0 executes, a peer races the heartbeat far past
-    // the lease length, then waits for the owner's background
-    // refresher to pull the claim's epoch back within it. Without
-    // refreshing, the lease would sit expired for the whole
-    // execution (age ~12 >> leaseTicks 4) and never recover.
-    std::atomic<bool> refreshed{false};
     WorkerStats stats;
     {
         auto store = openShared();
         CellCache cache(*store, kFingerprint);
-        std::string slow_key = cache.cellKey(spec, cells[0], 0);
         WorkerOptions w;
-        w.owner = "tortoise";
-        w.leaseTicks = 4;
-        w.refreshMs = 10;
-        w.cellRunner = [&](const SweepSpec &s, const SweepCell &c,
-                           std::size_t tc) {
-            if (c.index == 0) {
-                auto peer = openShared();
-                store::ClaimTable table(kFingerprint);
-                for (int i = 0; i < 12; ++i) {
-                    store::WriteTx tx = peer->beginWrite();
-                    table.bumpHeartbeat(tx);
-                    tx.commit();
-                }
-                auto deadline = std::chrono::steady_clock::now() +
-                                std::chrono::seconds(10);
-                while (std::chrono::steady_clock::now() <
-                       deadline) {
-                    bool fresh = false;
-                    {
-                        // Scope the read tx tightly: in shared
-                        // mode it holds the store gate, which the
-                        // refresher needs to land its write.
-                        store::ReadTx read = peer->beginRead();
-                        auto rec = table.get(read, slow_key);
-                        std::uint64_t hb = table.heartbeat(read);
-                        fresh =
-                            rec &&
-                            rec->state ==
-                                store::ClaimState::Claimed &&
-                            rec->owner == "tortoise" &&
-                            hb - rec->epoch <= 4;
-                    }
-                    if (fresh) {
-                        refreshed = true;
-                        break;
-                    }
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(5));
-                }
-            }
-            return fakeCell(s, c, tc);
-        };
+        w.owner = "survivor";
+        w.cellRunner = fakeCell;
         stats = runSweepWorker(spec, cache, w);
     }
-    EXPECT_TRUE(refreshed.load());
-    EXPECT_GE(stats.refreshes, 1u);
+    EXPECT_EQ(stats.reclaimed, 1u);
     EXPECT_EQ(stats.committed, 4u);
-    EXPECT_EQ(stats.lostLeases, 0u);
+    EXPECT_EQ(stats.exhausted, 0u);
 
     RunnerOptions base;
     base.cellRunner = fakeCell;
@@ -589,12 +508,16 @@ TEST_F(ClaimExecutorTest, RefresherKeepsSlowCellLeaseFresh)
               referenceJson(spec, path_ + ".ref", base));
 }
 
-TEST_F(ClaimExecutorTest, LiveLeaseIsNotStolen)
+TEST_F(ClaimExecutorTest, LiveOwnerIsNotStolen)
 {
     SweepSpec spec = tinySpec();
     std::vector<SweepCell> cells = expandSweep(spec);
 
-    // Another worker holds a *fresh* lease on cell 0.
+    // Another worker, alive (we hold its owner lock), has claimed
+    // cell 0.
+    store::FileLock peer_alive(
+        store::ClaimTable::ownerLockPath(path_, "busy-peer"));
+    ASSERT_TRUE(peer_alive.tryLock("worker busy-peer", 0));
     std::string held_key;
     {
         auto store = openShared();
@@ -602,25 +525,21 @@ TEST_F(ClaimExecutorTest, LiveLeaseIsNotStolen)
         held_key = cache.cellKey(spec, cells[0], 0);
         store::ClaimTable table(kFingerprint);
         store::WriteTx tx = store->beginWrite();
-        std::uint64_t hb = table.bumpHeartbeat(tx);
         store::ClaimRecord rec;
         rec.owner = "busy-peer";
         rec.state = store::ClaimState::Claimed;
-        rec.epoch = hb;
         table.put(tx, held_key, rec);
         tx.commit();
     }
 
-    // With a huge lease the peer's claim never expires; the worker
-    // must do the other three cells, then poll, and give up only
-    // when we complete the peer's cell for it.
+    // The worker must do the other three cells, then poll, and
+    // give up only when the peer completes its cell.
     std::thread completer;
     {
         auto store = openShared();
         CellCache cache(*store, kFingerprint);
         WorkerOptions w;
         w.owner = "patient";
-        w.leaseTicks = 1'000'000;
         w.pollMs = 10;
         w.cellRunner = fakeCell;
         completer = std::thread([&] {
@@ -632,7 +551,6 @@ TEST_F(ClaimExecutorTest, LiveLeaseIsNotStolen)
             store::ClaimTable table(kFingerprint);
             CellResult r = fakeCell(spec, cells[0], 0);
             store::WriteTx tx = peer_store->beginWrite();
-            table.bumpHeartbeat(tx);
             auto rec = table.get(tx, held_key);
             ASSERT_TRUE(rec.has_value());
             rec->state = store::ClaimState::Done;
@@ -652,6 +570,62 @@ TEST_F(ClaimExecutorTest, LiveLeaseIsNotStolen)
     base.cellRunner = fakeCell;
     EXPECT_EQ(assembleJson(spec, path_, base),
               referenceJson(spec, path_ + ".ref", base));
+}
+
+TEST_F(ClaimExecutorTest, DuplicateLiveOwnerIsRejected)
+{
+    SweepSpec spec = tinySpec();
+
+    // A live worker already runs as "twin". A second one would
+    // take the first's claims for stale claims of its own and run
+    // cells twice; it must fail at start instead, naming the
+    // holder.
+    store::FileLock first(
+        store::ClaimTable::ownerLockPath(path_, "twin"));
+    ASSERT_TRUE(first.tryLock("worker twin", 0));
+
+    std::atomic<int> executions{0};
+    {
+        auto store = openShared();
+        CellCache cache(*store, kFingerprint);
+        WorkerOptions w;
+        w.owner = "twin";
+        w.cellRunner = [&](const SweepSpec &s, const SweepCell &c,
+                           std::size_t tc) {
+            ++executions;
+            return fakeCell(s, c, tc);
+        };
+        try {
+            runSweepWorker(spec, cache, w);
+            ADD_FAILURE() << "a second live 'twin' worker ran";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "pid " + std::to_string(::getpid()) +
+                          " (worker twin)"),
+                      std::string::npos)
+                << e.what();
+        }
+        // It claimed nothing.
+        std::size_t claims = 0;
+        store->beginRead().scan(
+            "claim/", [&](std::string_view, std::string_view) {
+                ++claims;
+                return true;
+            });
+        EXPECT_EQ(claims, 0u);
+    }
+    EXPECT_EQ(executions.load(), 0);
+
+    // Once the first worker is gone the id is free again.
+    first.unlock();
+    {
+        auto store = openShared();
+        CellCache cache(*store, kFingerprint);
+        WorkerOptions w;
+        w.owner = "twin";
+        w.cellRunner = fakeCell;
+        EXPECT_EQ(runSweepWorker(spec, cache, w).committed, 4u);
+    }
 }
 
 } // namespace

@@ -1,6 +1,6 @@
-/** @file Tests for the claim/lease codec and transaction helpers:
+/** @file Tests for the claim codec and transaction helpers:
  *  canonical record round-trips, strict rejection of malformed
- *  records, key layout, and the heartbeat counter. */
+ *  records, and the key and owner-lock path layout. */
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 
 #include "store/claim_table.hh"
 #include "store/page_store.hh"
+#include "util/hash.hh"
 
 namespace osp::store
 {
@@ -49,7 +50,12 @@ TEST(ClaimTableKeys, Layout)
 {
     EXPECT_EQ(ClaimTable::claimKey("f00d", "abc123"),
               "claim/f00d/abc123");
-    EXPECT_EQ(ClaimTable::heartbeatKey("f00d"), "claimhb/f00d");
+    // 16-hex stableHash64 of the owner id, beside the store file.
+    EXPECT_EQ(ClaimTable::ownerLockPath("runs/s.db", "w1"),
+              "runs/s.db.owner.08cb8707b56d7b05");
+    EXPECT_EQ(stableHash64("w1"), 0x08cb8707b56d7b05ULL);
+    EXPECT_NE(ClaimTable::ownerLockPath("s.db", "w1"),
+              ClaimTable::ownerLockPath("s.db", "w2"));
 }
 
 TEST(ClaimTableCodec, RoundTripsEveryStateExactly)
@@ -60,7 +66,6 @@ TEST(ClaimTableCodec, RoundTripsEveryStateExactly)
         ClaimRecord rec;
         rec.owner = "worker-1";
         rec.state = state;
-        rec.epoch = 41;
         rec.retries = 2;
         if (state == ClaimState::Retry ||
             state == ClaimState::Failed)
@@ -73,7 +78,6 @@ TEST(ClaimTableCodec, RoundTripsEveryStateExactly)
             << claimStateName(state);
         EXPECT_EQ(decoded->owner, rec.owner);
         EXPECT_EQ(decoded->state, rec.state);
-        EXPECT_EQ(decoded->epoch, rec.epoch);
         EXPECT_EQ(decoded->retries, rec.retries);
         EXPECT_EQ(decoded->error, rec.error);
         // Canonical: encoding is a fixpoint.
@@ -97,17 +101,16 @@ TEST(ClaimTableCodec, RejectsMalformedRecords)
     EXPECT_EQ(ClaimTable::decode("[1,2]"), std::nullopt);
     // Unknown state name.
     EXPECT_EQ(ClaimTable::decode(
-                  R"({"owner":"w","state":"zombie","epoch":1,)"
+                  R"({"owner":"w","state":"zombie",)"
                   R"("retries":0})"),
               std::nullopt);
     // Wrong types.
     EXPECT_EQ(ClaimTable::decode(
-                  R"({"owner":1,"state":"done","epoch":1,)"
+                  R"({"owner":1,"state":"done",)"
                   R"("retries":0})"),
               std::nullopt);
     EXPECT_EQ(ClaimTable::decode(
-                  R"({"owner":"w","state":"done","epoch":"x",)"
-                  R"("retries":0})"),
+                  R"({"owner":"w","state":"done","retries":"x"})"),
               std::nullopt);
     // Missing field.
     EXPECT_EQ(
@@ -124,21 +127,6 @@ TEST(ClaimTableCodec, StateNamesRoundTrip)
     EXPECT_EQ(claimStateFromName("bogus"), std::nullopt);
 }
 
-TEST_F(ClaimTableTest, HeartbeatStartsAtZeroAndCounts)
-{
-    ClaimTable table("fp");
-    EXPECT_EQ(table.heartbeat(store_->beginRead()), 0u);
-    for (std::uint64_t want = 1; want <= 3; ++want) {
-        WriteTx tx = store_->beginWrite();
-        EXPECT_EQ(table.bumpHeartbeat(tx), want);
-        tx.commit();
-    }
-    EXPECT_EQ(table.heartbeat(store_->beginRead()), 3u);
-    // Independent per fingerprint.
-    EXPECT_EQ(ClaimTable("other").heartbeat(store_->beginRead()),
-              0u);
-}
-
 TEST_F(ClaimTableTest, RecordLifecycleThroughTheStore)
 {
     ClaimTable table("fp");
@@ -147,7 +135,6 @@ TEST_F(ClaimTableTest, RecordLifecycleThroughTheStore)
 
     ClaimRecord rec;
     rec.owner = "w1";
-    rec.epoch = 7;
     {
         WriteTx tx = store_->beginWrite();
         table.put(tx, "cell1", rec);

@@ -5,7 +5,7 @@
  *  refresh, nested-transaction rejection, gate timeouts), and
  *  snapshot isolation: a reader concurrent with a writer sees the
  *  old or the new value of a multi-page record together with the
- *  heartbeat committed beside it, never a torn mix, and a commit
+ *  counter committed beside it, never a torn mix, and a commit
  *  killed at the meta-write fail point leaves the previous pair
  *  intact.
  *
@@ -24,7 +24,6 @@
 #include <string>
 #include <thread>
 
-#include "store/claim_table.hh"
 #include "store/page_store.hh"
 
 namespace osp::store
@@ -219,7 +218,7 @@ TEST_F(SharedStoreTest, TransactionGateTimesOutWithHolderHint)
     EXPECT_EQ(a->beginRead().get("k"), "v");
 }
 
-/** A value that pairs with heartbeat @p n: "<n>:" followed by
+/** A value that pairs with counter @p n: "<n>:" followed by
  *  three pages' worth of one letter chosen by @p n, so the record
  *  spans an overflow run and a torn read shows as mixed letters. */
 std::string
@@ -230,7 +229,7 @@ pairedValue(std::uint64_t n, const PageStore &store)
                        static_cast<char>('a' + n % 26));
 }
 
-/** The heartbeat @p value was written with; nullopt when the
+/** The counter @p value was written with; nullopt when the
  *  value is not exactly pairedValue() of its own prefix. */
 std::optional<std::uint64_t>
 pairedNumber(const std::string &value, const PageStore &store)
@@ -246,14 +245,14 @@ pairedNumber(const std::string &value, const PageStore &store)
 
 TEST_F(SharedStoreTest, SnapshotReadersSeeOldOrNewNeverTorn)
 {
-    // A multi-page value and the heartbeat it pairs with are
+    // A multi-page value and the counter it pairs with are
     // committed in one transaction, so any reader must observe them
-    // as a pair — intact, value == heartbeat, never going backwards
+    // as a pair — intact, value == counter, never going backwards
     // — no matter how its reads interleave with the writer's
     // commits.
     constexpr const char *fp = "tornfp";
     const std::string key = "value/" + std::string(fp);
-    const std::string hb_key = ClaimTable::heartbeatKey(fp);
+    const std::string hb_key = "counter/" + std::string(fp);
     constexpr std::uint64_t rounds = 40;
 
     auto writer = PageStore::open(path_, sharedOptions());
@@ -280,7 +279,7 @@ TEST_F(SharedStoreTest, SnapshotReadersSeeOldOrNewNeverTorn)
             hb = read.get(hb_key);
         }
         if (!raw) {
-            // Nothing committed yet; the heartbeat can't have
+            // Nothing committed yet; the counter can't have
             // committed without the value either.
             EXPECT_FALSE(hb.has_value());
             continue;
@@ -305,12 +304,12 @@ TEST_F(SharedStoreTest, FailedCommitPreservesPreviousSnapshot)
 {
     // Kill-point companion to the page-store crash tests: a commit
     // that dies before the meta write must leave the previously
-    // committed multi-page value (and its heartbeat) intact, both
+    // committed multi-page value (and its counter) intact, both
     // for this handle and for a fresh read-only open — which is
     // what a reader opening across a worker crash sees.
     constexpr const char *fp = "killfp";
     const std::string key = "value/" + std::string(fp);
-    const std::string hb_key = ClaimTable::heartbeatKey(fp);
+    const std::string hb_key = "counter/" + std::string(fp);
 
     auto store = PageStore::open(path_, sharedOptions());
     {

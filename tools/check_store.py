@@ -17,14 +17,13 @@ without linking the simulator:
     every overflow value run
   * the freelist run is decoded and checked for range, duplicates
     and overlap with reachable pages
-  * the claim/lease keyspace of distributed sweeps
+  * the claim keyspace of distributed sweeps
     (src/store/claim_table.hh) is cross-checked: every
     ``claim/<fp>/<cellkey>`` record must decode (owner, known
-    state, epoch, retries), a done claim must have its matching
+    state, retries), a done claim must have its matching
     ``cell/<fp>/<cellkey>`` value, a live claim must *not* (commit
-    writes both atomically), no owner may hold two live claims at
-    once (workers claim one cell per transaction), and no claim may
-    be newer than its fingerprint's ``claimhb/<fp>`` heartbeat
+    writes both atomically), and no owner may hold two live claims
+    at once (workers claim one cell per transaction)
   * the cell result keyspace (src/driver/cell_io.cc) is validated:
     every ``cell/<fp>/<cellkey>`` value must be a valid
     ``ospredict-cell-v1`` document, and any cell recorded under a
@@ -35,9 +34,9 @@ without linking the simulator:
     binary (or hand-edited) is rejected instead of silently
     assembling sampled cells with no estimates
 
-Any other key (for example worker telemetry that older builds
-wrote) is opaque: its tree framing is checked, its value is not
-interpreted.
+Any other key (for example the ``fleet/`` worker telemetry and
+``claimhb/`` counters that older builds wrote) is opaque: its tree
+framing is checked, its value is not interpreted.
 
 Exit status 0 means the store is healthy (a report is printed,
 ``--json`` for machine-readable form); any corruption exits 1 with
@@ -182,13 +181,13 @@ def pick_meta(data: bytes, path: str):
 def walk_tree(data: bytes, meta: Meta):
     """Validate the live tree; returns (stats, reachable page set,
     coordination view). The coordination view is what the claim and
-    payload checkers need: claim records, heartbeats and cell
-    results by key (raw values)."""
+    payload checkers need: claim records and cell results by key
+    (raw values)."""
     ps = meta.page_size
     reachable = {0, 1}
     stats = {"leaf_pages": 0, "overflow_pages": 0,
              "root_run_pages": 0, "keys": 0, "value_bytes": 0}
-    coord = {"claims": {}, "heartbeats": {}, "cells": {}}
+    coord = {"claims": {}, "cells": {}}
     if meta.root == 0:
         return stats, reachable, coord
 
@@ -241,8 +240,7 @@ def walk_tree(data: bytes, meta: Meta):
                 raise Corrupt(f"keys out of order at leaf {leaf}")
             prev_key = key
             value = None
-            want_value = key.startswith(
-                (b"claim/", b"claimhb/", b"cell/"))
+            want_value = key.startswith((b"claim/", b"cell/"))
             if is_overflow:
                 (ov,) = struct.unpack_from(
                     "<Q", data, base + pos + 9 + ksize)
@@ -270,9 +268,6 @@ def walk_tree(data: bytes, meta: Meta):
             if key.startswith(b"claim/"):
                 coord["claims"][key.decode("utf-8",
                                            "replace")] = value
-            elif key.startswith(b"claimhb/"):
-                coord["heartbeats"][key.decode(
-                    "utf-8", "replace")] = value
             elif key.startswith(b"cell/"):
                 coord["cells"][key.decode("utf-8",
                                           "replace")] = value
@@ -312,17 +307,9 @@ CLAIM_STATES = ("claimed", "retry", "done", "failed")
 
 
 def check_claims(coord: dict, no_orphans: bool) -> dict:
-    """Validate the claim/lease keyspace (see module docstring);
-    returns per-state counts. Raises Corrupt on any violation."""
+    """Validate the claim keyspace (see module docstring); returns
+    per-state counts. Raises Corrupt on any violation."""
     counts = {state: 0 for state in CLAIM_STATES}
-    heartbeats = {}
-    for key, raw in coord["heartbeats"].items():
-        fp = key[len("claimhb/"):]
-        try:
-            heartbeats[fp] = int(raw.decode("ascii"))
-        except (UnicodeDecodeError, ValueError):
-            raise Corrupt(f"heartbeat {key} is not a decimal "
-                          "counter")
 
     live_owners = {}  # fingerprint -> owner -> claim key
     for key, raw in sorted(coord["claims"].items()):
@@ -336,19 +323,10 @@ def check_claims(coord: dict, no_orphans: bool) -> dict:
         if (not isinstance(rec, dict)
                 or not isinstance(rec.get("owner"), str)
                 or rec.get("state") not in CLAIM_STATES
-                or not isinstance(rec.get("epoch"), int)
                 or not isinstance(rec.get("retries"), int)):
             raise Corrupt(f"claim {key} has a malformed record")
         state = rec["state"]
         counts[state] += 1
-
-        hb = heartbeats.get(fp)
-        if hb is None:
-            raise Corrupt(f"claim {key} has no heartbeat "
-                          f"claimhb/{fp}")
-        if rec["epoch"] > hb:
-            raise Corrupt(f"claim {key} epoch {rec['epoch']} is "
-                          f"ahead of heartbeat {hb}")
 
         has_cell = f"cell/{fp}/{cell_key}" in coord["cells"]
         if state == "done" and not has_cell:
