@@ -1,15 +1,13 @@
 /**
  * @file
- * Ablation 4: cache-pollution models for predicted OS intervals,
- * plus branch-predictor warming.
+ * Ablation 4: cache-pollution models for predicted OS intervals.
  *
  * The paper's Sec. 4.5 model invalidates predicted-miss-count
  * application lines in random sets. On an OS-dominated substrate
  * that saturates (every set soon holds an invalid line) and ignores
  * kernel-on-kernel displacement, so this repository adds synthetic
  * installation and footprint-faithful installation (DESIGN.md).
- * This bench quantifies each step, and the effect of replaying
- * emulated branches into the shared predictor.
+ * This bench quantifies each step.
  */
 
 #include "common.hh"
@@ -21,9 +19,7 @@ main(int argc, char **argv)
     using namespace osp::bench;
     init(argc, argv);
 
-    banner("Ablation 4",
-           "pollution policies and BP warming for predicted "
-           "intervals");
+    banner("Ablation 4", "pollution policies for predicted intervals");
 
     const PollutionPolicy policies[] = {
         PollutionPolicy::None,
@@ -33,8 +29,7 @@ main(int argc, char **argv)
         PollutionPolicy::Footprint,
     };
 
-    TablePrinter table({"bench", "policy", "bp_warming",
-                        "time_err"});
+    TablePrinter table({"bench", "policy", "time_err"});
     for (const auto &name : osIntensiveWorkloads()) {
         MachineConfig cfg = paperConfig();
         RunTotals full = runFull(name, cfg, shapeScale);
@@ -46,18 +41,9 @@ main(int argc, char **argv)
             double err = absError(
                 static_cast<double>(res.totals.totalCycles()),
                 static_cast<double>(full.totalCycles()));
-            table.addRow({name, pollutionPolicyName(policy), "on",
+            table.addRow({name, pollutionPolicyName(policy),
                           TablePrinter::pct(err)});
         }
-        // Footprint with BP warming disabled.
-        MachineConfig c = cfg;
-        c.bpWarming = false;
-        AccelResult res = runAccelerated(name, c, shapeScale);
-        double err = absError(
-            static_cast<double>(res.totals.totalCycles()),
-            static_cast<double>(full.totalCycles()));
-        table.addRow({name, "footprint", "off",
-                      TablePrinter::pct(err)});
     }
     table.print(std::cout);
 
@@ -65,7 +51,6 @@ main(int argc, char **argv)
         "the paper's app-only invalidation suffices on its "
         "app-centric caches; with 67-99% kernel instructions, "
         "modelling the skipped service's own footprint (install/"
-        "footprint) and its branch-history pollution is what "
-        "recovers the 3%-level accuracy.");
+        "footprint) is what recovers the 3%-level accuracy.");
     return 0;
 }

@@ -89,6 +89,42 @@ BM_FootprintInstall(benchmark::State &state)
 }
 BENCHMARK(BM_FootprintInstall);
 
+/**
+ * Drawing one predicted service's footprint from its plan, the
+ * sample BM_FootprintInstall installs: a read-like plan (entry and
+ * exit on the stack, random metadata walks, a 4KB copy) drawn at
+ * 256 data and 64 code lines. Reported per drawn line, which also
+ * pays for the accesses visited on a line already drawn.
+ */
+void
+BM_FootprintDraw(benchmark::State &state)
+{
+    CodeProfile prof;
+    prof.code = Region{0xc0400000ULL, 64 * 1024};
+    CodeGenerator gen(1, 1);
+    gen.pushCompute(prof, 90, Region{0xc0010000ULL, 8192});
+    gen.pushCompute(prof, 400, Region{0xc1000000ULL, 1 << 20},
+                    PatternKind::Random);
+    gen.pushCompute(prof, 300, Region{0xc2000000ULL, 1 << 20},
+                    PatternKind::PointerChase);
+    gen.pushCopy(prof, 4096, Region{0xc3000000ULL, 1 << 20},
+                 Region{0x10000000ULL, 4096});
+    gen.pushCompute(prof, 70, Region{0xc0010000ULL, 8192});
+    constexpr std::size_t kData = 256, kCode = 64;
+    std::vector<Addr> data, code;
+    std::size_t lines = 0;
+    for (auto _ : state) {
+        gen.drawFootprint(kData, kCode, data, code);
+        benchmark::DoNotOptimize(data.data());
+        benchmark::DoNotOptimize(code.data());
+        lines = data.size() + code.size();
+    }
+    state.counters["per_line"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * lines),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FootprintDraw);
+
 void
 BM_HierarchyAccess(benchmark::State &state)
 {

@@ -100,7 +100,8 @@ machineContext(const MachineConfig &cfg)
     v.add("no_cache_mem_latency", cfg.cpu.noCacheMemLatency);
     v.add("level", static_cast<std::uint64_t>(cfg.level));
     v.add("record_intervals", cfg.recordIntervals);
-    v.add("bp_warming", cfg.bpWarming);
+    // A removed knob that was always on; kept so keys do not move.
+    v.add("bp_warming", true);
     v.add("block_ops", cfg.blockOps);
     return v;
 }

@@ -1,6 +1,9 @@
 #include "codegen.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <numeric>
 
 #include "util/logging.hh"
 
@@ -373,6 +376,203 @@ CodeGenerator::lowerCopy(WorkItem &item)
     }
     item.copyPhase = (item.copyPhase + 1) & 3;
     return op;
+}
+
+namespace
+{
+
+/** Seed streams of drawFootprint()'s data and code draws. */
+constexpr std::uint64_t kFootprintDataStream = 0xF007D47AULL;
+constexpr std::uint64_t kFootprintCodeStream = 0xF007C0DEULL;
+
+/**
+ * Positions 0..n-1 in a golden-ratio (Weyl) order, one per next():
+ * (start + i * step) mod n, with a uniform start and step the
+ * integer nearest n / φ that is coprime to n. Each position comes
+ * up once per n calls and each call's position is uniform over
+ * [0, n). One RNG draw per order and an add per position: no draw
+ * per position and no table, as a random permutation would need.
+ */
+class GoldenOrder
+{
+  public:
+    GoldenOrder(std::uint32_t n, Pcg32 &rng) : n(n), cur(rng.range(n))
+    {
+        step = static_cast<std::uint32_t>(
+            std::max(1.0, std::round(n * 0.6180339887498949)));
+        while (std::gcd(step, n) != 1)
+            ++step;
+        step %= n;
+    }
+
+    std::uint32_t
+    next()
+    {
+        const std::uint32_t pos = cur;
+        cur += step;
+        if (cur >= n)
+            cur -= n;
+        return pos;
+    }
+
+  private:
+    std::uint32_t n;
+    std::uint32_t cur;
+    std::uint32_t step;
+};
+
+/**
+ * Draw up to @p lines addresses on distinct cache lines: positions
+ * come in GoldenOrder over the positions @p count gives each of @p
+ * items, @p at maps each (item, position within the item) to an
+ * address, and an address whose line is already drawn is skipped.
+ * The draw stops at @p lines addresses or when every position is
+ * drawn. @p ends and @p seen are scratch, reused across calls.
+ */
+template <class Items, class Count, class At>
+void
+drawLines(const Items &items, std::vector<std::uint64_t> &ends,
+          std::vector<std::uint64_t> &seen, std::size_t lines,
+          Pcg32 &rng, Count count, At at, std::vector<Addr> &out)
+{
+    ends.clear();
+    std::uint64_t total = 0;
+    for (const auto &item : items)
+        ends.push_back(total += count(item));
+    const auto n = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(total, 0xffffffffULL));
+    const std::size_t k = std::min<std::size_t>(lines, n);
+    if (k == 0)
+        return;
+    // An open-addressing set of line + 1 words at most half full:
+    // at most k lines are kept, so it never grows.
+    std::size_t size = 16;
+    while (size < 2 * k)
+        size <<= 1;
+    seen.assign(size, 0);
+    const unsigned shift =
+        64 - static_cast<unsigned>(std::countr_zero(size));
+    GoldenOrder order(n, rng);
+    for (std::uint32_t drawn = 0; drawn < n && out.size() < k;
+         ++drawn) {
+        const std::uint32_t pos = order.next();
+        const std::size_t idx = static_cast<std::size_t>(
+            std::upper_bound(ends.begin(), ends.end(), pos) -
+            ends.begin());
+        const Addr a = at(items[idx], pos - (idx ? ends[idx - 1] : 0));
+        const std::uint64_t key = (a >> 6) + 1;
+        std::size_t h = static_cast<std::size_t>(
+            (key * 0x9E3779B97F4A7C15ULL) >> shift);
+        while (seen[h] != 0 && seen[h] != key)
+            h = (h + 1) & (size - 1);
+        if (seen[h] == 0) {
+            seen[h] = key;
+            out.push_back(a);
+        }
+    }
+}
+
+} // namespace
+
+void
+CodeGenerator::drawFootprint(std::size_t data_lines,
+                             std::size_t code_lines,
+                             std::vector<Addr> &data,
+                             std::vector<Addr> &code)
+{
+    data.clear();
+    code.clear();
+    Pcg32 fork = rng;
+    Pcg32 data_rng(fork.next64(), kFootprintDataStream);
+    Pcg32 code_rng(fork.next64(), kFootprintCodeStream);
+
+    drawLines(
+        items, drawEnds, drawSeen, data_lines, data_rng,
+        [](const WorkItem &item) -> std::uint64_t {
+            if (item.kind == WorkItem::Kind::Copy)
+                return item.opsLeft / 2;
+            return static_cast<std::uint64_t>(
+                (static_cast<unsigned __int128>(item.opsLeft) *
+                 item.thrStore) >>
+                32);
+        },
+        [&](const WorkItem &item, std::uint64_t p) {
+            return footprintData(item, p, data_rng);
+        },
+        data);
+    drawLines(
+        items, drawEnds, drawSeen, code_lines, code_rng,
+        [](const WorkItem &item) -> std::uint64_t {
+            return (item.opsLeft + 15) / 16;
+        },
+        [&](const WorkItem &item, std::uint64_t p) {
+            return footprintCode(item, 16 * p, code_rng);
+        },
+        code);
+}
+
+Addr
+CodeGenerator::footprintData(const WorkItem &item, std::uint64_t p,
+                             Pcg32 &r) const
+{
+    if (item.kind == WorkItem::Kind::Copy) {
+        // Unit p / 2 of the copy loop, whose cursors step 16 bytes
+        // and wrap to the region base.
+        const bool store = p & 1;
+        const Region &region = store ? item.dst : item.src;
+        const Addr cursor = store ? item.dstCursor : item.srcCursor;
+        std::uint64_t unit = (cursor - region.base) / 16 + p / 2;
+        const std::uint64_t lap = (region.size + 15) / 16;
+        if (region.size && unit >= lap)
+            unit %= lap;
+        return region.base + 16 * unit;
+    }
+    const Region &region = item.data;
+    switch (item.pattern) {
+      case PatternKind::Sequential:
+        {
+            // The cursor steps by stride from dataCursor to the
+            // region end, then laps from the region base.
+            const Addr end = region.base + region.size;
+            if (p * item.stride < end - item.dataCursor)
+                return item.dataCursor + p * item.stride;
+            const std::uint64_t first =
+                (end - item.dataCursor + item.stride - 1) /
+                item.stride;
+            const std::uint64_t lap =
+                (region.size + item.stride - 1) / item.stride;
+            return region.base + (p - first) % lap * item.stride;
+        }
+      case PatternKind::Random:
+      case PatternKind::PointerChase:
+        return region.base + 64ULL * r.rangeWith(item.dataDraw);
+      case PatternKind::Hot:
+        return region.base +
+               64ULL * r.rangeWith(r.chanceRaw(kThrHot)
+                                       ? item.hotDraw
+                                       : item.dataDraw);
+    }
+    return region.base;
+}
+
+Addr
+CodeGenerator::footprintCode(const WorkItem &item, std::uint64_t t,
+                             Pcg32 &r) const
+{
+    // The walk runs blockRunBytes / 4 ops from the item's start pc,
+    // then from a uniformly drawn block per run, wrapping at the
+    // region end.
+    const Region &code = item.profile.code;
+    const std::uint64_t run = item.profile.blockRunBytes / 4;
+    const std::uint64_t first = item.blockLeft / 4;
+    Addr pc;
+    if (t < first)
+        pc = item.pc + 4 * t;
+    else
+        pc = code.base + 64ULL * r.rangeWith(item.pcDraw) +
+             (run ? 4 * ((t - first) % run) : 0);
+    const Addr end = code.base + code.size;
+    return pc < end ? pc : code.base + (pc - end) % code.size;
 }
 
 template std::size_t

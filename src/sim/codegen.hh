@@ -36,13 +36,12 @@ enum class Lowering : std::uint8_t
     /** Every field: what the timing engines consume. */
     Full,
     /**
-     * pc, cls, effAddr and taken only: what a predicted OS service
-     * reads (op-mix tally, branch-predictor warming, footprint
-     * reservoirs). It makes exactly Full's RNG draws — a
-     * dependence-distance draw is taken and discarded — so the
-     * stream of those four fields and the generator's state after
-     * the call are Full's; depDist and execLat keep their MicroOp
-     * defaults.
+     * pc, cls, effAddr and taken only: what the op-mix tally of a
+     * predicted OS service and functional warming read. It makes
+     * exactly Full's RNG draws — a dependence-distance draw is
+     * taken and discarded — so the stream of those four fields and
+     * the generator's state after the call are Full's; depDist and
+     * execLat keep their MicroOp defaults.
      */
     Lean,
 };
@@ -104,8 +103,50 @@ class CodeGenerator
     template <Lowering L = Lowering::Full>
     std::size_t nextBlock(MicroOp *out, std::size_t cap);
 
-    /** Drop all queued work. */
-    void clear() { items.clear(); }
+    /**
+     * Draw a cache footprint of the queued plan without lowering
+     * it: what a predicted OS service installs in place of the
+     * lines it would have touched. Clears @p data and @p code,
+     * then fills them with:
+     *  - up to @p data_lines data addresses on distinct lines. The
+     *    plan's memory accesses are visited in a golden-ratio order
+     *    from a uniform start (each access equally likely at every
+     *    step, every prefix spread evenly over the plan), and each
+     *    access whose line is not drawn yet adds its address, so a
+     *    line comes up sooner the more accesses touch it. A Copy
+     *    item has two accesses per 16-byte unit; a Compute item has
+     *    its expected count, ops times the load-plus-store share;
+     *  - up to @p code_lines fetch addresses on distinct lines, the
+     *    same way over the plan's fetch positions, one per 16 ops
+     *    of each item.
+     * Each list stops short only when the plan touches fewer
+     * lines. Every line counts once because a miss fetches a whole
+     * line: a list with repeated lines would install fewer real
+     * lines than the predicted misses and leave the rest to
+     * synthetic tags.
+     *
+     * A Sequential or Copy access yields the address the lowering
+     * gives it. A Random, PointerChase or Hot access makes the
+     * item's own address draw. A fetch position sits on the item's
+     * code walk: its first run from the item's start pc, later
+     * runs from a drawn block.
+     *
+     * The draws come from two streams seeded off the generator's
+     * RNG state, which restart() fixes per invocation, so the
+     * footprint is a pure function of (seed, stream, plan). The
+     * visiting order does not depend on the counts asked for, so a
+     * shorter draw is a prefix of a longer one. The queued plan and
+     * the RNG are left as they were: lowering afterwards yields the
+     * stream it would have yielded without the draw. Costs
+     * O(positions visited x log(plan items) + plan items), a
+     * binary search finding each position's item: the visit stops
+     * at the lines asked for, so it passes them only by the
+     * positions that land on a line already drawn, and never
+     * passes the plan's access and fetch-position counts.
+     */
+    void drawFootprint(std::size_t data_lines, std::size_t code_lines,
+                       std::vector<Addr> &data,
+                       std::vector<Addr> &code);
 
     /**
      * Return to the state of a freshly constructed
@@ -169,6 +210,16 @@ class CodeGenerator
         bool depDraws = false;
     };
 
+    /** drawFootprint()'s address for access @p p of @p item (Copy:
+     *  loads at even, stores at odd positions), drawing from @p r
+     *  where the item's pattern draws. */
+    Addr footprintData(const WorkItem &item, std::uint64_t p,
+                       Pcg32 &r) const;
+
+    /** drawFootprint()'s pc for op @p t of @p item's code walk. */
+    Addr footprintCode(const WorkItem &item, std::uint64_t t,
+                       Pcg32 &r) const;
+
     /** Pick a data address for the current item and advance cursors. */
     Addr dataAddr(WorkItem &item, bool chase);
 
@@ -205,6 +256,10 @@ class CodeGenerator
      * region base each block.
      */
     std::unordered_map<Addr, Addr> seqCursors;
+    /** drawFootprint() scratch, reused across calls: per-item
+     *  position ends and the set of lines drawn. */
+    std::vector<std::uint64_t> drawEnds;
+    std::vector<std::uint64_t> drawSeen;
 };
 
 } // namespace osp

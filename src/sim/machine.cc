@@ -35,8 +35,7 @@ Machine::Machine(const MachineConfig &config,
       inorderNoCache(config_.cpu, nullptr, &bp),
       ooo(config_.cpu, &hier, &bp),
       oooNoCache(config_.cpu, nullptr, &bp),
-      serviceGen(config_.seed, 0x05ECA11ULL),
-      pollutionRng(config_.seed, 0x9011ULL)
+      serviceGen(config_.seed, 0x05ECA11ULL)
 {
     if (!workload_)
         osp_fatal("Machine requires a workload");
@@ -230,9 +229,11 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
     // class is a random draw, so a branch on it would mispredict.
     std::uint64_t mix[numOpClasses] = {};
     bool need_mix = controller_active && controller->wantsOpMix();
-    auto tally = [&](const MicroOp &op) {
-        ++mix[static_cast<int>(op.cls)];
-    };
+    // A predicted service's cache footprint is drawn from its plan
+    // (CodeGenerator::drawFootprint), never from lowered µops.
+    const bool footprint =
+        !detailed && warmupDone && usesCaches(config_.level) &&
+        config_.pollutionPolicy == PollutionPolicy::Footprint;
     MicroOp buf[kMaxBlockOps];
     std::size_t filled;
     if (detailed) {
@@ -243,78 +244,32 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
             while ((filled = gen.nextBlock(buf, kMaxBlockOps)) != 0) {
                 for (std::size_t i = 0; i < filled; ++i) {
                     eng->execute(buf[i], Owner::Os);
-                    tally(buf[i]);
+                    ++mix[static_cast<int>(buf[i].cls)];
                 }
                 n += filled;
             }
         }
-    } else if (config_.pollutionPolicy == PollutionPolicy::Footprint
-               && usesCaches(config_.level) && warmupDone) {
-        // Emulate, reservoir-sampling the interval's real addresses
-        // for footprint-faithful pollution injection below. Nothing
-        // here reads dependences or latencies, so the lowering is
-        // Lean (same draws, same pc/cls/effAddr/taken).
-        dataSample.clear();
-        codeSample.clear();
-        std::uint64_t data_seen = 0;
-        std::uint64_t code_seen = 0;
-        constexpr std::size_t dataCap = 2048;
-        constexpr std::size_t codeCap = 512;
+    } else if (need_mix) {
+        // The tally needs the op stream, and lowering consumes the
+        // plan, so the footprint is drawn first at its caps: a
+        // shorter draw is a prefix of it, so what gets installed
+        // below matches the plan-only path's. Nothing reads
+        // dependences or latencies, so the lowering is Lean.
+        if (footprint)
+            gen.drawFootprint(kFootprintDataCap, kFootprintCodeCap,
+                              dataSample, codeSample);
         while ((filled = gen.nextBlock<Lowering::Lean>(
                     buf, kMaxBlockOps)) != 0) {
-            for (std::size_t i = 0; i < filled; ++i) {
-                const MicroOp &op = buf[i];
-                tally(op);
-                ++n;
-                if (config_.bpWarming && op.cls == OpClass::Branch)
-                    bp.predictAndUpdate(op.pc, op.taken);
-                if (op.cls == OpClass::Load ||
-                    op.cls == OpClass::Store) {
-                    ++data_seen;
-                    if (dataSample.size() < dataCap) {
-                        dataSample.push_back(op.effAddr);
-                    } else {
-                        std::uint32_t j = pollutionRng.range(
-                            static_cast<std::uint32_t>(data_seen));
-                        if (j < dataCap)
-                            dataSample[j] = op.effAddr;
-                    }
-                }
-                if ((n & 15) == 0) {
-                    ++code_seen;
-                    if (codeSample.size() < codeCap) {
-                        codeSample.push_back(op.pc);
-                    } else {
-                        std::uint32_t j = pollutionRng.range(
-                            static_cast<std::uint32_t>(code_seen));
-                        if (j < codeCap)
-                            codeSample[j] = op.pc;
-                    }
-                }
-            }
+            for (std::size_t i = 0; i < filled; ++i)
+                ++mix[static_cast<int>(buf[i].cls)];
+            n += filled;
         }
     } else {
-        bool warm_bp = config_.bpWarming && warmupDone &&
-                       isDetailed(config_.level);
-        if (!warm_bp && !need_mix) {
-            // Nothing consumes the op stream: the plan's size is
-            // known analytically, which is the fastest emulation
-            // mode (the generator restarts for each invocation, so
-            // skipping the lowering perturbs nothing).
-            n = gen.pendingOps();
-            gen.clear();
-        } else {
-            while ((filled = gen.nextBlock<Lowering::Lean>(
-                        buf, kMaxBlockOps)) != 0) {
-                for (std::size_t i = 0; i < filled; ++i) {
-                    const MicroOp &op = buf[i];
-                    tally(op);
-                    ++n;
-                    if (warm_bp && op.cls == OpClass::Branch)
-                        bp.predictAndUpdate(op.pc, op.taken);
-                }
-            }
-        }
+        // Nothing consumes the op stream: the plan's size is known
+        // analytically, which is the fastest emulation mode. The
+        // plan stays queued for the footprint draw below; the
+        // next invocation's restart() drops it.
+        n = gen.pendingOps();
     }
     totals_.osInsts += n;
 
@@ -430,6 +385,13 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
                     // whatever remains of the predicted miss counts.
                     // Data before code: both go through the
                     // shared L2, so the order is part of the result.
+                    if (!need_mix)
+                        gen.drawFootprint(
+                            std::min<std::uint64_t>(
+                                pred.mem.l1dMisses, kFootprintDataCap),
+                            std::min<std::uint64_t>(
+                                pred.mem.l1iMisses, kFootprintCodeCap),
+                            dataSample, codeSample);
                     auto data = hier.installFootprint(
                         dataSample, pred.mem.l1dMisses, false,
                         Owner::Os);

@@ -26,7 +26,6 @@
 #include "branch_predictor.hh"
 #include "codegen.hh"
 #include "cpu.hh"
-#include "util/random.hh"
 #include "detail_level.hh"
 #include "inorder_cpu.hh"
 #include "interfaces.hh"
@@ -58,12 +57,14 @@ enum class PollutionPolicy
     SyntheticInstall,
     /**
      * Footprint-faithful: install predicted-miss-count lines with
-     * *real* addresses reservoir-sampled from the emulated
-     * instruction stream (which the Machine iterates anyway for the
-     * signature), so the skipped service both displaces other
-     * content and keeps its own hot lines resident. Costs
-     * O(predicted misses) per skipped interval — no timing models
-     * involved.
+     * *real* addresses drawn from the skipped service's plan
+     * (CodeGenerator::drawFootprint: distinct lines, met in a
+     * golden-ratio order of its accesses and fetch positions, with
+     * each work item's own address pattern), so the service
+     * both displaces other content and keeps its own hot lines
+     * resident. Unless the controller wants the op mix, nothing is
+     * lowered: the cost is the accesses the draw visits (at most
+     * the plan's) plus the installs, per skipped interval.
      */
     Footprint,
 };
@@ -91,15 +92,6 @@ struct MachineConfig
      * DESIGN.md and the abl4 bench).
      */
     PollutionPolicy pollutionPolicy = PollutionPolicy::Footprint;
-    /**
-     * Keep updating the branch predictor from emulated OS-service
-     * branches. The (pc, direction) stream is identical in
-     * emulation and detailed simulation, so this reproduces the
-     * full run's predictor state exactly at table-update cost — it
-     * models the OS's pollution of app branch-prediction state,
-     * which the cache-only pollution model misses.
-     */
-    bool bpWarming = true;
     /**
      * User-mode instructions fetched per workload block. The block
      * path amortizes the per-op virtual step() and interrupt polls
@@ -364,8 +356,11 @@ class Machine
     /** Lowers every OS-service plan; restarted per invocation. */
     CodeGenerator serviceGen;
 
-    /** Footprint-pollution reservoirs (reused across intervals). */
-    Pcg32 pollutionRng;
+    /** Footprint lines drawn per predicted service: its predicted
+     *  L1 miss counts, capped here. The samples are reused across
+     *  intervals. */
+    static constexpr std::uint64_t kFootprintDataCap = 2048;
+    static constexpr std::uint64_t kFootprintCodeCap = 512;
     std::vector<Addr> dataSample;
     std::vector<Addr> codeSample;
 

@@ -120,9 +120,8 @@ class Pcg32
      * Callers mostly reuse one bound (address-stream spans), so a
      * bound requested twice in a row is memoized as a RangeDraw and
      * served by rangeWith() with no division at all. A bound that
-     * differs from the memo — e.g. the growing bound of a reservoir
-     * sampler — takes rangeFresh() instead, which costs at most one
-     * 32-bit modulo per draw instead of the memo's modulo plus
+     * differs from the memo takes rangeFresh() instead, which costs
+     * one 32-bit modulo per draw instead of the memo's modulo plus
      * 64-bit division. Both paths make the same draws and return
      * the same values.
      */

@@ -295,5 +295,47 @@ TEST(SampledSweep, Fig13BracketsOracleOnAllFiveWorkloads)
     EXPECT_EQ(sampled_cells, 10);
 }
 
+/** Full and Sampled cells never consult the predictor, so nothing in
+ *  the predicted-service path may move them. The constants pin one
+ *  smoke program's totals in both modes, as recorded before the
+ *  footprint draw moved from the µop stream to the plan. */
+TEST(SampledSweep, FullAndSampledTotalsArePinned)
+{
+    struct Golden
+    {
+        RunMode mode;
+        InstCount appInsts, osInsts;
+        Cycles appCycles, osSimCycles;
+        std::uint64_t osInvocations;
+        std::uint64_t l1iMisses, l1dMisses, l2Misses;
+    };
+    const Golden golden[] = {
+        {RunMode::Full, 179999, 1207840, 567108, 2911965, 1107,
+         60733, 478017, 10329},
+        {RunMode::Sampled, 179999, 1207840, 117802, 2911445, 1107,
+         60733, 478017, 10329},
+    };
+    SweepSpec spec = makeNamedSweep("fig13", 1.0 / 20.0, true);
+    for (const Golden &want : golden) {
+        const SweepCell *cell = nullptr;
+        std::vector<SweepCell> cells = expandSweep(spec);
+        for (const SweepCell &c : cells)
+            if (c.workload == "du" && c.mode == want.mode)
+                cell = &c;
+        ASSERT_NE(cell, nullptr) << runModeName(want.mode);
+        const RunTotals t = runCell(spec, *cell).totals;
+        const char *mode = runModeName(want.mode);
+        EXPECT_EQ(t.appInsts, want.appInsts) << mode;
+        EXPECT_EQ(t.osInsts, want.osInsts) << mode;
+        EXPECT_EQ(t.appCycles, want.appCycles) << mode;
+        EXPECT_EQ(t.osSimCycles, want.osSimCycles) << mode;
+        EXPECT_EQ(t.osPredCycles, 0u) << mode;
+        EXPECT_EQ(t.osInvocations, want.osInvocations) << mode;
+        EXPECT_EQ(t.measuredMem.l1iMisses, want.l1iMisses) << mode;
+        EXPECT_EQ(t.measuredMem.l1dMisses, want.l1dMisses) << mode;
+        EXPECT_EQ(t.measuredMem.l2Misses, want.l2Misses) << mode;
+    }
+}
+
 } // namespace
 } // namespace osp

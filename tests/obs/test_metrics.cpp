@@ -71,8 +71,11 @@ TEST(Registry, ReturnsStableInstrumentReferences)
     Counter &a = reg.counter("machine", "ops");
     a.inc(3);
     // Later registrations must not move existing instruments.
-    for (int i = 0; i < 64; ++i)
-        reg.counter("c" + std::to_string(i), "n");
+    for (int i = 0; i < 64; ++i) {
+        std::string name = "c";
+        name += std::to_string(i);
+        reg.counter(name, "n");
+    }
     Counter &again = reg.counter("machine", "ops");
     EXPECT_EQ(&a, &again);
     EXPECT_EQ(again.value(), 3u);

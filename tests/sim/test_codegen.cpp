@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
 #include <vector>
@@ -450,6 +452,222 @@ TEST(CodeGenerator, LeanLoweringMatchesFull)
             }
         }
     }
+}
+
+/** drawFootprint() draws what the lowered stream would have touched,
+ *  without lowering: for every access pattern and for copies, the
+ *  drawn lines are distinct; Sequential and Copy draws are lines the
+ *  Lean-lowered stream of the same plan touches; asking for every
+ *  line yields the copy's lines exactly and about as many lines of
+ *  each other item as the stream touches; the first line drawn falls
+ *  on each item with its share of the stream's accesses (and of its
+ *  ops, for fetch lines) within a binomial bound; a shorter draw is
+ *  a prefix of a longer one; and the draw leaves the stream that
+ *  follows unchanged. */
+TEST(CodeGenerator, FootprintDrawMatchesLoweredStream)
+{
+    struct Item
+    {
+        PatternKind pattern;  //!< unused for the copy
+        bool copy;
+        std::uint64_t ops;    //!< bytes for the copy
+        Region data;          //!< the copy's source
+        Region dst;
+        std::uint32_t stride;
+    };
+    const std::vector<Item> items = {
+        // 64 lines walked about twelve times: every line repeats.
+        {PatternKind::Sequential, false, 2000, {0x1000000, 4096}, {}, 64},
+        // One partial walk of a large region at a sub-line stride.
+        {PatternKind::Sequential, false, 1500, {0x2000000, 1 << 20}, {},
+         24},
+        {PatternKind::Random, false, 1200, {0x3000000, 65536}, {}, 64},
+        {PatternKind::PointerChase, false, 900, {0x4000000, 65536}, {},
+         64},
+        {PatternKind::Hot, false, 1100, {0x5000000, 65536}, {}, 64},
+        // 375 units over a 256-unit source: the source wraps.
+        {PatternKind::Sequential, true, 6000, {0x6000000, 4096},
+         {0x7000000, 8192}, 0},
+    };
+    auto codeOf = [](std::size_t i) {
+        return Region{0x100000 + 0x10000 * i, 8192};
+    };
+    auto plan = [&](CodeGenerator &gen) {
+        for (std::size_t i = 0; i < items.size(); ++i) {
+            CodeProfile p = basicProfile();
+            p.code = codeOf(i);
+            const Item &it = items[i];
+            if (it.copy)
+                gen.pushCopy(p, it.ops, it.data, it.dst);
+            else
+                gen.pushCompute(p, it.ops, it.data, it.pattern,
+                                it.stride);
+        }
+    };
+    auto itemOfData = [&](Addr a) {
+        for (std::size_t i = 0; i < items.size(); ++i)
+            if (items[i].data.contains(a) ||
+                (items[i].copy && items[i].dst.contains(a)))
+                return i;
+        return items.size();
+    };
+    auto itemOfCode = [&](Addr pc) {
+        for (std::size_t i = 0; i < items.size(); ++i)
+            if (codeOf(i).contains(pc))
+                return i;
+        return items.size();
+    };
+    auto lower = [](CodeGenerator &gen) {
+        std::vector<MicroOp> ops;
+        MicroOp buf[64];
+        while (std::size_t n = gen.nextBlock<Lowering::Lean>(buf, 64))
+            ops.insert(ops.end(), buf, buf + n);
+        return ops;
+    };
+    auto distinctLines = [](const std::vector<Addr> &v) {
+        std::set<Addr> lines;
+        for (Addr a : v)
+            lines.insert(a >> 6);
+        return lines.size() == v.size();
+    };
+
+    CodeGenerator ref(77, 5);
+    plan(ref);
+    const std::vector<MicroOp> stream = lower(ref);
+    std::vector<std::uint64_t> accesses(items.size(), 0);
+    std::vector<std::uint64_t> opsOf(items.size(), 0);
+    std::vector<std::set<Addr>> touched(items.size());
+    for (const MicroOp &op : stream) {
+        ++opsOf[itemOfCode(op.pc)];
+        if (op.cls != OpClass::Load && op.cls != OpClass::Store)
+            continue;
+        std::size_t i = itemOfData(op.effAddr);
+        ASSERT_LT(i, items.size());
+        ++accesses[i];
+        touched[i].insert(op.effAddr >> 6);
+    }
+
+    CodeGenerator gen(77, 5);
+    plan(gen);
+    std::vector<Addr> data, code;
+    constexpr std::size_t kData = 600, kCode = 200;
+    gen.drawFootprint(kData, kCode, data, code);
+    ASSERT_EQ(data.size(), kData);
+    ASSERT_EQ(code.size(), kCode);
+    EXPECT_TRUE(distinctLines(data));
+    EXPECT_TRUE(distinctLines(code));
+
+    // The draw leaves the plan and the RNG alone.
+    const std::vector<MicroOp> after = lower(gen);
+    ASSERT_EQ(after.size(), stream.size());
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+        ASSERT_EQ(after[i].pc, stream[i].pc) << i;
+        ASSERT_EQ(after[i].effAddr, stream[i].effAddr) << i;
+        ASSERT_EQ(after[i].cls, stream[i].cls) << i;
+    }
+
+    // A Compute item's positions are its expected access count, so
+    // a partial Sequential walk may also be drawn up to that count,
+    // past where this stream's realized count stopped.
+    const std::uint64_t expected1 =
+        (items[1].ops * Pcg32::rawThreshold(0.3 + 0.1)) >> 32;
+    auto checkData = [&](const std::vector<Addr> &drawn_data,
+                         std::vector<std::set<Addr>> &lines) {
+        lines.assign(items.size(), {});
+        for (Addr a : drawn_data) {
+            std::size_t i = itemOfData(a);
+            ASSERT_LT(i, items.size()) << std::hex << a;
+            lines[i].insert(a >> 6);
+            const Item &it = items[i];
+            if (!it.copy && it.pattern != PatternKind::Sequential) {
+                EXPECT_EQ(a % 64, 0u);
+                continue;
+            }
+            if (touched[i].count(a >> 6))
+                continue;
+            ASSERT_EQ(i, 1u) << std::hex << a;
+            const std::uint64_t off = a - it.data.base;
+            EXPECT_EQ(off % it.stride, 0u);
+            EXPECT_GE(off / it.stride, accesses[1]);
+            EXPECT_LT(off / it.stride, expected1);
+        }
+    };
+    std::vector<std::set<Addr>> lines;
+    checkData(data, lines);
+    for (Addr pc : code)
+        ASSERT_LT(itemOfCode(pc), items.size()) << std::hex << pc;
+
+    // Prefix-consistent and a pure function of (seed, stream, plan).
+    CodeGenerator other(3, 3);
+    other.restart(77, 5);
+    plan(other);
+    std::vector<Addr> short_data, short_code;
+    other.drawFootprint(100, 30, short_data, short_code);
+    ASSERT_EQ(short_data.size(), 100u);
+    ASSERT_EQ(short_code.size(), 30u);
+    EXPECT_TRUE(std::equal(short_data.begin(), short_data.end(),
+                           data.begin()));
+    EXPECT_TRUE(std::equal(short_code.begin(), short_code.end(),
+                           code.begin()));
+
+    // Asking for more than the plan holds visits every position: the
+    // copy, whose count is exact, yields exactly its lines, and each
+    // other item about as many lines as the stream touches (item 0's
+    // 64 and, for the draws, the same share of a region's lines).
+    other.drawFootprint(1 << 20, 1 << 20, data, code);
+    EXPECT_TRUE(distinctLines(data));
+    EXPECT_TRUE(distinctLines(code));
+    checkData(data, lines);
+    EXPECT_EQ(lines[5], touched[5]);
+    EXPECT_EQ(lines[0], touched[0]);
+    for (std::size_t i : {2u, 3u, 4u})
+        EXPECT_NEAR(static_cast<double>(lines[i].size()),
+                    static_cast<double>(touched[i].size()),
+                    0.1 * static_cast<double>(touched[i].size()))
+            << "item " << i;
+
+    // The first line drawn stands for a uniform access (and fetch
+    // position), so over independent plans it falls on each item
+    // with that item's share of them.
+    constexpr std::uint64_t kPlans = 3000;
+    std::vector<std::uint64_t> first_data(items.size(), 0);
+    std::vector<std::uint64_t> first_code(items.size(), 0);
+    std::uint64_t hot_first = 0;
+    for (std::uint64_t s = 0; s < kPlans; ++s) {
+        other.restart(1000 + s, 5);
+        plan(other);
+        other.drawFootprint(1, 1, data, code);
+        ASSERT_EQ(data.size(), 1u);
+        ASSERT_EQ(code.size(), 1u);
+        std::size_t i = itemOfData(data[0]);
+        ASSERT_LT(i, items.size());
+        ++first_data[i];
+        if (i == 4 &&
+            data[0] < items[4].data.base + items[4].data.size / 10)
+            ++hot_first;
+        std::size_t c = itemOfCode(code[0]);
+        ASSERT_LT(c, items.size());
+        ++first_code[c];
+    }
+    // 90% of a Hot item's accesses fall in its first tenth.
+    EXPECT_GT(hot_first, first_data[4] * 8 / 10);
+
+    auto withinBinomial = [](const std::vector<std::uint64_t> &got,
+                             const std::vector<std::uint64_t> &weight,
+                             std::uint64_t k, const char *what) {
+        std::uint64_t total = 0;
+        for (std::uint64_t w : weight)
+            total += w;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            double p = static_cast<double>(weight[i]) / total;
+            double mean = p * k;
+            double bound = 4.0 * std::sqrt(k * p * (1 - p)) + 1.0;
+            EXPECT_NEAR(static_cast<double>(got[i]), mean, bound)
+                << what << " item " << i;
+        }
+    };
+    withinBinomial(first_data, accesses, kPlans, "data");
+    withinBinomial(first_code, opsOf, kPlans, "code");
 }
 
 } // namespace

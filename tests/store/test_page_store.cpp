@@ -165,7 +165,7 @@ TEST_F(PageStoreTest, FreelistReusePlateausFileSize)
     for (int round = 0; round < 30; ++round) {
         WriteTx tx = store->beginWrite();
         for (int k = 0; k < 20; ++k)
-            tx.put("k" + std::to_string(k),
+            tx.put(std::string("k") + std::to_string(k),
                    "round-" + std::to_string(round));
         tx.commit();
         std::uint64_t pages = store->info().numPages;
@@ -326,7 +326,7 @@ TEST_F(PageStoreTest, TruncatedFileIsAnError)
         for (int round = 0; round < 2; ++round) {
             WriteTx tx = store->beginWrite();
             for (int i = 0; i < 100; ++i)
-                tx.put("k" + std::to_string(round) +
+                tx.put(std::string("k") + std::to_string(round) +
                            "/" + std::to_string(i),
                        std::string(1000, 'v'));
             tx.commit();
