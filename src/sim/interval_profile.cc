@@ -34,26 +34,19 @@ IntervalProfiler::noteOps(std::uint64_t interval, const MicroOp *ops,
 {
     IntervalFeatures &f = at(interval);
     f.ops += n;
+    // Indexed per-class counts, not a switch: the class is a random
+    // draw, so a branch on it would mispredict.
+    std::uint64_t mix[numOpClasses] = {};
+    std::uint64_t taken = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        switch (ops[i].cls) {
-          case OpClass::IntAlu:
-            break;
-          case OpClass::FpAlu:
-            ++f.fp;
-            break;
-          case OpClass::Load:
-            ++f.loads;
-            break;
-          case OpClass::Store:
-            ++f.stores;
-            break;
-          case OpClass::Branch:
-            ++f.branches;
-            if (ops[i].taken)
-                ++f.taken;
-            break;
-        }
+        ++mix[static_cast<int>(ops[i].cls)];
+        taken += ops[i].cls == OpClass::Branch && ops[i].taken;
     }
+    f.fp += mix[static_cast<int>(OpClass::FpAlu)];
+    f.loads += mix[static_cast<int>(OpClass::Load)];
+    f.stores += mix[static_cast<int>(OpClass::Store)];
+    f.branches += mix[static_cast<int>(OpClass::Branch)];
+    f.taken += taken;
 }
 
 void

@@ -337,5 +337,70 @@ TEST(SampledSweep, FullAndSampledTotalsArePinned)
     }
 }
 
+/** The predicted-service path's output, pinned: Accelerated and
+ *  SampledAccel totals of two smoke programs, with the footprint
+ *  fills and pollution slots behind them, as recorded before the
+ *  footprint draw's item lookup and address arithmetic were
+ *  rewritten. */
+TEST(SampledSweep, AcceleratedTotalsArePinned)
+{
+    struct Golden
+    {
+        const char *workload;
+        RunMode mode;
+        InstCount appInsts, osInsts, osPredInsts;
+        Cycles appCycles, osSimCycles, osPredCycles;
+        std::uint64_t osInvocations, osPredicted;
+        std::uint64_t l1iMisses, l1dMisses, l2Misses;
+        std::uint64_t footprintFills, pollutionSlots;
+    };
+    const Golden golden[] = {
+        {"du", RunMode::Accelerated, 179999, 1207840, 789550,
+         566287, 1765198, 1135887, 1107, 656,
+         30816, 197880, 10301, 290190, 308586},
+        {"du", RunMode::SampledAccel, 179999, 1207840, 789550,
+         117294, 1764935, 1134253, 1107, 656,
+         30816, 197880, 10301, 290190, 308586},
+        {"ab-seq", RunMode::Accelerated, 844500, 32734594, 25948236,
+         27099443, 47550601, 116476910, 6456, 4482,
+         277615, 1899070, 573915, 6911290, 7113891},
+        {"ab-seq", RunMode::SampledAccel, 844500, 32734594, 25948236,
+         4226235, 47547903, 116472317, 6456, 4482,
+         277612, 1899070, 573915, 6911290, 7113891},
+    };
+    SweepSpec spec = makeNamedSweep("fig13", 1.0 / 20.0, true);
+    const std::vector<SweepCell> cells = expandSweep(spec);
+    for (const Golden &want : golden) {
+        const SweepCell *cell = nullptr;
+        for (const SweepCell &c : cells)
+            if (c.workload == want.workload && c.mode == want.mode)
+                cell = &c;
+        const std::string what =
+            std::string(want.workload) + " " + runModeName(want.mode);
+        ASSERT_NE(cell, nullptr) << what;
+        const CellResult r = runCell(spec, *cell);
+        const RunTotals &t = r.totals;
+        EXPECT_EQ(t.appInsts, want.appInsts) << what;
+        EXPECT_EQ(t.osInsts, want.osInsts) << what;
+        EXPECT_EQ(t.osPredInsts, want.osPredInsts) << what;
+        EXPECT_EQ(t.appCycles, want.appCycles) << what;
+        EXPECT_EQ(t.osSimCycles, want.osSimCycles) << what;
+        EXPECT_EQ(t.osPredCycles, want.osPredCycles) << what;
+        EXPECT_EQ(t.osInvocations, want.osInvocations) << what;
+        EXPECT_EQ(t.osPredicted, want.osPredicted) << what;
+        EXPECT_EQ(t.measuredMem.l1iMisses, want.l1iMisses) << what;
+        EXPECT_EQ(t.measuredMem.l1dMisses, want.l1dMisses) << what;
+        EXPECT_EQ(t.measuredMem.l2Misses, want.l2Misses) << what;
+        EXPECT_EQ(r.telemetry.counterValue("machine",
+                                           "footprint_install_fills"),
+                  want.footprintFills)
+            << what;
+        EXPECT_EQ(r.telemetry.counterValue("machine",
+                                           "pollution_slots_affected"),
+                  want.pollutionSlots)
+            << what;
+    }
+}
+
 } // namespace
 } // namespace osp
