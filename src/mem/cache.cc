@@ -151,8 +151,17 @@ Cache::install(Addr addr, Owner owner)
     Addr tag = tagOf(addr);
     std::size_t base = static_cast<std::size_t>(set) * params_.assoc;
     ++lruClock;
-    std::uint32_t free_way;
-    std::uint32_t hit = findWay(base, tag, free_way);
+    // findWay()'s scan with selects instead of an early exit: a
+    // footprint's installs hit and miss at random, so a branch on
+    // each way's tag mispredicts. High way to low leaves free_way
+    // at the lowest invalid way, as findWay() does.
+    const Addr *t = &tags_[base];
+    std::uint32_t hit = kNoWay;
+    std::uint32_t free_way = kNoWay;
+    for (std::uint32_t w = params_.assoc; w-- > 0;) {
+        hit = t[w] == tag ? w : hit;
+        free_way = t[w] == kInvalidTag ? w : free_way;
+    }
     if (hit != kNoWay) {
         stamps_[base + hit] = lruClock;
         return false;
