@@ -71,7 +71,6 @@ struct Options
     std::string storePath;
     std::string storeStatsPath;
     std::string fingerprint = OSP_CODE_FINGERPRINT;
-    PredictorBackendKind backend = PredictorBackendKind::Plt;
     SampleParams sample;
     bool incremental = false;
     bool pltSave = false;
@@ -211,13 +210,6 @@ flagTable(Options &o)
          [&o](const char *) {
              o.timing = false;
              return true;
-         }},
-        {"--backend", "{plt,learned}",
-         "prediction backend of every predictor variant (default "
-         "plt, the paper's clustering; learned = online "
-         "feature-vector model); part of cell identity",
-         [&o](const char *v) {
-             return predictorBackendFromName(v, o.backend);
          }},
         {"--sample", "intervals=N,strata=K,rate=R[,alloc=A]",
          "stratified interval sampling: adds a sampled cell per Full "
@@ -492,9 +484,8 @@ main(int argc, char **argv)
                                     bench::smokeMode());
     spec.baseSeed = o.seed;
     // Applied before any execution path, so --worker and assembly
-    // (including cell identity hashing) see the same backend,
-    // sampled modes and knobs.
-    setSweepBackend(spec, o.backend);
+    // (including cell identity hashing) see the same sampled modes
+    // and knobs.
     if (o.sample.enabled)
         applySweepSampling(spec, o.sample);
 

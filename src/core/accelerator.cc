@@ -1,6 +1,7 @@
 #include "accelerator.hh"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/logging.hh"
@@ -128,10 +129,18 @@ Accelerator::loadState(std::istream &is)
         header != "ospredict-profile" || version != "v1") {
         return false;
     }
+    // Every row is parsed before any table changes, so a stream that
+    // fails part-way leaves the accelerator as it was. The row count
+    // is read from the stream and is not trusted to size anything.
+    std::vector<std::pair<int, std::vector<ClusterSnapshot>>> tables;
     std::string word;
     while (is >> word) {
-        if (word == "end")
+        if (word == "end") {
+            for (const auto &[type, snapshots] : tables)
+                predictorRef(static_cast<ServiceType>(type))
+                    .restoreTable(snapshots);
             return true;
+        }
         if (word != "service")
             return false;
         int type = -1;
@@ -140,17 +149,18 @@ Accelerator::loadState(std::istream &is)
             type >= numServiceTypes) {
             return false;
         }
-        std::vector<ClusterSnapshot> snapshots(count);
-        for (auto &s : snapshots) {
+        tables.push_back({type, {}});
+        std::vector<ClusterSnapshot> &snapshots = tables.back().second;
+        for (std::size_t i = 0; i < count; ++i) {
+            ClusterSnapshot s;
             if (!(is >> s.count >> s.instMean >> s.instM2 >>
                   s.cyclesMean >> s.cyclesM2 >> s.ipcMean >>
                   s.l1iAccMean >> s.l1iMissMean >> s.l1dAccMean >>
                   s.l1dMissMean >> s.l2AccMean >> s.l2MissMean)) {
                 return false;
             }
+            snapshots.push_back(s);
         }
-        predictorRef(static_cast<ServiceType>(type))
-            .restoreTable(snapshots);
     }
     return false;  // missing "end"
 }

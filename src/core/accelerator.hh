@@ -36,15 +36,7 @@ class Accelerator : public ServiceController
     DetailLevel chooseLevel(ServiceType type) override;
     Prediction onServiceEnd(const IntervalOutcome &outcome) override;
 
-    bool
-    wantsOpMix() const override
-    {
-        // The learned backend consumes per-class mix ratios as
-        // model features regardless of the PLT mix-signature
-        // refinement flag.
-        return params_.useMixSignature ||
-               params_.backend == PredictorBackendKind::Learned;
-    }
+    bool wantsOpMix() const override { return params_.useMixSignature; }
 
     /** Per-service predictor access (reports, tests). */
     const ServicePredictor &predictor(ServiceType type) const;
@@ -67,8 +59,8 @@ class Accelerator : public ServiceController
     /**
      * Load a saved profile: every listed service starts directly in
      * the prediction phase with the loaded table. Returns false on
-     * a malformed stream (the accelerator is left unchanged on
-     * header mismatch, partially loaded otherwise).
+     * a malformed stream, and then the accelerator is unchanged:
+     * every row is parsed before any table is replaced.
      *
      * Reusing a profile across runs is exactly the offline approach
      * the paper argues against (Sec. 2); the abl5 bench quantifies

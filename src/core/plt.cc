@@ -8,9 +8,8 @@
 namespace osp
 {
 
-PerfLookupTable::PerfLookupTable(double range_frac,
-                                 double ema_alpha, bool use_mix)
-    : rangeFrac_(range_frac), emaAlpha_(ema_alpha), useMix_(use_mix)
+PerfLookupTable::PerfLookupTable(double range_frac, bool use_mix)
+    : rangeFrac_(range_frac), useMix_(use_mix)
 {
     if (range_frac <= 0.0 || range_frac >= 1.0)
         osp_fatal("PerfLookupTable range fraction must be in (0,1)");
@@ -36,7 +35,7 @@ PerfLookupTable::record(const ServiceMetrics &metrics)
         best->add(metrics);
         return false;
     }
-    clusters.emplace_back(metrics, rangeFrac_, emaAlpha_);
+    clusters.emplace_back(metrics, rangeFrac_);
     return true;
 }
 
@@ -90,7 +89,7 @@ PerfLookupTable::restore(
     clusters.clear();
     outliers_.clear();
     for (const auto &s : snapshots)
-        clusters.emplace_back(s, rangeFrac_, emaAlpha_);
+        clusters.emplace_back(s, rangeFrac_);
     // Mix statistics are not serialized; mix matching cannot apply
     // to restored tables.
     useMix_ = false;

@@ -48,13 +48,10 @@ class PerfLookupTable
 {
   public:
     /** @param range_frac scaled-cluster half-range
-     *  @param ema_alpha  recency weight for cluster predictions
-     *                    (see ScaledCluster; 0 = paper behaviour)
      *  @param use_mix    cluster membership additionally requires
      *                    the instruction mix to match (the paper's
      *                    future-work signature refinement) */
     explicit PerfLookupTable(double range_frac = 0.05,
-                             double ema_alpha = 0.0,
                              bool use_mix = false);
 
     /** Record one fully-simulated invocation: add to the matching
@@ -130,7 +127,6 @@ class PerfLookupTable
 
   private:
     double rangeFrac_;
-    double emaAlpha_;
     bool useMix_;
     std::vector<ScaledCluster> clusters;
     std::vector<OutlierEntry> outliers_;

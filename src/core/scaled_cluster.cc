@@ -8,19 +8,17 @@ namespace osp
 {
 
 ScaledCluster::ScaledCluster(const ServiceMetrics &first,
-                             double range_frac, double ema_alpha)
-    : rangeFrac(range_frac), emaAlpha(ema_alpha)
+                             double range_frac)
+    : rangeFrac(range_frac)
 {
     if (range_frac <= 0.0 || range_frac >= 1.0)
         osp_fatal("ScaledCluster range fraction must be in (0,1)");
-    if (ema_alpha < 0.0 || ema_alpha >= 1.0)
-        osp_fatal("ScaledCluster EMA alpha must be in [0,1)");
     add(first);
 }
 
 ScaledCluster::ScaledCluster(const ClusterSnapshot &s,
-                             double range_frac, double ema_alpha)
-    : rangeFrac(range_frac), emaAlpha(ema_alpha)
+                             double range_frac)
+    : rangeFrac(range_frac)
 {
     if (range_frac <= 0.0 || range_frac >= 1.0)
         osp_fatal("ScaledCluster range fraction must be in (0,1)");
@@ -38,13 +36,6 @@ ScaledCluster::ScaledCluster(const ClusterSnapshot &s,
     l2Acc = mk(s.l2AccMean);
     l2Miss = mk(s.l2MissMean);
     centroid_ = s.instMean;
-    ema[0] = s.cyclesMean;
-    ema[1] = s.l1iAccMean;
-    ema[2] = s.l1iMissMean;
-    ema[3] = s.l1dAccMean;
-    ema[4] = s.l1dMissMean;
-    ema[5] = s.l2AccMean;
-    ema[6] = s.l2MissMean;
 }
 
 ClusterSnapshot
@@ -69,7 +60,6 @@ ScaledCluster::snapshot() const
 void
 ScaledCluster::add(const ServiceMetrics &m)
 {
-    bool first = (cycles_.count() == 0);
     insts_.add(static_cast<double>(m.insts));
     cycles_.add(static_cast<double>(m.cycles));
     ipc_.add(m.ipc());
@@ -83,23 +73,6 @@ ScaledCluster::add(const ServiceMetrics &m)
     l2Acc.add(static_cast<double>(m.mem.l2Accesses));
     l2Miss.add(static_cast<double>(m.mem.l2Misses));
     centroid_ = insts_.mean();
-
-    const double values[7] = {
-        static_cast<double>(m.cycles),
-        static_cast<double>(m.mem.l1iAccesses),
-        static_cast<double>(m.mem.l1iMisses),
-        static_cast<double>(m.mem.l1dAccesses),
-        static_cast<double>(m.mem.l1dMisses),
-        static_cast<double>(m.mem.l2Accesses),
-        static_cast<double>(m.mem.l2Misses),
-    };
-    if (first) {
-        for (int i = 0; i < 7; ++i)
-            ema[i] = values[i];
-    } else {
-        for (int i = 0; i < 7; ++i)
-            ema[i] += emaAlpha * (values[i] - ema[i]);
-    }
 }
 
 void
@@ -164,23 +137,13 @@ ScaledCluster::predict() const
 {
     ServiceMetrics m;
     m.insts = roundStat(insts_.mean());
-    if (emaAlpha > 0.0) {
-        m.cycles = roundStat(ema[0]);
-        m.mem.l1iAccesses = roundStat(ema[1]);
-        m.mem.l1iMisses = roundStat(ema[2]);
-        m.mem.l1dAccesses = roundStat(ema[3]);
-        m.mem.l1dMisses = roundStat(ema[4]);
-        m.mem.l2Accesses = roundStat(ema[5]);
-        m.mem.l2Misses = roundStat(ema[6]);
-    } else {
-        m.cycles = roundStat(cycles_.mean());
-        m.mem.l1iAccesses = roundStat(l1iAcc.mean());
-        m.mem.l1iMisses = roundStat(l1iMiss.mean());
-        m.mem.l1dAccesses = roundStat(l1dAcc.mean());
-        m.mem.l1dMisses = roundStat(l1dMiss.mean());
-        m.mem.l2Accesses = roundStat(l2Acc.mean());
-        m.mem.l2Misses = roundStat(l2Miss.mean());
-    }
+    m.cycles = roundStat(cycles_.mean());
+    m.mem.l1iAccesses = roundStat(l1iAcc.mean());
+    m.mem.l1iMisses = roundStat(l1iMiss.mean());
+    m.mem.l1dAccesses = roundStat(l1dAcc.mean());
+    m.mem.l1dMisses = roundStat(l1dMiss.mean());
+    m.mem.l2Accesses = roundStat(l2Acc.mean());
+    m.mem.l2Misses = roundStat(l2Miss.mean());
     return m;
 }
 

@@ -53,21 +53,12 @@ class ScaledCluster
      * @param first      first member's performance record
      * @param range_frac half-width of the range as a fraction of the
      *                   centroid (the paper uses 0.05)
-     * @param ema_alpha  recency weight for the predicted metrics:
-     *                   0 (the paper's formulation) predicts the
-     *                   all-time member mean; >0 predicts an
-     *                   exponentially-weighted moving average, so a
-     *                   cluster whose cycles drift (same signature,
-     *                   changing memory-system pressure) tracks
-     *                   reality as audit samples arrive
      */
     explicit ScaledCluster(const ServiceMetrics &first,
-                           double range_frac = 0.05,
-                           double ema_alpha = 0.0);
+                           double range_frac = 0.05);
 
     /** Rebuild a cluster from a snapshot (PLT persistence). */
-    ScaledCluster(const ClusterSnapshot &snapshot,
-                  double range_frac, double ema_alpha = 0.0);
+    ScaledCluster(const ClusterSnapshot &snapshot, double range_frac);
 
     /** Serializable summary of this cluster. */
     ClusterSnapshot snapshot() const;
@@ -119,13 +110,7 @@ class ScaledCluster
 
   private:
     double rangeFrac;
-    double emaAlpha;
     double centroid_ = 0.0;
-
-    /** Recency-weighted prediction state (used when emaAlpha > 0).
-     *  Order: cycles, l1iAcc, l1iMiss, l1dAcc, l1dMiss, l2Acc,
-     *  l2Miss. */
-    double ema[7] = {0, 0, 0, 0, 0, 0, 0};
 
     RunningStats insts_;
     RunningStats cycles_;

@@ -14,20 +14,33 @@ ServicePredictor::ServicePredictor(const PredictorParams &p)
       window(p.learningWindow
                  ? p.learningWindow
                  : learningWindowSize(p.pMin, p.doc)),
-      backend_(makePredictorBackend(p))
+      plt_(p.clusterRange, p.useMixSignature),
+      policy_(RelearnPolicy::make(p.relearn))
 {
     if (params.warmupInvocations == 0)
         mode_ = Mode::Learning;
 }
 
-const PerfLookupTable &
-ServicePredictor::table() const
+ServicePredictor::Lookup
+ServicePredictor::lookup(const Signature &sig) const
 {
-    const PerfLookupTable *plt = backend_->asPlt();
-    if (!plt)
-        osp_panic("ServicePredictor::table: backend '",
-                  backend_->name(), "' has no PLT");
-    return *plt;
+    Lookup out;
+    const ScaledCluster *cluster = plt_.match(sig);
+    out.matched = (cluster != nullptr);
+    if (!cluster)
+        cluster = plt_.closest(sig.insts);
+    if (!cluster)
+        return out;
+    // The index is resolved here, against the table as it stands at
+    // lookup time, and returned by value: callers hold an index that
+    // stays meaningful for the ledger even if a later drift reset or
+    // re-learning window grows (and reallocates) the cluster vector.
+    out.cluster = static_cast<std::uint32_t>(
+        cluster - plt_.allClusters().data());
+    out.hasSource = true;
+    out.metrics = cluster->predict();
+    out.cyclesSpread = cluster->cyclesStats().stddev();
+    return out;
 }
 
 void
@@ -97,7 +110,7 @@ ServicePredictor::auditDriftReset(const ServiceMetrics &metrics,
     // sample window could never move its mean off the stale value
     // the audits just disproved.
     if (cluster_idx != obs::accuracyNoCluster)
-        backend_->decayUnit(cluster_idx, window);
+        plt_.decayCluster(cluster_idx, window);
     consecutiveAuditFailures = 0;
     ++stats_.driftResets;
     if (cDriftResets_)
@@ -116,12 +129,11 @@ ServicePredictor::auditDriftReset(const ServiceMetrics &metrics,
 void
 ServicePredictor::recordSample(const ServiceMetrics &metrics)
 {
-    bool fresh = backend_->learn(metrics);
+    bool fresh = plt_.record(metrics);
     if (fresh && cClustersCreated_)
         cClustersCreated_->inc();
     if (gClusters_)
-        gClusters_->set(
-            static_cast<double>(backend_->numUnits()));
+        gClusters_->set(static_cast<double>(plt_.numClusters()));
 }
 
 bool
@@ -200,19 +212,18 @@ ServicePredictor::recordDetailed(const ServiceMetrics &metrics)
         ++stats_.audits;
         if (cAudits_)
             cAudits_->inc();
-        // The lookup resolves the producing unit's index before
+        // The lookup resolves the producing cluster's index before
         // anything below can mutate the table, so ledger
         // attribution and the drift reset target stay pinned to
-        // the unit that actually made the prediction.
-        BackendLookup audit =
-            backend_->lookup(metrics.signature());
+        // the cluster that actually made the prediction.
+        Lookup audit = lookup(metrics.signature());
         bool failed = true;
         bool ciDrift = false;
         ServiceMetrics predictedMetrics;
         if (audit.hasSource) {
             // Variance-aware check: a deviation only fails the
             // audit if it exceeds both the relative tolerance and
-            // three standard deviations of the unit's own
+            // three standard deviations of the cluster's own
             // historical spread — ordinary within-cluster noise
             // must not trigger drift resets.
             predictedMetrics = audit.metrics;
@@ -231,10 +242,10 @@ ServicePredictor::recordDetailed(const ServiceMetrics &metrics)
                 // biased-but-noisy cluster can pass every single
                 // audit while its *mean* error is statistically
                 // unambiguous. Accumulate the signed relative
-                // error per unit and trigger a reset when the
+                // error per cluster and trigger a reset when the
                 // Student-t 95% CI on the mean lies entirely
                 // outside the tolerance band.
-                RunningStats &err = auditErr_[audit.unit];
+                RunningStats &err = auditErr_[audit.cluster];
                 err.add((predicted - actual) / actual);
                 if (err.count() >= params.auditCiMinSamples) {
                     double ci = obs::accuracyCi95(err);
@@ -246,7 +257,7 @@ ServicePredictor::recordDetailed(const ServiceMetrics &metrics)
         }
         if (telemetry_ && audit.hasSource) {
             // Route the full predicted-vs-actual comparison into
-            // the accuracy ledger under the auditing unit's
+            // the accuracy ledger under the auditing cluster's
             // identity (observational only).
             obs::AuditSample sample;
             sample.predictedCycles =
@@ -261,7 +272,7 @@ ServicePredictor::recordDetailed(const ServiceMetrics &metrics)
             sample.actualIpc = metrics.ipc();
             sample.failed = failed;
             telemetry_->accuracy.noteAudit(serviceIndex_,
-                                           audit.unit, sample);
+                                           audit.cluster, sample);
         }
         if (failed) {
             // Drift evidence: do NOT fold the sample into the
@@ -276,7 +287,7 @@ ServicePredictor::recordDetailed(const ServiceMetrics &metrics)
             if (consecutiveAuditFailures >=
                     params.auditTriggerCount ||
                 ciDrift)
-                auditDriftReset(metrics, audit.unit);
+                auditDriftReset(metrics, audit.cluster);
             return;
         }
         trace(obs::TraceEventKind::Audit, 1, 0);
@@ -285,7 +296,7 @@ ServicePredictor::recordDetailed(const ServiceMetrics &metrics)
             // Every individual audit passed, but the accumulated
             // mean error is significant: the slow-drift case the
             // consecutive-failure trigger cannot see.
-            auditDriftReset(metrics, audit.unit);
+            auditDriftReset(metrics, audit.cluster);
             return;
         }
         // A passing audit refreshes the matched cluster.
@@ -336,7 +347,7 @@ void
 ServicePredictor::restoreTable(
     const std::vector<ClusterSnapshot> &snapshots)
 {
-    backend_->restore(snapshots);
+    plt_.restore(snapshots);
     enterMode(snapshots.empty() ? Mode::Warmup : Mode::Predicting);
     phaseCount = 0;
     warmupCpi.clear();
@@ -354,8 +365,7 @@ ServicePredictor::restoreTable(
     auditErr_.clear();
     lastMatchedCluster_ = obs::accuracyNoCluster;
     if (gClusters_)
-        gClusters_->set(
-            static_cast<double>(backend_->numUnits()));
+        gClusters_->set(static_cast<double>(plt_.numClusters()));
 }
 
 ServiceMetrics
@@ -369,10 +379,10 @@ ServicePredictor::predict(const Signature &signature,
     if (hPredictedInsts_)
         hPredictedInsts_->observe(signature.insts);
 
-    // Prediction, unit identity and spread are all captured by the
+    // Prediction, cluster identity and spread are all captured by the
     // lookup itself: nothing downstream (outlier bookkeeping,
     // re-learning transitions) can invalidate them.
-    BackendLookup r = backend_->lookup(signature);
+    Lookup r = lookup(signature);
     bool outlier = !r.matched;
     if (was_outlier)
         *was_outlier = outlier;
@@ -382,25 +392,25 @@ ServicePredictor::predict(const Signature &signature,
         if (cOutliers_)
             cOutliers_->inc();
         trace(obs::TraceEventKind::Outlier, signature.insts,
-              backend_->numOutlierEntries());
-        if (backend_->onOutlier(signature.insts,
-                                invocation_index)) {
+              plt_.numOutlierEntries());
+        if (policy_->onOutlier(plt_, signature.insts,
+                               invocation_index)) {
             // Re-learning period: another full window of detailed
             // simulation for this service.
             ++stats_.relearnEvents;
             if (cRelearn_)
                 cRelearn_->inc();
             trace(obs::TraceEventKind::Relearn, 0, window);
-            backend_->clearOutlierState();
+            plt_.clearOutliers();
             enterMode(Mode::Learning);
             phaseCount = 0;
         }
     } else {
-        trace(obs::TraceEventKind::ClusterMatch, r.unit,
+        trace(obs::TraceEventKind::ClusterMatch, r.cluster,
               signature.insts);
     }
 
-    lastMatchedCluster_ = r.unit;
+    lastMatchedCluster_ = r.cluster;
 
     ServiceMetrics prediction;
     if (r.hasSource)

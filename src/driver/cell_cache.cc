@@ -43,24 +43,14 @@ predictorContext(const PredictorParams &p)
     v.add("audit_ci_min_samples", p.auditCiMinSamples);
     v.add("audit_mean_tolerance", p.auditMeanTolerance);
     v.add("cluster_range", p.clusterRange);
-    v.add("ema_alpha", p.emaAlpha);
+    // A removed knob (recency-weighted cluster means) that was
+    // always 0; kept so keys do not move.
+    v.add("ema_alpha", 0.0);
     v.add("use_mix_signature", p.useMixSignature);
     v.add("relearn", relearnContext(p.relearn));
-    // Backend + hyperparameters fold into the identity so cached
-    // cells can never alias across backends: two runs differing
-    // only in the prediction strategy must hash to different keys.
-    v.add("backend", predictorBackendName(p.backend));
-    if (p.backend == PredictorBackendKind::Learned) {
-        JsonValue l = JsonValue::object();
-        l.add("learning_rate", p.learned.learningRate);
-        l.add("rate_decay", p.learned.rateDecay);
-        l.add("history_alpha", p.learned.historyAlpha);
-        l.add("cpi_min", p.learned.cpiMin);
-        l.add("cpi_max", p.learned.cpiMax);
-        l.add("outlier_threshold", p.learned.outlierThreshold);
-        l.add("buckets_per_octave", p.learned.bucketsPerOctave);
-        v.add("learned", std::move(l));
-    }
+    // The PLT is the only predictor since the learned backend was
+    // removed; kept so keys do not move.
+    v.add("backend", "plt");
     return v;
 }
 
@@ -90,7 +80,8 @@ machineContext(const MachineConfig &cfg)
     v.add("tlb_entries", cfg.hier.tlbEntries);
     v.add("tlb_assoc", cfg.hier.tlbAssoc);
     v.add("tlb_miss_penalty", cfg.hier.tlbMissPenalty);
-    v.add("l2_next_line_prefetch", cfg.hier.l2NextLinePrefetch);
+    // A removed knob that was always off; kept so keys do not move.
+    v.add("l2_next_line_prefetch", false);
     v.add("hier_seed", cfg.hier.seed);
     v.add("issue_width", cfg.cpu.issueWidth);
     v.add("retire_width", cfg.cpu.retireWidth);

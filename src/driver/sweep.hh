@@ -163,15 +163,6 @@ struct SweepCell
 };
 
 /**
- * Select the prediction backend for every predictor variant of a
- * sweep (the `sweep --backend` CLI flag). Uniform per sweep: each
- * variant keeps its label and re-learning parameters, only the
- * strategy behind the common PredictorBackend interface changes, so
- * per-backend accuracy documents stay comparable column-for-column.
- */
-void setSweepBackend(SweepSpec &spec, PredictorBackendKind kind);
-
-/**
  * Flatten a spec into cells, in deterministic order: workload
  * (outer), L2 size, seed index, mode, then predictor x pollution
  * for predicting cells. Other cells are emitted once per (workload,

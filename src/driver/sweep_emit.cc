@@ -85,21 +85,6 @@ sweepToJson(const SweepResult &result, const JsonOptions &options)
     for (const auto &p : spec.predictors)
         predictors.append(p.label);
     sweep.add("predictors", std::move(predictors));
-    // Backend names, aligned with the predictors array. Emitted
-    // only when a non-default backend is present, so plt-only
-    // documents keep their exact pre-backend byte layout (the
-    // refactor's behaviour-preservation contract).
-    bool nonDefaultBackend = false;
-    for (const auto &p : spec.predictors)
-        nonDefaultBackend |=
-            p.params.backend != PredictorBackendKind::Plt;
-    if (nonDefaultBackend) {
-        JsonValue backends = JsonValue::array();
-        for (const auto &p : spec.predictors)
-            backends.append(
-                predictorBackendName(p.params.backend));
-        sweep.add("backends", std::move(backends));
-    }
     JsonValue pollution = JsonValue::array();
     for (PollutionPolicy p : spec.pollution)
         pollution.append(pollutionPolicyName(p));

@@ -99,13 +99,6 @@ validateSpec(const SweepSpec &spec)
 } // namespace
 
 void
-setSweepBackend(SweepSpec &spec, PredictorBackendKind kind)
-{
-    for (PredictorVariant &p : spec.predictors)
-        p.params.backend = kind;
-}
-
-void
 applySweepSampling(SweepSpec &spec, const SampleParams &params)
 {
     spec.sample = params;

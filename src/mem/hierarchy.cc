@@ -49,13 +49,6 @@ MemoryHierarchy::accessBeyondL1(Addr addr, bool is_write,
         // Posted writeback: occupies the bus, does not stall the load.
         busFreeAt += params_.busCyclesPerLine;
     }
-    if (params_.l2NextLinePrefetch) {
-        // Next-line prefetch: silently fill line+1 into the L2 and
-        // account its bus occupancy (it never stalls the demand
-        // load).
-        if (l2_.install(addr + l2_.lineBytes(), owner))
-            busFreeAt += params_.busCyclesPerLine;
-    }
     return out;
 }
 

@@ -59,12 +59,6 @@ struct HierarchyParams
     std::uint32_t tlbEntries = 64;
     std::uint32_t tlbAssoc = 4;
     Cycles tlbMissPenalty = 30;
-    /**
-     * Next-line prefetch into the L2 on every L2 demand miss
-     * (ablation substrate; off by default to match the paper's
-     * machine).
-     */
-    bool l2NextLinePrefetch = false;
     /** Seed for replacement/pollution randomness. */
     std::uint64_t seed = 1;
 };
@@ -279,13 +273,8 @@ MemoryHierarchy::warmAccess(Addr addr, AccessType type, Owner owner)
     if (Cache *tlb = is_fetch ? itlb_.get() : dtlb_.get())
         tlb->access(addr, false, owner);
 
-    if (l1.access(addr, is_write, owner).hit)
-        return;
-    if (l2_.access(addr, is_write, owner).hit)
-        return;
-    // Keep the prefetcher's content effect; its bus time is timing.
-    if (params_.l2NextLinePrefetch)
-        l2_.install(addr + l2_.lineBytes(), owner);
+    if (!l1.access(addr, is_write, owner).hit)
+        l2_.access(addr, is_write, owner);
 }
 
 } // namespace osp

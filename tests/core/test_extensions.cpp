@@ -32,8 +32,8 @@ TEST(MixSignature, SplitsSameCountDifferentMix)
     // Two paths: 1000 insts of copy (load/store heavy) vs 1000
     // insts of scan (load/branch heavy). Count-only merges them;
     // mix keeps them apart.
-    PerfLookupTable count_only(0.05, 0.0, false);
-    PerfLookupTable with_mix(0.05, 0.0, true);
+    PerfLookupTable count_only(0.05, false);
+    PerfLookupTable with_mix(0.05, true);
     ServiceMetrics copy = metricsWithMix(1000, 4000, 250, 250, 60);
     ServiceMetrics scan = metricsWithMix(1000, 9000, 330, 40, 200);
 
@@ -58,7 +58,7 @@ TEST(MixSignature, SmallDimensionsAreExempt)
 {
     // Branch counts below the noise floor must not fragment
     // clusters.
-    PerfLookupTable plt(0.05, 0.0, true);
+    PerfLookupTable plt(0.05, true);
     plt.record(metricsWithMix(1000, 4000, 250, 250, 8));
     plt.record(metricsWithMix(1000, 4100, 250, 250, 16));
     EXPECT_EQ(plt.numClusters(), 1u);
@@ -165,6 +165,44 @@ TEST(ProfileSerialization, RejectsGarbage)
     EXPECT_FALSE(accel.loadState(truncated));
     std::istringstream noend("ospredict-profile v1\n");
     EXPECT_FALSE(accel.loadState(noend));
+}
+
+// A corrupt row count must fail the load, not size an allocation.
+TEST(ProfileSerialization, HugeRowCountFailsClosed)
+{
+    Accelerator accel;
+    std::istringstream huge("ospredict-profile v1\n"
+                            "service 0 4611686018427387903\n"
+                            "1 1000 0 5000 0 0.2 0 0 0 0 0 0\n");
+    EXPECT_FALSE(accel.loadState(huge));
+    EXPECT_EQ(accel.chooseLevel(static_cast<ServiceType>(0)),
+              DetailLevel::OooCache);
+}
+
+// A stream that fails after a good service block loads nothing: the
+// caller falls back to learning online, so no table may be half in.
+TEST(ProfileSerialization, FailedLoadLeavesAcceleratorUnchanged)
+{
+    Accelerator accel;
+    std::istringstream partial("ospredict-profile v1\n"
+                               "service 0 1\n"
+                               "1 1000 0 5000 0 0.2 0 0 0 0 0 0\n"
+                               "service 1 1\n"
+                               "1 2\n");
+    EXPECT_FALSE(accel.loadState(partial));
+    EXPECT_EQ(accel.chooseLevel(static_cast<ServiceType>(0)),
+              DetailLevel::OooCache);
+    EXPECT_EQ(accel.aggregateStats().predictedRuns, 0u);
+
+    // The same good block, properly ended, does load.
+    Accelerator ok;
+    std::istringstream whole("ospredict-profile v1\n"
+                             "service 0 1\n"
+                             "1 1000 0 5000 0 0.2 0 0 0 0 0 0\n"
+                             "end\n");
+    EXPECT_TRUE(ok.loadState(whole));
+    EXPECT_EQ(ok.chooseLevel(static_cast<ServiceType>(0)),
+              DetailLevel::Emulate);
 }
 
 TEST(AuditSampling, SchedulesEveryNth)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -300,6 +301,24 @@ TEST_F(CellCacheTest, StoreStatsDocumentShape)
     EXPECT_EQ(stats["cache"]["misses"].asUint(), 3u);
     EXPECT_EQ(stats["cache"]["hits"].asUint(), 0u);
     EXPECT_GE(stats["store"]["num_pages"].asUint(), 2u);
+}
+
+// Every committed store and archived profile is addressed by these
+// keys, so a field that leaves the cell context (or is hashed
+// differently) invalidates them all. The constants were recorded
+// while the learned backend, EMA and L2-prefetcher knobs were still
+// live; their fields stay in the context as constants.
+TEST_F(CellCacheTest, PltCellKeysArePinned)
+{
+    SweepSpec spec = makeNamedSweep("fig13", 1.0 / 20.0, true);  // smoke
+    CellCache cache(*store_, "fp");
+    std::map<RunMode, std::string> keys;
+    for (const SweepCell &cell : expandSweep(spec))
+        if (cell.workload == "ab-rand" && !keys.count(cell.mode))
+            keys[cell.mode] = cache.cellKey(spec, cell, 0);
+    EXPECT_EQ(keys[RunMode::Full], "6db7f1c28df68dac");
+    EXPECT_EQ(keys[RunMode::Accelerated], "4367c993f9642813");
+    EXPECT_EQ(keys[RunMode::SampledAccel], "391ade2c17db668a");
 }
 
 } // namespace

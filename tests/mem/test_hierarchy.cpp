@@ -331,86 +331,50 @@ TEST(HierarchyTlb, FootprintInstallWarmsTlb)
     EXPECT_FALSE(res.tlbMiss);
 }
 
-TEST(HierarchyPrefetch, NextLinePrefetchFillsL2)
-{
-    HierarchyParams p = tinyParams();
-    p.l2NextLinePrefetch = true;
-    MemoryHierarchy h(p);
-    h.access(0x10000, AccessType::Load, Owner::App, 0);
-    // The next line was prefetched: L1 misses but L2 hits.
-    auto res =
-        h.access(0x10040, AccessType::Load, Owner::App, 10000);
-    EXPECT_TRUE(res.l1Miss);
-    EXPECT_FALSE(res.l2Miss);
-}
-
-TEST(HierarchyPrefetch, StreamingMissesHalveWithPrefetch)
-{
-    HierarchyParams base = tinyParams();
-    HierarchyParams pf = tinyParams();
-    pf.l2NextLinePrefetch = true;
-    MemoryHierarchy plain(base);
-    MemoryHierarchy pref(pf);
-    for (Addr a = 0x100000; a < 0x140000; a += 64) {
-        plain.access(a, AccessType::Load, Owner::App, 0);
-        pref.access(a, AccessType::Load, Owner::App, 0);
-    }
-    EXPECT_LT(pref.counts().l2Misses,
-              plain.counts().l2Misses / 2 + 16);
-}
-
 /** accessL1() + accessBeyondL1() is access() split at the L1: two
  *  hierarchies driven by one random stream at the same `now`, one
  *  each way, must agree on every outcome and counter — with TLB
- *  misses, dirty writebacks and the next-line prefetcher in play —
- *  and on a follow-up miss burst whose latencies expose the bus
- *  clock. */
+ *  misses and dirty writebacks in play — and on a follow-up miss
+ *  burst whose latencies expose the bus clock. */
 TEST(Hierarchy, SplitAccessMatchesAccess)
 {
-    for (bool prefetch : {false, true}) {
-        HierarchyParams p = tinyParams();
-        p.tlbEntries = 8;
-        p.tlbAssoc = 2;
-        p.l2NextLinePrefetch = prefetch;
-        MemoryHierarchy whole(p);
-        MemoryHierarchy split(p);
+    HierarchyParams p = tinyParams();
+    p.tlbEntries = 8;
+    p.tlbAssoc = 2;
+    MemoryHierarchy whole(p);
+    MemoryHierarchy split(p);
 
-        Pcg32 rng(29, prefetch);
-        Cycles now = 0;
-        std::uint64_t tlb_misses = 0;
-        for (int i = 0; i < 20000; ++i) {
-            Addr a = 64ULL * rng.range(4096) + rng.range(64);
-            auto type = static_cast<AccessType>(rng.range(3));
-            Owner o = rng.range(4) ? Owner::App : Owner::Os;
-            now += rng.range(60);
-            auto x = whole.access(a, type, o, now);
-            auto y = split.accessL1(a, type, o);
-            if (y.l1Miss)
-                y = split.accessBeyondL1(a, type == AccessType::Store,
-                                         o, now, y);
-            ASSERT_EQ(x.latency, y.latency) << i;
-            ASSERT_EQ(x.l1Miss, y.l1Miss) << i;
-            ASSERT_EQ(x.l2Miss, y.l2Miss) << i;
-            ASSERT_EQ(x.tlbMiss, y.tlbMiss) << i;
-            tlb_misses += x.tlbMiss;
-        }
-        expectSameHierarchy(split, whole);
-        EXPECT_GT(tlb_misses, 0u);
-        EXPECT_GT(whole.l2().stats().writebacks, 0u);
-        if (prefetch) {
-            EXPECT_GT(whole.l2().stats().injectedFills, 0u);
-        }
+    Pcg32 rng(29, 0);
+    Cycles now = 0;
+    std::uint64_t tlb_misses = 0;
+    for (int i = 0; i < 20000; ++i) {
+        Addr a = 64ULL * rng.range(4096) + rng.range(64);
+        auto type = static_cast<AccessType>(rng.range(3));
+        Owner o = rng.range(4) ? Owner::App : Owner::Os;
+        now += rng.range(60);
+        auto x = whole.access(a, type, o, now);
+        auto y = split.accessL1(a, type, o);
+        if (y.l1Miss)
+            y = split.accessBeyondL1(a, type == AccessType::Store, o,
+                                     now, y);
+        ASSERT_EQ(x.latency, y.latency) << i;
+        ASSERT_EQ(x.l1Miss, y.l1Miss) << i;
+        ASSERT_EQ(x.l2Miss, y.l2Miss) << i;
+        ASSERT_EQ(x.tlbMiss, y.tlbMiss) << i;
+        tlb_misses += x.tlbMiss;
+    }
+    expectSameHierarchy(split, whole);
+    EXPECT_GT(tlb_misses, 0u);
+    EXPECT_GT(whole.l2().stats().writebacks, 0u);
 
-        // Back-to-back cold misses at one cycle queue behind
-        // whatever bus occupancy each hierarchy has left.
-        for (int i = 0; i < 64; ++i) {
-            Addr a = 0x1000000 + 64ULL * i;
-            ASSERT_EQ(whole.access(a, AccessType::Load, Owner::App, now)
-                          .latency,
-                      split.access(a, AccessType::Load, Owner::App, now)
-                          .latency)
-                << i;
-        }
+    // Back-to-back cold misses at one cycle queue behind whatever
+    // bus occupancy each hierarchy has left.
+    for (int i = 0; i < 64; ++i) {
+        Addr a = 0x1000000 + 64ULL * i;
+        ASSERT_EQ(
+            whole.access(a, AccessType::Load, Owner::App, now).latency,
+            split.access(a, AccessType::Load, Owner::App, now).latency)
+            << i;
     }
 }
 

@@ -9,7 +9,6 @@
 #include <filesystem>
 #include <string>
 
-#include "core/predictor_backend.hh"
 #include "driver/cell_io.hh"
 #include "driver/experiments.hh"
 #include "driver/sweep.hh"
@@ -178,72 +177,36 @@ findAccel(const std::vector<SweepCell> &cells,
     return nullptr;
 }
 
-// Satellite: the archive path is backend-agnostic — a learned-
-// backend profile (model row + buckets in the same ospredict-
-// profile v1 rows) archives, reloads, and warm-starts exactly like
-// a PLT profile.
-TEST_F(PltArchiveTest, LearnedBackendProfileRoundTripsThroughStore)
+// Satellite: the abl5 scenario — warm-starting from a *stale*
+// profile (learned under a different workload's behaviour) must
+// recover through audits and drift resets rather than fail, and
+// must stay deterministic. The PLT is the only backend left; the
+// test keeps its name.
+TEST_F(PltArchiveTest, StaleProfileWarmStartRecoversPerBackend)
 {
     SweepSpec spec = tinySpec();
-    setSweepBackend(spec, PredictorBackendKind::Learned);
     auto cells = expandSweep(spec);
-    const SweepCell *accel = findAccel(cells, "du");
-    ASSERT_NE(accel, nullptr);
+    const SweepCell *donor = findAccel(cells, "du");
+    const SweepCell *target = findAccel(cells, "ab-rand");
+    ASSERT_NE(donor, nullptr);
+    ASSERT_NE(target, nullptr);
 
-    CellResult cold = runCell(spec, *accel);
+    // The donor's profile describes du's services, not ab-rand's:
+    // a stale table for the target cell.
+    CellResult cold = runCell(spec, *donor);
     ASSERT_FALSE(cold.failed);
     ASSERT_FALSE(cold.pltProfile.empty());
 
     store::PltArchive archive(*store_);
-    archive.save(accel->workload, cold.pltProfile);
-    std::optional<std::string> profile =
-        archive.load(accel->workload);
-    ASSERT_TRUE(profile.has_value());
-    EXPECT_EQ(*profile, cold.pltProfile);
+    archive.save(target->workload, cold.pltProfile);
+    std::optional<std::string> stale = archive.load(target->workload);
+    ASSERT_TRUE(stale.has_value());
 
-    CellResult warm1 = runCell(spec, *accel, 0, &*profile);
-    CellResult warm2 = runCell(spec, *accel, 0, &*profile);
+    CellResult warm1 = runCell(spec, *target, 0, &*stale);
+    CellResult warm2 = runCell(spec, *target, 0, &*stale);
     ASSERT_FALSE(warm1.failed);
+    EXPECT_GT(warm1.totals.totalCycles(), 0u);
     EXPECT_EQ(encodeCellResult(warm1), encodeCellResult(warm2));
-}
-
-// Satellite: the abl5 scenario — warm-starting from a *stale*
-// profile (learned under a different workload's behaviour) must
-// recover through audits and drift resets rather than fail, and
-// must stay deterministic, for both backends.
-TEST_F(PltArchiveTest, StaleProfileWarmStartRecoversPerBackend)
-{
-    for (PredictorBackendKind kind :
-         {PredictorBackendKind::Plt,
-          PredictorBackendKind::Learned}) {
-        SCOPED_TRACE(predictorBackendName(kind));
-        SweepSpec spec = tinySpec();
-        setSweepBackend(spec, kind);
-        auto cells = expandSweep(spec);
-        const SweepCell *donor = findAccel(cells, "du");
-        const SweepCell *target = findAccel(cells, "ab-rand");
-        ASSERT_NE(donor, nullptr);
-        ASSERT_NE(target, nullptr);
-
-        // The donor's profile describes du's services, not
-        // ab-rand's: a stale table for the target cell.
-        CellResult cold = runCell(spec, *donor);
-        ASSERT_FALSE(cold.failed);
-        ASSERT_FALSE(cold.pltProfile.empty());
-
-        store::PltArchive archive(*store_);
-        archive.save(target->workload, cold.pltProfile);
-        std::optional<std::string> stale =
-            archive.load(target->workload);
-        ASSERT_TRUE(stale.has_value());
-
-        CellResult warm1 = runCell(spec, *target, 0, &*stale);
-        CellResult warm2 = runCell(spec, *target, 0, &*stale);
-        ASSERT_FALSE(warm1.failed);
-        EXPECT_GT(warm1.totals.totalCycles(), 0u);
-        EXPECT_EQ(encodeCellResult(warm1),
-                  encodeCellResult(warm2));
-    }
 }
 
 } // namespace

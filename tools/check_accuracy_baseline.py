@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Gate a sweep's accuracy section against a committed baseline.
 
-Usage: check_accuracy_baseline.py RESULTS_JSON BASELINE_JSON \
-           [--backend plt|learned]
+Usage: check_accuracy_baseline.py RESULTS_JSON BASELINE_JSON [--update]
 
-Structure is compared exactly (same sweep, same backend, same set
-of accuracy cells, audits present); numerics are compared with
+Structure is compared exactly (same sweep, same set of accuracy
+cells, audits present); numerics are compared with
 tolerances, because cluster formation and cycle sums shift slightly
 across compilers and optimisation levels (FP contraction), and the
 point of the gate is catching *accuracy regressions*, not bit
@@ -23,21 +22,16 @@ drift:
     and mean coverage across every workload in the sweep) must
     stay within `err_atol` of the baseline.
 
-Each predictor backend gates against its own committed baseline:
-`--backend` (default plt) asserts the results document was produced
-by that backend before any numeric comparison, so a plt run can
-never green-light the learned baseline or vice versa.
+The PLT is the only predictor. A results document that names
+predictor backends (`sweep.backends`, written by sweeps that could
+select a removed learned backend) or a baseline recorded for another
+backend fails: neither can describe the PLT.
 
 Regenerate a baseline (after an intentional accuracy change):
 
   ./bench/sweep fig08 --smoke --no-timing --out smoke.json
   ./tools/check_accuracy_baseline.py smoke.json \
       bench/baselines/accuracy_smoke.json --update
-  ./bench/sweep fig08 --smoke --no-timing --backend learned \
-      --out smoke-learned.json
-  ./tools/check_accuracy_baseline.py smoke-learned.json \
-      bench/baselines/accuracy_smoke_learned.json \
-      --backend learned --update
 """
 
 import argparse
@@ -58,21 +52,11 @@ def cell_key(cell):
             cell["l2_bytes"], cell["seed_index"])
 
 
-def doc_backends(doc):
-    """The set of predictor backends that produced the document.
-
-    The sweep only emits a "backends" array when some variant uses
-    a non-default backend, so its absence means plt throughout.
-    """
-    return set(doc["sweep"].get("backends", ["plt"]))
-
-
-def distil(doc, backend):
+def distil(doc):
     """Reduce a results document to the gated quantities."""
-    backends = doc_backends(doc)
-    if backends != {backend}:
-        fail(f"results produced by backend(s) "
-             f"{sorted(backends)}, expected [{backend!r}]")
+    if "backends" in doc["sweep"]:
+        fail(f"results produced by predictor backend(s) "
+             f"{doc['sweep']['backends']}; only the PLT is gated")
     acc = doc.get("accuracy")
     if acc is None:
         fail("results document has no 'accuracy' section")
@@ -99,7 +83,7 @@ def distil(doc, backend):
                 entry["within_ci"] = oracle["within_ci"]
         cells["/".join(map(str, cell_key(cell)))] = entry
     # Per-predictor rollups cover every workload in the sweep, not
-    # just the cells that accumulated audit samples: a backend that
+    # just the cells that accumulated audit samples: a predictor that
     # silently degraded on a workload without audits still moves
     # mean/worst oracle error here.
     summary = {}
@@ -114,7 +98,6 @@ def distil(doc, backend):
         "schema": "ospredict-accuracy-baseline-v1",
         "sweep": doc["sweep"]["name"],
         "smoke": doc["sweep"].get("smoke", False),
-        "backend": backend,
         "count_rtol": COUNT_RTOL,
         "err_atol": ERR_ATOL,
         "cells": cells,
@@ -132,14 +115,10 @@ def main():
     ap.add_argument("baseline")
     ap.add_argument("--update", action="store_true",
                     help="rewrite the baseline from the results")
-    ap.add_argument("--backend", default="plt",
-                    choices=["plt", "learned"],
-                    help="predictor backend the results (and the "
-                         "baseline) must belong to")
     args = ap.parse_args()
 
     with open(args.results) as f:
-        got = distil(json.load(f), args.backend)
+        got = distil(json.load(f))
 
     if args.update:
         with open(args.baseline, "w") as f:
@@ -157,10 +136,9 @@ def main():
         fail(f"sweep mismatch: results {got['sweep']!r} "
              f"smoke={got['smoke']} vs baseline {want['sweep']!r} "
              f"smoke={want['smoke']}")
-    if want.get("backend", "plt") != args.backend:
-        fail(f"baseline belongs to backend "
-             f"{want.get('backend', 'plt')!r}, "
-             f"but --backend {args.backend} was requested")
+    if want.get("backend", "plt") != "plt":
+        fail(f"baseline belongs to predictor backend "
+             f"{want['backend']!r}; only the PLT is gated")
 
     rtol = want.get("count_rtol", COUNT_RTOL)
     atol = want.get("err_atol", ERR_ATOL)
@@ -189,8 +167,8 @@ def main():
             fail(f"{key}: oracle error left the audit estimate's "
                  f"95% CI (baseline agreed)")
 
-    # Summary rollups (absent from baselines written before the
-    # backend dimension existed; regenerate with --update to arm).
+    # Summary rollups (absent from old baselines; regenerate with
+    # --update to arm).
     want_summary = want.get("summary", {})
     if want_summary:
         if set(got["summary"]) != set(want_summary):
@@ -209,7 +187,7 @@ def main():
                          f"{cur[field]:.4f} drifted from baseline "
                          f"{base[field]:.4f} (atol {atol})")
 
-    print(f"accuracy baseline: OK [{args.backend}] "
+    print(f"accuracy baseline: OK "
           f"({len(want['cells'])} cells, "
           f"{len(want_summary)} predictor rollups, "
           f"count_rtol {rtol}, err_atol {atol})")
