@@ -23,31 +23,31 @@ main(int argc, char **argv)
 
     const double ranges[] = {0.01, 0.02, 0.05, 0.10, 0.20};
 
+    SweepSpec spec = benchSweep("abl1", {"ab-rand", "ab-seq", "iperf"},
+                                experimentShapeScale);
+    for (double range : ranges) {
+        PredictorParams pp = experimentPredictor();
+        pp.clusterRange = range;
+        spec.predictors.push_back({TablePrinter::pct(range, 0), pp});
+    }
+    SweepResult sweep = runBenchSweep(spec, argc, argv);
+
     TablePrinter table({"bench", "range", "coverage", "time_err",
                         "outlier_frac", "relearn_events"});
 
-    for (const auto &name : {std::string("ab-rand"),
-                             std::string("ab-seq"),
-                             std::string("iperf")}) {
-        MachineConfig cfg = paperConfig();
-        RunTotals full = runFull(name, cfg, shapeScale);
-        for (double range : ranges) {
-            PredictorParams pp = paperPredictor();
-            pp.clusterRange = range;
-            AccelResult res =
-                runAccelerated(name, cfg, shapeScale, pp);
-            double err = absError(
-                static_cast<double>(res.totals.totalCycles()),
-                static_cast<double>(full.totalCycles()));
+    for (const auto &name : spec.workloads) {
+        for (std::size_t v = 0; v < spec.predictors.size(); ++v) {
+            const CellResult &res =
+                *sweep.find(name, RunMode::Accelerated, v);
             double outlier_frac =
                 res.stats.predictedRuns
                     ? static_cast<double>(res.stats.outliers) /
                           static_cast<double>(
                               res.stats.predictedRuns)
                     : 0.0;
-            table.addRow({name, TablePrinter::pct(range, 0),
+            table.addRow({name, spec.predictors[v].label,
                           TablePrinter::pct(res.totals.coverage()),
-                          TablePrinter::pct(err),
+                          TablePrinter::pct(res.cycleError),
                           TablePrinter::pct(outlier_frac),
                           std::to_string(
                               res.stats.relearnEvents)});

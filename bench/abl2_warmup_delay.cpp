@@ -24,21 +24,23 @@ main(int argc, char **argv)
 
     const std::uint64_t delays[] = {0, 5, 25, 50, 100, 200};
 
+    SweepSpec spec = benchSweep("abl2", osIntensiveWorkloads(),
+                                experimentShapeScale);
+    for (std::uint64_t delay : delays) {
+        PredictorParams pp = experimentPredictor();
+        pp.warmupInvocations = delay;
+        spec.predictors.push_back({std::to_string(delay), pp});
+    }
+    SweepResult sweep = runBenchSweep(spec, argc, argv);
+
     TablePrinter table({"bench", "delay", "coverage", "time_err"});
-    for (const auto &name : osIntensiveWorkloads()) {
-        MachineConfig cfg = paperConfig();
-        RunTotals full = runFull(name, cfg, shapeScale);
-        for (std::uint64_t delay : delays) {
-            PredictorParams pp = paperPredictor();
-            pp.warmupInvocations = delay;
-            AccelResult res =
-                runAccelerated(name, cfg, shapeScale, pp);
-            double err = absError(
-                static_cast<double>(res.totals.totalCycles()),
-                static_cast<double>(full.totalCycles()));
-            table.addRow({name, std::to_string(delay),
+    for (const auto &name : spec.workloads) {
+        for (std::size_t v = 0; v < spec.predictors.size(); ++v) {
+            const CellResult &res =
+                *sweep.find(name, RunMode::Accelerated, v);
+            table.addRow({name, spec.predictors[v].label,
                           TablePrinter::pct(res.totals.coverage()),
-                          TablePrinter::pct(err)});
+                          TablePrinter::pct(res.cycleError)});
         }
     }
     table.print(std::cout);

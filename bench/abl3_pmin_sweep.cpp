@@ -33,31 +33,35 @@ main(int argc, char **argv)
         {0.01, 0.95}, {0.03, 0.99},
     };
 
+    SweepSpec spec = benchSweep("abl3", {"ab-rand", "ab-seq", "iperf"},
+                                experimentShapeScale);
+    for (const Point &pt : points) {
+        PredictorParams pp = experimentPredictor();
+        pp.learningWindow = 0;  // derive from (pmin, doc)
+        pp.pMin = pt.pmin;
+        pp.doc = pt.doc;
+        pp.relearn.pMin = pt.pmin;
+        spec.predictors.push_back(
+            {TablePrinter::pct(pt.pmin, 0) + "/" +
+                 TablePrinter::pct(pt.doc, 0),
+             pp});
+    }
+    SweepResult sweep = runBenchSweep(spec, argc, argv);
+
     TablePrinter table({"bench", "p_min", "doc", "window",
                         "coverage", "time_err"});
-    for (const auto &name : {std::string("ab-rand"),
-                             std::string("ab-seq"),
-                             std::string("iperf")}) {
-        MachineConfig cfg = paperConfig();
-        RunTotals full = runFull(name, cfg, shapeScale);
-        for (const Point &pt : points) {
-            PredictorParams pp = paperPredictor();
-            pp.learningWindow = 0;  // derive from (pmin, doc)
-            pp.pMin = pt.pmin;
-            pp.doc = pt.doc;
-            pp.relearn.pMin = pt.pmin;
-            AccelResult res =
-                runAccelerated(name, cfg, shapeScale, pp);
-            double err = absError(
-                static_cast<double>(res.totals.totalCycles()),
-                static_cast<double>(full.totalCycles()));
+    for (const auto &name : spec.workloads) {
+        for (std::size_t v = 0; v < spec.predictors.size(); ++v) {
+            const Point &pt = points[v];
+            const CellResult &res =
+                *sweep.find(name, RunMode::Accelerated, v);
             table.addRow(
                 {name, TablePrinter::pct(pt.pmin, 0),
                  TablePrinter::pct(pt.doc, 0),
                  std::to_string(
                      learningWindowSize(pt.pmin, pt.doc)),
                  TablePrinter::pct(res.totals.coverage()),
-                 TablePrinter::pct(err)});
+                 TablePrinter::pct(res.cycleError)});
         }
     }
     table.print(std::cout);

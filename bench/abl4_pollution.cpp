@@ -21,28 +21,25 @@ main(int argc, char **argv)
 
     banner("Ablation 4", "pollution policies for predicted intervals");
 
-    const PollutionPolicy policies[] = {
+    SweepSpec spec = benchSweep("abl4", osIntensiveWorkloads(),
+                                experimentShapeScale);
+    spec.predictors = {{"statistical", experimentPredictor()}};
+    spec.pollution = {
         PollutionPolicy::None,
         PollutionPolicy::PaperInvalidateApp,
         PollutionPolicy::InvalidateAny,
         PollutionPolicy::SyntheticInstall,
         PollutionPolicy::Footprint,
     };
+    SweepResult sweep = runBenchSweep(spec, argc, argv);
 
     TablePrinter table({"bench", "policy", "time_err"});
-    for (const auto &name : osIntensiveWorkloads()) {
-        MachineConfig cfg = paperConfig();
-        RunTotals full = runFull(name, cfg, shapeScale);
-        for (PollutionPolicy policy : policies) {
-            MachineConfig c = cfg;
-            c.pollutionPolicy = policy;
-            AccelResult res =
-                runAccelerated(name, c, shapeScale);
-            double err = absError(
-                static_cast<double>(res.totals.totalCycles()),
-                static_cast<double>(full.totalCycles()));
-            table.addRow({name, pollutionPolicyName(policy),
-                          TablePrinter::pct(err)});
+    for (const auto &name : spec.workloads) {
+        for (std::size_t q = 0; q < spec.pollution.size(); ++q) {
+            const CellResult &res =
+                *sweep.find(name, RunMode::Accelerated, 0, 0, 0, q);
+            table.addRow({name, pollutionPolicyName(spec.pollution[q]),
+                          TablePrinter::pct(res.cycleError)});
         }
     }
     table.print(std::cout);

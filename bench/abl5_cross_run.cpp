@@ -10,101 +10,95 @@
  * reused — frozen, no re-learning, no audits — on (a) another run
  * of the same workload with a different seed, and (b) a different
  * workload. Online learning on the target run is the baseline.
+ *
+ * The reuse is the runner's warm start (RunnerOptions::warmProfiles,
+ * the path `sweep --plt warm` takes) fed with the training sweep's
+ * end-of-run profiles.
  */
 
+#include <map>
 #include <sstream>
 
 #include "common.hh"
 
+#include "core/accelerator.hh"
 #include "util/logging.hh"
-
-namespace
-{
-
-using namespace osp;
-using namespace osp::bench;
-
-/** Train on (workload, seed) and return the serialized profile. */
-std::string
-trainProfile(const std::string &workload, std::uint64_t seed)
-{
-    MachineConfig cfg = paperConfig();
-    cfg.seed = seed;
-    auto machine = makeMachine(workload, cfg, scaled(shapeScale));
-    Accelerator accel(paperPredictor());
-    machine->setController(&accel);
-    machine->run();
-    std::ostringstream oss;
-    accel.saveState(oss);
-    return oss.str();
-}
-
-/** Run (workload, seed) with a frozen, preloaded profile. */
-RunTotals
-runFrozen(const std::string &workload, std::uint64_t seed,
-          const std::string &profile)
-{
-    MachineConfig cfg = paperConfig();
-    cfg.seed = seed;
-    auto machine = makeMachine(workload, cfg, scaled(shapeScale));
-    PredictorParams pp = paperPredictor(RelearnStrategy::BestMatch);
-    pp.auditEvery = 0;  // offline: no correction mechanisms
-    Accelerator accel(pp);
-    std::istringstream iss(profile);
-    if (!accel.loadState(iss))
-        osp_fatal("abl5: failed to load profile");
-    machine->setController(&accel);
-    return machine->run();
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
-    osp::bench::init(argc, argv);
+    using namespace osp;
+    using namespace osp::bench;
+    init(argc, argv);
     banner("Ablation 5",
            "online learning vs frozen offline profiles (the "
            "paper's Sec. 2 argument)");
 
+    const std::vector<std::string> targets = {"ab-rand", "ab-seq",
+                                              "iperf"};
+    auto other = [](const std::string &name) {
+        return std::string(name == "ab-rand" ? "ab-seq" : "ab-rand");
+    };
+
+    // Baseline: full detail and fully online learning on the
+    // evaluation run.
+    SweepSpec online = benchSweep("abl5", targets, experimentShapeScale);
+    online.baseSeed = 1234;
+    online.predictors = {{"online", experimentPredictor()}};
+    SweepResult eval = runBenchSweep(online, argc, argv);
+
+    // Profiles (every service's learned clusters) from training runs
+    // at the documented seed, a different run than the evaluation.
+    SweepSpec train = online;
+    train.baseSeed = experimentSeed;
+    train.modes = {RunMode::Accelerated};
+    SweepResult trained = runBenchSweep(train, argc, argv);
+
+    // Offline: the evaluation run warm-started from a profile and
+    // frozen: no re-learning, no audits.
+    PredictorParams frozen_pp =
+        experimentPredictor(RelearnStrategy::BestMatch);
+    frozen_pp.auditEvery = 0;  // offline: no correction mechanisms
+    SweepSpec frozen = online;
+    frozen.modes = {RunMode::Accelerated};
+    frozen.predictors = {{"frozen", frozen_pp}};
+    // The runner only warns on a profile it cannot load and learns
+    // online instead, which would pass for a frozen result here.
+    auto profileOf = [&](const std::string &name) {
+        const std::string &profile =
+            trained.find(name, RunMode::Accelerated)->pltProfile;
+        Accelerator probe(frozen_pp);
+        std::istringstream iss(profile);
+        if (!probe.loadState(iss))
+            osp_fatal("abl5: failed to load profile");
+        return profile;
+    };
+    std::map<std::string, std::string> same_profiles;
+    std::map<std::string, std::string> other_profiles;
+    for (const auto &name : targets) {
+        same_profiles[name] = profileOf(name);
+        other_profiles[name] = profileOf(other(name));
+    }
+    SweepResult same = runBenchSweep(frozen, argc, argv, &same_profiles);
+    SweepResult diff =
+        runBenchSweep(frozen, argc, argv, &other_profiles);
+
     TablePrinter table({"target_run", "profile_source", "coverage",
                         "time_err"});
-
-    for (const std::string name : {"ab-rand", "ab-seq", "iperf"}) {
-        MachineConfig cfg = paperConfig();
-        cfg.seed = 1234;  // the evaluation run
-        RunTotals full = runFull(name, cfg, shapeScale);
-
-        // Baseline: fully online on the target run.
-        AccelResult online = runAccelerated(name, cfg, shapeScale);
-        table.addRow(
-            {name, "online (paper)",
-             TablePrinter::pct(online.totals.coverage()),
-             TablePrinter::pct(absError(
-                 static_cast<double>(online.totals.totalCycles()),
-                 static_cast<double>(full.totalCycles())))});
-
-        // Offline: profile trained on a different run (other seed).
-        std::string same = trainProfile(name, defaultSeed);
-        RunTotals frozen_same = runFrozen(name, 1234, same);
-        table.addRow(
-            {name, "offline, same workload",
-             TablePrinter::pct(frozen_same.coverage()),
-             TablePrinter::pct(absError(
-                 static_cast<double>(frozen_same.totalCycles()),
-                 static_cast<double>(full.totalCycles())))});
-
-        // Offline: profile trained on a different workload.
-        std::string other =
-            trainProfile(name == "ab-rand" ? "ab-seq" : "ab-rand",
-                         defaultSeed);
-        RunTotals frozen_other = runFrozen(name, 1234, other);
-        table.addRow(
-            {name, "offline, other workload",
-             TablePrinter::pct(frozen_other.coverage()),
-             TablePrinter::pct(absError(
-                 static_cast<double>(frozen_other.totalCycles()),
-                 static_cast<double>(full.totalCycles())))});
+    for (const auto &name : targets) {
+        const RunTotals &full = eval.find(name, RunMode::Full)->totals;
+        auto row = [&](const char *source, const SweepResult &sweep) {
+            const RunTotals &t =
+                sweep.find(name, RunMode::Accelerated)->totals;
+            table.addRow(
+                {name, source, TablePrinter::pct(t.coverage()),
+                 TablePrinter::pct(absError(
+                     static_cast<double>(t.totalCycles()),
+                     static_cast<double>(full.totalCycles())))});
+        };
+        row("online (paper)", eval);
+        row("offline, same workload", same);
+        row("offline, other workload", diff);
     }
     table.print(std::cout);
 

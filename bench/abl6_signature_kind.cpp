@@ -26,46 +26,44 @@ main(int argc, char **argv)
            "signature basis: instruction count (paper) vs "
            "count+mix (paper's future work)");
 
+    SweepSpec spec = benchSweep("abl6", osIntensiveWorkloads(),
+                                experimentShapeScale);
+    for (bool mix : {false, true}) {
+        PredictorParams pp = experimentPredictor();
+        pp.useMixSignature = mix;
+        spec.predictors.push_back({mix ? "count+mix" : "count", pp});
+    }
+    SweepResult sweep = runBenchSweep(spec, argc, argv);
+
     TablePrinter table({"bench", "signature", "coverage",
                         "time_err", "clusters_sys_read",
                         "outlier_frac"});
 
-    for (const auto &name : osIntensiveWorkloads()) {
-        MachineConfig cfg = paperConfig();
-        RunTotals full = runFull(name, cfg, shapeScale);
-        for (bool mix : {false, true}) {
-            PredictorParams pp = paperPredictor();
-            pp.useMixSignature = mix;
-
-            auto machine = makeMachine(name, cfg, scaled(shapeScale));
-            Accelerator accel(pp);
-            machine->setController(&accel);
-            const RunTotals &t = machine->run();
-            auto stats = accel.aggregateStats();
-
-            std::size_t read_clusters = 0;
-            if (t.perService[static_cast<int>(
-                                 ServiceType::SysRead)]
-                    .invocations) {
-                read_clusters =
-                    accel.predictor(ServiceType::SysRead)
-                        .table()
-                        .numClusters();
+    for (const auto &name : spec.workloads) {
+        for (std::size_t v = 0; v < spec.predictors.size(); ++v) {
+            const CellResult &res =
+                *sweep.find(name, RunMode::Accelerated, v);
+            // sys_read's table size: its cluster gauge only grows,
+            // so the last value is the final count (absent, and 0,
+            // when the run never invoked sys_read).
+            std::uint64_t read_clusters = 0;
+            for (const auto &g : res.telemetry.gauges) {
+                if (g.component == "predictor.sys_read" &&
+                    g.name == "plt_clusters")
+                    read_clusters =
+                        static_cast<std::uint64_t>(g.value);
             }
             double outlier_frac =
-                stats.predictedRuns
-                    ? static_cast<double>(stats.outliers) /
-                          static_cast<double>(stats.predictedRuns)
+                res.stats.predictedRuns
+                    ? static_cast<double>(res.stats.outliers) /
+                          static_cast<double>(res.stats.predictedRuns)
                     : 0.0;
 
-            table.addRow(
-                {name, mix ? "count+mix" : "count",
-                 TablePrinter::pct(t.coverage()),
-                 TablePrinter::pct(absError(
-                     static_cast<double>(t.totalCycles()),
-                     static_cast<double>(full.totalCycles()))),
-                 std::to_string(read_clusters),
-                 TablePrinter::pct(outlier_frac)});
+            table.addRow({name, spec.predictors[v].label,
+                          TablePrinter::pct(res.totals.coverage()),
+                          TablePrinter::pct(res.cycleError),
+                          std::to_string(read_clusters),
+                          TablePrinter::pct(outlier_frac)});
         }
     }
     table.print(std::cout);

@@ -1,6 +1,7 @@
-# One command-line check of `sweep`, run by ctest (bench/CMakeLists.txt):
-# run SWEEP with ARGS, require exit code EXPECT, and require every word
-# of NAMES to start a line of its standard output (the --help rows).
+# One command-line check of `sweep` (or of a figure bench), run by ctest
+# (bench/CMakeLists.txt): run SWEEP with ARGS, require exit code EXPECT,
+# and require every word of NAMES to start a line of its standard
+# output (the --help rows).
 # A rejected command line (EXPECT 2) that names a --store must leave
 # that store file uncreated: rejection happens before any store opens.
 #

@@ -3,38 +3,31 @@
  * Shared scaffolding for the figure/table regeneration benches.
  *
  * Every binary in bench/ regenerates one figure or table of the
- * paper (see DESIGN.md's per-experiment index). The helpers here
- * standardize configuration (paper Sec. 5.1 machine), workload
- * scale, seeds, and output formatting so the tables are directly
- * comparable across benches.
+ * paper (see DESIGN.md's per-experiment index). A bench whose
+ * experiment is a product of runs builds a SweepSpec and runs it
+ * with runBenchSweep() on the parallel runner (src/driver); the few
+ * the runner cannot express build machines from paperConfig(). Seed
+ * and work scales are the driver/experiments.hh constants, so the
+ * tables are directly comparable across benches.
  */
 
 #ifndef OSP_BENCH_COMMON_HH
 #define OSP_BENCH_COMMON_HH
 
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <memory>
+#include <map>
 #include <string>
+#include <vector>
 
-#include "core/accelerator.hh"
-#include "core/report.hh"
+#include "driver/experiments.hh"
 #include "util/table.hh"
 #include "workload/registry.hh"
 
 namespace osp::bench
 {
-
-/** Seed printed by every bench; change to replay a different run. */
-inline constexpr std::uint64_t defaultSeed = 42;
-
-/** Work-volume scale for accuracy experiments. 2.0 gives per-service
- *  invocation counts closer to the paper's multi-thousand range. */
-inline constexpr double accuracyScale = 2.0;
-
-/** Work-volume scale for characterization/shape experiments. */
-inline constexpr double shapeScale = 1.0;
 
 /** Smoke mode shrinks every bench's work volume by this factor so
  *  CI can execute the binaries in seconds instead of minutes. The
@@ -80,77 +73,82 @@ init(int argc, char **argv)
     }
 }
 
-/** Value of `--threads N` (0 = let the runner pick). */
+/** Value of `--threads N` (0 = one worker per core). A missing
+ *  value, or one that is not a whole non-negative number, exits 2,
+ *  as `sweep` does. */
 inline unsigned
-threadArg(int argc, char **argv, unsigned fallback = 0)
+threadArg(int argc, char **argv)
 {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--threads") == 0)
-            return static_cast<unsigned>(
-                std::strtoul(argv[i + 1], nullptr, 10));
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--threads") != 0)
+            continue;
+        const char *v = i + 1 < argc ? argv[i + 1] : "";
+        const char *end = v + std::strlen(v);
+        unsigned n = 0;
+        auto [ptr, ec] = std::from_chars(v, end, n);
+        if (ec != std::errc() || ptr != end) {
+            std::cerr << argv[0] << ": bad value '" << v
+                      << "' for --threads\n";
+            std::exit(2);
+        }
+        return n;
     }
-    return fallback;
+    return 0;
 }
 
-/** The paper's machine (Sec. 5.1), with an optional L2 size. */
+/** The paper's machine (Sec. 5.1) at the documented seed. */
 inline MachineConfig
-paperConfig(std::uint64_t l2_bytes = 1024 * 1024)
+paperConfig()
 {
     MachineConfig cfg;
-    cfg.seed = defaultSeed;
-    cfg.hier.l2.sizeBytes = l2_bytes;
+    cfg.seed = experimentSeed;
     return cfg;
 }
 
-/** The paper's predictor configuration (Sec. 4.3-4.4 defaults:
- *  pmin 3%, DoC 95% -> window 100; Statistical re-learning). */
-inline PredictorParams
-paperPredictor(RelearnStrategy strategy = RelearnStrategy::Statistical)
+/** A sweep of @p workloads at the documented seed and work
+ *  @p scale (smoke shrinking applied), over the runner's default
+ *  axes: Full and Accelerated, footprint pollution, 1MB L2. */
+inline SweepSpec
+benchSweep(const std::string &name,
+           std::vector<std::string> workloads, double scale)
 {
-    PredictorParams p;
-    p.learningWindow = 100;
-    p.relearn.strategy = strategy;
-    return p;
+    SweepSpec spec;
+    spec.name = name;
+    spec.workloads = std::move(workloads);
+    spec.baseSeed = experimentSeed;
+    spec.scale = scaled(scale);
+    return spec;
 }
 
-/** Run a workload fully detailed. */
-inline RunTotals
-runFull(const std::string &name, const MachineConfig &cfg,
-        double scale)
+/**
+ * Run a bench's sweep, labelled with the smoke mode, on `--threads
+ * N` workers (default: one per core). A cell that failed would print
+ * rows from zeroed totals, so any failure is named on stderr and the
+ * bench exits 1.
+ */
+inline SweepResult
+runBenchSweep(SweepSpec spec, int argc, char **argv,
+              const std::map<std::string, std::string>
+                  *warm_profiles = nullptr)
 {
-    auto machine = makeMachine(name, cfg, scaled(scale));
-    return machine->run();
-}
-
-/** Run a workload in application-only mode. */
-inline RunTotals
-runAppOnly(const std::string &name, MachineConfig cfg, double scale)
-{
-    cfg.appOnly = true;
-    auto machine = makeMachine(name, cfg, scaled(scale));
-    return machine->run();
-}
-
-/** Result of an accelerated run. */
-struct AccelResult
-{
-    RunTotals totals;
-    ServicePredictor::Stats stats;
-};
-
-/** Run a workload with the accelerator attached. */
-inline AccelResult
-runAccelerated(const std::string &name, const MachineConfig &cfg,
-               double scale,
-               const PredictorParams &params = paperPredictor())
-{
-    auto machine = makeMachine(name, cfg, scaled(scale));
-    Accelerator accel(params);
-    machine->setController(&accel);
-    AccelResult out;
-    out.totals = machine->run();
-    out.stats = accel.aggregateStats();
-    return out;
+    spec.smoke = smokeMode();
+    RunnerOptions opts;
+    opts.threads = threadArg(argc, argv);
+    opts.warmProfiles = warm_profiles;
+    SweepResult result = runSweep(spec, opts);
+    bool failed = false;
+    for (const CellResult &r : result.cells) {
+        if (!r.failed)
+            continue;
+        std::cerr << spec.name << ": cell " << r.cell.index << " ("
+                  << r.cell.workload << " "
+                  << runModeName(r.cell.mode)
+                  << ") failed: " << r.error << "\n";
+        failed = true;
+    }
+    if (failed)
+        std::exit(1);
+    return result;
 }
 
 /** Standard bench banner: figure id, description, seed. */
@@ -158,7 +156,7 @@ inline void
 banner(const std::string &experiment, const std::string &what)
 {
     std::cout << "==== " << experiment << ": " << what << " ====\n"
-              << "(seed " << defaultSeed
+              << "(seed " << experimentSeed
               << "; paper machine: 4GHz 4-wide OOO, 126-entry "
                  "window, 16KB L1I/L1D, 1MB 8-way L2 unless "
                  "stated)\n";

@@ -23,10 +23,15 @@ main(int argc, char **argv)
     banner("Extension 1",
            "generalization to transaction processing (oltp)");
 
-    MachineConfig cfg = paperConfig();
-    RunTotals full = runFull("oltp", cfg, accuracyScale);
-    RunTotals app = runAppOnly("oltp", cfg, accuracyScale);
-    AccelResult pred = runAccelerated("oltp", cfg, accuracyScale);
+    SweepSpec spec =
+        benchSweep("ext1", {"oltp"}, experimentAccuracyScale);
+    spec.modes = {RunMode::Full, RunMode::AppOnly,
+                  RunMode::Accelerated};
+    spec.predictors = {{"statistical", experimentPredictor()}};
+    SweepResult sweep = runBenchSweep(spec, argc, argv);
+    const RunTotals &full = sweep.find("oltp", RunMode::Full)->totals;
+    const RunTotals &app = sweep.find("oltp", RunMode::AppOnly)->totals;
+    const CellResult &pred = *sweep.find("oltp", RunMode::Accelerated);
 
     TablePrinter table({"metric", "value"});
     table.addRow({"total instructions",
@@ -44,18 +49,12 @@ main(int argc, char **argv)
              "x"});
     table.addRow({"prediction coverage",
                   TablePrinter::pct(pred.totals.coverage())});
-    table.addRow(
-        {"exec-time error",
-         TablePrinter::pct(absError(
-             static_cast<double>(pred.totals.totalCycles()),
-             static_cast<double>(full.totalCycles())))});
+    table.addRow({"exec-time error", TablePrinter::pct(pred.cycleError)});
     table.addRow(
         {"IPC error", TablePrinter::pct(absError(
                           pred.totals.ipc(), full.ipc()))});
-    table.addRow(
-        {"estimated speedup (Eq. 10)",
-         TablePrinter::fmt(estimatedSpeedup(pred.totals), 2) +
-             "x"});
+    table.addRow({"estimated speedup (Eq. 10)",
+                  TablePrinter::fmt(pred.estSpeedupR133, 2) + "x"});
     table.print(std::cout);
 
     std::cout << "\nper-service coverage:\n";

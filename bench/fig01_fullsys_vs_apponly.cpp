@@ -22,13 +22,17 @@ main(int argc, char **argv)
            "full-system vs application-only simulation, normalized "
            "to application-only (1MB L2)");
 
+    SweepSpec spec =
+        benchSweep("fig01", allWorkloads(), experimentShapeScale);
+    spec.modes = {RunMode::Full, RunMode::AppOnly};
+    SweepResult sweep = runBenchSweep(spec, argc, argv);
+
     TablePrinter table({"bench", "norm_l2_misses", "norm_exec_time",
                         "norm_ipc", "os_inst_frac"});
 
-    for (const auto &name : allWorkloads()) {
-        MachineConfig cfg = paperConfig();
-        RunTotals full = runFull(name, cfg, shapeScale);
-        RunTotals app = runAppOnly(name, cfg, shapeScale);
+    for (const auto &name : spec.workloads) {
+        const RunTotals &full = sweep.find(name, RunMode::Full)->totals;
+        const RunTotals &app = sweep.find(name, RunMode::AppOnly)->totals;
 
         auto safe = [](std::uint64_t v) {
             return v ? static_cast<double>(v) : 1.0;

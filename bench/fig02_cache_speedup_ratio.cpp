@@ -20,28 +20,27 @@ main(int argc, char **argv)
     banner("Figure 2",
            "speedup of 1MB over 512KB L2: App-Only vs App+OS");
 
+    SweepSpec spec =
+        benchSweep("fig02", allWorkloads(), experimentShapeScale);
+    spec.modes = {RunMode::Full, RunMode::AppOnly};
+    spec.l2Sizes = {512 * 1024, 1024 * 1024};
+    SweepResult sweep = runBenchSweep(spec, argc, argv);
+
+    // Cycles with the 512KB L2 over cycles with the 1MB one.
+    auto speedup = [&](const std::string &name, RunMode mode) {
+        auto cycles = [&](std::uint64_t l2) {
+            return static_cast<double>(
+                sweep.find(name, mode, 0, l2)->totals.totalCycles());
+        };
+        return cycles(spec.l2Sizes[0]) / cycles(spec.l2Sizes[1]);
+    };
+
     TablePrinter table({"bench", "app_only_speedup",
                         "app_os_speedup"});
-
-    for (const auto &name : allWorkloads()) {
-        RunTotals app_small =
-            runAppOnly(name, paperConfig(512 * 1024), shapeScale);
-        RunTotals app_large =
-            runAppOnly(name, paperConfig(1024 * 1024), shapeScale);
-        RunTotals full_small =
-            runFull(name, paperConfig(512 * 1024), shapeScale);
-        RunTotals full_large =
-            runFull(name, paperConfig(1024 * 1024), shapeScale);
-
-        double app_speedup =
-            static_cast<double>(app_small.totalCycles()) /
-            static_cast<double>(app_large.totalCycles());
-        double full_speedup =
-            static_cast<double>(full_small.totalCycles()) /
-            static_cast<double>(full_large.totalCycles());
-
-        table.addRow({name, TablePrinter::fmt(app_speedup, 3),
-                      TablePrinter::fmt(full_speedup, 3)});
+    for (const auto &name : spec.workloads) {
+        table.addRow(
+            {name, TablePrinter::fmt(speedup(name, RunMode::AppOnly), 3),
+             TablePrinter::fmt(speedup(name, RunMode::Full), 3)});
     }
 
     table.print(std::cout);

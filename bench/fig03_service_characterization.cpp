@@ -24,7 +24,8 @@ main(int argc, char **argv)
     for (const std::string name : {"ab-rand", "ab-seq"}) {
         MachineConfig cfg = paperConfig();
         cfg.recordIntervals = true;
-        auto machine = makeMachine(name, cfg, scaled(shapeScale));
+        auto machine =
+            makeMachine(name, cfg, scaled(experimentShapeScale));
         machine->run();
         auto chars = characterizeServices(machine->intervals());
 

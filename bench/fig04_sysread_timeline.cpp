@@ -27,7 +27,8 @@ main(int argc, char **argv)
     for (const std::string name : {"ab-rand", "ab-seq"}) {
         MachineConfig cfg = paperConfig();
         cfg.recordIntervals = true;
-        auto machine = makeMachine(name, cfg, scaled(shapeScale));
+        auto machine =
+            makeMachine(name, cfg, scaled(experimentShapeScale));
         machine->run();
 
         std::vector<Cycles> series;

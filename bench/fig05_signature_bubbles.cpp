@@ -30,7 +30,8 @@ main(int argc, char **argv)
     for (const std::string name : {"ab-rand", "ab-seq"}) {
         MachineConfig cfg = paperConfig();
         cfg.recordIntervals = true;
-        auto machine = makeMachine(name, cfg, scaled(shapeScale));
+        auto machine =
+            makeMachine(name, cfg, scaled(experimentShapeScale));
         machine->run();
 
         BubbleHistogram hist(1000.0, 4000.0);

@@ -33,7 +33,8 @@ main(int argc, char **argv)
     for (const auto &name : osIntensiveWorkloads()) {
         MachineConfig cfg = paperConfig();
         cfg.recordIntervals = true;
-        auto machine = makeMachine(name, cfg, scaled(shapeScale));
+        auto machine =
+            makeMachine(name, cfg, scaled(experimentShapeScale));
         machine->run();
         // Skip each service's cold-start transient (the predictor's
         // delayed learning start does the same, Sec. 4.4).

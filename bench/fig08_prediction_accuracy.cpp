@@ -17,7 +17,6 @@
  */
 
 #include "common.hh"
-#include "driver/experiments.hh"
 
 int
 main(int argc, char **argv)
@@ -32,10 +31,7 @@ main(int argc, char **argv)
            "100)");
 
     SweepSpec spec = fig08Sweep(smokeFactor());
-    spec.smoke = smokeMode();
-    RunnerOptions opts;
-    opts.threads = threadArg(argc, argv);
-    SweepResult sweep = runSweep(spec, opts);
+    SweepResult sweep = runBenchSweep(spec, argc, argv);
 
     TablePrinter table({"bench", "norm_time_pred", "norm_time_app",
                         "norm_ipc_pred", "norm_ipc_app",

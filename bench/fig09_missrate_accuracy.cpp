@@ -23,6 +23,12 @@ main(int argc, char **argv)
            "cache miss rates: full-system vs accelerated "
            "(measured+predicted)");
 
+    // Exactly Table 2's cells: a full-detail and an accelerated run
+    // of each OS-intensive workload.
+    SweepSpec spec = table2Sweep(smokeFactor());
+    spec.name = "fig09";
+    SweepResult sweep = runBenchSweep(spec, argc, argv);
+
     TablePrinter table({"bench", "l1i_full", "l1i_pred", "l1d_full",
                         "l1d_pred", "l2_full", "l2_pred",
                         "worst_diff"});
@@ -32,14 +38,10 @@ main(int argc, char **argv)
                  : 0.0;
     };
 
-    for (const auto &name : osIntensiveWorkloads()) {
-        MachineConfig cfg = paperConfig();
-        RunTotals full = runFull(name, cfg, accuracyScale);
-        AccelResult pred =
-            runAccelerated(name, cfg, accuracyScale);
-
-        auto f = full.combinedMem();
-        auto p = pred.totals.combinedMem();
+    for (const auto &name : spec.workloads) {
+        auto f = sweep.find(name, RunMode::Full)->totals.combinedMem();
+        auto p =
+            sweep.find(name, RunMode::Accelerated)->totals.combinedMem();
         double l1i_f = rate(f.l1iMisses, f.l1iAccesses);
         double l1i_p = rate(p.l1iMisses, p.l1iAccesses);
         double l1d_f = rate(f.l1dMisses, f.l1dAccesses);

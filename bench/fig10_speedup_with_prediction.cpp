@@ -16,7 +16,6 @@
 #include <cmath>
 
 #include "common.hh"
-#include "driver/experiments.hh"
 
 int
 main(int argc, char **argv)
@@ -30,10 +29,7 @@ main(int argc, char **argv)
            "App+OS Pred");
 
     SweepSpec spec = fig10Sweep(smokeFactor());
-    spec.smoke = smokeMode();
-    RunnerOptions opts;
-    opts.threads = threadArg(argc, argv);
-    SweepResult sweep = runSweep(spec, opts);
+    SweepResult sweep = runBenchSweep(spec, argc, argv);
 
     constexpr std::uint64_t small_l2 = 512 * 1024;
     constexpr std::uint64_t large_l2 = 1024 * 1024;

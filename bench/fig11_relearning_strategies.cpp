@@ -16,7 +16,6 @@
  */
 
 #include "common.hh"
-#include "driver/experiments.hh"
 
 int
 main(int argc, char **argv)
@@ -31,10 +30,7 @@ main(int argc, char **argv)
            "Eager)");
 
     SweepSpec spec = fig11Sweep(smokeFactor());
-    spec.smoke = smokeMode();
-    RunnerOptions opts;
-    opts.threads = threadArg(argc, argv);
-    SweepResult sweep = runSweep(spec, opts);
+    SweepResult sweep = runBenchSweep(spec, argc, argv);
 
     std::vector<std::string> header = {"bench"};
     for (const auto &variant : spec.predictors)

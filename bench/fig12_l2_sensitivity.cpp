@@ -19,22 +19,21 @@ main(int argc, char **argv)
     banner("Figure 12",
            "absolute execution-time prediction error vs L2 size");
 
-    const std::uint64_t sizes[] = {1ULL << 20, 2ULL << 20,
-                                   4ULL << 20};
+    // Table 2's cells at three L2 sizes (8-way throughout).
+    SweepSpec spec = table2Sweep(smokeFactor());
+    spec.name = "fig12";
+    spec.l2Sizes = {1ULL << 20, 2ULL << 20, 4ULL << 20};
+    SweepResult sweep = runBenchSweep(spec, argc, argv);
 
     TablePrinter table({"bench", "1MB", "2MB", "4MB"});
     RunningStats avg[3];
 
-    for (const auto &name : osIntensiveWorkloads()) {
+    for (const auto &name : spec.workloads) {
         std::vector<std::string> row = {name};
         for (int i = 0; i < 3; ++i) {
-            MachineConfig cfg = paperConfig(sizes[i]);
-            RunTotals full = runFull(name, cfg, accuracyScale);
-            AccelResult pred =
-                runAccelerated(name, cfg, accuracyScale);
-            double err = absError(
-                static_cast<double>(pred.totals.totalCycles()),
-                static_cast<double>(full.totalCycles()));
+            double err = sweep.find(name, RunMode::Accelerated, 0,
+                                    spec.l2Sizes[i])
+                             ->cycleError;
             row.push_back(TablePrinter::pct(err));
             avg[i].add(err);
         }

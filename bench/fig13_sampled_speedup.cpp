@@ -24,7 +24,6 @@
 
 #include "bench_json.hh"
 #include "common.hh"
-#include "driver/experiments.hh"
 
 namespace
 {
@@ -57,10 +56,7 @@ main(int argc, char **argv)
            "work");
 
     SweepSpec spec = fig13Sweep(smokeFactor());
-    spec.smoke = smokeMode();
-    RunnerOptions opts;
-    opts.threads = threadArg(argc, argv);
-    SweepResult sweep = runSweep(spec, opts);
+    SweepResult sweep = runBenchSweep(spec, argc, argv);
 
     TablePrinter table({"bench", "pred_only", "sample_only",
                         "combined", "pred*sample", "det_frac",

@@ -51,8 +51,7 @@ using namespace osp;
 void
 BM_CacheAccess(benchmark::State &state)
 {
-    Cache cache(CacheParams{"l1", 16 * 1024, 4, 64,
-                            ReplPolicy::Lru});
+    Cache cache(CacheParams{"l1", 16 * 1024, 4, 64});
     Pcg32 rng(1);
     std::vector<Addr> addrs;
     for (int i = 0; i < 4096; ++i)
@@ -582,8 +581,7 @@ timeCacheAccess(std::uint64_t accesses)
 {
     double best = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
-        Cache cache(CacheParams{"l1", 16 * 1024, 4, 64,
-                                ReplPolicy::Lru});
+        Cache cache(CacheParams{"l1", 16 * 1024, 4, 64});
         Pcg32 rng(1);
         std::vector<Addr> addrs;
         for (int i = 0; i < 4096; ++i)

@@ -25,7 +25,8 @@ timeMode(osp::DetailLevel level)
     using namespace osp::bench;
     MachineConfig cfg = paperConfig();
     cfg.level = level;
-    auto machine = makeMachine("ab-rand", cfg, scaled(shapeScale));
+    auto machine =
+        makeMachine("ab-rand", cfg, scaled(experimentShapeScale));
     auto start = std::chrono::steady_clock::now();
     machine->run();
     auto end = std::chrono::steady_clock::now();

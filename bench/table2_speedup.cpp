@@ -25,7 +25,6 @@
 #include <functional>
 
 #include "common.hh"
-#include "driver/experiments.hh"
 
 namespace
 {
@@ -65,10 +64,7 @@ main(int argc, char **argv)
     }
 
     SweepSpec spec = table2Sweep(smokeFactor());
-    spec.smoke = smokeMode();
-    RunnerOptions opts;
-    opts.threads = threadArg(argc, argv);
-    SweepResult sweep = runSweep(spec, opts);
+    SweepResult sweep = runBenchSweep(spec, argc, argv);
 
     TablePrinter table({"bench", "coverage", "pred_inst_frac",
                         "est_speedup_R133", "est_speedup_Rmeas",

@@ -61,7 +61,9 @@ cacheContext(const CacheParams &c)
     v.append(c.sizeBytes);
     v.append(c.assoc);
     v.append(c.lineBytes);
-    v.append(static_cast<std::uint64_t>(c.repl));
+    // A removed knob (random replacement) that was always LRU (0);
+    // kept so keys do not move.
+    v.append(std::uint64_t{0});
     return v;
 }
 

@@ -1,15 +1,17 @@
 /**
  * @file
- * Named sweeps: the paper experiments that regenerate through the
- * parallel runner (Fig. 8, Fig. 10, Fig. 11, Table 2).
+ * Named sweeps and the shared experiment constants.
  *
- * Each factory returns the exact configuration the corresponding
- * bench/ binary historically ran serially — same workloads, seed,
- * predictor parameters and work scale — so the runner's aggregated
- * numbers reproduce EXPERIMENTS.md bit-for-bit while the cells
- * execute in parallel. The bench binaries and the `sweep` CLI both
- * build their specs here; tests use the same factories to pin the
- * spec shapes.
+ * The named sweeps (Fig. 8, Fig. 10, Fig. 11, Table 2, Fig. 13) are
+ * what the `sweep` CLI runs. Each factory returns the exact
+ * configuration the corresponding bench/ binary historically ran
+ * serially — same workloads, seed, predictor parameters and work
+ * scale — so the runner's aggregated numbers reproduce
+ * EXPERIMENTS.md bit-for-bit while the cells execute in parallel.
+ * The other runner benches (Figs. 1, 2, 9, 12, the ablations and
+ * ext1) build their specs from these constants and factories in
+ * bench/: fig09 runs table2Sweep's cells, fig12 the same at three
+ * L2 sizes. Tests use the same factories to pin the spec shapes.
  */
 
 #ifndef OSP_DRIVER_EXPERIMENTS_HH
@@ -26,7 +28,9 @@ namespace osp
 /** The replay seed every documented experiment uses. */
 inline constexpr std::uint64_t experimentSeed = 42;
 
-/** Work-volume scale for accuracy experiments (bench common). */
+/** Work-volume scale for accuracy experiments. 2.0 gives
+ *  per-service invocation counts closer to the paper's
+ *  multi-thousand range. */
 inline constexpr double experimentAccuracyScale = 2.0;
 
 /** Work-volume scale for characterization/shape experiments. */

@@ -323,7 +323,8 @@ class CellCache;
 /** Runner knobs. */
 struct RunnerOptions
 {
-    /** Worker threads; 0 picks hardware_concurrency(). */
+    /** Worker threads; 0 picks hardware_concurrency(). Capped at
+     *  the number of cells left to run (at least 1). */
     unsigned threads = 1;
     /** Per-cell event-ring size; 0 = metrics only, no tracing. */
     std::size_t traceCapacity = 0;

@@ -1,5 +1,6 @@
 #include "sweep.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <exception>
@@ -323,13 +324,6 @@ runSweep(const SweepSpec &spec, const RunnerOptions &options)
     std::vector<SweepCell> cells = expandSweep(spec);
     result.cells.resize(cells.size());
 
-    unsigned threads = options.threads;
-    if (threads == 0) {
-        threads = std::thread::hardware_concurrency();
-        if (threads == 0)
-            threads = 1;
-    }
-
     // Cache interaction happens entirely on this thread, in
     // cell-index order: keys, then lookups (incremental), and one
     // commit after the join — see the determinism contract.
@@ -351,6 +345,15 @@ runSweep(const SweepSpec &spec, const RunnerOptions &options)
             options.cache->noteMisses(cells.size());
         }
     }
+
+    // One worker per uncached cell at most: more would only idle
+    // (the pool clamps 0 to 1, for a fully cached sweep).
+    unsigned threads = options.threads;
+    if (threads == 0)
+        threads = std::thread::hardware_concurrency();
+    auto pending = static_cast<unsigned>(
+        std::count(cached.begin(), cached.end(), false));
+    threads = std::min(threads, pending);
 
     auto start = std::chrono::steady_clock::now();
     {

@@ -80,8 +80,6 @@ Cache::victimWay(std::size_t base, std::uint32_t free_way)
     // Invalid way first.
     if (free_way != kNoWay)
         return free_way;
-    if (params_.repl == ReplPolicy::Random)
-        return rng.range(params_.assoc);
     return lruWay(base, false);
 }
 

@@ -27,21 +27,13 @@
 namespace osp
 {
 
-/** Replacement policy selector for Cache. */
-enum class ReplPolicy
-{
-    Lru,     //!< least-recently-used (the paper's configuration)
-    Random,  //!< uniform random victim (for ablation)
-};
-
-/** Static geometry and policy of one cache. */
+/** Static geometry of one cache (replacement is always LRU). */
 struct CacheParams
 {
     std::string name = "cache";     //!< for error messages / reports
     std::uint64_t sizeBytes = 0;    //!< total capacity
     std::uint32_t assoc = 1;        //!< ways per set
     std::uint32_t lineBytes = 64;   //!< line size (power of two)
-    ReplPolicy repl = ReplPolicy::Lru;
 };
 
 /** Per-owner access/miss/eviction counters of one cache. */
@@ -105,8 +97,8 @@ class Cache
         bool crossEviction = false;
     };
 
-    /** @param params geometry/policy
-     *  @param seed   seed for random replacement and pollution */
+    /** @param params geometry
+     *  @param seed   seed for the pollution model's random sets */
     explicit Cache(const CacheParams &params,
                    std::uint64_t seed = 12345);
 
@@ -216,9 +208,9 @@ class Cache
      * rewinds the LRU clock, the synthetic-tag allocator and the
      * MRU-way memos: with no valid lines left, none of that state
      * is observable, and resetting it makes a flushed cache replay
-     * exactly like a freshly constructed one (replacement RNG state
-     * is the one deliberate exception — it has no reset point that
-     * would not also rewind pollution draws).
+     * exactly like a freshly constructed one (the pollution RNG is
+     * the one deliberate exception: flushing does not rewind its
+     * draws).
      */
     void flush();
 

@@ -38,9 +38,9 @@ enum class AccessType
 /** Tunable parameters of the hierarchy; defaults match Sec. 5.1. */
 struct HierarchyParams
 {
-    CacheParams l1i{"l1i", 16 * 1024, 2, 64, ReplPolicy::Lru};
-    CacheParams l1d{"l1d", 16 * 1024, 4, 64, ReplPolicy::Lru};
-    CacheParams l2{"l2", 1024 * 1024, 8, 64, ReplPolicy::Lru};
+    CacheParams l1i{"l1i", 16 * 1024, 2, 64};
+    CacheParams l1d{"l1d", 16 * 1024, 4, 64};
+    CacheParams l2{"l2", 1024 * 1024, 8, 64};
     Cycles l1iHitLatency = 1;
     Cycles l1dHitLatency = 2;
     Cycles l2HitLatency = 8;
@@ -59,7 +59,7 @@ struct HierarchyParams
     std::uint32_t tlbEntries = 64;
     std::uint32_t tlbAssoc = 4;
     Cycles tlbMissPenalty = 30;
-    /** Seed for replacement/pollution randomness. */
+    /** Seed for the pollution model's random sets. */
     std::uint64_t seed = 1;
 };
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -146,11 +147,31 @@ TEST(RunSweep, AutoThreadCountIsRecordedResolved)
     unsigned hw = std::thread::hardware_concurrency();
     EXPECT_GE(result.threads, 1u);
     if (hw != 0) {
-        EXPECT_EQ(result.threads, hw);
+        EXPECT_EQ(result.threads,
+                  std::min<unsigned>(hw, result.cells.size()));
     }
 
     JsonValue doc = sweepToJson(result);
     EXPECT_EQ(doc["timing"]["threads"].asUint(), result.threads);
+}
+
+TEST(RunSweep, PoolNeverExceedsCellCount)
+{
+    // Workers beyond the number of cells would only idle.
+    SweepSpec spec = tinySpec();
+    spec.workloads = {"du"};
+    spec.predictors.resize(1);
+    ASSERT_EQ(expandSweep(spec).size(), 2u);
+
+    RunnerOptions opts;
+    opts.threads = 16;
+    opts.cellRunner = [](const SweepSpec &, const SweepCell &cell,
+                         std::size_t) {
+        CellResult r;
+        r.cell = cell;
+        return r;
+    };
+    EXPECT_EQ(runSweep(spec, opts).threads, 2u);
 }
 
 TEST(RunSweep, CellsMatchStandaloneRuns)

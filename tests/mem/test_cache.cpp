@@ -305,16 +305,6 @@ TEST(Cache, InstallRefreshesLruOrder)
     EXPECT_FALSE(c.probe(0x040));
 }
 
-TEST(Cache, RandomReplacementStaysInSet)
-{
-    CacheParams p = smallCache(256, 4);  // 1 set, 4 ways
-    p.repl = ReplPolicy::Random;
-    Cache c(p);
-    for (Addr a = 0; a < 64 * 64; a += 64)
-        c.access(a, false, Owner::App);
-    EXPECT_EQ(c.residentLines(Owner::App), 4u);
-}
-
 /** LRU stack property: with identical sets, a larger associativity
  *  never misses more on the same trace. */
 class LruStackProperty : public ::testing::TestWithParam<int>
@@ -632,8 +622,6 @@ class ReferenceCache
         for (std::uint32_t w = 0; w < p_.assoc; ++w)
             if (!set[w].valid)
                 return w;
-        if (p_.repl == ReplPolicy::Random)
-            return rng_.range(p_.assoc);
         std::uint32_t v = 0;
         for (std::uint32_t w = 1; w < p_.assoc; ++w)
             if (set[w].stamp < set[v].stamp)
@@ -665,52 +653,49 @@ expectSameStats(const CacheStats &got, const CacheStats &want)
 }
 
 /** One-scan access/install/pollute against the reference model on
- *  random mixed streams, under both replacement policies and at two
- *  associativities: every outcome, the statistics, the residency and
- *  the contents must agree throughout. */
+ *  random mixed streams at two associativities: every outcome, the
+ *  statistics, the residency and the contents must agree
+ *  throughout. */
 TEST(Cache, OneScanMatchesReferenceModel)
 {
-    for (ReplPolicy repl : {ReplPolicy::Lru, ReplPolicy::Random}) {
-        for (std::uint32_t assoc : {4u, 8u}) {
-            CacheParams p = smallCache(4 * 1024, assoc);
-            p.repl = repl;
-            Cache c(p, 77);
-            ReferenceCache ref(p, 77);
-            const std::uint64_t span = 3 * 4 * 1024 / 64;
-            Pcg32 rng(5, assoc);
-            for (int i = 0; i < 20000; ++i) {
-                Addr a = 64ULL * rng.range(span) + rng.range(64);
-                Owner o = rng.range(3) ? Owner::App : Owner::Os;
-                std::uint32_t op = rng.range(20);
-                if (op < 14) {
-                    bool w = rng.range(4) == 0;
-                    auto got = c.access(a, w, o);
-                    auto want = ref.access(a, w, o);
-                    ASSERT_EQ(got.hit, want.hit) << i;
-                    ASSERT_EQ(got.writeback, want.writeback) << i;
-                    ASSERT_EQ(got.crossEviction, want.crossEviction)
-                        << i;
-                } else if (op < 18) {
-                    ASSERT_EQ(c.install(a, o), ref.install(a, o))
-                        << i;
-                } else {
-                    auto mode = static_cast<Cache::PollutionMode>(
-                        rng.range(3));
-                    std::uint64_t n = rng.range(12);
-                    ASSERT_EQ(c.pollute(n, mode),
-                              ref.pollute(n, mode))
-                        << i;
-                }
-                if (i % 1000 == 999) {
-                    expectSameStats(c.stats(), ref.stats);
-                    EXPECT_EQ(c.residentLines(Owner::App),
-                              ref.resident(Owner::App));
-                    EXPECT_EQ(c.residentLines(Owner::Os),
-                              ref.resident(Owner::Os));
-                    for (std::uint64_t l = 0; l < span; ++l)
-                        ASSERT_EQ(c.probe(64 * l), ref.probe(64 * l))
-                            << "line " << l << " after op " << i;
-                }
+    for (std::uint32_t assoc : {4u, 8u}) {
+        CacheParams p = smallCache(4 * 1024, assoc);
+        Cache c(p, 77);
+        ReferenceCache ref(p, 77);
+        const std::uint64_t span = 3 * 4 * 1024 / 64;
+        Pcg32 rng(5, assoc);
+        for (int i = 0; i < 20000; ++i) {
+            Addr a = 64ULL * rng.range(span) + rng.range(64);
+            Owner o = rng.range(3) ? Owner::App : Owner::Os;
+            std::uint32_t op = rng.range(20);
+            if (op < 14) {
+                bool w = rng.range(4) == 0;
+                auto got = c.access(a, w, o);
+                auto want = ref.access(a, w, o);
+                ASSERT_EQ(got.hit, want.hit) << i;
+                ASSERT_EQ(got.writeback, want.writeback) << i;
+                ASSERT_EQ(got.crossEviction, want.crossEviction)
+                    << i;
+            } else if (op < 18) {
+                ASSERT_EQ(c.install(a, o), ref.install(a, o))
+                    << i;
+            } else {
+                auto mode = static_cast<Cache::PollutionMode>(
+                    rng.range(3));
+                std::uint64_t n = rng.range(12);
+                ASSERT_EQ(c.pollute(n, mode),
+                          ref.pollute(n, mode))
+                    << i;
+            }
+            if (i % 1000 == 999) {
+                expectSameStats(c.stats(), ref.stats);
+                EXPECT_EQ(c.residentLines(Owner::App),
+                          ref.resident(Owner::App));
+                EXPECT_EQ(c.residentLines(Owner::Os),
+                          ref.resident(Owner::Os));
+                for (std::uint64_t l = 0; l < span; ++l)
+                    ASSERT_EQ(c.probe(64 * l), ref.probe(64 * l))
+                        << "line " << l << " after op " << i;
             }
         }
     }
@@ -986,73 +971,70 @@ TEST(Cache, LruVictimsMatchReferenceModel)
 /** installCycled() against a plain per-line loop of the reference
  *  model's install(): seeded samples (repeated lines included)
  *  cycled to counts below, at and past their size, at
- *  associativities 1 to 16, under both replacement policies, into
- *  a cold cache, then into caches holding lines of both owners
- *  and, in some rounds, invalidated ways. Fills, stats,
+ *  associativities 1 to 16, into a cold cache, then into caches
+ *  holding lines of both owners and, in some rounds, invalidated
+ *  ways. Fills, stats,
  *  residency and resident lines must agree after every footprint,
  *  and so must the outcomes of the accesses that follow, which
  *  evict in the order the installs left the LRU stamps. */
 TEST(Cache, InstallCycledMatchesPerLineLoop)
 {
-    for (ReplPolicy repl : {ReplPolicy::Lru, ReplPolicy::Random}) {
-        for (std::uint32_t assoc : {1u, 2u, 4u, 8u, 16u}) {
-            CacheParams p = smallCache(16ULL * 64 * assoc, assoc);
-            p.repl = repl;
-            Cache c(p, 41);
-            ReferenceCache ref(p, 41);
-            const std::uint64_t span = 4 * 16 * assoc;
-            Pcg32 rng(13, assoc);
-            auto randomAccesses = [&](int n) {
-                for (int i = 0; i < n; ++i) {
-                    Addr a = 64ULL * rng.range(span) + rng.range(64);
-                    Owner o = rng.range(2) ? Owner::App : Owner::Os;
-                    bool w = rng.range(4) == 0;
-                    auto got = c.access(a, w, o);
-                    auto want = ref.access(a, w, o);
-                    ASSERT_EQ(got.hit, want.hit) << i;
-                    ASSERT_EQ(got.writeback, want.writeback) << i;
-                    ASSERT_EQ(got.crossEviction, want.crossEviction)
-                        << i;
-                }
-            };
-            for (int round = 0; round < 60; ++round) {
-                // The first rounds install into a cold cache, whose
-                // sets have several invalid ways; later ones into a
-                // full cache, some after invalidating lines.
-                if (round == 10)
-                    randomAccesses(2000);
-                if (round > 10 && rng.range(3) == 0) {
-                    const std::uint64_t n = rng.range(16 * assoc);
-                    ASSERT_EQ(
-                        c.pollute(n, Cache::PollutionMode::InvalidateAny),
-                        ref.pollute(n,
-                                    Cache::PollutionMode::InvalidateAny));
-                }
-                std::vector<Addr> sample(1 + rng.range(3 * 16 * assoc));
-                for (Addr &a : sample)
-                    a = 64ULL * rng.range(span) + rng.range(64);
-                const std::uint64_t count =
-                    rng.range(3) == 0 ? sample.size()
-                                      : rng.range(4 * sample.size());
-                const Owner o = rng.range(2) ? Owner::App : Owner::Os;
-                std::uint64_t want = 0;
-                for (std::uint64_t i = 0; i < count; ++i)
-                    want += ref.install(sample[i % sample.size()], o);
-                ASSERT_EQ(c.installCycled(sample, count, o), want)
-                    << "round " << round;
-                expectSameStats(c.stats(), ref.stats);
-                ASSERT_EQ(c.residentLines(Owner::App),
-                          ref.resident(Owner::App));
-                ASSERT_EQ(c.residentLines(Owner::Os),
-                          ref.resident(Owner::Os));
-                for (std::uint64_t l = 0; l < span; ++l)
-                    ASSERT_EQ(c.probe(64 * l), ref.probe(64 * l))
-                        << "line " << l << " round " << round;
-                randomAccesses(50);
+    for (std::uint32_t assoc : {1u, 2u, 4u, 8u, 16u}) {
+        CacheParams p = smallCache(16ULL * 64 * assoc, assoc);
+        Cache c(p, 41);
+        ReferenceCache ref(p, 41);
+        const std::uint64_t span = 4 * 16 * assoc;
+        Pcg32 rng(13, assoc);
+        auto randomAccesses = [&](int n) {
+            for (int i = 0; i < n; ++i) {
+                Addr a = 64ULL * rng.range(span) + rng.range(64);
+                Owner o = rng.range(2) ? Owner::App : Owner::Os;
+                bool w = rng.range(4) == 0;
+                auto got = c.access(a, w, o);
+                auto want = ref.access(a, w, o);
+                ASSERT_EQ(got.hit, want.hit) << i;
+                ASSERT_EQ(got.writeback, want.writeback) << i;
+                ASSERT_EQ(got.crossEviction, want.crossEviction)
+                    << i;
             }
-            EXPECT_EQ(c.installCycled({}, 10, Owner::Os), 0u);
-            EXPECT_GT(c.stats().injectedEvictions, 0u);
+        };
+        for (int round = 0; round < 60; ++round) {
+            // The first rounds install into a cold cache, whose
+            // sets have several invalid ways; later ones into a
+            // full cache, some after invalidating lines.
+            if (round == 10)
+                randomAccesses(2000);
+            if (round > 10 && rng.range(3) == 0) {
+                const std::uint64_t n = rng.range(16 * assoc);
+                ASSERT_EQ(
+                    c.pollute(n, Cache::PollutionMode::InvalidateAny),
+                    ref.pollute(n,
+                                Cache::PollutionMode::InvalidateAny));
+            }
+            std::vector<Addr> sample(1 + rng.range(3 * 16 * assoc));
+            for (Addr &a : sample)
+                a = 64ULL * rng.range(span) + rng.range(64);
+            const std::uint64_t count =
+                rng.range(3) == 0 ? sample.size()
+                                  : rng.range(4 * sample.size());
+            const Owner o = rng.range(2) ? Owner::App : Owner::Os;
+            std::uint64_t want = 0;
+            for (std::uint64_t i = 0; i < count; ++i)
+                want += ref.install(sample[i % sample.size()], o);
+            ASSERT_EQ(c.installCycled(sample, count, o), want)
+                << "round " << round;
+            expectSameStats(c.stats(), ref.stats);
+            ASSERT_EQ(c.residentLines(Owner::App),
+                      ref.resident(Owner::App));
+            ASSERT_EQ(c.residentLines(Owner::Os),
+                      ref.resident(Owner::Os));
+            for (std::uint64_t l = 0; l < span; ++l)
+                ASSERT_EQ(c.probe(64 * l), ref.probe(64 * l))
+                    << "line " << l << " round " << round;
+            randomAccesses(50);
         }
+        EXPECT_EQ(c.installCycled({}, 10, Owner::Os), 0u);
+        EXPECT_GT(c.stats().injectedEvictions, 0u);
     }
 }
 

@@ -17,9 +17,9 @@ HierarchyParams
 tinyParams()
 {
     HierarchyParams p;
-    p.l1i = CacheParams{"l1i", 1024, 2, 64, ReplPolicy::Lru};
-    p.l1d = CacheParams{"l1d", 1024, 2, 64, ReplPolicy::Lru};
-    p.l2 = CacheParams{"l2", 8192, 4, 64, ReplPolicy::Lru};
+    p.l1i = CacheParams{"l1i", 1024, 2, 64};
+    p.l1d = CacheParams{"l1d", 1024, 2, 64};
+    p.l2 = CacheParams{"l2", 8192, 4, 64};
     return p;
 }
 
@@ -175,70 +175,67 @@ expectSameHierarchy(const MemoryHierarchy &got,
 /** installFootprint() takes each level in turn; installing the same
  *  cycled sample line by line through all three levels must leave
  *  caches, TLBs and statistics in exactly the same state — including
- *  samples shorter than the count, an empty sample, and random
- *  replacement (whose RNG each level owns). The follow-up demand
- *  stream checks the replacement state the counters cannot show. */
+ *  samples shorter than the count and an empty sample. The follow-up
+ *  demand stream checks the replacement state the counters cannot
+ *  show. */
 TEST(Hierarchy, FootprintInstallMatchesPerLineLoop)
 {
-    for (ReplPolicy repl : {ReplPolicy::Lru, ReplPolicy::Random}) {
-        HierarchyParams p = tinyParams();
-        p.l1i.repl = p.l1d.repl = p.l2.repl = repl;
-        p.tlbEntries = 8;
-        p.tlbAssoc = 2;
-        MemoryHierarchy batched(p);
-        MemoryHierarchy per_line(p);
+    HierarchyParams p = tinyParams();
+    p.tlbEntries = 8;
+    p.tlbAssoc = 2;
+    MemoryHierarchy batched(p);
+    MemoryHierarchy per_line(p);
 
-        Pcg32 rng(17);
-        auto demand = [&](int n) {
-            for (int i = 0; i < n; ++i) {
-                Addr a = 64ULL * rng.range(1024);
-                auto type = static_cast<AccessType>(rng.range(3));
-                auto x = batched.access(a, type, Owner::App, 0);
-                auto y = per_line.access(a, type, Owner::App, 0);
-                ASSERT_EQ(x.latency, y.latency) << i;
-                ASSERT_EQ(x.tlbMiss, y.tlbMiss) << i;
-            }
-        };
-        demand(3000);
-
-        std::vector<Addr> data, code;
-        for (int i = 0; i < 200; ++i)
-            data.push_back(64ULL * rng.range(4096));
-        for (int i = 0; i < 37; ++i)
-            code.push_back(0x400000 + 64ULL * rng.range(512));
-        const std::vector<Addr> empty;
-        struct Step
-        {
-            const std::vector<Addr> *sample;
-            std::uint64_t count;
-            bool is_code;
-        };
-        for (Step step : {Step{&data, 150, false},
-                          Step{&code, 100, true},   // cycles 2.7x
-                          Step{&data, 450, false},  // cycles 2.25x
-                          Step{&empty, 40, false},
-                          Step{&code, 0, true}}) {
-            const std::vector<Addr> &sample = *step.sample;
-            auto out = batched.installFootprint(
-                sample, step.count, step.is_code, Owner::Os);
-            MemoryHierarchy::InstallOutcome want;
-            for (std::uint64_t k = 0;
-                 k < step.count && !sample.empty(); ++k) {
-                std::span<const Addr> one(&sample[k % sample.size()],
-                                          1);
-                auto o = per_line.installFootprint(one, 1,
-                                                   step.is_code,
-                                                   Owner::Os);
-                want.l1Fills += o.l1Fills;
-                want.l2Fills += o.l2Fills;
-            }
-            EXPECT_EQ(out.l1Fills, want.l1Fills);
-            EXPECT_EQ(out.l2Fills, want.l2Fills);
-            expectSameHierarchy(batched, per_line);
-            demand(500);
+    Pcg32 rng(17);
+    auto demand = [&](int n) {
+        for (int i = 0; i < n; ++i) {
+            Addr a = 64ULL * rng.range(1024);
+            auto type = static_cast<AccessType>(rng.range(3));
+            auto x = batched.access(a, type, Owner::App, 0);
+            auto y = per_line.access(a, type, Owner::App, 0);
+            ASSERT_EQ(x.latency, y.latency) << i;
+            ASSERT_EQ(x.tlbMiss, y.tlbMiss) << i;
         }
+    };
+    demand(3000);
+
+    std::vector<Addr> data, code;
+    for (int i = 0; i < 200; ++i)
+        data.push_back(64ULL * rng.range(4096));
+    for (int i = 0; i < 37; ++i)
+        code.push_back(0x400000 + 64ULL * rng.range(512));
+    const std::vector<Addr> empty;
+    struct Step
+    {
+        const std::vector<Addr> *sample;
+        std::uint64_t count;
+        bool is_code;
+    };
+    for (Step step : {Step{&data, 150, false},
+                      Step{&code, 100, true},   // cycles 2.7x
+                      Step{&data, 450, false},  // cycles 2.25x
+                      Step{&empty, 40, false},
+                      Step{&code, 0, true}}) {
+        const std::vector<Addr> &sample = *step.sample;
+        auto out = batched.installFootprint(
+            sample, step.count, step.is_code, Owner::Os);
+        MemoryHierarchy::InstallOutcome want;
+        for (std::uint64_t k = 0;
+             k < step.count && !sample.empty(); ++k) {
+            std::span<const Addr> one(&sample[k % sample.size()],
+                                      1);
+            auto o = per_line.installFootprint(one, 1,
+                                               step.is_code,
+                                               Owner::Os);
+            want.l1Fills += o.l1Fills;
+            want.l2Fills += o.l2Fills;
+        }
+        EXPECT_EQ(out.l1Fills, want.l1Fills);
+        EXPECT_EQ(out.l2Fills, want.l2Fills);
         expectSameHierarchy(batched, per_line);
+        demand(500);
     }
+    expectSameHierarchy(batched, per_line);
 }
 
 TEST(Hierarchy, FlushAllDropsContents)
