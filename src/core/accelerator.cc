@@ -1,5 +1,7 @@
 #include "accelerator.hh"
 
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -97,17 +99,20 @@ Accelerator::onServiceEnd(const IntervalOutcome &outcome)
     return result;
 }
 
+namespace
+{
+
+/** Learned tables in a profile: (service type, its clusters). */
+using ProfileTables =
+    std::vector<std::pair<int, std::vector<ClusterSnapshot>>>;
+
+/** The "ospredict-profile v1" text of @p tables. */
 void
-Accelerator::saveState(std::ostream &os) const
+writeProfile(std::ostream &os, const ProfileTables &tables)
 {
     os << "ospredict-profile v1\n";
-    for (int t = 0; t < numServiceTypes; ++t) {
-        if (!predictors[t])
-            continue;
-        auto snapshots = predictors[t]->snapshotTable();
-        if (snapshots.empty())
-            continue;
-        os << "service " << t << " " << snapshots.size() << "\n";
+    for (const auto &[type, snapshots] : tables) {
+        os << "service " << type << " " << snapshots.size() << "\n";
         for (const auto &s : snapshots) {
             os << s.count << " " << s.instMean << " " << s.instM2
                << " " << s.cyclesMean << " " << s.cyclesM2 << " "
@@ -120,22 +125,48 @@ Accelerator::saveState(std::ostream &os) const
     os << "end\n";
 }
 
+} // namespace
+
+void
+Accelerator::saveState(std::ostream &os) const
+{
+    ProfileTables tables;
+    for (int t = 0; t < numServiceTypes; ++t) {
+        if (!predictors[t])
+            continue;
+        auto snapshots = predictors[t]->snapshotTable();
+        if (!snapshots.empty())
+            tables.push_back({t, std::move(snapshots)});
+    }
+    writeProfile(os, tables);
+}
+
 bool
 Accelerator::loadState(std::istream &is)
 {
-    std::string header;
-    std::string version;
-    if (!(is >> header >> version) ||
-        header != "ospredict-profile" || version != "v1") {
-        return false;
-    }
     // Every row is parsed before any table changes, so a stream that
     // fails part-way leaves the accelerator as it was. The row count
     // is read from the stream and is not trusted to size anything.
-    std::vector<std::pair<int, std::vector<ClusterSnapshot>>> tables;
+    const std::string text(std::istreambuf_iterator<char>(is), {});
+    std::istringstream in(text);
+    std::string header;
+    std::string version;
+    if (!(in >> header >> version) || header != "ospredict-profile" ||
+        version != "v1") {
+        return false;
+    }
+    ProfileTables tables;
     std::string word;
-    while (is >> word) {
+    while (in >> word) {
         if (word == "end") {
+            // Only what saveState() writes loads: services in
+            // order, no empty table, every number spelt as written
+            // and nothing after "end". A corrupt byte that still
+            // parses cannot slip past as a different table.
+            std::ostringstream canonical;
+            writeProfile(canonical, tables);
+            if (canonical.str() != text)
+                return false;
             for (const auto &[type, snapshots] : tables)
                 predictorRef(static_cast<ServiceType>(type))
                     .restoreTable(snapshots);
@@ -145,18 +176,22 @@ Accelerator::loadState(std::istream &is)
             return false;
         int type = -1;
         std::size_t count = 0;
-        if (!(is >> type >> count) || type < 0 ||
-            type >= numServiceTypes) {
+        if (!(in >> type >> count) || type < 0 ||
+            type >= numServiceTypes || count == 0 ||
+            (!tables.empty() && type <= tables.back().first)) {
             return false;
         }
         tables.push_back({type, {}});
         std::vector<ClusterSnapshot> &snapshots = tables.back().second;
         for (std::size_t i = 0; i < count; ++i) {
             ClusterSnapshot s;
-            if (!(is >> s.count >> s.instMean >> s.instM2 >>
+            // A cluster has a member: with none, a restored
+            // cluster would drop the means it was given.
+            if (!(in >> s.count >> s.instMean >> s.instM2 >>
                   s.cyclesMean >> s.cyclesM2 >> s.ipcMean >>
                   s.l1iAccMean >> s.l1iMissMean >> s.l1dAccMean >>
-                  s.l1dMissMean >> s.l2AccMean >> s.l2MissMean)) {
+                  s.l1dMissMean >> s.l2AccMean >> s.l2MissMean) ||
+                s.count == 0) {
                 return false;
             }
             snapshots.push_back(s);

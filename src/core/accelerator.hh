@@ -58,9 +58,11 @@ class Accelerator : public ServiceController
 
     /**
      * Load a saved profile: every listed service starts directly in
-     * the prediction phase with the loaded table. Returns false on
-     * a malformed stream, and then the accelerator is unchanged:
-     * every row is parsed before any table is replaced.
+     * the prediction phase with the loaded table. Reads @p is to its
+     * end. Returns false on a malformed stream or on any text other
+     * than what saveState() writes for the tables it lists, and then
+     * the accelerator is unchanged: every row is parsed before any
+     * table is replaced.
      *
      * Reusing a profile across runs is exactly the offline approach
      * the paper argues against (Sec. 2); the abl5 bench quantifies

@@ -1,5 +1,7 @@
 #include "cell_io.hh"
 
+#include <limits>
+
 #include "obs/snapshot_io.hh"
 #include "util/json.hh"
 
@@ -8,22 +10,6 @@ namespace osp
 
 namespace
 {
-
-/** Signals a malformed document to decodeCellResult's catch. */
-struct BadDocument
-{
-};
-
-/** Object member access that throws BadDocument instead of
- *  panicking — a corrupt cache value must decode to nullopt. */
-const JsonValue &
-field(const JsonValue &obj, std::string_view key)
-{
-    const JsonValue *v = obj.find(key);
-    if (!v)
-        throw BadDocument{};
-    return *v;
-}
 
 // Encoders. Compact array forms keep the cache values small where
 // the data is regular (trace events, counters); everything else is
@@ -42,18 +28,18 @@ memToJson(const HierarchyCounts &m)
     return v;
 }
 
-bool
-memFromJson(const JsonValue &v, HierarchyCounts &m)
+HierarchyCounts
+memFromJson(const JsonValue &v)
 {
-    if (!v.isArray() || v.size() != 6)
-        return false;
-    m.l1iAccesses = v.at(0).asUint();
-    m.l1iMisses = v.at(1).asUint();
-    m.l1dAccesses = v.at(2).asUint();
-    m.l1dMisses = v.at(3).asUint();
-    m.l2Accesses = v.at(4).asUint();
-    m.l2Misses = v.at(5).asUint();
-    return true;
+    const std::vector<JsonValue> &e = jsonArray(v, 6);
+    HierarchyCounts m;
+    m.l1iAccesses = jsonUint(e[0]);
+    m.l1iMisses = jsonUint(e[1]);
+    m.l1dAccesses = jsonUint(e[2]);
+    m.l1dMisses = jsonUint(e[3]);
+    m.l2Accesses = jsonUint(e[4]);
+    m.l2Misses = jsonUint(e[5]);
+    return m;
 }
 
 JsonValue
@@ -85,39 +71,33 @@ totalsToJson(const RunTotals &t)
     return v;
 }
 
-bool
+void
 totalsFromJson(const JsonValue &v, RunTotals &t)
 {
-    if (!v.isObject())
-        return false;
-    const JsonValue *services = v.find("per_service");
-    if (!services || !services->isArray() ||
-        services->size() != t.perService.size())
-        return false;
-    t.appInsts = field(v, "app_insts").asUint();
-    t.osInsts = field(v, "os_insts").asUint();
-    t.osPredInsts = field(v, "os_pred_insts").asUint();
-    t.appCycles = field(v, "app_cycles").asUint();
-    t.osSimCycles = field(v, "os_sim_cycles").asUint();
-    t.osPredCycles = field(v, "os_pred_cycles").asUint();
-    t.osInvocations = field(v, "os_invocations").asUint();
-    t.osSimulated = field(v, "os_simulated").asUint();
-    t.osPredicted = field(v, "os_predicted").asUint();
-    if (!memFromJson(field(v, "measured_mem"), t.measuredMem) ||
-        !memFromJson(field(v, "predicted_mem"), t.predictedMem))
-        return false;
+    JsonFields f(v);
+    t.appInsts = jsonUint(f("app_insts"));
+    t.osInsts = jsonUint(f("os_insts"));
+    t.osPredInsts = jsonUint(f("os_pred_insts"));
+    t.appCycles = jsonUint(f("app_cycles"));
+    t.osSimCycles = jsonUint(f("os_sim_cycles"));
+    t.osPredCycles = jsonUint(f("os_pred_cycles"));
+    t.osInvocations = jsonUint(f("os_invocations"));
+    t.osSimulated = jsonUint(f("os_simulated"));
+    t.osPredicted = jsonUint(f("os_predicted"));
+    t.measuredMem = memFromJson(f("measured_mem"));
+    t.predictedMem = memFromJson(f("predicted_mem"));
+    const std::vector<JsonValue> &services =
+        jsonArray(f("per_service"), t.perService.size());
+    f.end();
     for (std::size_t i = 0; i < t.perService.size(); ++i) {
-        const JsonValue &sv = services->at(i);
-        if (!sv.isArray() || sv.size() != 5)
-            return false;
+        const std::vector<JsonValue> &sv = jsonArray(services[i], 5);
         ServiceTotals &s = t.perService[i];
-        s.invocations = sv.at(0).asUint();
-        s.simulated = sv.at(1).asUint();
-        s.predicted = sv.at(2).asUint();
-        s.insts = sv.at(3).asUint();
-        s.cycles = sv.at(4).asUint();
+        s.invocations = jsonUint(sv[0]);
+        s.simulated = jsonUint(sv[1]);
+        s.predicted = jsonUint(sv[2]);
+        s.insts = jsonUint(sv[3]);
+        s.cycles = jsonUint(sv[4]);
     }
-    return true;
 }
 
 JsonValue
@@ -136,21 +116,32 @@ statsToJson(const ServicePredictor::Stats &s)
     return v;
 }
 
-bool
-statsFromJson(const JsonValue &v, ServicePredictor::Stats &s)
+ServicePredictor::Stats
+statsFromJson(const JsonValue &v)
 {
-    if (!v.isArray() || v.size() != 9)
-        return false;
-    s.warmupRuns = v.at(0).asUint();
-    s.learnedRuns = v.at(1).asUint();
-    s.predictedRuns = v.at(2).asUint();
-    s.outliers = v.at(3).asUint();
-    s.relearnEvents = v.at(4).asUint();
-    s.audits = v.at(5).asUint();
-    s.auditFailures = v.at(6).asUint();
-    s.auditWarmupRuns = v.at(7).asUint();
-    s.driftResets = v.at(8).asUint();
-    return true;
+    const std::vector<JsonValue> &e = jsonArray(v, 9);
+    ServicePredictor::Stats s;
+    s.warmupRuns = jsonUint(e[0]);
+    s.learnedRuns = jsonUint(e[1]);
+    s.predictedRuns = jsonUint(e[2]);
+    s.outliers = jsonUint(e[3]);
+    s.relearnEvents = jsonUint(e[4]);
+    s.audits = jsonUint(e[5]);
+    s.auditFailures = jsonUint(e[6]);
+    s.auditWarmupRuns = jsonUint(e[7]);
+    s.driftResets = jsonUint(e[8]);
+    return s;
+}
+
+/** jsonUint() of a field the encoder widened from @p T. */
+template <class T>
+T
+narrowUint(const JsonValue &v)
+{
+    const std::uint64_t u = jsonUint(v);
+    if (u > std::numeric_limits<T>::max())
+        throw JsonShapeError{};
+    return static_cast<T>(u);
 }
 
 JsonValue
@@ -188,45 +179,41 @@ accuracyToJson(const obs::AccuracySnapshot &a)
     return v;
 }
 
-bool
-accuracyFromJson(const JsonValue &v, obs::AccuracySnapshot &a)
+obs::AccuracySnapshot
+accuracyFromJson(const JsonValue &v)
 {
-    if (!v.isObject())
-        return false;
-    const JsonValue *entries = v.find("entries");
-    if (!entries || !entries->isArray())
-        return false;
-    a.tolerance = field(v, "tolerance").asDouble();
-    a.totalCycles = field(v, "total_cycles").asUint();
-    a.predictedCycles = field(v, "predicted_cycles").asUint();
-    for (const JsonValue &ev : entries->elements()) {
-        if (!ev.isObject())
-            return false;
+    JsonFields f(v);
+    obs::AccuracySnapshot a;
+    a.tolerance = jsonDouble(f("tolerance"));
+    a.totalCycles = jsonUint(f("total_cycles"));
+    a.predictedCycles = jsonUint(f("predicted_cycles"));
+    for (const JsonValue &ev : jsonArray(f("entries"))) {
+        JsonFields g(ev);
         obs::AccuracyEntry e;
-        e.service = static_cast<std::uint8_t>(
-            field(ev, "service").asUint());
-        e.cluster = static_cast<std::uint32_t>(
-            field(ev, "cluster").asUint());
-        e.predictions = field(ev, "predictions").asUint();
-        e.outlierPredictions = field(ev, "outlier_predictions").asUint();
-        e.predictedCycles = field(ev, "predicted_cycles").asUint();
-        e.audits = field(ev, "audits").asUint();
-        e.auditFailures = field(ev, "audit_failures").asUint();
-        e.errCount = field(ev, "err_count").asUint();
-        e.errMean = field(ev, "err_mean").asDouble();
-        e.errM2 = field(ev, "err_m2").asDouble();
-        e.errMin = field(ev, "err_min").asDouble();
-        e.errMax = field(ev, "err_max").asDouble();
-        e.missCount = field(ev, "miss_count").asUint();
-        e.missMean = field(ev, "miss_mean").asDouble();
-        e.ipcCount = field(ev, "ipc_count").asUint();
-        e.ipcMean = field(ev, "ipc_mean").asDouble();
-        e.ci95 = field(ev, "ci95").asDouble();
-        e.hasCi = field(ev, "has_ci").asBool();
-        e.drift = field(ev, "drift").asBool();
+        e.service = narrowUint<std::uint8_t>(g("service"));
+        e.cluster = narrowUint<std::uint32_t>(g("cluster"));
+        e.predictions = jsonUint(g("predictions"));
+        e.outlierPredictions = jsonUint(g("outlier_predictions"));
+        e.predictedCycles = jsonUint(g("predicted_cycles"));
+        e.audits = jsonUint(g("audits"));
+        e.auditFailures = jsonUint(g("audit_failures"));
+        e.errCount = jsonUint(g("err_count"));
+        e.errMean = jsonDouble(g("err_mean"));
+        e.errM2 = jsonDouble(g("err_m2"));
+        e.errMin = jsonDouble(g("err_min"));
+        e.errMax = jsonDouble(g("err_max"));
+        e.missCount = jsonUint(g("miss_count"));
+        e.missMean = jsonDouble(g("miss_mean"));
+        e.ipcCount = jsonUint(g("ipc_count"));
+        e.ipcMean = jsonDouble(g("ipc_mean"));
+        e.ci95 = jsonDouble(g("ci95"));
+        e.hasCi = jsonBool(g("has_ci"));
+        e.drift = jsonBool(g("drift"));
+        g.end();
         a.entries.push_back(e);
     }
-    return true;
+    f.end();
+    return a;
 }
 
 } // namespace
@@ -329,121 +316,105 @@ decodeCellResult(std::string_view text)
 try {
     bool ok = false;
     JsonValue doc = JsonValue::parse(text, &ok);
-    if (!ok || !doc.isObject())
+    if (!ok)
         return std::nullopt;
-    const JsonValue *schema = doc.find("schema");
-    if (!schema || !schema->isString() ||
-        schema->asString() != cellSchema)
-        return std::nullopt;
-    const JsonValue *cell = doc.find("cell");
-    if (!cell || !cell->isObject())
+    // Every member is read in the encoder's order and must have the
+    // encoder's shape, so nothing in the value is skipped or
+    // re-typed.
+    JsonFields f(doc);
+    if (jsonString(f("schema")) != cellSchema)
         return std::nullopt;
 
     CellResult r;
-    r.cell.index =
-        static_cast<std::size_t>(field(*cell, "index").asUint());
-    r.cell.workload = field(*cell, "workload").asString();
-    r.cell.mode = static_cast<RunMode>(field(*cell, "mode").asUint());
-    r.cell.predictorIndex = static_cast<std::size_t>(
-        field(*cell, "predictor_index").asUint());
-    r.cell.pollutionIndex = static_cast<std::size_t>(
-        field(*cell, "pollution_index").asUint());
-    r.cell.l2Bytes = field(*cell, "l2_bytes").asUint();
-    r.cell.seedIndex = field(*cell, "seed_index").asUint();
-    r.cell.seed = field(*cell, "seed").asUint();
+    JsonFields cell(f("cell"));
+    r.cell.index = jsonUint(cell("index"));
+    r.cell.workload = jsonString(cell("workload"));
+    const std::uint64_t mode = jsonUint(cell("mode"));
+    if (mode > static_cast<std::uint64_t>(RunMode::SampledAccel))
+        return std::nullopt;
+    r.cell.mode = static_cast<RunMode>(mode);
+    r.cell.predictorIndex = jsonUint(cell("predictor_index"));
+    r.cell.pollutionIndex = jsonUint(cell("pollution_index"));
+    r.cell.l2Bytes = jsonUint(cell("l2_bytes"));
+    r.cell.seedIndex = jsonUint(cell("seed_index"));
+    r.cell.seed = jsonUint(cell("seed"));
+    cell.end();
 
-    if (const JsonValue *error = doc.find("error")) {
+    if (f.next("error")) {
         r.failed = true;
-        r.error = error->asString();
+        r.error = jsonString(f("error"));
+        f.end();
         return r;
     }
 
-    const JsonValue *totals = doc.find("totals");
-    const JsonValue *telemetry = doc.find("telemetry");
-    const JsonValue *trace_info = doc.find("trace_info");
-    const JsonValue *accuracy = doc.find("accuracy");
-    const JsonValue *trace = doc.find("trace");
-    if (!totals || !telemetry || !trace_info || !accuracy ||
-        !trace || !trace->isArray())
-        return std::nullopt;
-    if (!totalsFromJson(*totals, r.totals))
-        return std::nullopt;
-    if (const JsonValue *stats = doc.find("stats")) {
-        if (!statsFromJson(*stats, r.stats))
-            return std::nullopt;
+    totalsFromJson(f("totals"), r.totals);
+    if (f.next("stats")) {
+        r.stats = statsFromJson(f("stats"));
         r.hasStats = true;
     }
-    if (!obs::metricsSnapshotFromJson(*telemetry, r.telemetry))
+    if (!obs::metricsSnapshotFromJson(f("telemetry"), r.telemetry))
         return std::nullopt;
-    if (!trace_info->isArray() || trace_info->size() != 3)
-        return std::nullopt;
-    r.traceInfo.capacity =
-        static_cast<std::size_t>(trace_info->at(0).asUint());
-    r.traceInfo.recorded = trace_info->at(1).asUint();
-    r.traceInfo.dropped = trace_info->at(2).asUint();
-    if (!accuracyFromJson(*accuracy, r.accuracy))
-        return std::nullopt;
-    for (const JsonValue &e : trace->elements()) {
-        if (!e.isArray() || e.size() != 5)
-            return std::nullopt;
+    const std::vector<JsonValue> &trace_info =
+        jsonArray(f("trace_info"), 3);
+    r.traceInfo.capacity = jsonUint(trace_info[0]);
+    r.traceInfo.recorded = jsonUint(trace_info[1]);
+    r.traceInfo.dropped = jsonUint(trace_info[2]);
+    r.accuracy = accuracyFromJson(f("accuracy"));
+    for (const JsonValue &e : jsonArray(f("trace"))) {
+        const std::vector<JsonValue> &t = jsonArray(e, 5);
         obs::TraceEvent ev;
-        ev.tick = e.at(0).asUint();
-        ev.a = e.at(1).asUint();
-        ev.b = e.at(2).asUint();
-        ev.kind =
-            static_cast<obs::TraceEventKind>(e.at(3).asUint());
-        ev.service =
-            static_cast<std::uint8_t>(e.at(4).asUint());
+        ev.tick = jsonUint(t[0]);
+        ev.a = jsonUint(t[1]);
+        ev.b = jsonUint(t[2]);
+        ev.kind = static_cast<obs::TraceEventKind>(
+            narrowUint<std::uint8_t>(t[3]));
+        ev.service = narrowUint<std::uint8_t>(t[4]);
         r.trace.push_back(ev);
     }
-    if (const JsonValue *profile = doc.find("plt_profile"))
-        r.pltProfile = profile->asString();
+    if (f.next("plt_profile")) {
+        // The encoder leaves an empty profile out.
+        r.pltProfile = jsonString(f("plt_profile"));
+        if (r.pltProfile.empty())
+            return std::nullopt;
+    }
 
     // A sampled-mode cell without its sample section is a payload
     // from a stale schema: reject it (decoding to a miss) rather
     // than assembling a document with a silently absent estimate.
-    const JsonValue *sample = doc.find("sample");
-    if (isSampledMode(r.cell.mode) &&
-        (!sample || !sample->isObject()))
+    if (isSampledMode(r.cell.mode) && !f.next("sample"))
         return std::nullopt;
-    if (sample && sample->isObject()) {
+    if (f.next("sample")) {
+        JsonFields g(f("sample"));
         CellSampleSection &s = r.sample;
         s.present = true;
-        s.intervalLen = field(*sample, "interval_len").asUint();
-        s.numIntervals = field(*sample, "num_intervals").asUint();
-        s.numStrata = field(*sample, "num_strata").asUint();
-        s.sampledIntervals =
-            field(*sample, "sampled_intervals").asUint();
-        s.tailInsts = field(*sample, "tail_insts").asUint();
-        s.tailCycles = field(*sample, "tail_cycles").asUint();
-        s.detailedAppInsts =
-            field(*sample, "detailed_app_insts").asUint();
-        s.ffAppInsts = field(*sample, "ff_app_insts").asUint();
-        s.estAppCycles =
-            field(*sample, "est_app_cycles").asDouble();
-        s.estTotalCycles =
-            field(*sample, "est_total_cycles").asDouble();
-        s.ciHalfWidth = field(*sample, "ci95_half").asDouble();
-        s.df = field(*sample, "df").asUint();
-        s.hasCi = field(*sample, "has_ci").asBool();
-        s.detailedFraction =
-            field(*sample, "detailed_fraction").asDouble();
-        const JsonValue &strata = field(*sample, "strata");
-        if (!strata.isArray())
-            return std::nullopt;
-        for (const JsonValue &row : strata.elements()) {
-            if (!row.isArray() || row.size() != 4)
-                return std::nullopt;
-            StratumEstimate h;
-            h.population = row.at(0).asUint();
-            h.sampled = row.at(1).asUint();
-            h.mean = row.at(2).asDouble();
-            h.sampleVar = row.at(3).asDouble();
-            r.sample.strata.push_back(h);
+        s.intervalLen = jsonUint(g("interval_len"));
+        s.numIntervals = jsonUint(g("num_intervals"));
+        s.numStrata = jsonUint(g("num_strata"));
+        s.sampledIntervals = jsonUint(g("sampled_intervals"));
+        s.tailInsts = jsonUint(g("tail_insts"));
+        s.tailCycles = jsonUint(g("tail_cycles"));
+        s.detailedAppInsts = jsonUint(g("detailed_app_insts"));
+        s.ffAppInsts = jsonUint(g("ff_app_insts"));
+        s.estAppCycles = jsonDouble(g("est_app_cycles"));
+        s.estTotalCycles = jsonDouble(g("est_total_cycles"));
+        s.ciHalfWidth = jsonDouble(g("ci95_half"));
+        s.df = jsonUint(g("df"));
+        s.hasCi = jsonBool(g("has_ci"));
+        s.detailedFraction = jsonDouble(g("detailed_fraction"));
+        for (const JsonValue &row : jsonArray(g("strata"))) {
+            const std::vector<JsonValue> &h = jsonArray(row, 4);
+            StratumEstimate e;
+            e.population = jsonUint(h[0]);
+            e.sampled = jsonUint(h[1]);
+            e.mean = jsonDouble(h[2]);
+            e.sampleVar = jsonDouble(h[3]);
+            s.strata.push_back(e);
         }
+        g.end();
     }
+    f.end();
     return r;
-} catch (const BadDocument &) {
+} catch (const JsonShapeError &) {
     return std::nullopt;
 }
 

@@ -40,7 +40,9 @@ inline constexpr const char *cellSchema = "ospredict-cell-v1";
 /** Serialize @p result to the compact cache value form. */
 std::string encodeCellResult(const CellResult &result);
 
-/** Parse a cache value; nullopt on any schema/shape mismatch. */
+/** Parse a cache value; nullopt unless every member has the order,
+ *  kind and range encodeCellResult() gives it, so what decodes
+ *  re-encodes to the same document. */
 std::optional<CellResult> decodeCellResult(std::string_view text);
 
 /** Append a sample section's measured and estimated fields, from

@@ -145,51 +145,104 @@ Cache::accessSlow(std::uint32_t set, Addr tag, std::size_t base,
 bool
 Cache::install(Addr addr, Owner owner)
 {
-    std::uint32_t set = setIndex(addr);
-    Addr tag = tagOf(addr);
-    std::size_t base = static_cast<std::size_t>(set) * params_.assoc;
-    ++lruClock;
-    // findWay()'s scan with selects instead of an early exit: a
-    // footprint's installs hit and miss at random, so a branch on
-    // each way's tag mispredicts. High way to low leaves free_way
-    // at the lowest invalid way, as findWay() does.
-    const Addr *t = &tags_[base];
-    std::uint32_t hit = kNoWay;
-    std::uint32_t free_way = kNoWay;
-    for (std::uint32_t w = params_.assoc; w-- > 0;) {
-        hit = t[w] == tag ? w : hit;
-        free_way = t[w] == kInvalidTag ? w : free_way;
-    }
-    if (hit != kNoWay) {
-        stamps_[base + hit] = lruClock;
-        return false;
-    }
-    std::uint32_t way = victimWay(base, free_way);
-    Line &line = lines[base + way];
-    if (line.valid)
-        stats_.injectedEvictions += 1;
-    stats_.injectedFills += 1;
-    retag(base + way, true, owner);
-    tags_[base + way] = tag;
-    line.dirty = false;
-    stamps_[base + way] = lruClock;
-    mruWay_[set] = way;
-    return true;
+    return installCycled(std::span<const Addr>(&addr, 1), 1, owner) != 0;
 }
 
 std::uint64_t
 Cache::installCycled(std::span<const Addr> sample,
                      std::uint64_t count, Owner owner)
 {
-    std::uint64_t fills = 0;
     if (sample.empty())
-        return fills;
+        return 0;
+    switch (params_.assoc) {
+      case 2:
+        return installLoop<2>(sample, count, owner);
+      case 4:
+        return installLoop<4>(sample, count, owner);
+      case 8:
+        return installLoop<8>(sample, count, owner);
+      case 16:
+        return installLoop<16>(sample, count, owner);
+      default:
+        return installLoop<0>(sample, count, owner);
+    }
+}
+
+template <std::uint32_t Ways>
+std::uint64_t
+Cache::installLoop(std::span<const Addr> sample, std::uint64_t count,
+                   Owner owner)
+{
+    const std::uint32_t assoc = Ways ? Ways : params_.assoc;
+    const std::uint32_t set_mask = numSets_ - 1;
+    const std::uint32_t shift = lineShift;
+    Addr *const tags = tags_.data();
+    std::uint64_t *const stamps = stamps_.data();
+    Line *const meta = lines.data();
+    std::uint32_t *const mru = mruWay_.data();
+    // The clock and the counters live in registers for the whole
+    // footprint and are written back once: through the members,
+    // every store to the tag, stamp and line arrays would force
+    // them to be reloaded.
+    std::uint64_t clock = lruClock;
+    std::uint64_t fills = 0;
+    std::uint64_t displaced_app = 0;
+    std::uint64_t displaced_os = 0;
     std::size_t k = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
-        fills += install(sample[k], owner);
+        const Addr tag = sample[k] >> shift;
         if (++k == sample.size())
             k = 0;
+        const std::uint32_t set =
+            static_cast<std::uint32_t>(tag) & set_mask;
+        const std::size_t base = static_cast<std::size_t>(set) * assoc;
+        ++clock;
+        // findWay()'s scan with selects instead of an early exit: a
+        // footprint's installs hit and miss at random, so a branch
+        // on each way's tag mispredicts. High way to low leaves
+        // free_way at the lowest invalid way, as findWay() does.
+        const Addr *t = tags + base;
+        std::uint32_t hit = kNoWay;
+        std::uint32_t free_way = kNoWay;
+        for (std::uint32_t w = assoc; w-- > 0;) {
+            hit = t[w] == tag ? w : hit;
+            free_way = t[w] == kInvalidTag ? w : free_way;
+        }
+        if (hit != kNoWay) {
+            stamps[base + hit] = clock;
+            continue;
+        }
+        std::uint32_t way = free_way;
+        if (way == kNoWay) {
+            // lruWay()'s branch-free argmin over every way.
+            const std::uint64_t *stamp = stamps + base;
+            std::uint64_t victim = 0;
+            std::uint64_t best = stamp[0];
+            for (std::uint32_t w = 1; w < assoc; ++w) {
+                const std::uint64_t older =
+                    0 - static_cast<std::uint64_t>(stamp[w] < best);
+                victim = (w & older) | (victim & ~older);
+                best = (stamp[w] & older) | (best & ~older);
+            }
+            way = static_cast<std::uint32_t>(victim);
+        }
+        Line &line = meta[base + way];
+        displaced_app += line.valid & (line.owner == Owner::App);
+        displaced_os += line.valid & (line.owner == Owner::Os);
+        line.valid = true;
+        line.dirty = false;
+        line.owner = owner;
+        tags[base + way] = tag;
+        stamps[base + way] = clock;
+        mru[set] = way;
+        ++fills;
     }
+    lruClock = clock;
+    validLines_[static_cast<int>(Owner::App)] -= displaced_app;
+    validLines_[static_cast<int>(Owner::Os)] -= displaced_os;
+    validLines_[static_cast<int>(owner)] += fills;
+    stats_.injectedEvictions += displaced_app + displaced_os;
+    stats_.injectedFills += fills;
     return fills;
 }
 

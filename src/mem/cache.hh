@@ -186,7 +186,8 @@ class Cache
      * Silently make @p addr resident on behalf of a skipped OS
      * service (footprint-faithful pollution): a hit refreshes LRU, a
      * miss fills the victim slot. No access/miss statistics are
-     * touched; evictions count as injected.
+     * touched; evictions count as injected. installCycled() of a
+     * one-line sample.
      *
      * @return true if the line was filled (was not resident).
      */
@@ -195,8 +196,10 @@ class Cache
     /**
      * install() the first @p count entries of @p sample cycled
      * (sample[k % sample.size()]), in order; an empty sample
-     * installs nothing. Keeps the per-line loop next to the inlined
-     * tag scan — one call per footprint, not per line.
+     * installs nothing. One loop per footprint, specialised to the
+     * associativity (2, 4, 8 and 16 ways, and a generic loop), with
+     * the LRU clock and the fill, eviction and residency counts in
+     * locals written back once per call.
      *
      * @return number of lines filled (install() returned true).
      */
@@ -294,6 +297,11 @@ class Cache
      *  @p base (lowest way on ties), among application-owned ways
      *  only if @p app_only; kNoWay when none is eligible. */
     std::uint32_t lruWay(std::size_t base, bool app_only) const;
+
+    /** installCycled()'s loop for @p Ways ways (0: any). */
+    template <std::uint32_t Ways>
+    std::uint64_t installLoop(std::span<const Addr> sample,
+                              std::uint64_t count, Owner owner);
 
     /** accessSlow() result bits (the AccessResult fields). */
     static constexpr unsigned kHitBit = 1;

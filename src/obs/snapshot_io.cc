@@ -54,56 +54,36 @@ metricsSnapshotToJson(const MetricsSnapshot &m)
 
 bool
 metricsSnapshotFromJson(const JsonValue &v, MetricsSnapshot &m)
-{
-    if (!v.isObject())
-        return false;
-    const JsonValue *counters = v.find("counters");
-    const JsonValue *gauges = v.find("gauges");
-    const JsonValue *histograms = v.find("histograms");
-    if (!counters || !gauges || !histograms)
-        return false;
-    for (const JsonValue &e : counters->elements()) {
-        if (!e.isArray() || e.size() != 3)
-            return false;
-        CounterEntry c;
-        c.component = e.at(0).asString();
-        c.name = e.at(1).asString();
-        c.value = e.at(2).asUint();
-        m.counters.push_back(std::move(c));
+try {
+    JsonFields f(v);
+    for (const JsonValue &e : jsonArray(f("counters"))) {
+        const std::vector<JsonValue> &t = jsonArray(e, 3);
+        m.counters.push_back(
+            {jsonString(t[0]), jsonString(t[1]), jsonUint(t[2])});
     }
-    for (const JsonValue &e : gauges->elements()) {
-        if (!e.isArray() || e.size() != 3)
-            return false;
-        GaugeEntry g;
-        g.component = e.at(0).asString();
-        g.name = e.at(1).asString();
-        g.value = e.at(2).asDouble();
-        m.gauges.push_back(std::move(g));
+    for (const JsonValue &e : jsonArray(f("gauges"))) {
+        const std::vector<JsonValue> &t = jsonArray(e, 3);
+        m.gauges.push_back(
+            {jsonString(t[0]), jsonString(t[1]), jsonDouble(t[2])});
     }
-    for (const JsonValue &e : histograms->elements()) {
-        if (!e.isObject())
-            return false;
-        const JsonValue *component = e.find("component");
-        const JsonValue *name = e.find("name");
-        const JsonValue *count = e.find("count");
-        const JsonValue *sum = e.find("sum");
-        const JsonValue *buckets = e.find("buckets");
-        if (!component || !name || !count || !sum || !buckets)
-            return false;
+    for (const JsonValue &e : jsonArray(f("histograms"))) {
+        JsonFields g(e);
         HistogramEntry h;
-        h.component = component->asString();
-        h.name = name->asString();
-        h.count = count->asUint();
-        h.sum = sum->asUint();
-        for (const JsonValue &b : buckets->elements()) {
-            if (!b.isArray() || b.size() != 2)
-                return false;
-            h.buckets.emplace_back(b.at(0).asUint(),
-                                   b.at(1).asUint());
+        h.component = jsonString(g("component"));
+        h.name = jsonString(g("name"));
+        h.count = jsonUint(g("count"));
+        h.sum = jsonUint(g("sum"));
+        for (const JsonValue &b : jsonArray(g("buckets"))) {
+            const std::vector<JsonValue> &pair = jsonArray(b, 2);
+            h.buckets.emplace_back(jsonUint(pair[0]), jsonUint(pair[1]));
         }
+        g.end();
         m.histograms.push_back(std::move(h));
     }
+    f.end();
     return true;
+} catch (const JsonShapeError &) {
+    return false;
 }
 
 } // namespace osp::obs

@@ -28,7 +28,8 @@ void addHistogramFields(JsonValue &obj, const HistogramEntry &h);
 JsonValue metricsSnapshotToJson(const MetricsSnapshot &m);
 
 /** Decode into @p m (appending to its vectors); false on any
- *  malformed structure, leaving @p m partially filled. */
+ *  structure, member order or value kind metricsSnapshotToJson()
+ *  does not write, leaving @p m partially filled. */
 bool metricsSnapshotFromJson(const JsonValue &v, MetricsSnapshot &m);
 
 } // namespace osp::obs

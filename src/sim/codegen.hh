@@ -137,13 +137,15 @@ class CodeGenerator
      * visiting order does not depend on the counts asked for, so a
      * shorter draw is a prefix of a longer one. The queued plan and
      * the RNG are left as they were: lowering afterwards yields the
-     * stream it would have yielded without the draw. Costs
-     * O(positions visited + plan items + positions / 64): an index
-     * of the first item of each 64-position bucket finds a
-     * position's item in O(1) on average. The visit stops at the
-     * lines asked for, so it passes them only by the positions
-     * that land on a line already drawn, and never passes the
-     * plan's access and fetch-position counts.
+     * stream it would have yielded without the draw.
+     *
+     * Costs O(positions + plan items) without a hash probe, plus a
+     * probe per kept candidate: one pass in position order places
+     * each position at its visit index, keeping of each run of a
+     * Sequential or Copy walk on one line only its first visit, and
+     * the candidates are then taken in visit order, making the
+     * address draws of the positions that have one, until the lines
+     * asked for are drawn. Addresses must lie below 2^63.
      */
     void drawFootprint(std::size_t data_lines, std::size_t code_lines,
                        std::vector<Addr> &data,
@@ -160,6 +162,9 @@ class CodeGenerator
     void restart(std::uint64_t seed, std::uint64_t stream);
 
   private:
+    /** Reads the queued plan in tests (a reference footprint walk). */
+    friend struct CodeGeneratorTestPeer;
+
     struct WorkItem
     {
         enum class Kind : std::uint8_t { Compute, Copy };
@@ -211,15 +216,9 @@ class CodeGenerator
         bool depDraws = false;
     };
 
-    /** drawFootprint()'s address for access @p p of @p item (Copy:
-     *  loads at even, stores at odd positions), drawing from @p r
-     *  where the item's pattern draws. */
-    Addr footprintData(const WorkItem &item, std::uint64_t p,
-                       Pcg32 &r) const;
-
-    /** drawFootprint()'s pc for op @p t of @p item's code walk. */
-    Addr footprintCode(const WorkItem &item, std::uint64_t t,
-                       Pcg32 &r) const;
+    /** drawFootprint()'s data and code lists, from @p r. */
+    void drawData(std::size_t lines, Pcg32 &r, std::vector<Addr> &out);
+    void drawCode(std::size_t lines, Pcg32 &r, std::vector<Addr> &out);
 
     /** Pick a data address for the current item and advance cursors. */
     Addr dataAddr(WorkItem &item, bool chase);
@@ -257,11 +256,12 @@ class CodeGenerator
      * region base each block.
      */
     std::unordered_map<Addr, Addr> seqCursors;
-    /** drawFootprint() scratch, reused across calls: per-item
-     *  position ends, the first item of each 64-position bucket
-     *  and the set of lines drawn. */
-    std::vector<std::uint64_t> drawEnds;
-    std::vector<std::uint32_t> drawBuckets;
+    /** drawFootprint() scratch, reused across calls: the visit
+     *  order's marks and words, the items whose positions draw
+     *  their address, and the set of lines drawn. */
+    std::vector<std::uint64_t> drawBits;
+    std::vector<std::uint64_t> drawSlots;
+    std::vector<const WorkItem *> drawItems;
     std::vector<std::uint64_t> drawSeen;
 };
 

@@ -543,4 +543,77 @@ JsonValue::parse(std::string_view text, bool *ok,
     return out;
 }
 
+std::uint64_t
+jsonUint(const JsonValue &v)
+{
+    if (v.kind() != JsonValue::Kind::Uint)
+        throw JsonShapeError{};
+    return v.asUint();
+}
+
+double
+jsonDouble(const JsonValue &v)
+{
+    if (!v.isNumber())
+        throw JsonShapeError{};
+    // An integral double is written without a fraction and parses
+    // back as an integer; one the double cannot hold exactly would
+    // re-encode to other digits.
+    const double d = v.asDouble();
+    const bool exact =
+        v.kind() == JsonValue::Kind::Double ||
+        (v.kind() == JsonValue::Kind::Uint
+             ? d < 0x1p64 && static_cast<std::uint64_t>(d) == v.asUint()
+             : static_cast<std::int64_t>(d) == v.asInt());
+    if (!exact)
+        throw JsonShapeError{};
+    return d;
+}
+
+bool
+jsonBool(const JsonValue &v)
+{
+    if (!v.isBool())
+        throw JsonShapeError{};
+    return v.asBool();
+}
+
+const std::string &
+jsonString(const JsonValue &v)
+{
+    if (!v.isString())
+        throw JsonShapeError{};
+    return v.asString();
+}
+
+const std::vector<JsonValue> &
+jsonArray(const JsonValue &v, std::size_t size)
+{
+    if (!v.isArray() ||
+        (size != ~std::size_t(0) && v.elements().size() != size))
+        throw JsonShapeError{};
+    return v.elements();
+}
+
+JsonFields::JsonFields(const JsonValue &object)
+    : members(object.isObject() ? object.members()
+                                : throw JsonShapeError{})
+{
+}
+
+const JsonValue &
+JsonFields::operator()(std::string_view key)
+{
+    if (!next(key))
+        throw JsonShapeError{};
+    return members[i++].second;
+}
+
+void
+JsonFields::end() const
+{
+    if (i != members.size())
+        throw JsonShapeError{};
+}
+
 } // namespace osp

@@ -152,6 +152,56 @@ class JsonValue
 /** Exact (shortest round-trip) double formatting used by write(). */
 std::string jsonNumberToString(double value);
 
+/**
+ * Checked readers for decoders of documents this program wrote:
+ * each throws JsonShapeError unless the value has the shape its
+ * writer gives it, so a decoder built from them accepts only values
+ * that re-encode to the document they came from, up to number
+ * spelling.
+ */
+struct JsonShapeError
+{
+};
+
+/** An unsigned integer (Uint kind: not negative, not a fraction). */
+std::uint64_t jsonUint(const JsonValue &v);
+
+/** Any number, provided the double holds it exactly. */
+double jsonDouble(const JsonValue &v);
+
+bool jsonBool(const JsonValue &v);
+
+const std::string &jsonString(const JsonValue &v);
+
+/** An array's elements; of exactly @p size unless it is ~0. */
+const std::vector<JsonValue> &
+jsonArray(const JsonValue &v, std::size_t size = ~std::size_t(0));
+
+/** An object's members, read in the order its writer adds them: a
+ *  missing, extra or reordered key throws JsonShapeError. */
+class JsonFields
+{
+  public:
+    explicit JsonFields(const JsonValue &object);
+
+    /** The next member, which must be @p key. */
+    const JsonValue &operator()(std::string_view key);
+
+    /** True if the next member is @p key (an optional one). */
+    bool
+    next(std::string_view key) const
+    {
+        return i < members.size() && members[i].first == key;
+    }
+
+    /** Every member must have been read. */
+    void end() const;
+
+  private:
+    const std::vector<std::pair<std::string, JsonValue>> &members;
+    std::size_t i = 0;
+};
+
 } // namespace osp
 
 #endif // OSP_UTIL_JSON_HH

@@ -971,23 +971,34 @@ TEST(Cache, LruVictimsMatchReferenceModel)
 /** installCycled() against a plain per-line loop of the reference
  *  model's install(): seeded samples (repeated lines included)
  *  cycled to counts below, at and past their size, at
- *  associativities 1 to 16, into a cold cache, then into caches
- *  holding lines of both owners and, in some rounds, invalidated
- *  ways. Fills, stats,
- *  residency and resident lines must agree after every footprint,
- *  and so must the outcomes of the accesses that follow, which
- *  evict in the order the installs left the LRU stamps. */
+ *  associativities 1 to 16 (3 and 6 take the generic loop) and at
+ *  the TLB's geometry (64 entries, 4-way, 4KB lines), into a cold
+ *  cache, then into caches holding lines of both owners and, in
+ *  some rounds, invalidated ways. Fills, stats, residency and
+ *  resident lines must agree after every footprint, and so must the
+ *  outcomes of the accesses that follow, which evict in the order
+ *  the installs left the LRU stamps. */
 TEST(Cache, InstallCycledMatchesPerLineLoop)
 {
-    for (std::uint32_t assoc : {1u, 2u, 4u, 8u, 16u}) {
-        CacheParams p = smallCache(16ULL * 64 * assoc, assoc);
+    struct Geometry
+    {
+        std::uint32_t assoc, lineBytes;
+    };
+    for (const Geometry g : {Geometry{1, 64}, Geometry{2, 64},
+                             Geometry{3, 64}, Geometry{4, 64},
+                             Geometry{6, 64}, Geometry{8, 64},
+                             Geometry{16, 64}, Geometry{4, 4096}}) {
+        const std::uint32_t assoc = g.assoc;
+        const std::uint64_t line = g.lineBytes;
+        CacheParams p = smallCache(16ULL * line * assoc, assoc);
+        p.lineBytes = g.lineBytes;
         Cache c(p, 41);
         ReferenceCache ref(p, 41);
         const std::uint64_t span = 4 * 16 * assoc;
-        Pcg32 rng(13, assoc);
+        Pcg32 rng(13, assoc + (line - 64));
         auto randomAccesses = [&](int n) {
             for (int i = 0; i < n; ++i) {
-                Addr a = 64ULL * rng.range(span) + rng.range(64);
+                Addr a = line * rng.range(span) + rng.range(64);
                 Owner o = rng.range(2) ? Owner::App : Owner::Os;
                 bool w = rng.range(4) == 0;
                 auto got = c.access(a, w, o);
@@ -1013,7 +1024,7 @@ TEST(Cache, InstallCycledMatchesPerLineLoop)
             }
             std::vector<Addr> sample(1 + rng.range(3 * 16 * assoc));
             for (Addr &a : sample)
-                a = 64ULL * rng.range(span) + rng.range(64);
+                a = line * rng.range(span) + rng.range(64);
             const std::uint64_t count =
                 rng.range(3) == 0 ? sample.size()
                                   : rng.range(4 * sample.size());
@@ -1029,7 +1040,7 @@ TEST(Cache, InstallCycledMatchesPerLineLoop)
             ASSERT_EQ(c.residentLines(Owner::Os),
                       ref.resident(Owner::Os));
             for (std::uint64_t l = 0; l < span; ++l)
-                ASSERT_EQ(c.probe(64 * l), ref.probe(64 * l))
+                ASSERT_EQ(c.probe(line * l), ref.probe(line * l))
                     << "line " << l << " round " << round;
             randomAccesses(50);
         }

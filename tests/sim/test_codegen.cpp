@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <map>
+#include <numeric>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/codegen.hh"
@@ -809,6 +812,307 @@ TEST(CodeGenerator, FootprintDrawIsPinned)
             << lines << " lines: " << data.size() << " data, "
             << code.size() << " code lines";
     }
+}
+
+} // namespace
+
+/**
+ * The golden walk drawFootprint() replaced, kept here as the
+ * reference it must match: positions visited one at a time in
+ * golden order, each mapped to its item through a bucket index and
+ * to its address, and each address whose line is new kept, until
+ * the lines asked for are drawn.
+ */
+struct CodeGeneratorTestPeer
+{
+    using WorkItem = CodeGenerator::WorkItem;
+
+    static std::uint64_t
+    dataPositions(const CodeGenerator &gen)
+    {
+        std::uint64_t n = 0;
+        for (const WorkItem &item : gen.items)
+            n += dataCount(item);
+        return n;
+    }
+
+    static void
+    drawFootprint(const CodeGenerator &gen, std::size_t data_lines,
+                  std::size_t code_lines, std::vector<Addr> &data,
+                  std::vector<Addr> &code)
+    {
+        data.clear();
+        code.clear();
+        Pcg32 fork = gen.rng;
+        Pcg32 data_rng(fork.next64(), 0xF007D47AULL);
+        Pcg32 code_rng(fork.next64(), 0xF007C0DEULL);
+        drawLines(gen.items, data_lines, data_rng, dataCount,
+                  [&](const WorkItem &item, std::uint64_t p) {
+                      return footprintData(item, p, data_rng);
+                  },
+                  data);
+        drawLines(gen.items, code_lines, code_rng,
+                  [](const WorkItem &item) -> std::uint64_t {
+                      return (item.opsLeft + 15) / 16;
+                  },
+                  [&](const WorkItem &item, std::uint64_t p) {
+                      return footprintCode(item, 16 * p, code_rng);
+                  },
+                  code);
+    }
+
+  private:
+    static std::uint64_t
+    dataCount(const WorkItem &item)
+    {
+        if (item.kind == WorkItem::Kind::Copy)
+            return item.opsLeft / 2;
+        return static_cast<std::uint64_t>(
+            (static_cast<unsigned __int128>(item.opsLeft) *
+             item.thrStore) >>
+            32);
+    }
+
+    class GoldenOrder
+    {
+      public:
+        GoldenOrder(std::uint32_t n, Pcg32 &rng)
+            : n(n), cur(rng.range(n))
+        {
+            step = static_cast<std::uint32_t>(
+                std::max(1.0, std::round(n * 0.6180339887498949)));
+            while (std::gcd(step, n) != 1)
+                ++step;
+            step %= n;
+        }
+
+        std::uint32_t
+        next()
+        {
+            const std::uint32_t pos = cur;
+            cur += step;
+            if (cur >= n)
+                cur -= n;
+            return pos;
+        }
+
+      private:
+        std::uint32_t n;
+        std::uint32_t cur;
+        std::uint32_t step;
+    };
+
+    template <class Count, class At>
+    static void
+    drawLines(const std::deque<WorkItem> &items, std::size_t lines,
+              Pcg32 &rng, Count count, At at, std::vector<Addr> &out)
+    {
+        std::vector<std::uint64_t> ends;
+        std::uint64_t total = 0;
+        for (const auto &item : items)
+            ends.push_back(total += count(item));
+        const auto n = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(total, 0xffffffffULL));
+        const std::size_t k = std::min<std::size_t>(lines, n);
+        if (k == 0)
+            return;
+        std::vector<std::uint32_t> buckets(
+            (static_cast<std::size_t>(n) + 63) >> 6);
+        std::uint32_t idx = 0;
+        for (std::size_t b = 0; b < buckets.size(); ++b) {
+            while (ends[idx] <= (std::uint64_t{b} << 6))
+                ++idx;
+            buckets[b] = idx;
+        }
+        std::set<Addr> seen;
+        GoldenOrder order(n, rng);
+        for (std::uint32_t drawn = 0; drawn < n && out.size() < k;
+             ++drawn) {
+            const std::uint32_t pos = order.next();
+            idx = buckets[pos >> 6];
+            while (ends[idx] <= pos)
+                ++idx;
+            const Addr a =
+                at(items[idx], pos - (idx ? ends[idx - 1] : 0));
+            if (seen.insert(a >> 6).second)
+                out.push_back(a);
+        }
+    }
+
+    static Addr
+    footprintData(const WorkItem &item, std::uint64_t p, Pcg32 &r)
+    {
+        if (item.kind == WorkItem::Kind::Copy) {
+            const bool store = p & 1;
+            const Region &region = store ? item.dst : item.src;
+            const Addr cursor = store ? item.dstCursor : item.srcCursor;
+            std::uint64_t unit = (cursor - region.base) / 16 + p / 2;
+            const std::uint64_t lap = (region.size + 15) / 16;
+            if (region.size && unit >= lap)
+                unit %= lap;
+            return region.base + 16 * unit;
+        }
+        const Region &region = item.data;
+        switch (item.pattern) {
+          case PatternKind::Sequential:
+            {
+                const Addr end = region.base + region.size;
+                if (p * item.stride < end - item.dataCursor)
+                    return item.dataCursor + p * item.stride;
+                const std::uint64_t first =
+                    (end - item.dataCursor + item.stride - 1) /
+                    item.stride;
+                const std::uint64_t lap =
+                    (region.size + item.stride - 1) / item.stride;
+                return region.base + (p - first) % lap * item.stride;
+            }
+          case PatternKind::Random:
+          case PatternKind::PointerChase:
+            return region.base + 64ULL * r.rangeWith(item.dataDraw);
+          case PatternKind::Hot:
+            return region.base +
+                   64ULL * r.rangeWith(
+                               r.chanceRaw(Pcg32::rawThreshold(0.9))
+                                   ? item.hotDraw
+                                   : item.dataDraw);
+        }
+        return region.base;
+    }
+
+    static Addr
+    footprintCode(const WorkItem &item, std::uint64_t t, Pcg32 &r)
+    {
+        const Region &code = item.profile.code;
+        const std::uint64_t run = item.profile.blockRunBytes / 4;
+        const std::uint64_t first = item.blockLeft / 4;
+        Addr pc;
+        if (t < first)
+            pc = item.pc + 4 * t;
+        else
+            pc = code.base + 64ULL * r.rangeWith(item.pcDraw) +
+                 (run ? 4 * ((t - first) % run) : 0);
+        const Addr end = code.base + code.size;
+        return pc < end ? pc : code.base + (pc - end) % code.size;
+    }
+};
+
+namespace
+{
+
+/**
+ * Queue a seeded plan of 1 to 7 items over a 16KB window of shared,
+ * unaligned region bases, so copies, Sequential walks and drawn
+ * accesses land on each other's lines: copies whose source or
+ * destination laps, Sequential walks at strides 4, 16, 64 and 200,
+ * and Random, Hot and PointerChase items, with code regions small
+ * enough for a walk to wrap and block runs of 8 bytes to 2KB. Most
+ * plans are small; one in forty has 70k to 170k ops per item. Some
+ * first complete a Sequential walk over a base the plan reuses, so
+ * its walk starts mid-region, and half lower a prefix of the plan.
+ */
+void
+pushMixedPlan(CodeGenerator &gen, std::uint64_t seed)
+{
+    Pcg32 r(seed, 17);
+    const std::uint64_t sizes[] = {16, 40, 64, 100, 1000, 4096, 16384,
+                                   1 << 20};
+    const std::uint32_t strides[] = {4, 16, 64, 200};
+    const std::uint32_t runs[] = {8, 36, 128, 288, 2048};
+    auto region = [&] {
+        return Region{0x40000000ULL + 24ULL * r.range(640),
+                      sizes[r.range(8)]};
+    };
+    auto profile = [&] {
+        CodeProfile p = basicProfile();
+        p.loadFrac = 0.05 * (1 + r.range(8));
+        p.storeFrac = 0.05 * r.range(4);
+        p.code = Region{0xc0000000ULL + 0x10000ULL * r.range(4),
+                        64ULL << r.range(7)};
+        p.blockRunBytes = runs[r.range(5)];
+        return p;
+    };
+    const std::uint64_t scale = r.range(40) == 0
+                                    ? 70000 + r.range(100000)
+                                    : 1 + r.range(3000);
+    MicroOp buf[64];
+    auto lower = [&](std::uint64_t ops) {
+        while (ops)
+            ops -= gen.nextBlock<Lowering::Lean>(
+                buf, static_cast<std::size_t>(
+                         std::min<std::uint64_t>(ops, 64)));
+    };
+    if (r.range(4) == 0) {
+        const CodeProfile p = profile();
+        const std::uint64_t ops = 1 + r.range(400);
+        const Region data = region();
+        const std::uint32_t stride = strides[r.range(4)];
+        gen.pushCompute(p, ops, data, PatternKind::Sequential, stride);
+        lower(gen.pendingOps());
+    }
+    // One draw per statement: the order in which a call's
+    // arguments are evaluated is up to the compiler.
+    const std::uint32_t items = 1 + r.range(7);
+    for (std::uint32_t i = 0; i < items; ++i) {
+        const std::uint32_t kind = r.range(6);
+        const CodeProfile p = profile();
+        const Region data = region();
+        if (kind < 2) {
+            const Region dst = region();
+            const std::uint64_t bytes = 1 + r.range(
+                static_cast<std::uint32_t>(8 * scale));
+            gen.pushCopy(p, bytes, data, dst);
+            continue;
+        }
+        const std::uint64_t ops = 1 + r.range(
+            static_cast<std::uint32_t>(2 * scale));
+        if (kind == 2) {
+            const std::uint32_t stride = strides[r.range(4)];
+            gen.pushCompute(p, ops, data, PatternKind::Sequential,
+                            stride);
+        } else {
+            const PatternKind drawn[] = {PatternKind::Random,
+                                         PatternKind::Hot,
+                                         PatternKind::PointerChase};
+            gen.pushCompute(p, ops, data, drawn[kind - 3]);
+        }
+    }
+    if (r.range(2))
+        lower(r.range(static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(gen.pendingOps(), 0xffffffffULL))));
+}
+
+/** drawFootprint() returns what the golden walk it replaced returns,
+ *  over 1200 seeded pushMixedPlan() plans of 1 to over 64k data
+ *  positions, each drawn at no lines, one, a few, the machine's caps
+ *  and every line. */
+TEST(CodeGenerator, FootprintDrawMatchesReferenceWalk)
+{
+    CodeGenerator gen(1, 1);
+    std::vector<Addr> data, code, want_data, want_code;
+    std::uint64_t fewest = ~std::uint64_t(0), most = 0;
+    for (std::uint64_t seed = 0; seed < 1200; ++seed) {
+        gen.restart(0xD1FF + seed, seed % 5);
+        pushMixedPlan(gen, seed);
+        const std::uint64_t positions =
+            CodeGeneratorTestPeer::dataPositions(gen);
+        fewest = std::min(fewest, positions);
+        most = std::max(most, positions);
+        const std::pair<std::size_t, std::size_t> counts[] = {
+            {0, 0}, {1, 1}, {1 + seed % 61, 1 + seed % 13},
+            {2048, 512}, {std::size_t{1} << 30, std::size_t{1} << 30}};
+        for (const auto &[data_lines, code_lines] :
+             {counts[seed % 5], counts[4]}) {
+            gen.drawFootprint(data_lines, code_lines, data, code);
+            CodeGeneratorTestPeer::drawFootprint(
+                gen, data_lines, code_lines, want_data, want_code);
+            ASSERT_EQ(data, want_data)
+                << "seed " << seed << ", " << data_lines << " lines";
+            ASSERT_EQ(code, want_code)
+                << "seed " << seed << ", " << code_lines << " lines";
+        }
+    }
+    EXPECT_LE(fewest, 1u);
+    EXPECT_GT(most, 65536u);
 }
 
 } // namespace
