@@ -70,6 +70,33 @@ main(int argc, char **argv)
               << ", worst case: "
               << TablePrinter::pct(err_stats.max()) << "\n";
 
+    // Where the OS invocations go that are not predicted: each
+    // Accelerated cell's detailed runs split by the predictor's
+    // reason for them. A passing audit is also counted in
+    // learnedRuns, so learning is the rest of the detailed runs;
+    // the five shares sum to 100%.
+    std::cout << "\ncoverage split (share of OS invocations, "
+                 "Accelerated cells):\n";
+    TablePrinter split({"bench", "coverage", "warm-up", "learning",
+                        "audits", "audit re-warm"});
+    for (const auto &name : spec.workloads) {
+        const CellResult &pred =
+            *sweep.find(name, RunMode::Accelerated);
+        const RunTotals &t = pred.totals;
+        const ServicePredictor::Stats &st = pred.stats;
+        const double inv = static_cast<double>(t.osInvocations);
+        auto share = [&](std::uint64_t n) {
+            return TablePrinter::pct(
+                inv > 0 ? static_cast<double>(n) / inv : 0.0);
+        };
+        const std::uint64_t learning = t.osSimulated - st.warmupRuns -
+                                       st.audits - st.auditWarmupRuns;
+        split.addRow({name, share(t.osPredicted), share(st.warmupRuns),
+                      share(learning), share(st.audits),
+                      share(st.auditWarmupRuns)});
+    }
+    split.print(std::cout);
+
     std::cout << "\nsweep: " << sweep.cells.size() << " cells in "
               << TablePrinter::fmt(sweep.wallSeconds, 2) << " s on "
               << sweep.threads << " thread(s)\n";

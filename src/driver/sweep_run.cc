@@ -40,30 +40,55 @@ runCell(const SweepSpec &spec, const SweepCell &cell,
 
     auto start = std::chrono::steady_clock::now();
 
+    // One machine per cell. A predicting cell's controller is
+    // attached before anything runs; it is offered no decision
+    // during warm-up.
+    auto machine = makeMachine(cell.workload, cfg, spec.scale);
+    machine->setTelemetry(&telemetry);
+    // Only predicting modes pay for an Accelerator.
+    std::optional<Accelerator> accel;
+    if (predicts) {
+        accel.emplace(spec.predictors[cell.predictorIndex].params);
+        accel->setTelemetry(&telemetry);
+        if (warm_profile) {
+            // Cross-run warm start: predictors begin in the
+            // Predicting state with the archived cluster stats —
+            // the paper's offline approach (see store/plt_archive).
+            std::istringstream is(*warm_profile);
+            if (!accel->loadState(is))
+                warn("cell ", cell.workload,
+                     ": archived PLT profile rejected; learning "
+                     "online");
+        }
+        machine->setController(&*accel);
+    }
+
     // Two-phase stratified sampling. Phase 1 profiles fixed-length
     // app-instruction intervals in pure emulation; the stratifier
     // clusters them and draws a seeded sample; Phase 2 (the machine
-    // below) re-runs the workload at the configured detail level
+    // above) runs the measured part at the configured detail level
     // with only the sampled intervals (plus the partial tail) on the
     // timing engine, fast-forwarding the rest with functional
-    // warming. Kernel time is never sampled: SampledAccel predicts
-    // it exactly as Accelerated does, Sampled simulates it in detail
-    // everywhere.
+    // warming. The warm-up is emulated once: Phase 1 is forked off
+    // the Phase-2 machine where warm-up ends. Kernel time is never
+    // sampled: SampledAccel predicts it exactly as Accelerated does,
+    // Sampled simulates it in detail everywhere.
     StrataAssignment strata;
     SamplePlan plan;
     if (sampled) {
-        // A separate machine with the same seed: instruction streams
-        // are mode-invariant across detail levels, so interval
-        // boundaries observed here transfer to Phase 2 exactly. No
-        // controller is attached — an Emulate-level pass must not
+        // The fork continues the same instruction streams (they are
+        // mode-invariant across detail levels), so interval
+        // boundaries observed here transfer to Phase 2 exactly. It
+        // carries no controller — an Emulate-level pass must not
         // feed predictor or audit state (see Machine::runServiceT).
+        machine->runWarmup();
         IntervalProfiler profiler(sp.intervalLen);
         {
             MachineConfig p1 = cfg;
             p1.level = DetailLevel::Emulate;
-            auto machine = makeMachine(cell.workload, p1, spec.scale);
-            machine->setIntervalProfiler(&profiler);
-            machine->run();
+            auto phase1 = machine->fork(p1);
+            phase1->setIntervalProfiler(&profiler);
+            phase1->run();
         }
 
         // Stratify and draw. The draw is seeded by the cell seed, so
@@ -84,29 +109,9 @@ runCell(const SweepSpec &spec, const SweepCell &cell,
             static_cast<std::size_t>(plan.fullIntervals), 0);
         for (std::uint64_t idx : picks)
             plan.sampledMask[static_cast<std::size_t>(idx)] = 1;
+        machine->setSamplePlan(&plan);
     }
 
-    auto machine = makeMachine(cell.workload, cfg, spec.scale);
-    machine->setTelemetry(&telemetry);
-    if (sampled)
-        machine->setSamplePlan(&plan);
-    // Only predicting modes pay for an Accelerator.
-    std::optional<Accelerator> accel;
-    if (predicts) {
-        accel.emplace(spec.predictors[cell.predictorIndex].params);
-        accel->setTelemetry(&telemetry);
-        if (warm_profile) {
-            // Cross-run warm start: predictors begin in the
-            // Predicting state with the archived cluster stats —
-            // the paper's offline approach (see store/plt_archive).
-            std::istringstream is(*warm_profile);
-            if (!accel->loadState(is))
-                warn("cell ", cell.workload,
-                     ": archived PLT profile rejected; learning "
-                     "online");
-        }
-        machine->setController(&*accel);
-    }
     result.totals = machine->run();
     if (accel) {
         result.stats = accel->aggregateStats();

@@ -96,6 +96,10 @@ class SyntheticKernel : public KernelIface
         return irq.nextDueAt();
     }
     bool touchUserPage(Addr addr) override;
+    std::unique_ptr<KernelIface> clone() const override
+    {
+        return std::make_unique<SyntheticKernel>(*this);
+    }
 
     /** Subsystem access (workload setup and tests). */
     Vfs &vfs() { return vfs_; }

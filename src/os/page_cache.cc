@@ -17,6 +17,20 @@ PageCache::PageCache(std::uint32_t capacity_pages, Addr frame_base,
     frameInUse.assign(poolFrames, false);
 }
 
+PageCache::PageCache(const PageCache &other)
+    : capacityPages(other.capacityPages),
+      frameBase(other.frameBase),
+      poolFrames(other.poolFrames),
+      nextFrame(other.nextFrame),
+      frameInUse(other.frameInUse),
+      lru(other.lru),
+      hits_(other.hits_),
+      misses_(other.misses_)
+{
+    for (auto it = lru.begin(); it != lru.end(); ++it)
+        map.emplace(it->key, it);
+}
+
 std::uint32_t
 PageCache::allocFrame()
 {

@@ -46,6 +46,11 @@ class PageCache
     PageCache(std::uint32_t capacity_pages, Addr frame_base,
               std::uint32_t frame_spread = 8);
 
+    /** A deep copy: the LRU index is rebuilt over the copied list
+     *  (a member-wise copy would point into @p other's). */
+    PageCache(const PageCache &other);
+    PageCache &operator=(const PageCache &) = delete;
+
     /** Frame address of a cached page, if present (refreshes LRU). */
     std::optional<Addr> lookup(std::uint32_t file,
                                std::uint32_t page);

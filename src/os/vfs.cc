@@ -35,6 +35,17 @@ Vfs::Vfs(const VfsParams &p, std::uint64_t seed) : params(p)
     }
 }
 
+Vfs::Vfs(const Vfs &other)
+    : params(other.params),
+      files(other.files),
+      dirs(other.dirs),
+      dentryLru(other.dentryLru),
+      evictions(other.evictions)
+{
+    for (auto it = dentryLru.begin(); it != dentryLru.end(); ++it)
+        dentryMap.emplace(*it, it);
+}
+
 std::uint32_t
 Vfs::addFile(std::uint64_t size_bytes, std::uint32_t path_components)
 {

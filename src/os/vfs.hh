@@ -42,6 +42,11 @@ class Vfs
   public:
     Vfs(const VfsParams &params, std::uint64_t seed);
 
+    /** A deep copy: the dentry index is rebuilt over the copied LRU
+     *  list (a member-wise copy would point into @p other's). */
+    Vfs(const Vfs &other);
+    Vfs &operator=(const Vfs &) = delete;
+
     /** Register an extra file (e.g. a web document); returns its
      *  file id. */
     std::uint32_t addFile(std::uint64_t size_bytes,

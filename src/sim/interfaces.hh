@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 
 #include "codegen.hh"
@@ -25,6 +26,8 @@
 
 namespace osp
 {
+
+class KernelIface;
 
 /**
  * A guest application. The Machine pulls user-mode instructions from
@@ -96,6 +99,20 @@ class UserProgram
 
     /** Workload display name ("ab-rand", "du", ...). */
     virtual const char *name() const = 0;
+
+    /**
+     * A copy of this program in its current state, running on
+     * @p kernel: a copy of the kernel this program runs on, made at
+     * the same moment (nullptr for a kernel-less machine). Machine
+     * ::fork() uses it. The default returns nullptr: the program
+     * cannot be copied, and fork() dies.
+     */
+    virtual std::unique_ptr<UserProgram>
+    clone(KernelIface *kernel) const
+    {
+        (void)kernel;
+        return nullptr;
+    }
 };
 
 /**
@@ -164,6 +181,16 @@ class KernelIface
      * Machine runs the Int_14 service before the access.
      */
     virtual bool touchUserPage(Addr addr) = 0;
+
+    /**
+     * A copy of this kernel in its current state, for Machine
+     * ::fork(). The default returns nullptr: the kernel cannot be
+     * copied, and fork() dies.
+     */
+    virtual std::unique_ptr<KernelIface> clone() const
+    {
+        return nullptr;
+    }
 };
 
 /**

@@ -436,16 +436,14 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
 
 template <class EngineT>
 const RunTotals &
-Machine::runLoop(EngineT *eng, InstCount max_insts)
+Machine::runLoop(EngineT *eng, InstCount max_insts, bool warmup_only)
 {
     constexpr bool timing =
         !std::is_same_v<EngineT, EmulateEngine>;
 
-    if (running)
-        osp_panic("Machine::run() may only be called once");
-    running = true;
-
     warmupDone = !workload_->inWarmup();
+    if (warmup_only && warmupDone)
+        return totals_;
 
     const bool app_only = config_.appOnly;
     const std::size_t block_cap = std::clamp<std::size_t>(
@@ -496,7 +494,7 @@ Machine::runLoop(EngineT *eng, InstCount max_insts)
 
     MicroOp op;
     ServiceRequest req;
-    for (;;) {
+    while (!programDone) {
         if (max_insts && totals_.totalInsts() >= max_insts)
             break;
 
@@ -514,6 +512,8 @@ Machine::runLoop(EngineT *eng, InstCount max_insts)
                 profiler_->reset();
             sampleLog_.clear();
             cur_interval = kNoInterval;
+            if (warmup_only)
+                return totals_;
         }
 
         // Fetch a block of queued user compute; fall back to
@@ -538,8 +538,10 @@ Machine::runLoop(EngineT *eng, InstCount max_insts)
                      : workload_->opBlock(buf, cap);
         if (n == 0) {
             UserProgram::Step s = workload_->step(op, req);
-            if (s == UserProgram::Step::Done)
+            if (s == UserProgram::Step::Done) {
+                programDone = true;
                 break;
+            }
             if (s != UserProgram::Step::Op) {
                 if (app_only) {
                     ServiceResult res =
@@ -709,6 +711,9 @@ Machine::runLoop(EngineT *eng, InstCount max_insts)
         }
     }
 
+    if (warmup_only)
+        return totals_;
+
     // Close the last (possibly partial, always-detailed-tail)
     // sampled interval and finalize the profile.
     if (samplePlan_ && warmupDone && cur_interval != kNoInterval &&
@@ -742,24 +747,70 @@ Machine::runLoop(EngineT *eng, InstCount max_insts)
 }
 
 const RunTotals &
-Machine::run(InstCount max_insts)
+Machine::dispatch(InstCount max_insts, bool warmup_only)
 {
     // One switch for the whole run: every per-instruction dispatch
     // below this point is on a concrete engine type.
     switch (config_.level) {
       case DetailLevel::InOrderCache:
-        return runLoop(&inorder, max_insts);
+        return runLoop(&inorder, max_insts, warmup_only);
       case DetailLevel::InOrderNoCache:
-        return runLoop(&inorderNoCache, max_insts);
+        return runLoop(&inorderNoCache, max_insts, warmup_only);
       case DetailLevel::OooCache:
-        return runLoop(&ooo, max_insts);
+        return runLoop(&ooo, max_insts, warmup_only);
       case DetailLevel::OooNoCache:
-        return runLoop(&oooNoCache, max_insts);
+        return runLoop(&oooNoCache, max_insts, warmup_only);
       case DetailLevel::Emulate:
         break;
     }
     EmulateEngine none;
-    return runLoop(&none, max_insts);
+    return runLoop(&none, max_insts, warmup_only);
+}
+
+const RunTotals &
+Machine::run(InstCount max_insts)
+{
+    if (stage == Stage::Ran)
+        osp_panic("Machine::run() may only be called once");
+    stage = Stage::Ran;
+    return dispatch(max_insts, false);
+}
+
+void
+Machine::runWarmup()
+{
+    if (stage != Stage::Fresh)
+        osp_panic("Machine::runWarmup() may only be called once, "
+                  "before run()");
+    stage = Stage::WarmedUp;
+    dispatch(0, true);
+}
+
+std::unique_ptr<Machine>
+Machine::fork(const MachineConfig &config) const
+{
+    if (stage == Stage::Ran)
+        osp_panic("Machine::fork() after run()");
+    std::unique_ptr<KernelIface> kernel;
+    if (kernel_) {
+        kernel = kernel_->clone();
+        if (!kernel)
+            osp_panic("Machine::fork(): the kernel of '",
+                      workload_->name(), "' cannot be copied");
+    }
+    std::unique_ptr<UserProgram> program =
+        workload_->clone(kernel.get());
+    if (!program)
+        osp_panic("Machine::fork(): program '", workload_->name(),
+                  "' cannot be copied");
+    auto copy = std::make_unique<Machine>(config, std::move(program),
+                                          std::move(kernel));
+    copy->serviceGen = serviceGen;
+    copy->serviceSeq = serviceSeq;
+    copy->invocationIndex = invocationIndex;
+    copy->lastServiceResult = lastServiceResult;
+    copy->programDone = programDone;
+    return copy;
 }
 
 } // namespace osp

@@ -265,6 +265,30 @@ class Machine
      */
     const RunTotals &run(InstCount max_insts = 0);
 
+    /**
+     * Run only the workload's warm-up: return once the warm-up to
+     * measured transition has reset the statistics (at once for a
+     * program without warm-up). A later run() continues from there
+     * exactly as if it had run the warm-up itself; its
+     * @p max_insts then bounds only the measured part. Dies if
+     * called twice or after run().
+     */
+    void runWarmup();
+
+    /**
+     * A new machine on @p config that continues from this one's
+     * functional state: copies of the program, the kernel and the
+     * OS-service stream (the service generator, the invocation
+     * counters, the last service result). Caches, branch predictor
+     * and timing engines start cold, which is what they are at the
+     * end of warm-up (it touches none of them); no controller,
+     * telemetry, profiler or sample plan is attached. Forked after
+     * runWarmup(), it runs the measured part as a fresh machine on
+     * @p config would. Dies after run(), or if the program or the
+     * kernel cannot be copied (see UserProgram::clone).
+     */
+    std::unique_ptr<Machine> fork(const MachineConfig &config) const;
+
     const RunTotals &totals() const { return totals_; }
 
     /** Per-interval log (only populated with recordIntervals). */
@@ -294,9 +318,17 @@ class Machine
     /** Upper bound on ops per fetched block (stack buffer size). */
     static constexpr std::size_t kMaxBlockOps = 256;
 
-    /** The run loop, devirtualized over the engine type. */
+    /** Pick the engine for the configured level and run. */
+    const RunTotals &dispatch(InstCount max_insts, bool warmup_only);
+
+    /**
+     * The run loop, devirtualized over the engine type. With
+     * @p warmup_only it returns at the end of warm-up (or of the
+     * program), before any end-of-run bookkeeping.
+     */
     template <class EngineT>
-    const RunTotals &runLoop(EngineT *eng, InstCount max_insts);
+    const RunTotals &runLoop(EngineT *eng, InstCount max_insts,
+                             bool warmup_only);
 
     /** Run one complete OS-service interval. */
     template <class EngineT>
@@ -351,7 +383,11 @@ class Machine
     std::uint64_t serviceSeq = 0;  //!< global invocation counter
     ServiceResult lastServiceResult;
     bool warmupDone = false;
-    bool running = false;
+    bool programDone = false;  //!< step() has returned Done
+
+    /** Where the machine is in its single run. */
+    enum class Stage : std::uint8_t { Fresh, WarmedUp, Ran };
+    Stage stage = Stage::Fresh;
 
     /** Lowers every OS-service plan; restarted per invocation. */
     CodeGenerator serviceGen;

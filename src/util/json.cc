@@ -333,6 +333,8 @@ class Parser
             char c = text_[pos_++];
             if (c == '"')
                 return true;
+            if (static_cast<unsigned char>(c) < 0x20)
+                return fail("control character in string");
             if (c != '\\') {
                 out += c;
                 continue;
@@ -388,21 +390,41 @@ class Parser
     }
 
     bool
+    digitAt() const
+    {
+        return pos_ < text_.size() &&
+               std::isdigit(static_cast<unsigned char>(text_[pos_]));
+    }
+
+    /** Skip one or more digits; false if there is none. */
+    bool
+    digits()
+    {
+        if (!digitAt())
+            return false;
+        while (digitAt())
+            ++pos_;
+        return true;
+    }
+
+    /**
+     * JSON's number grammar: an optional minus, 0 or a digit run
+     * without a leading zero, an optional fraction and exponent,
+     * each with at least one digit. "01", ".5", "1." and "1e" are
+     * errors, as in any other JSON reader.
+     */
+    bool
     parseNumber(JsonValue &out)
     {
         std::size_t start = pos_;
-        if (consume('-')) {
-        }
-        while (pos_ < text_.size() &&
-               std::isdigit(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
+        consume('-');
+        if (!consume('0') && !digits())
+            return fail("expected number");
         bool integral = true;
         if (consume('.')) {
             integral = false;
-            while (pos_ < text_.size() &&
-                   std::isdigit(
-                       static_cast<unsigned char>(text_[pos_])))
-                ++pos_;
+            if (!digits())
+                return fail("bad number");
         }
         if (pos_ < text_.size() &&
             (text_[pos_] == 'e' || text_[pos_] == 'E')) {
@@ -411,14 +433,10 @@ class Parser
             if (pos_ < text_.size() &&
                 (text_[pos_] == '+' || text_[pos_] == '-'))
                 ++pos_;
-            while (pos_ < text_.size() &&
-                   std::isdigit(
-                       static_cast<unsigned char>(text_[pos_])))
-                ++pos_;
+            if (!digits())
+                return fail("bad number");
         }
         std::string_view token = text_.substr(start, pos_ - start);
-        if (token.empty() || token == "-")
-            return fail("expected number");
         const char *first = token.data();
         const char *last = token.data() + token.size();
         if (integral && token[0] != '-') {
@@ -429,9 +447,11 @@ class Parser
                 return true;
             }
         } else if (integral) {
+            // "-0" is how write() spells the double -0.0; an Int
+            // would drop the sign, so it falls through to a double.
             std::int64_t i = 0;
             auto r = std::from_chars(first, last, i);
-            if (r.ec == std::errc() && r.ptr == last) {
+            if (r.ec == std::errc() && r.ptr == last && i != 0) {
                 out = JsonValue(i);
                 return true;
             }

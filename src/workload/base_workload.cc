@@ -7,9 +7,17 @@ namespace osp
 
 BaseWorkload::BaseWorkload(std::string name, SyntheticKernel &kern,
                            std::uint64_t seed, std::uint64_t stream)
-    : kernel(kern), gen(seed, stream), rng(seed, stream ^ 0xAAAAULL),
+    : kernel(&kern), gen(seed, stream), rng(seed, stream ^ 0xAAAAULL),
       name_(std::move(name))
 {
+}
+
+void
+BaseWorkload::rebind(KernelIface *k)
+{
+    kernel = dynamic_cast<SyntheticKernel *>(k);
+    if (!kernel)
+        osp_panic(name_, ": a copy must run on a SyntheticKernel");
 }
 
 UserProgram::Step

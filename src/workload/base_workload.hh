@@ -14,6 +14,7 @@
 #define OSP_WORKLOAD_BASE_WORKLOAD_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "os/kernel.hh"
@@ -109,7 +110,22 @@ class BaseWorkload : public UserProgram
         return req;
     }
 
-    SyntheticKernel &kernel;
+    /**
+     * A copy of @p self, the most-derived object, running on
+     * @p kernel: each program's clone() is this one line. Dies
+     * unless @p kernel is a SyntheticKernel.
+     */
+    template <class Derived>
+    static std::unique_ptr<UserProgram>
+    cloneOnto(const Derived &self, KernelIface *kernel)
+    {
+        auto copy = std::make_unique<Derived>(self);
+        static_cast<BaseWorkload &>(*copy).rebind(kernel);
+        return copy;
+    }
+
+    /** The kernel this program runs on; fork() rebinds a copy. */
+    SyntheticKernel *kernel;
     UserLayout user;
     CodeGenerator gen;
     Pcg32 rng;
@@ -117,6 +133,8 @@ class BaseWorkload : public UserProgram
     ServiceType lastResultType = ServiceType::SysGettimeofday;
 
   private:
+    void rebind(KernelIface *kernel);
+
     std::string name_;
 };
 

@@ -43,6 +43,11 @@ class IperfWorkload : public BaseWorkload
                   std::uint64_t seed);
 
     bool inWarmup() const override;
+    std::unique_ptr<UserProgram>
+    clone(KernelIface *kernel) const override
+    {
+        return cloneOnto(*this, kernel);
+    }
 
     std::uint32_t writesDone() const { return writesDone_; }
 

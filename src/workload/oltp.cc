@@ -34,7 +34,7 @@ OltpWorkload::OltpWorkload(SyntheticKernel &kern,
       total(p.warmupTransactions + p.measureTransactions)
 {
     engineProf = engineProfile(user.code);
-    walFileId = kernel.vfs().addFile(4096, 3);
+    walFileId = kernel->vfs().addFile(4096, 3);
 }
 
 bool

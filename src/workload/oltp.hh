@@ -52,6 +52,11 @@ class OltpWorkload : public BaseWorkload
                  std::uint64_t seed);
 
     bool inWarmup() const override;
+    std::unique_ptr<UserProgram>
+    clone(KernelIface *kernel) const override
+    {
+        return cloneOnto(*this, kernel);
+    }
 
     std::uint32_t transactionsDone() const { return done_; }
 

@@ -54,6 +54,11 @@ class SpecWorkload : public BaseWorkload
                  std::uint64_t seed);
 
     bool inWarmup() const override;
+    std::unique_ptr<UserProgram>
+    clone(KernelIface *kernel) const override
+    {
+        return cloneOnto(*this, kernel);
+    }
 
   protected:
     Advance advance(ServiceRequest &req) override;

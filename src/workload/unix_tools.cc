@@ -48,9 +48,9 @@ DuWorkload::DuWorkload(SyntheticKernel &kern,
 {
     appProf = toolProfile(user.code);
     dirLimit = params.maxDirs ? params.maxDirs
-                              : kernel.vfs().numDirs();
-    if (dirLimit > kernel.vfs().numDirs())
-        dirLimit = kernel.vfs().numDirs();
+                              : kernel->vfs().numDirs();
+    if (dirLimit > kernel->vfs().numDirs())
+        dirLimit = kernel->vfs().numDirs();
 }
 
 bool
@@ -86,7 +86,7 @@ DuWorkload::advance(ServiceRequest &req)
 
       case Phase::StatFile:
         {
-            const auto &files = kernel.vfs().dirFiles(curDir);
+            const auto &files = kernel->vfs().dirFiles(curDir);
             if (curFile >= files.size()) {
                 phase = Phase::NextDir;
                 return Advance::Continue;
@@ -123,10 +123,10 @@ FindOdWorkload::FindOdWorkload(SyntheticKernel &kern,
     appProf = toolProfile(user.code);
     odProf = odProfile(user.code);
     dirLimit = params.maxDirs ? params.maxDirs
-                              : kernel.vfs().numDirs();
-    if (dirLimit > kernel.vfs().numDirs())
-        dirLimit = kernel.vfs().numDirs();
-    outFileId = kernel.vfs().addFile(4096, 3);
+                              : kernel->vfs().numDirs();
+    if (dirLimit > kernel->vfs().numDirs())
+        dirLimit = kernel->vfs().numDirs();
+    outFileId = kernel->vfs().addFile(4096, 3);
 }
 
 bool
@@ -171,7 +171,7 @@ FindOdWorkload::advance(ServiceRequest &req)
 
       case Phase::StatFile:
         {
-            const auto &files = kernel.vfs().dirFiles(curDir);
+            const auto &files = kernel->vfs().dirFiles(curDir);
             if (curFile >= files.size()) {
                 phase = Phase::NextDir;
                 return Advance::Continue;
@@ -185,7 +185,7 @@ FindOdWorkload::advance(ServiceRequest &req)
 
       case Phase::OpenFile:
         {
-            const auto &files = kernel.vfs().dirFiles(curDir);
+            const auto &files = kernel->vfs().dirFiles(curDir);
             // fork+exec of od is folded into user compute.
             compute(appProf, 900, user.heap, PatternKind::Hot);
             req = request(ServiceType::SysOpen, files[curFile]);

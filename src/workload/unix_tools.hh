@@ -38,6 +38,11 @@ class DuWorkload : public BaseWorkload
                std::uint64_t seed);
 
     bool inWarmup() const override;
+    std::unique_ptr<UserProgram>
+    clone(KernelIface *kernel) const override
+    {
+        return cloneOnto(*this, kernel);
+    }
 
   protected:
     Advance advance(ServiceRequest &req) override;
@@ -70,6 +75,11 @@ class FindOdWorkload : public BaseWorkload
                    const UnixToolParams &params, std::uint64_t seed);
 
     bool inWarmup() const override;
+    std::unique_ptr<UserProgram>
+    clone(KernelIface *kernel) const override
+    {
+        return cloneOnto(*this, kernel);
+    }
 
   protected:
     Advance advance(ServiceRequest &req) override;

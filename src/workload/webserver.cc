@@ -43,9 +43,9 @@ AbWorkload::AbWorkload(SyntheticKernel &kern, const AbParams &p,
         if (bytes < 4096)
             bytes = 4096;
         fileSizes.push_back(bytes);
-        fileIds.push_back(kernel.vfs().addFile(bytes, 4));
+        fileIds.push_back(kernel->vfs().addFile(bytes, 4));
     }
-    logFileId = kernel.vfs().addFile(4096, 4);
+    logFileId = kernel->vfs().addFile(4096, 4);
 }
 
 bool

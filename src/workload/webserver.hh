@@ -53,6 +53,11 @@ class AbWorkload : public BaseWorkload
                std::uint64_t seed);
 
     bool inWarmup() const override;
+    std::unique_ptr<UserProgram>
+    clone(KernelIface *kernel) const override
+    {
+        return cloneOnto(*this, kernel);
+    }
 
     /** Requests fully completed so far. */
     std::uint32_t requestsDone() const { return requestsDone_; }

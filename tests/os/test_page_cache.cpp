@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "os/page_cache.hh"
 
 namespace osp
@@ -102,6 +105,52 @@ TEST(PageCache, CapacitySaturation)
     for (std::uint32_t p = 12; p < 16; ++p)
         EXPECT_TRUE(pc.lookup(1, p).has_value());
     EXPECT_FALSE(pc.lookup(1, 11).has_value());
+}
+
+/** Drive @p pc with lookups that refresh old pages between fills
+ *  that evict; returns each step's outcome (frame address, low bit
+ *  set on an eviction; 0 for a lookup miss) and the counters. */
+std::vector<Addr>
+drivePageCache(PageCache &pc)
+{
+    std::vector<Addr> out;
+    for (std::uint32_t step = 0; step < 96; ++step) {
+        if (step % 2 == 0) {
+            // Page 0 is looked up every fourth step, so a correct
+            // LRU keeps it; the other lookups probe old pages.
+            const std::uint32_t page = step % 4 == 2 ? 0 : step % 11;
+            std::optional<Addr> hit = pc.lookup(1, page);
+            out.push_back(hit ? *hit : 0);
+        } else {
+            PageCache::FillResult f = pc.fill(1, 100 + step % 13);
+            out.push_back(f.frameAddr | (f.evicted ? 1 : 0));
+        }
+    }
+    out.push_back(pc.hits());
+    out.push_back(pc.misses());
+    out.push_back(pc.residentPages());
+    return out;
+}
+
+/** A copy carries its own LRU index: driven with the same
+ *  sequence as the original and as an independently built twin,
+ *  all three agree step for step. A member-wise copy's index
+ *  points into the original's list, so a lookup refreshes the
+ *  wrong node and a later fill evicts a page the twin keeps. */
+TEST(PageCache, CopyDrivesLikeTheOriginal)
+{
+    PageCache original(8, base);
+    PageCache twin(8, base);
+    for (std::uint32_t p = 0; p < 8; ++p) {
+        original.fill(1, p);
+        twin.fill(1, p);
+    }
+    original.lookup(1, 3);
+    twin.lookup(1, 3);
+    PageCache copy(original);
+    const std::vector<Addr> want = drivePageCache(twin);
+    EXPECT_EQ(drivePageCache(copy), want);
+    EXPECT_EQ(drivePageCache(original), want);
 }
 
 TEST(PageCache, ZeroCapacityDies)

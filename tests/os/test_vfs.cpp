@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "os/vfs.hh"
 
 namespace osp
@@ -110,6 +113,42 @@ TEST(Vfs, DentryCapacityEvicts)
     EXPECT_GT(vfs.dentryEvictions(), 0u);
     // An early file resolves cold again.
     EXPECT_GT(vfs.resolve(vfs.dirFiles(0)[0]), 0u);
+}
+
+/** Resolve one file per directory, re-resolving the first
+ *  directory's first file in between so it stays cached; returns
+ *  each resolve's dentry misses and the eviction count. */
+std::vector<std::uint64_t>
+driveVfs(Vfs &vfs)
+{
+    std::vector<std::uint64_t> out;
+    const std::uint32_t hot = vfs.dirFiles(0)[0];
+    for (int round = 0; round < 3; ++round) {
+        for (std::uint32_t d = 1; d < vfs.numDirs(); ++d) {
+            out.push_back(vfs.resolve(vfs.dirFiles(d)[0]));
+            out.push_back(vfs.resolve(hot));
+        }
+    }
+    out.push_back(vfs.dentryEvictions());
+    return out;
+}
+
+/** A copy carries its own dentry index: driven with the same
+ *  sequence as the original and as an independently built twin,
+ *  all three agree (see PageCache.CopyDrivesLikeTheOriginal). */
+TEST(Vfs, CopyDrivesLikeTheOriginal)
+{
+    Vfs original(smallParams(), 7);
+    Vfs twin(smallParams(), 7);
+    for (std::uint32_t f : original.dirFiles(0)) {
+        original.resolve(f);
+        twin.resolve(f);
+    }
+    Vfs copy(original);
+    const std::vector<std::uint64_t> want = driveVfs(twin);
+    EXPECT_GT(want.back(), 0u);  // the drive evicts
+    EXPECT_EQ(driveVfs(copy), want);
+    EXPECT_EQ(driveVfs(original), want);
 }
 
 TEST(Vfs, BadIdsDie)

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "os/kernel.hh"
 #include "sim/machine.hh"
@@ -490,6 +493,202 @@ TEST(Machine, LeanAppBlocksDoNotChangeOutcome)
             EXPECT_LT(lean->sampleLog().size(), plan.fullIntervals);
         }
     }
+}
+
+/** A workload at every level a sampled cell uses: Phase 1's
+ *  Emulate and the two cached timing engines. */
+struct ForkCase
+{
+    std::string workload;
+    DetailLevel level;
+};
+
+std::vector<ForkCase>
+forkCases()
+{
+    std::vector<std::string> names = allWorkloads();
+    for (const std::string &w : extraWorkloads())
+        names.push_back(w);
+    std::vector<ForkCase> cases;
+    for (const std::string &w : names)
+        for (DetailLevel level :
+             {DetailLevel::Emulate, DetailLevel::InOrderCache,
+              DetailLevel::OooCache})
+            cases.push_back({w, level});
+    return cases;
+}
+
+class ForkEquivalence : public ::testing::TestWithParam<ForkCase>
+{
+};
+
+/**
+ * A machine forked where warm-up ends, and the original resumed
+ * after the fork, must each run the measured part exactly as a
+ * fresh machine does: same totals, OS-interval log, sample log
+ * and (at Emulate, the Phase-1 shape) interval profile. A sample
+ * plan puts fast-forwarded and sampled intervals in every run.
+ */
+TEST_P(ForkEquivalence, ForkAndResumedOriginalMatchAFreshRun)
+{
+    constexpr InstCount kIntervalLen = 5000;
+    MachineConfig cfg = testConfig();
+    cfg.level = GetParam().level;
+    const std::string &name = GetParam().workload;
+    // A SPEC-like program enters the kernel once per 1.5M app
+    // instructions: this scale gives its measured part one entry.
+    const bool spec = std::find(specWorkloads().begin(),
+                                specWorkloads().end(),
+                                name) != specWorkloads().end();
+    const double kScale = spec ? 0.4 : 0.05;
+    const bool profile = cfg.level == DetailLevel::Emulate;
+
+    SamplePlan plan;
+    plan.intervalLen = kIntervalLen;
+    plan.fullIntervals = 48;
+    plan.sampledMask.resize(plan.fullIntervals);
+    for (std::size_t i = 0; i < plan.sampledMask.size(); ++i)
+        plan.sampledMask[i] = i % 3 == 0;
+
+    IntervalProfiler fresh_profile(kIntervalLen);
+    auto fresh = makeMachine(name, cfg, kScale);
+    fresh->setSamplePlan(&plan);
+    if (profile)
+        fresh->setIntervalProfiler(&fresh_profile);
+    fresh->run();
+    ASSERT_GT(fresh->totals().appInsts, 0u);
+    ASSERT_GT(fresh->totals().osInvocations, 0u);
+    ASSERT_GT(fresh->sampleLog().size(), 0u);
+
+    auto original = makeMachine(name, cfg, kScale);
+    original->runWarmup();
+    EXPECT_FALSE(original->workload().inWarmup());
+    EXPECT_EQ(original->totals().totalInsts(), 0u);
+    std::unique_ptr<Machine> copy = original->fork(cfg);
+
+    IntervalProfiler resumed_profile(kIntervalLen);
+    original->setSamplePlan(&plan);
+    if (profile)
+        original->setIntervalProfiler(&resumed_profile);
+    original->run();
+    {
+        SCOPED_TRACE("resumed original");
+        expectSameRun(*original, *fresh);
+        if (profile)
+            expectSameProfile(resumed_profile, fresh_profile);
+    }
+
+    // The fork shares nothing with the original: it runs after the
+    // original has run to the end and been destroyed.
+    original.reset();
+    IntervalProfiler fork_profile(kIntervalLen);
+    copy->setSamplePlan(&plan);
+    if (profile)
+        copy->setIntervalProfiler(&fork_profile);
+    copy->run();
+    SCOPED_TRACE("fork");
+    expectSameRun(*copy, *fresh);
+    if (profile)
+        expectSameProfile(fork_profile, fresh_profile);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Registry, ForkEquivalence, ::testing::ValuesIn(forkCases()),
+    [](const ::testing::TestParamInfo<ForkCase> &info) {
+        std::string name = info.param.workload + "_" +
+                           detailLevelName(info.param.level);
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name;
+    });
+
+/** A program that never leaves warm-up, and counts the steps it is
+ *  asked for after it said Done. */
+class EndlessWarmupProgram : public UserProgram
+{
+  public:
+    explicit EndlessWarmupProgram(std::unique_ptr<UserProgram> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    Step
+    step(MicroOp &op, ServiceRequest &req) override
+    {
+        if (done_) {
+            ++stepsAfterDone;
+            return Step::Done;
+        }
+        Step s = inner_->step(op, req);
+        done_ = s == Step::Done;
+        return s;
+    }
+
+    void
+    onServiceReturn(ServiceType type, ServiceResult result) override
+    {
+        inner_->onServiceReturn(type, result);
+    }
+
+    bool inWarmup() const override { return true; }
+    const char *name() const override { return inner_->name(); }
+
+    int stepsAfterDone = 0;
+
+  private:
+    std::unique_ptr<UserProgram> inner_;
+    bool done_ = false;
+};
+
+/** A program that finishes inside its warm-up: runWarmup() stops at
+ *  the end of the program, and run() does not step it again. */
+TEST(Machine, ProgramThatEndsInWarmupIsNotSteppedAgain)
+{
+    MachineConfig cfg = testConfig();
+    KernelParams kp = kernelParamsFor("iperf", cfg.seed);
+    auto kernel = std::make_unique<SyntheticKernel>(kp);
+    IperfParams p;
+    p.measureWrites = 20;
+    auto wrapped = std::make_unique<EndlessWarmupProgram>(
+        std::make_unique<IperfWorkload>(*kernel, p, cfg.seed));
+    EndlessWarmupProgram &program = *wrapped;
+    Machine m(cfg, std::move(wrapped), std::move(kernel));
+    m.runWarmup();
+    const InstCount warmup_insts = m.totals().totalInsts();
+    EXPECT_GT(warmup_insts, 0u);
+    m.run();
+    EXPECT_EQ(program.stepsAfterDone, 0);
+    // Never out of warm-up: the statistics were never reset.
+    EXPECT_EQ(m.totals().totalInsts(), warmup_insts);
+}
+
+TEST(Machine, RunWarmupAfterRunDies)
+{
+    auto m = makeIperf(testConfig(), 50, 10);
+    m->run();
+    EXPECT_DEATH(m->runWarmup(), "once");
+}
+
+TEST(Machine, SecondRunWarmupDies)
+{
+    auto m = makeIperf(testConfig(), 50, 10);
+    m->runWarmup();
+    EXPECT_DEATH(m->runWarmup(), "once");
+}
+
+TEST(Machine, ForkAfterRunDies)
+{
+    auto m = makeIperf(testConfig(), 50, 10);
+    m->run();
+    EXPECT_DEATH(m->fork(testConfig()), "after run");
+}
+
+/** A program without a clone() cannot be forked: fork() dies
+ *  instead of handing back a machine that would re-run warm-up. */
+TEST(Machine, ForkOfUncopyableProgramDies)
+{
+    auto m = makeIperf(testConfig(), 50, 10, true);
+    m->runWarmup();
+    EXPECT_DEATH(m->fork(testConfig()), "cannot be copied");
 }
 
 } // namespace

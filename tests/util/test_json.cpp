@@ -113,6 +113,38 @@ TEST(Json, ParseRejectsMalformed)
     EXPECT_FALSE(ok);
 }
 
+/** write() spells the double -0.0 as "-0"; parsing it back must
+ *  keep the sign, so the document re-encodes to the same bytes. */
+TEST(Json, NegativeZeroRoundTrips)
+{
+    EXPECT_EQ(JsonValue(-0.0).dump(-1), "-0");
+    bool ok = false;
+    JsonValue v = JsonValue::parse("[-0,-0.0,0,-1]", &ok);
+    ASSERT_TRUE(ok);
+    EXPECT_EQ(v.dump(-1), "[-0,-0,0,-1]");
+    EXPECT_TRUE(std::signbit(v.elements()[0].asDouble()));
+    EXPECT_EQ(v.elements()[3].kind(), JsonValue::Kind::Int);
+}
+
+/** Only JSON's grammar parses: no leading zero, bare fraction or
+ *  exponent, and no raw control character inside a string. */
+TEST(Json, ParseRejectsWhatJsonForbids)
+{
+    for (const char *text :
+         {"01", "-01", ".5", "-.5", "1.", "1.e3", "1e", "1e+", "+1",
+          "-", "[00]", "\"a\tb\"", "\"a\nb\""}) {
+        bool ok = true;
+        JsonValue::parse(text, &ok);
+        EXPECT_FALSE(ok) << text;
+    }
+    for (const char *text : {"0", "-0", "0.5", "-1.5e-3", "10E2",
+                             "\"a\\tb\""}) {
+        bool ok = false;
+        JsonValue::parse(text, &ok);
+        EXPECT_TRUE(ok) << text;
+    }
+}
+
 TEST(Json, ParseUnicodeEscapes)
 {
     bool ok = false;
