@@ -72,9 +72,8 @@ main(int argc, char **argv)
 
     // Where the OS invocations go that are not predicted: each
     // Accelerated cell's detailed runs split by the predictor's
-    // reason for them. A passing audit is also counted in
-    // learnedRuns, so learning is the rest of the detailed runs;
-    // the five shares sum to 100%.
+    // reason for them. The predictor's counters partition the
+    // detailed runs, so the five shares sum to 100%.
     std::cout << "\ncoverage split (share of OS invocations, "
                  "Accelerated cells):\n";
     TablePrinter split({"bench", "coverage", "warm-up", "learning",
@@ -89,10 +88,8 @@ main(int argc, char **argv)
             return TablePrinter::pct(
                 inv > 0 ? static_cast<double>(n) / inv : 0.0);
         };
-        const std::uint64_t learning = t.osSimulated - st.warmupRuns -
-                                       st.audits - st.auditWarmupRuns;
         split.addRow({name, share(t.osPredicted), share(st.warmupRuns),
-                      share(learning), share(st.audits),
+                      share(st.learnedRuns), share(st.audits),
                       share(st.auditWarmupRuns)});
     }
     split.print(std::cout);

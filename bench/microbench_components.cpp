@@ -3,7 +3,7 @@
  * google-benchmark microbenchmarks of the simulator's hot
  * components: cache access, code generation (the emulation cost
  * floor), branch prediction, the two timing models, and the whole
- * Machine run loop (block-batched vs legacy per-op). These bound
+ * Machine run loop per detail level. These bound
  * the achievable Table 1 ratios.
  *
  * Besides the usual google-benchmark CLI, `--bench-json PATH`
@@ -432,8 +432,7 @@ BENCHMARK(BM_TelemetryTracerRecord);
  *  iteration runs a fresh machine for a fixed instruction budget;
  *  items/sec is therefore simulated instructions/sec. */
 void
-runMachineBench(benchmark::State &state, DetailLevel level,
-                std::uint32_t block_ops)
+runMachineBench(benchmark::State &state, DetailLevel level)
 {
     // Past gzip's ~2M-instruction emulated warm-up, so the timing
     // levels run on their own engine (see runBenchJson).
@@ -442,7 +441,6 @@ runMachineBench(benchmark::State &state, DetailLevel level,
         state.PauseTiming();
         MachineConfig cfg = bench::paperConfig();
         cfg.level = level;
-        cfg.blockOps = block_ops;
         auto machine = makeMachine("gzip", cfg, 1.0);
         state.ResumeTiming();
         benchmark::DoNotOptimize(machine->run(kInsts).totalInsts());
@@ -454,27 +452,18 @@ runMachineBench(benchmark::State &state, DetailLevel level,
         static_cast<std::int64_t>(state.iterations()) * kInsts);
 }
 
-/** The batched hot path this PR introduces (blockOps default). */
+/** The batched run loop in pure emulation. */
 void
 BM_MachineEmulateBlock(benchmark::State &state)
 {
-    runMachineBench(state, DetailLevel::Emulate, 256);
+    runMachineBench(state, DetailLevel::Emulate);
 }
 BENCHMARK(BM_MachineEmulateBlock)->Unit(benchmark::kMillisecond);
-
-/** The legacy one-op-at-a-time loop (blockOps = 1), kept as the
- *  comparison point for the batching win. */
-void
-BM_MachineEmulatePerOp(benchmark::State &state)
-{
-    runMachineBench(state, DetailLevel::Emulate, 1);
-}
-BENCHMARK(BM_MachineEmulatePerOp)->Unit(benchmark::kMillisecond);
 
 void
 BM_MachineInOrderCacheBlock(benchmark::State &state)
 {
-    runMachineBench(state, DetailLevel::InOrderCache, 256);
+    runMachineBench(state, DetailLevel::InOrderCache);
 }
 BENCHMARK(BM_MachineInOrderCacheBlock)
     ->Unit(benchmark::kMillisecond);
@@ -545,14 +534,12 @@ BENCHMARK(BM_SweepClaimLoop)->Unit(benchmark::kMicrosecond);
  * same warm-up as every other mode.
  */
 double
-timeMachineRun(DetailLevel level, std::uint32_t block_ops,
-               InstCount insts)
+timeMachineRun(DetailLevel level, InstCount insts)
 {
     double best = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
         MachineConfig cfg = bench::paperConfig();
         cfg.level = level;
-        cfg.blockOps = block_ops;
         auto machine = makeMachine("gzip", cfg, 1.0);
         auto t0 = std::chrono::steady_clock::now();
         const RunTotals &totals = machine->run(insts);
@@ -746,7 +733,7 @@ runBenchJson(const std::string &path)
     // Smoke shrinks the budgets ~4x: enough for stable ratios in
     // CI, small enough to finish in seconds even unoptimised.
     const bool smoke = bench::smokeMode();
-    // All four machine modes run the same instruction budget, so
+    // All three machine modes run the same instruction budget, so
     // mode *ratios* compare one operating point. gzip at scale 1
     // runs its first ~2M instructions as warm-up, in emulation
     // whatever the mode, and finishes at ~4.02M: these budgets give
@@ -762,23 +749,16 @@ runBenchJson(const std::string &path)
     std::vector<bench::BenchMetric> metrics;
     metrics.push_back(
         {"emulate_block_mips",
-         mips(timeMachineRun(DetailLevel::Emulate, 256,
-                             machine_insts)),
-         "mips"});
-    metrics.push_back(
-        {"emulate_perop_mips",
-         mips(timeMachineRun(DetailLevel::Emulate, 1,
-                             machine_insts)),
+         mips(timeMachineRun(DetailLevel::Emulate, machine_insts)),
          "mips"});
     metrics.push_back(
         {"inorder_cache_mips",
-         mips(timeMachineRun(DetailLevel::InOrderCache, 256,
+         mips(timeMachineRun(DetailLevel::InOrderCache,
                              machine_insts)),
          "mips"});
     metrics.push_back(
         {"ooo_cache_mips",
-         mips(timeMachineRun(DetailLevel::OooCache, 256,
-                             machine_insts)),
+         mips(timeMachineRun(DetailLevel::OooCache, machine_insts)),
          "mips"});
     metrics.push_back(
         {"cache_accesses_per_sec",

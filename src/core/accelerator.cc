@@ -84,16 +84,11 @@ Accelerator::onServiceEnd(const IntervalOutcome &outcome)
         m.insts = outcome.insts;
         m.cycles = outcome.cycles;
         m.mem = outcome.mem;
-        m.loads = outcome.loads;
-        m.stores = outcome.stores;
-        m.branches = outcome.branches;
         pred.recordDetailed(m);
         return result;
     }
 
-    Signature sig{outcome.insts, outcome.loads, outcome.stores,
-                  outcome.branches};
-    ServiceMetrics m = pred.predict(sig, outcome.invocation);
+    ServiceMetrics m = pred.predict(outcome.insts, outcome.invocation);
     result.cycles = m.cycles;
     result.mem = m.mem;
     return result;

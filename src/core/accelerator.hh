@@ -36,8 +36,6 @@ class Accelerator : public ServiceController
     DetailLevel chooseLevel(ServiceType type) override;
     Prediction onServiceEnd(const IntervalOutcome &outcome) override;
 
-    bool wantsOpMix() const override { return params_.useMixSignature; }
-
     /** Per-service predictor access (reports, tests). */
     const ServicePredictor &predictor(ServiceType type) const;
 

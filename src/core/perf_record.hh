@@ -14,57 +14,12 @@
 namespace osp
 {
 
-/**
- * An invocation's behaviour signature, obtainable in pure emulation
- * (no timing models): the dynamic instruction count — the paper's
- * signature — optionally refined by the instruction mix (the
- * paper's suggested future work: two paths with equal counts but
- * different load/store/branch composition are distinct behaviour
- * points).
- */
-struct Signature
-{
-    InstCount insts = 0;
-    std::uint64_t loads = 0;
-    std::uint64_t stores = 0;
-    std::uint64_t branches = 0;
-    /**
-     * Whether the mix fields carry real measurements. An
-     * instruction-count-only signature (hasMix == false) is matched
-     * on the count alone even when mix matching is enabled —
-     * all-zero mix counts are indistinguishable from "not
-     * collected", and treating them as measurements would turn
-     * every count-only lookup into a spurious outlier.
-     */
-    bool hasMix = true;
-
-    /** Count-only constructor helper. */
-    static Signature
-    instsOnly(InstCount insts)
-    {
-        Signature s;
-        s.insts = insts;
-        s.hasMix = false;
-        return s;
-    }
-};
-
 /** One OS-service invocation's measured (or predicted) performance. */
 struct ServiceMetrics
 {
     InstCount insts = 0;
     Cycles cycles = 0;
     HierarchyCounts mem;
-    /** Instruction mix (mix-signature support). */
-    std::uint64_t loads = 0;
-    std::uint64_t stores = 0;
-    std::uint64_t branches = 0;
-
-    Signature
-    signature() const
-    {
-        return Signature{insts, loads, stores, branches};
-    }
 
     double
     ipc() const

@@ -8,8 +8,8 @@
 namespace osp
 {
 
-PerfLookupTable::PerfLookupTable(double range_frac, bool use_mix)
-    : rangeFrac_(range_frac), useMix_(use_mix)
+PerfLookupTable::PerfLookupTable(double range_frac)
+    : rangeFrac_(range_frac)
 {
     if (range_frac <= 0.0 || range_frac >= 1.0)
         osp_fatal("PerfLookupTable range fraction must be in (0,1)");
@@ -18,21 +18,9 @@ PerfLookupTable::PerfLookupTable(double range_frac, bool use_mix)
 bool
 PerfLookupTable::record(const ServiceMetrics &metrics)
 {
-    // Find the matching cluster with the closest centroid.
-    ScaledCluster *best = nullptr;
-    double best_dist = std::numeric_limits<double>::infinity();
-    for (auto &cluster : clusters) {
-        if (cluster.matches(metrics.insts) &&
-            (!useMix_ || cluster.matchesMix(metrics.signature()))) {
-            double d = cluster.distance(metrics.insts);
-            if (d < best_dist) {
-                best_dist = d;
-                best = &cluster;
-            }
-        }
-    }
-    if (best) {
-        best->add(metrics);
+    if (const ScaledCluster *hit = match(metrics.insts)) {
+        clusters[static_cast<std::size_t>(hit - clusters.data())]
+            .add(metrics);
         return false;
     }
     clusters.emplace_back(metrics, rangeFrac_);
@@ -40,14 +28,13 @@ PerfLookupTable::record(const ServiceMetrics &metrics)
 }
 
 const ScaledCluster *
-PerfLookupTable::match(const Signature &sig) const
+PerfLookupTable::match(InstCount insts) const
 {
     const ScaledCluster *best = nullptr;
     double best_dist = std::numeric_limits<double>::infinity();
     for (const auto &cluster : clusters) {
-        if (cluster.matches(sig.insts) &&
-            (!useMix_ || !sig.hasMix || cluster.matchesMix(sig))) {
-            double d = cluster.distance(sig.insts);
+        if (cluster.matches(insts)) {
+            double d = cluster.distance(insts);
             if (d < best_dist) {
                 best_dist = d;
                 best = &cluster;
@@ -90,9 +77,6 @@ PerfLookupTable::restore(
     outliers_.clear();
     for (const auto &s : snapshots)
         clusters.emplace_back(s, rangeFrac_);
-    // Mix statistics are not serialized; mix matching cannot apply
-    // to restored tables.
-    useMix_ = false;
 }
 
 OutlierEntry &

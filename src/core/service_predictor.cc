@@ -14,7 +14,7 @@ ServicePredictor::ServicePredictor(const PredictorParams &p)
       window(p.learningWindow
                  ? p.learningWindow
                  : learningWindowSize(p.pMin, p.doc)),
-      plt_(p.clusterRange, p.useMixSignature),
+      plt_(p.clusterRange),
       policy_(RelearnPolicy::make(p.relearn))
 {
     if (params.warmupInvocations == 0)
@@ -22,13 +22,13 @@ ServicePredictor::ServicePredictor(const PredictorParams &p)
 }
 
 ServicePredictor::Lookup
-ServicePredictor::lookup(const Signature &sig) const
+ServicePredictor::lookup(InstCount insts) const
 {
     Lookup out;
-    const ScaledCluster *cluster = plt_.match(sig);
+    const ScaledCluster *cluster = plt_.match(insts);
     out.matched = (cluster != nullptr);
     if (!cluster)
-        cluster = plt_.closest(sig.insts);
+        cluster = plt_.closest(insts);
     if (!cluster)
         return out;
     // The index is resolved here, against the table as it stands at
@@ -121,7 +121,6 @@ ServicePredictor::auditDriftReset(const ServiceMetrics &metrics,
     trace(obs::TraceEventKind::Relearn, 1, window);
     enterMode(Mode::Learning);
     phaseCount = 0;
-    ++stats_.learnedRuns;
     recordSample(metrics);
     ++phaseCount;
 }
@@ -216,7 +215,7 @@ ServicePredictor::recordDetailed(const ServiceMetrics &metrics)
         // anything below can mutate the table, so ledger
         // attribution and the drift reset target stay pinned to
         // the cluster that actually made the prediction.
-        Lookup audit = lookup(metrics.signature());
+        Lookup audit = lookup(metrics.insts);
         bool failed = true;
         bool ciDrift = false;
         ServiceMetrics predictedMetrics;
@@ -300,7 +299,6 @@ ServicePredictor::recordDetailed(const ServiceMetrics &metrics)
             return;
         }
         // A passing audit refreshes the matched cluster.
-        ++stats_.learnedRuns;
         recordSample(metrics);
         return;
     }
@@ -369,7 +367,7 @@ ServicePredictor::restoreTable(
 }
 
 ServiceMetrics
-ServicePredictor::predict(const Signature &signature,
+ServicePredictor::predict(InstCount insts,
                           std::uint64_t invocation_index,
                           bool *was_outlier)
 {
@@ -377,12 +375,12 @@ ServicePredictor::predict(const Signature &signature,
     if (cPredicted_)
         cPredicted_->inc();
     if (hPredictedInsts_)
-        hPredictedInsts_->observe(signature.insts);
+        hPredictedInsts_->observe(insts);
 
     // Prediction, cluster identity and spread are all captured by the
     // lookup itself: nothing downstream (outlier bookkeeping,
     // re-learning transitions) can invalidate them.
-    Lookup r = lookup(signature);
+    Lookup r = lookup(insts);
     bool outlier = !r.matched;
     if (was_outlier)
         *was_outlier = outlier;
@@ -391,10 +389,9 @@ ServicePredictor::predict(const Signature &signature,
         ++stats_.outliers;
         if (cOutliers_)
             cOutliers_->inc();
-        trace(obs::TraceEventKind::Outlier, signature.insts,
+        trace(obs::TraceEventKind::Outlier, insts,
               plt_.numOutlierEntries());
-        if (policy_->onOutlier(plt_, signature.insts,
-                               invocation_index)) {
+        if (policy_->onOutlier(plt_, insts, invocation_index)) {
             // Re-learning period: another full window of detailed
             // simulation for this service.
             ++stats_.relearnEvents;
@@ -406,8 +403,7 @@ ServicePredictor::predict(const Signature &signature,
             phaseCount = 0;
         }
     } else {
-        trace(obs::TraceEventKind::ClusterMatch, r.cluster,
-              signature.insts);
+        trace(obs::TraceEventKind::ClusterMatch, r.cluster, insts);
     }
 
     lastMatchedCluster_ = r.cluster;
@@ -415,7 +411,7 @@ ServicePredictor::predict(const Signature &signature,
     ServiceMetrics prediction;
     if (r.hasSource)
         prediction = r.metrics;
-    prediction.insts = signature.insts;
+    prediction.insts = insts;
     if (telemetry_) {
         // Book the predicted-cycle mass under the producing cluster
         // so end-to-end error can be attributed back to it.

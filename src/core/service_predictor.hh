@@ -126,13 +126,6 @@ struct PredictorParams
     double auditMeanTolerance = 0.10;
     /** Scaled-cluster half-range (0.05 in the paper). */
     double clusterRange = 0.05;
-    /**
-     * Instruction-mix signatures (the paper's future work, Sec. 3):
-     * cluster membership additionally requires per-class
-     * (load/store/branch) counts to match, disambiguating paths
-     * with equal instruction counts but different composition.
-     */
-    bool useMixSignature = false;
     RelearnParams relearn;
 };
 
@@ -162,24 +155,14 @@ class ServicePredictor
      * since learning precedes prediction) a zero prediction is
      * returned.
      *
-     * @param signature        signature obtained in emulation
+     * @param insts            the signature: the instruction count
+     *                         obtained in emulation
      * @param invocation_index per-service invocation index
      * @param[out] was_outlier set true if no cluster matched
      */
-    ServiceMetrics predict(const Signature &signature,
+    ServiceMetrics predict(InstCount insts,
                            std::uint64_t invocation_index,
                            bool *was_outlier = nullptr);
-
-    /** Instruction-count-only convenience overload: matched on the
-     *  count alone even under mix signatures (an all-zero mix is
-     *  "not collected", not a measurement). */
-    ServiceMetrics
-    predict(InstCount insts, std::uint64_t invocation_index,
-            bool *was_outlier = nullptr)
-    {
-        return predict(Signature::instsOnly(insts),
-                       invocation_index, was_outlier);
-    }
 
     /** Effective learning-window size in use. */
     std::uint64_t learningWindow() const { return window; }
@@ -223,11 +206,17 @@ class ServicePredictor
      */
     void restoreTable(const std::vector<ClusterSnapshot> &snapshots);
 
-    /** Lifetime statistics. */
+    /**
+     * Lifetime statistics. warmupRuns, learnedRuns, audits and
+     * auditWarmupRuns partition the detailed runs: each detailed
+     * run counts in exactly one of them.
+     */
     struct Stats
     {
         std::uint64_t warmupRuns = 0;    //!< unrecorded detailed runs
-        std::uint64_t learnedRuns = 0;   //!< recorded detailed runs
+        /** Detailed runs recorded outside an audit. An audited run
+         *  counts in audits, even when it is recorded. */
+        std::uint64_t learnedRuns = 0;
         std::uint64_t predictedRuns = 0;
         std::uint64_t outliers = 0;
         std::uint64_t relearnEvents = 0;
@@ -285,7 +274,7 @@ class ServicePredictor
 
     /** Predict from a signature (see Lookup). Const: a lookup never
      *  changes future predictions. */
-    Lookup lookup(const Signature &sig) const;
+    Lookup lookup(InstCount insts) const;
 
     /** True once the warm-up CPI trace has flattened out. */
     bool warmupStable() const;

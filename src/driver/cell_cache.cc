@@ -46,7 +46,9 @@ predictorContext(const PredictorParams &p)
     // A removed knob (recency-weighted cluster means) that was
     // always 0; kept so keys do not move.
     v.add("ema_alpha", 0.0);
-    v.add("use_mix_signature", p.useMixSignature);
+    // A removed knob (instruction-mix signatures) that was always
+    // off; kept so keys do not move.
+    v.add("use_mix_signature", false);
     v.add("relearn", relearnContext(p.relearn));
     // The PLT is the only predictor since the learned backend was
     // removed; kept so keys do not move.
@@ -95,7 +97,9 @@ machineContext(const MachineConfig &cfg)
     v.add("record_intervals", cfg.recordIntervals);
     // A removed knob that was always on; kept so keys do not move.
     v.add("bp_warming", true);
-    v.add("block_ops", cfg.blockOps);
+    // A removed knob (ops per fetched block) that was always 256;
+    // kept so keys do not move.
+    v.add("block_ops", std::uint64_t{256});
     return v;
 }
 

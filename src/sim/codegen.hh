@@ -36,8 +36,8 @@ enum class Lowering : std::uint8_t
     /** Every field: what the timing engines consume. */
     Full,
     /**
-     * pc, cls, effAddr and taken only: what the op-mix tally of a
-     * predicted OS service and functional warming read. It makes
+     * pc, cls, effAddr and taken only: what page faults, the
+     * interval profiler and functional warming read. It makes
      * exactly Full's RNG draws — a dependence-distance draw is
      * taken and discarded — so the stream of those four fields and
      * the generator's state after the call are Full's; depDist and

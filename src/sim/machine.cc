@@ -225,44 +225,18 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
         req.type, req.args, totals_.totalInsts(), &gen);
 
     InstCount n = 0;
-    // Ops per OpClass. An indexed increment, not a switch: the
-    // class is a random draw, so a branch on it would mispredict.
-    std::uint64_t mix[numOpClasses] = {};
-    bool need_mix = controller_active && controller->wantsOpMix();
-    // A predicted service's cache footprint is drawn from its plan
-    // (CodeGenerator::drawFootprint), never from lowered µops.
-    const bool footprint =
-        !detailed && warmupDone && usesCaches(config_.level) &&
-        config_.pollutionPolicy == PollutionPolicy::Footprint;
-    MicroOp buf[kMaxBlockOps];
-    std::size_t filled;
     if (detailed) {
         if constexpr (timing) {
             // The hot learning path: retire the kernel plan in
             // blocks on the concrete engine — no virtual dispatch,
             // no per-op queue-front checks.
+            MicroOp buf[kMaxBlockOps];
+            std::size_t filled;
             while ((filled = gen.nextBlock(buf, kMaxBlockOps)) != 0) {
-                for (std::size_t i = 0; i < filled; ++i) {
+                for (std::size_t i = 0; i < filled; ++i)
                     eng->execute(buf[i], Owner::Os);
-                    ++mix[static_cast<int>(buf[i].cls)];
-                }
                 n += filled;
             }
-        }
-    } else if (need_mix) {
-        // The tally needs the op stream, and lowering consumes the
-        // plan, so the footprint is drawn first at its caps: a
-        // shorter draw is a prefix of it, so what gets installed
-        // below matches the plan-only path's. Nothing reads
-        // dependences or latencies, so the lowering is Lean.
-        if (footprint)
-            gen.drawFootprint(kFootprintDataCap, kFootprintCodeCap,
-                              dataSample, codeSample);
-        while ((filled = gen.nextBlock<Lowering::Lean>(
-                    buf, kMaxBlockOps)) != 0) {
-            for (std::size_t i = 0; i < filled; ++i)
-                ++mix[static_cast<int>(buf[i].cls)];
-            n += filled;
         }
     } else {
         // Nothing consumes the op stream: the plan's size is known
@@ -305,9 +279,6 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
         outcome.type = req.type;
         outcome.invocation = invocation;
         outcome.insts = n;
-        outcome.loads = mix[static_cast<int>(OpClass::Load)];
-        outcome.stores = mix[static_cast<int>(OpClass::Store)];
-        outcome.branches = mix[static_cast<int>(OpClass::Branch)];
         outcome.detailed = detailed;
         outcome.cycles = sim_cycles;
         outcome.mem = mem_delta;
@@ -385,13 +356,12 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
                     // whatever remains of the predicted miss counts.
                     // Data before code: both go through the
                     // shared L2, so the order is part of the result.
-                    if (!need_mix)
-                        gen.drawFootprint(
-                            std::min<std::uint64_t>(
-                                pred.mem.l1dMisses, kFootprintDataCap),
-                            std::min<std::uint64_t>(
-                                pred.mem.l1iMisses, kFootprintCodeCap),
-                            dataSample, codeSample);
+                    gen.drawFootprint(
+                        std::min<std::uint64_t>(pred.mem.l1dMisses,
+                                                kFootprintDataCap),
+                        std::min<std::uint64_t>(pred.mem.l1iMisses,
+                                                kFootprintCodeCap),
+                        dataSample, codeSample);
                     auto data = hier.installFootprint(
                         dataSample, pred.mem.l1dMisses, false,
                         Owner::Os);
@@ -446,8 +416,6 @@ Machine::runLoop(EngineT *eng, InstCount max_insts, bool warmup_only)
         return totals_;
 
     const bool app_only = config_.appOnly;
-    const std::size_t block_cap = std::clamp<std::size_t>(
-        config_.blockOps, 1, kMaxBlockOps);
     MicroOp buf[kMaxBlockOps];
 
     // Direct-mapped memo of pages already known resident. Sound
@@ -525,17 +493,15 @@ Machine::runLoop(EngineT *eng, InstCount max_insts, bool warmup_only)
         // lean: everything that reads it (page faults, the
         // profiler, warmOp) uses only pc, cls, effAddr and taken.
         bool lean = !timing || !warmupDone;
-        std::size_t cap = block_cap;
+        std::size_t cap = kMaxBlockOps;
         if (!lean && samplePlan_ && interval_len &&
             !samplePlan_->sampled(totals_.appInsts / interval_len)) {
             lean = true;
             cap = static_cast<std::size_t>(std::min<InstCount>(
                 cap, interval_len - totals_.appInsts % interval_len));
         }
-        std::size_t n = 0;
-        if (block_cap > 1)
-            n = lean ? workload_->opBlockLean(buf, cap)
-                     : workload_->opBlock(buf, cap);
+        std::size_t n = lean ? workload_->opBlockLean(buf, cap)
+                             : workload_->opBlock(buf, cap);
         if (n == 0) {
             UserProgram::Step s = workload_->step(op, req);
             if (s == UserProgram::Step::Done) {

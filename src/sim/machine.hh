@@ -62,9 +62,9 @@ enum class PollutionPolicy
      * golden-ratio order of its accesses and fetch positions, with
      * each work item's own address pattern), so the service
      * both displaces other content and keeps its own hot lines
-     * resident. Unless the controller wants the op mix, nothing is
-     * lowered: the cost is the accesses the draw visits (at most
-     * the plan's) plus the installs, per skipped interval.
+     * resident. Nothing is lowered: the cost is the accesses the
+     * draw visits (at most the plan's) plus the installs, per
+     * skipped interval.
      */
     Footprint,
 };
@@ -92,16 +92,6 @@ struct MachineConfig
      * DESIGN.md and the abl4 bench).
      */
     PollutionPolicy pollutionPolicy = PollutionPolicy::Footprint;
-    /**
-     * User-mode instructions fetched per workload block. The block
-     * path amortizes the per-op virtual step() and interrupt polls
-     * over whole compute bursts and is simulation-outcome-identical
-     * for every value (blocks never cross a syscall, warm-up
-     * boundary or interrupt-delivery point). 1 selects the legacy
-     * one-op-at-a-time loop — kept as the microbench comparison
-     * point. Clamped to [1, 256].
-     */
-    std::uint32_t blockOps = 256;
 };
 
 /** One logged OS-service interval (recordIntervals mode). */
@@ -315,7 +305,13 @@ class Machine
     {
     };
 
-    /** Upper bound on ops per fetched block (stack buffer size). */
+    /**
+     * Upper bound on ops per fetched block (stack buffer size). The
+     * block path amortizes the per-op virtual step() and interrupt
+     * polls over whole compute bursts, and a block never crosses a
+     * syscall, warm-up boundary or interrupt-delivery point, so the
+     * outcome is the one step() alone would give.
+     */
     static constexpr std::size_t kMaxBlockOps = 256;
 
     /** Pick the engine for the configured level and run. */

@@ -1,6 +1,6 @@
 /** @file Tests for the repository's extensions beyond the paper:
- *  mix signatures, PLT serialization / cross-run reuse, audit
- *  sampling, and adaptive warm-up. */
+ *  PLT serialization / cross-run reuse, audit sampling, and
+ *  adaptive warm-up. */
 
 #include <gtest/gtest.h>
 
@@ -14,94 +14,19 @@ namespace
 {
 
 ServiceMetrics
-metricsWithMix(InstCount insts, Cycles cycles, std::uint64_t loads,
-               std::uint64_t stores, std::uint64_t branches)
+serviceMetrics(InstCount insts, Cycles cycles)
 {
     ServiceMetrics m;
     m.insts = insts;
     m.cycles = cycles;
-    m.loads = loads;
-    m.stores = stores;
-    m.branches = branches;
     m.mem.l2Misses = cycles / 500;
     return m;
 }
 
-TEST(MixSignature, SplitsSameCountDifferentMix)
-{
-    // Two paths: 1000 insts of copy (load/store heavy) vs 1000
-    // insts of scan (load/branch heavy). Count-only merges them;
-    // mix keeps them apart.
-    PerfLookupTable count_only(0.05, false);
-    PerfLookupTable with_mix(0.05, true);
-    ServiceMetrics copy = metricsWithMix(1000, 4000, 250, 250, 60);
-    ServiceMetrics scan = metricsWithMix(1000, 9000, 330, 40, 200);
-
-    count_only.record(copy);
-    count_only.record(scan);
-    EXPECT_EQ(count_only.numClusters(), 1u);
-
-    with_mix.record(copy);
-    with_mix.record(scan);
-    EXPECT_EQ(with_mix.numClusters(), 2u);
-
-    // Mix-aware lookup resolves to the right behaviour point.
-    const ScaledCluster *hit = with_mix.match(copy.signature());
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->predict().cycles, 4000u);
-    hit = with_mix.match(scan.signature());
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->predict().cycles, 9000u);
-}
-
-TEST(MixSignature, SmallDimensionsAreExempt)
-{
-    // Branch counts below the noise floor must not fragment
-    // clusters.
-    PerfLookupTable plt(0.05, true);
-    plt.record(metricsWithMix(1000, 4000, 250, 250, 8));
-    plt.record(metricsWithMix(1000, 4100, 250, 250, 16));
-    EXPECT_EQ(plt.numClusters(), 1u);
-}
-
-TEST(MixSignature, PredictorEndToEnd)
-{
-    PredictorParams pp;
-    pp.warmupInvocations = 0;
-    pp.learningWindow = 4;
-    pp.useMixSignature = true;
-    ServicePredictor pred(pp);
-    ServiceMetrics copy = metricsWithMix(1000, 4000, 250, 250, 60);
-    ServiceMetrics scan = metricsWithMix(1000, 9000, 330, 40, 200);
-    pred.recordDetailed(copy);
-    pred.recordDetailed(scan);
-    pred.recordDetailed(copy);
-    pred.recordDetailed(scan);
-    bool outlier = true;
-    ServiceMetrics p =
-        pred.predict(copy.signature(), 4, &outlier);
-    EXPECT_FALSE(outlier);
-    EXPECT_EQ(p.cycles, 4000u);
-    p = pred.predict(scan.signature(), 5, &outlier);
-    EXPECT_FALSE(outlier);
-    EXPECT_EQ(p.cycles, 9000u);
-}
-
-TEST(MixSignature, AcceleratorRequestsOpMix)
-{
-    PredictorParams pp;
-    Accelerator plain(pp);
-    EXPECT_FALSE(plain.wantsOpMix());
-    pp.useMixSignature = true;
-    Accelerator mixed(pp);
-    EXPECT_TRUE(mixed.wantsOpMix());
-}
-
 TEST(ClusterSnapshot, RoundTripPreservesPrediction)
 {
-    ScaledCluster original(metricsWithMix(1000, 5000, 250, 100, 150),
-                           0.05);
-    original.add(metricsWithMix(1020, 5200, 255, 102, 153));
+    ScaledCluster original(serviceMetrics(1000, 5000), 0.05);
+    original.add(serviceMetrics(1020, 5200));
     ScaledCluster restored(original.snapshot(), 0.05);
 
     EXPECT_DOUBLE_EQ(restored.centroid(), original.centroid());
@@ -213,7 +138,7 @@ TEST(AuditSampling, SchedulesEveryNth)
     pp.auditEvery = 5;
     pp.auditWarmup = 0;  // cadence only; no re-warm runs
     ServicePredictor pred(pp);
-    ServiceMetrics m = metricsWithMix(1000, 5000, 250, 100, 150);
+    ServiceMetrics m = serviceMetrics(1000, 5000);
     pred.recordDetailed(m);
     int detailed = 0;
     for (int i = 0; i < 25; ++i)
@@ -229,7 +154,7 @@ TEST(AuditSampling, WarmupBurstPrecedesAudit)
     pp.auditEvery = 3;
     pp.auditWarmup = 2;
     ServicePredictor pred(pp);
-    ServiceMetrics m = metricsWithMix(1000, 5000, 250, 100, 150);
+    ServiceMetrics m = serviceMetrics(1000, 5000);
     pred.recordDetailed(m);
     ASSERT_FALSE(pred.wantsDetail());
     // Every 3rd prediction expands to a 3-run detailed burst: two
@@ -239,7 +164,7 @@ TEST(AuditSampling, WarmupBurstPrecedesAudit)
         if (pred.decideDetail()) {
             pred.recordDetailed(m);
         } else {
-            pred.predict(Signature{1000, 250, 100, 150}, i);
+            pred.predict(1000, i);
         }
         if (pred.stats().audits >
             static_cast<std::uint64_t>(audits_seen)) {
@@ -252,10 +177,9 @@ TEST(AuditSampling, WarmupBurstPrecedesAudit)
     }
     EXPECT_GE(pred.stats().audits, 2u);
     // Warm-up runs are discarded: not learned, not audited. The
-    // only learned run is the initial window.
-    EXPECT_EQ(pred.stats().learnedRuns,
-              1u + pred.stats().audits -
-                  pred.stats().auditFailures);
+    // only learned run is the initial window; a passing audit is
+    // recorded but counts as an audit.
+    EXPECT_EQ(pred.stats().learnedRuns, 1u);
     EXPECT_EQ(pred.stats().auditFailures, 0u);
 }
 
@@ -270,24 +194,25 @@ TEST(AuditSampling, DriftTriggersRelearning)
     ServicePredictor pred(pp);
     // Learn a stable behaviour point around 5000 cycles.
     for (int i = 0; i < 4; ++i) {
-        pred.recordDetailed(
-            metricsWithMix(1000, 5000, 250, 100, 150));
+        pred.recordDetailed(serviceMetrics(1000, 5000));
     }
     EXPECT_FALSE(pred.wantsDetail());
     // Now the same signature costs 3x: audits must catch it.
     std::uint64_t inv = 4;
     for (int i = 0; i < 20 && !pred.wantsDetail(); ++i) {
         if (pred.decideDetail()) {
-            pred.recordDetailed(
-                metricsWithMix(1000, 15000, 250, 100, 150));
+            pred.recordDetailed(serviceMetrics(1000, 15000));
         } else {
-            pred.predict(Signature{1000, 250, 100, 150}, inv);
+            pred.predict(1000, inv);
         }
         ++inv;
     }
     EXPECT_GE(pred.stats().audits, 2u);
     EXPECT_GE(pred.stats().auditFailures, 2u);
     EXPECT_EQ(pred.stats().driftResets, 1u);
+    // The audit that triggered the reset seeds the new window but
+    // counts as an audit, not as learning.
+    EXPECT_EQ(pred.stats().learnedRuns, 4u);
     EXPECT_TRUE(pred.wantsDetail());  // back in a learning window
 }
 
@@ -306,16 +231,16 @@ TEST(AuditSampling, StationaryNoiseDoesNotTrigger)
     ServicePredictor pred(pp);
     // Noisy but stationary: cycles alternate widely.
     for (int i = 0; i < 20; ++i) {
-        pred.recordDetailed(metricsWithMix(
-            1000, i % 2 ? 4000 : 6000, 250, 100, 150));
+        pred.recordDetailed(
+            serviceMetrics(1000, i % 2 ? 4000 : 6000));
     }
     std::uint64_t inv = 20;
     for (int i = 0; i < 40; ++i) {
         if (pred.decideDetail()) {
-            pred.recordDetailed(metricsWithMix(
-                1000, i % 2 ? 4000 : 6000, 250, 100, 150));
+            pred.recordDetailed(
+            serviceMetrics(1000, i % 2 ? 4000 : 6000));
         } else {
-            pred.predict(Signature{1000, 250, 100, 150}, inv);
+            pred.predict(1000, inv);
         }
         ++inv;
     }
@@ -337,8 +262,7 @@ TEST(AuditSampling, SustainedBiasTriggersStatisticalReset)
     // A heavy cluster: 100 members at 5000 cycles. Passing audits
     // fold into it, but 100 stale members pin the mean.
     for (int i = 0; i < 100; ++i) {
-        pred.recordDetailed(
-            metricsWithMix(1000, 5000, 250, 100, 150));
+        pred.recordDetailed(serviceMetrics(1000, 5000));
     }
     EXPECT_FALSE(pred.wantsDetail());
     // Behaviour shifts to 5900 cycles (~15% off): inside the 30%
@@ -347,10 +271,9 @@ TEST(AuditSampling, SustainedBiasTriggersStatisticalReset)
     std::uint64_t inv = 100;
     for (int i = 0; i < 100 && !pred.wantsDetail(); ++i) {
         if (pred.decideDetail()) {
-            pred.recordDetailed(
-                metricsWithMix(1000, 5900, 250, 100, 150));
+            pred.recordDetailed(serviceMetrics(1000, 5900));
         } else {
-            pred.predict(Signature{1000, 250, 100, 150}, inv);
+            pred.predict(1000, inv);
         }
         ++inv;
     }
@@ -371,16 +294,14 @@ TEST(AuditSampling, StatisticalTriggerCanBeDisabled)
     pp.stabilityWindow = 0;
     ServicePredictor pred(pp);
     for (int i = 0; i < 100; ++i) {
-        pred.recordDetailed(
-            metricsWithMix(1000, 5000, 250, 100, 150));
+        pred.recordDetailed(serviceMetrics(1000, 5000));
     }
     std::uint64_t inv = 100;
     for (int i = 0; i < 100 && !pred.wantsDetail(); ++i) {
         if (pred.decideDetail()) {
-            pred.recordDetailed(
-                metricsWithMix(1000, 5900, 250, 100, 150));
+            pred.recordDetailed(serviceMetrics(1000, 5900));
         } else {
-            pred.predict(Signature{1000, 250, 100, 150}, inv);
+            pred.predict(1000, inv);
         }
         ++inv;
     }
@@ -402,8 +323,7 @@ TEST(AdaptiveWarmup, ExtendsWhileCpiDrifts)
     while (pred.wantsDetail() && runs < 300) {
         Cycles cycles = 20000 - 90 * std::min<std::uint64_t>(
                                          runs, 200);
-        pred.recordDetailed(
-            metricsWithMix(1000, cycles, 250, 100, 150));
+        pred.recordDetailed(serviceMetrics(1000, cycles));
         ++runs;
     }
     // warm-up extended beyond the 10-minimum (plus 5 learning).
@@ -421,8 +341,7 @@ TEST(AdaptiveWarmup, StableCpiEndsAtMinimum)
     ServicePredictor pred(pp);
     std::uint64_t runs = 0;
     while (pred.wantsDetail() && runs < 100) {
-        pred.recordDetailed(
-            metricsWithMix(1000, 5000, 250, 100, 150));
+        pred.recordDetailed(serviceMetrics(1000, 5000));
         ++runs;
     }
     EXPECT_EQ(pred.stats().warmupRuns, 12u);

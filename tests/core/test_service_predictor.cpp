@@ -1,7 +1,7 @@
 /** @file Tests for the per-service predictor state machine, and the
- *  predictor-state regressions around it: count-only signatures
- *  under mix matching, restoreTable leaking audit state, and cluster
- *  attribution surviving cluster-vector reallocation. */
+ *  predictor-state regressions around it: restoreTable leaking
+ *  audit state, and cluster attribution surviving cluster-vector
+ *  reallocation. */
 
 #include <gtest/gtest.h>
 
@@ -22,16 +22,13 @@ metrics(InstCount insts, Cycles cycles)
     return m;
 }
 
-/** A sample with a realistic, discriminative instruction mix. */
+/** A sample with every memory-hierarchy counter set. */
 ServiceMetrics
-mixMetrics(InstCount insts, Cycles cycles)
+memMetrics(InstCount insts, Cycles cycles)
 {
     ServiceMetrics m;
     m.insts = insts;
     m.cycles = cycles;
-    m.loads = insts / 4;
-    m.stores = insts / 8;
-    m.branches = insts / 5;
     m.mem.l1iAccesses = insts;
     m.mem.l1iMisses = insts / 50;
     m.mem.l1dAccesses = insts / 3;
@@ -365,47 +362,6 @@ TEST(ServicePredictor, CoverageReflectsWindowAndTraffic)
     EXPECT_EQ(detailed, 7u);
 }
 
-// Regression: a count-only signature (the instruction-count predict
-// overload) must match on the count alone even when mix matching is
-// enabled. The old code built Signature{insts, 0, 0, 0}, whose
-// all-zero mix failed matchesMix against every cluster with a real
-// mix — every count-only prediction became a spurious outlier.
-// (Named for the PLT when it sat behind a backend interface.)
-TEST(PltBackendMix, InstsOnlySignatureMatchesMixClusters)
-{
-    PerfLookupTable plt(0.05, /*use_mix=*/true);
-    plt.record(mixMetrics(1000, 5000));
-
-    const ScaledCluster *count_only =
-        plt.match(Signature::instsOnly(1000));
-    ASSERT_NE(count_only, nullptr);
-    EXPECT_EQ(count_only, plt.allClusters().data());
-    EXPECT_EQ(count_only->predict().cycles, 5000u);
-
-    // A *measured* all-zero mix is a real mismatch and must still
-    // be an outlier: hasMix is what distinguishes the two.
-    Signature zero_mix{1000, 0, 0, 0};
-    EXPECT_EQ(plt.match(zero_mix), nullptr);
-}
-
-TEST(ServicePredictorMix, CountOnlyPredictOverloadIsNotAnOutlier)
-{
-    PredictorParams p;
-    p.warmupInvocations = 0;
-    p.learningWindow = 2;
-    p.useMixSignature = true;
-    ServicePredictor pred(p);
-    pred.recordDetailed(mixMetrics(1000, 5000));
-    pred.recordDetailed(mixMetrics(1000, 5000));
-    ASSERT_FALSE(pred.wantsDetail());
-
-    bool outlier = true;
-    ServiceMetrics out = pred.predict(1000, 2, &outlier);
-    EXPECT_FALSE(outlier);
-    EXPECT_EQ(out.cycles, 5000u);
-    EXPECT_EQ(pred.stats().outliers, 0u);
-}
-
 // Regression: restoreTable() used to reset the mode and phase but
 // leak the audit machinery — a pending audit decision, an
 // in-flight re-warm burst, the consecutive-failure streak and the
@@ -420,12 +376,12 @@ TEST(ServicePredictorRestore, ClearsPendingAuditAndFailureStreak)
     p.auditWarmup = 0;
     p.auditTriggerCount = 2;
     ServicePredictor pred(p);
-    pred.recordDetailed(mixMetrics(1000, 5000));
+    pred.recordDetailed(memMetrics(1000, 5000));
     ASSERT_FALSE(pred.wantsDetail());
 
     // One audit failure: streak at 1 of the 2 needed for a reset.
     ASSERT_TRUE(pred.decideDetail());
-    pred.recordDetailed(mixMetrics(1000, 20000));
+    pred.recordDetailed(memMetrics(1000, 20000));
     EXPECT_EQ(pred.stats().auditFailures, 1u);
     EXPECT_EQ(pred.stats().driftResets, 0u);
 
@@ -437,7 +393,7 @@ TEST(ServicePredictorRestore, ClearsPendingAuditAndFailureStreak)
     // The next detailed sample must be an ordinary learning
     // sample, not the leaked audit — and must not complete the
     // leaked failure streak into a drift reset.
-    pred.recordDetailed(mixMetrics(1000, 20000));
+    pred.recordDetailed(memMetrics(1000, 20000));
     EXPECT_EQ(pred.stats().audits, 1u);
     EXPECT_EQ(pred.stats().auditFailures, 1u);
     EXPECT_EQ(pred.stats().driftResets, 0u);
@@ -445,7 +401,7 @@ TEST(ServicePredictorRestore, ClearsPendingAuditAndFailureStreak)
     // The streak itself was cleared: one fresh failure is still
     // one strike short of a reset.
     ASSERT_TRUE(pred.decideDetail());
-    pred.recordDetailed(mixMetrics(1000, 90000));
+    pred.recordDetailed(memMetrics(1000, 90000));
     EXPECT_EQ(pred.stats().auditFailures, 2u);
     EXPECT_EQ(pred.stats().driftResets, 0u);
 }
@@ -458,7 +414,7 @@ TEST(ServicePredictorRestore, ResetsAuditSchedule)
     p.auditEvery = 2;
     p.auditWarmup = 0;
     ServicePredictor pred(p);
-    pred.recordDetailed(mixMetrics(1000, 5000));
+    pred.recordDetailed(memMetrics(1000, 5000));
     ASSERT_FALSE(pred.wantsDetail());
 
     // Half the audit period elapses...
@@ -486,7 +442,7 @@ TEST(ServicePredictorLedger, AuditAttributionSurvivesTableGrowth)
     p.auditWarmup = 0;
     ServicePredictor pred(p);
     pred.attachTelemetry(&tel, "predictor.test", 1);
-    pred.recordDetailed(mixMetrics(1000, 5000));  // cluster 0
+    pred.recordDetailed(memMetrics(1000, 5000));  // cluster 0
     ASSERT_FALSE(pred.wantsDetail());
 
     // Grow the table by dozens of distinct clusters (forced
@@ -495,7 +451,7 @@ TEST(ServicePredictorLedger, AuditAttributionSurvivesTableGrowth)
     double insts = 4000.0;
     for (int i = 0; i < 64; ++i) {
         auto n = static_cast<InstCount>(insts);
-        pred.recordDetailed(mixMetrics(n, 5 * n));
+        pred.recordDetailed(memMetrics(n, 5 * n));
         insts *= 1.2;
     }
     ASSERT_EQ(pred.table().numClusters(), 65u);
@@ -503,7 +459,7 @@ TEST(ServicePredictorLedger, AuditAttributionSurvivesTableGrowth)
     // Audit the original cluster: the ledger must book it under
     // cluster 0, the index resolved at lookup time.
     ASSERT_TRUE(pred.decideDetail());
-    pred.recordDetailed(mixMetrics(1000, 5000));
+    pred.recordDetailed(memMetrics(1000, 5000));
     obs::AccuracySnapshot snap = tel.accuracy.snapshot();
     bool found = false;
     for (const obs::AccuracyEntry &e : snap.entries) {

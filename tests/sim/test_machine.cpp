@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,12 +32,16 @@ testConfig()
 /**
  * Forwards to a workload but keeps UserProgram's default
  * opBlockLean(), so the Machine gets every block lowered in full.
+ * Blocks are cut to at most @p max_block ops; at 0 opBlock()
+ * returns nothing, so every op comes through step(), the sequence
+ * opBlock() must reproduce.
  */
 class FullLoweringProgram : public UserProgram
 {
   public:
-    explicit FullLoweringProgram(std::unique_ptr<UserProgram> inner)
-        : inner_(std::move(inner))
+    explicit FullLoweringProgram(std::unique_ptr<UserProgram> inner,
+                                 std::size_t max_block = SIZE_MAX)
+        : inner_(std::move(inner)), maxBlock_(max_block)
     {
     }
 
@@ -49,7 +54,9 @@ class FullLoweringProgram : public UserProgram
     std::size_t
     opBlock(MicroOp *buf, std::size_t cap) override
     {
-        return inner_->opBlock(buf, cap);
+        return maxBlock_
+                   ? inner_->opBlock(buf, std::min(cap, maxBlock_))
+                   : 0;
     }
 
     void
@@ -63,11 +70,13 @@ class FullLoweringProgram : public UserProgram
 
   private:
     std::unique_ptr<UserProgram> inner_;
+    std::size_t maxBlock_;
 };
 
 std::unique_ptr<Machine>
 makeIperf(MachineConfig cfg, std::uint32_t writes = 50,
-          std::uint32_t warmup = 0, bool full_lowering = false)
+          std::uint32_t warmup = 0, bool full_lowering = false,
+          std::size_t max_block = SIZE_MAX)
 {
     KernelParams kp = kernelParamsFor("iperf", cfg.seed);
     auto kernel = std::make_unique<SyntheticKernel>(kp);
@@ -78,7 +87,8 @@ makeIperf(MachineConfig cfg, std::uint32_t writes = 50,
     std::unique_ptr<UserProgram> wl =
         std::make_unique<IperfWorkload>(*kernel, p, cfg.seed);
     if (full_lowering)
-        wl = std::make_unique<FullLoweringProgram>(std::move(wl));
+        wl = std::make_unique<FullLoweringProgram>(std::move(wl),
+                                                   max_block);
     return std::make_unique<Machine>(cfg, std::move(wl),
                                      std::move(kernel));
 }
@@ -312,27 +322,22 @@ TEST(Machine, MissingKernelDiesUnlessAppOnly)
     EXPECT_DEATH(Machine(cfg, std::move(wl), nullptr), "kernel");
 }
 
-/** The block size is a pure throughput knob: every blockOps value
- *  (including the degenerate per-op 1 and the clamp ceiling) must
- *  produce the exact same run — same instruction counts, cycles,
- *  service invocations and memory-system counters. */
+/** The block size is a pure throughput choice: blocks of any size
+ *  the program hands out, and none at all (every op through
+ *  step()), must produce the exact same run as the Machine's own
+ *  blocks — same instruction counts, cycles, service invocations
+ *  and memory-system counters. */
 TEST(Machine, BlockSizeDoesNotChangeOutcome)
 {
-    RunTotals want;
-    bool have_want = false;
-    for (std::uint32_t block : {1u, 2u, 64u, 256u, 100000u}) {
-        MachineConfig cfg = testConfig();
-        cfg.level = DetailLevel::InOrderCache;
-        cfg.blockOps = block;
-        auto m = makeIperf(cfg, 200);
+    MachineConfig cfg = testConfig();
+    cfg.level = DetailLevel::InOrderCache;
+    auto ref = makeIperf(cfg, 200);
+    const RunTotals want = ref->run();
+    EXPECT_GT(want.appInsts, 0u);
+    EXPECT_GT(want.osInvocations, 0u);
+    for (std::size_t block : {0u, 1u, 2u, 64u, 256u}) {
+        auto m = makeIperf(cfg, 200, 0, true, block);
         const RunTotals &t = m->run();
-        if (!have_want) {
-            want = t;
-            have_want = true;
-            EXPECT_GT(t.appInsts, 0u);
-            EXPECT_GT(t.osInvocations, 0u);
-            continue;
-        }
         EXPECT_EQ(t.appInsts, want.appInsts) << "block " << block;
         EXPECT_EQ(t.osInsts, want.osInsts) << "block " << block;
         EXPECT_EQ(t.osPredInsts, want.osPredInsts);
@@ -350,15 +355,17 @@ TEST(Machine, BlockSizeDoesNotChangeOutcome)
 }
 
 /** max_insts must stop the run at the same point for every block
- *  size (the batched loop may not overshoot the cap). */
+ *  size, step() alone included (the batched loop may not overshoot
+ *  the cap). */
 TEST(Machine, MaxInstsExactUnderAppOnlyEmulation)
 {
-    for (std::uint32_t block : {1u, 7u, 64u, 256u}) {
-        MachineConfig cfg = testConfig();
-        cfg.level = DetailLevel::Emulate;
-        cfg.appOnly = true;
-        cfg.blockOps = block;
-        auto m = makeIperf(cfg, 100000);
+    MachineConfig cfg = testConfig();
+    cfg.level = DetailLevel::Emulate;
+    cfg.appOnly = true;
+    EXPECT_EQ(makeIperf(cfg, 100000)->run(12345).totalInsts(),
+              12345u);
+    for (std::size_t block : {0u, 1u, 7u, 64u}) {
+        auto m = makeIperf(cfg, 100000, 0, true, block);
         const RunTotals &t = m->run(12345);
         EXPECT_EQ(t.totalInsts(), 12345u) << "block " << block;
     }

@@ -9,10 +9,6 @@ finite, positive). What the gate actually enforces are the *mode
 ratios*, which are largely machine-independent properties of the
 simulator's hot path:
 
-  - block_speedup        = emulate_block_mips / emulate_perop_mips
-    The batched run loop must never regress to (or below) the legacy
-    per-op loop: a hard floor of `block_floor`, plus a tolerance band
-    around the baseline ratio.
   - emulate_over_inorder = emulate_block_mips / inorder_cache_mips
   - emulate_over_ooo     = emulate_block_mips / ooo_cache_mips
     Emulation must stay the cheap mode; a collapse of either ratio
@@ -60,7 +56,6 @@ import math
 import sys
 
 RATIO_TOL = 2.5
-BLOCK_FLOOR = 1.0
 # Composed sampling x prediction shrink of detailed-simulated
 # instructions (fig13's median over the workload set). Instruction
 # counts are deterministic, so unlike the wall-clock ratios this
@@ -75,7 +70,6 @@ WALL_FLOOR = 1.1
 WALL_SPEEDUPS = ("accel_vs_full_wall", "sampled_accel_vs_full_wall")
 
 RATIOS = {
-    "block_speedup": ("emulate_block_mips", "emulate_perop_mips"),
     "emulate_over_inorder": ("emulate_block_mips",
                              "inorder_cache_mips"),
     "emulate_over_ooo": ("emulate_block_mips", "ooo_cache_mips"),
@@ -136,7 +130,6 @@ def main():
             "schema": "ospredict-bench-baseline-v1",
             "smoke": doc.get("smoke", False),
             "ratio_tol": RATIO_TOL,
-            "block_floor": BLOCK_FLOOR,
             "ratios": {k: round(v, 4)
                        for k, v in sorted(got.items())},
             "required_metrics": sorted(metrics),
@@ -165,11 +158,6 @@ def main():
         fail(f"metrics disappeared: {sorted(missing)}")
 
     tol = want.get("ratio_tol", RATIO_TOL)
-    floor = want.get("block_floor", BLOCK_FLOOR)
-    if got["block_speedup"] < floor:
-        fail(f"block_speedup {got['block_speedup']:.3f} fell below "
-             f"the hard floor {floor} — the batched loop is slower "
-             f"than the per-op loop")
     for name, base in want["ratios"].items():
         cur = got.get(name)
         if cur is None:
@@ -201,8 +189,7 @@ def main():
                  f"full detail")
 
     print(f"perf baseline: OK ({len(want['ratios'])} ratios within "
-          f"x{tol} of baseline; block_speedup "
-          f"{got['block_speedup']:.2f} >= {floor})")
+          f"x{tol} of baseline)")
 
 
 if __name__ == "__main__":
