@@ -5,9 +5,9 @@
  * The paper's Sec. 4.5 model invalidates predicted-miss-count
  * application lines in random sets. On an OS-dominated substrate
  * that saturates (every set soon holds an invalid line) and ignores
- * kernel-on-kernel displacement, so this repository adds synthetic
- * installation and footprint-faithful installation (DESIGN.md).
- * This bench quantifies each step.
+ * kernel-on-kernel displacement, so this repository installs the
+ * skipped service's own footprint instead (DESIGN.md). This bench
+ * compares the two with no pollution model at all.
  */
 
 #include "common.hh"
@@ -27,8 +27,6 @@ main(int argc, char **argv)
     spec.pollution = {
         PollutionPolicy::None,
         PollutionPolicy::PaperInvalidateApp,
-        PollutionPolicy::InvalidateAny,
-        PollutionPolicy::SyntheticInstall,
         PollutionPolicy::Footprint,
     };
     SweepResult sweep = runBenchSweep(spec, argc, argv);
@@ -47,7 +45,7 @@ main(int argc, char **argv)
     paperNote(
         "the paper's app-only invalidation suffices on its "
         "app-centric caches; with 67-99% kernel instructions, "
-        "modelling the skipped service's own footprint (install/"
-        "footprint) is what recovers the 3%-level accuracy.");
+        "modelling the skipped service's own footprint is what "
+        "recovers the 3%-level accuracy.");
     return 0;
 }

@@ -27,10 +27,7 @@ Accelerator::predictorRef(ServiceType type)
             std::make_unique<ServicePredictor>(params_);
         if (telemetry_) {
             predictors[idx]->attachTelemetry(
-                telemetry_,
-                std::string("predictor.") +
-                    serviceName(static_cast<ServiceType>(idx)),
-                static_cast<std::uint8_t>(idx));
+                telemetry_, static_cast<std::uint8_t>(idx));
         }
     }
     return *predictors[idx];
@@ -50,10 +47,22 @@ Accelerator::setTelemetry(obs::Telemetry *telemetry)
         if (!predictors[t])
             continue;
         predictors[t]->attachTelemetry(
-            telemetry,
-            std::string("predictor.") +
-                serviceName(static_cast<ServiceType>(t)),
-            static_cast<std::uint8_t>(t));
+            telemetry, static_cast<std::uint8_t>(t));
+    }
+}
+
+void
+Accelerator::publishTelemetry() const
+{
+    if (!telemetry_)
+        return;
+    for (int t = 0; t < numServiceTypes; ++t) {
+        if (predictors[t]) {
+            predictors[t]->publish(
+                telemetry_->registry,
+                std::string("predictor.") +
+                    serviceName(static_cast<ServiceType>(t)));
+        }
     }
 }
 

@@ -42,9 +42,9 @@ class Accelerator : public ServiceController
     /**
      * Aggregate predictor statistics over all services. Note this
      * is a total: the per-service split of every field — including
-     * audits/auditFailures — is surfaced through telemetry as
-     * "predictor.<service>" counters and through the accuracy
-     * ledger's per-(service, cluster) entries.
+     * audits/auditFailures — is published as "predictor.<service>"
+     * counters (publishTelemetry) and kept in the accuracy ledger's
+     * per-(service, cluster) entries.
      */
     ServicePredictor::Stats aggregateStats() const;
 
@@ -72,13 +72,20 @@ class Accelerator : public ServiceController
 
     /**
      * Attach a telemetry sink. Every per-service predictor (existing
-     * and future) registers its instruments as
-     * "predictor.<service name>" — including per-service audit
-     * counters — and routes predictions and audit outcomes into the
-     * sink's accuracy ledger, whose drift tolerance is set to this
-     * accelerator's auditTolerance. Pass nullptr to detach.
+     * and future) records trace events into it and routes
+     * predictions and audit outcomes into the sink's accuracy
+     * ledger, whose drift tolerance is set to this accelerator's
+     * auditMeanTolerance. Pass nullptr to detach.
      */
     void setTelemetry(obs::Telemetry *telemetry);
+
+    /**
+     * Publish every per-service predictor's counts into the
+     * attached sink's registry as "predictor.<service name>" (see
+     * ServicePredictor::publish). Call once, after the run; a no-op
+     * without a sink.
+     */
+    void publishTelemetry() const;
 
   private:
     ServicePredictor &predictorRef(ServiceType type);

@@ -93,11 +93,6 @@ class PerfLookupTable
         return clusters;
     }
 
-    const std::vector<OutlierEntry> &allOutliers() const
-    {
-        return outliers_;
-    }
-
     double rangeFrac() const { return rangeFrac_; }
 
     /** Serializable summaries of every regular cluster. */

@@ -45,38 +45,31 @@ ServicePredictor::lookup(InstCount insts) const
 
 void
 ServicePredictor::attachTelemetry(obs::Telemetry *telemetry,
-                                  const std::string &component,
                                   std::uint8_t service_index)
 {
     telemetry_ = telemetry;
     serviceIndex_ = service_index;
-    if (!telemetry) {
-        cDecideDetail_ = nullptr;
-        cDecideEmulate_ = nullptr;
-        cPredicted_ = nullptr;
-        cOutliers_ = nullptr;
-        cRelearn_ = nullptr;
-        cClustersCreated_ = nullptr;
-        cAudits_ = nullptr;
-        cAuditFailures_ = nullptr;
-        cDriftResets_ = nullptr;
-        gClusters_ = nullptr;
-        hPredictedInsts_ = nullptr;
-        return;
-    }
-    obs::Registry &reg = telemetry->registry;
-    cDecideDetail_ = &reg.counter(component, "decide_detail");
-    cDecideEmulate_ = &reg.counter(component, "decide_emulate");
-    cPredicted_ = &reg.counter(component, "predicted_runs");
-    cOutliers_ = &reg.counter(component, "outliers");
-    cRelearn_ = &reg.counter(component, "relearn_events");
-    cClustersCreated_ = &reg.counter(component, "clusters_created");
-    cAudits_ = &reg.counter(component, "audits");
-    cAuditFailures_ = &reg.counter(component, "audit_failures");
-    cDriftResets_ = &reg.counter(component, "drift_resets");
-    gClusters_ = &reg.gauge(component, "plt_clusters");
-    hPredictedInsts_ =
-        &reg.histogram(component, "predicted_insts");
+}
+
+void
+ServicePredictor::publish(obs::Registry &reg,
+                          const std::string &component) const
+{
+    auto count = [&](const char *name, std::uint64_t value) {
+        reg.counter(component, name).inc(value);
+    };
+    count("decide_detail", decideDetail_);
+    count("decide_emulate", decideEmulate_);
+    count("predicted_runs", stats_.predictedRuns);
+    count("outliers", stats_.outliers);
+    count("relearn_events", stats_.relearnEvents);
+    count("clusters_created", clustersCreated_);
+    count("audits", stats_.audits);
+    count("audit_failures", stats_.auditFailures);
+    count("drift_resets", stats_.driftResets);
+    reg.gauge(component, "plt_clusters")
+        .set(static_cast<double>(plt_.numClusters()));
+    reg.histogram(component, "predicted_insts").merge(predictedInsts_);
 }
 
 void
@@ -113,11 +106,7 @@ ServicePredictor::auditDriftReset(const ServiceMetrics &metrics,
         plt_.decayCluster(cluster_idx, window);
     consecutiveAuditFailures = 0;
     ++stats_.driftResets;
-    if (cDriftResets_)
-        cDriftResets_->inc();
     ++stats_.relearnEvents;
-    if (cRelearn_)
-        cRelearn_->inc();
     trace(obs::TraceEventKind::Relearn, 1, window);
     enterMode(Mode::Learning);
     phaseCount = 0;
@@ -128,11 +117,8 @@ ServicePredictor::auditDriftReset(const ServiceMetrics &metrics,
 void
 ServicePredictor::recordSample(const ServiceMetrics &metrics)
 {
-    bool fresh = plt_.record(metrics);
-    if (fresh && cClustersCreated_)
-        cClustersCreated_->inc();
-    if (gClusters_)
-        gClusters_->set(static_cast<double>(plt_.numClusters()));
+    if (plt_.record(metrics))
+        ++clustersCreated_;
 }
 
 bool
@@ -162,8 +148,7 @@ bool
 ServicePredictor::decideDetail()
 {
     if (mode_ != Mode::Predicting) {
-        if (cDecideDetail_)
-            cDecideDetail_->inc();
+        ++decideDetail_;
         return true;
     }
     if (auditBurstLeft == 0 && params.auditEvery &&
@@ -181,12 +166,10 @@ ServicePredictor::decideDetail()
             auditPending = true;
         else
             auditWarming = true;
-        if (cDecideDetail_)
-            cDecideDetail_->inc();
+        ++decideDetail_;
         return true;
     }
-    if (cDecideEmulate_)
-        cDecideEmulate_->inc();
+    ++decideEmulate_;
     return false;
 }
 
@@ -209,8 +192,6 @@ ServicePredictor::recordDetailed(const ServiceMetrics &metrics)
         // predicted for this signature.
         auditPending = false;
         ++stats_.audits;
-        if (cAudits_)
-            cAudits_->inc();
         // The lookup resolves the producing cluster's index before
         // anything below can mutate the table, so ledger
         // attribution and the drift reset target stay pinned to
@@ -278,8 +259,6 @@ ServicePredictor::recordDetailed(const ServiceMetrics &metrics)
             // cluster (it would inflate the spread and drag the
             // mean just enough to mask further failures).
             ++stats_.auditFailures;
-            if (cAuditFailures_)
-                cAuditFailures_->inc();
             ++consecutiveAuditFailures;
             trace(obs::TraceEventKind::Audit, 0,
                   consecutiveAuditFailures);
@@ -362,8 +341,6 @@ ServicePredictor::restoreTable(
     consecutiveAuditFailures = 0;
     auditErr_.clear();
     lastMatchedCluster_ = obs::accuracyNoCluster;
-    if (gClusters_)
-        gClusters_->set(static_cast<double>(plt_.numClusters()));
 }
 
 ServiceMetrics
@@ -372,10 +349,7 @@ ServicePredictor::predict(InstCount insts,
                           bool *was_outlier)
 {
     ++stats_.predictedRuns;
-    if (cPredicted_)
-        cPredicted_->inc();
-    if (hPredictedInsts_)
-        hPredictedInsts_->observe(insts);
+    predictedInsts_.observe(insts);
 
     // Prediction, cluster identity and spread are all captured by the
     // lookup itself: nothing downstream (outlier bookkeeping,
@@ -387,16 +361,12 @@ ServicePredictor::predict(InstCount insts,
 
     if (outlier) {
         ++stats_.outliers;
-        if (cOutliers_)
-            cOutliers_->inc();
         trace(obs::TraceEventKind::Outlier, insts,
               plt_.numOutlierEntries());
         if (policy_->onOutlier(plt_, insts, invocation_index)) {
             // Re-learning period: another full window of detailed
             // simulation for this service.
             ++stats_.relearnEvents;
-            if (cRelearn_)
-                cRelearn_->inc();
             trace(obs::TraceEventKind::Relearn, 0, window);
             plt_.clearOutliers();
             enterMode(Mode::Learning);

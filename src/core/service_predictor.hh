@@ -231,16 +231,23 @@ class ServicePredictor
     const Stats &stats() const { return stats_; }
 
     /**
-     * Attach a telemetry sink (obs/). Counters and a cluster-count
-     * gauge register under @p component (e.g. "predictor.sys_read");
-     * trace events carry @p service_index. Purely observational:
+     * Attach a telemetry sink (obs/): trace events and accuracy-
+     * ledger entries carry @p service_index. Purely observational:
      * attaching never changes a decision or an RNG draw, so
      * instrumented and bare runs stay cycle-identical. Pass nullptr
      * to detach.
      */
     void attachTelemetry(obs::Telemetry *telemetry,
-                         const std::string &component,
                          std::uint8_t service_index);
+
+    /**
+     * Publish this predictor's lifetime counts into @p registry
+     * under @p component (e.g. "predictor.sys_read"): the Stats
+     * fields it reports, the detail decisions, the clusters created
+     * and the current cluster count, and the signatures predicted.
+     */
+    void publish(obs::Registry &registry,
+                 const std::string &component) const;
 
   private:
     enum class Mode
@@ -320,21 +327,14 @@ class ServicePredictor
     std::map<std::uint32_t, RunningStats> auditErr_;
     std::uint32_t lastMatchedCluster_ = obs::accuracyNoCluster;
     Stats stats_;
+    // Counts only publish() reads.
+    std::uint64_t decideDetail_ = 0;
+    std::uint64_t decideEmulate_ = 0;
+    std::uint64_t clustersCreated_ = 0;
+    obs::Histogram predictedInsts_;  //!< signatures predicted
 
-    // Telemetry (null/cached-pointer scheme: see obs/telemetry.hh).
     obs::Telemetry *telemetry_ = nullptr;
     std::uint8_t serviceIndex_ = obs::traceNoService;
-    obs::Counter *cDecideDetail_ = nullptr;
-    obs::Counter *cDecideEmulate_ = nullptr;
-    obs::Counter *cPredicted_ = nullptr;
-    obs::Counter *cOutliers_ = nullptr;
-    obs::Counter *cRelearn_ = nullptr;
-    obs::Counter *cClustersCreated_ = nullptr;
-    obs::Counter *cAudits_ = nullptr;
-    obs::Counter *cAuditFailures_ = nullptr;
-    obs::Counter *cDriftResets_ = nullptr;
-    obs::Gauge *gClusters_ = nullptr;
-    obs::Histogram *hPredictedInsts_ = nullptr;
 };
 
 } // namespace osp

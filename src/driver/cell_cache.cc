@@ -193,9 +193,6 @@ std::optional<CellResult>
 CellCache::fetch(const std::string &cell_key,
                  const SweepCell &cell, bool claim_aware)
 {
-    auto &hits = registry_.counter("cell_cache", "hits");
-    auto &misses = registry_.counter("cell_cache", "misses");
-
     std::optional<std::string> value;
     std::optional<store::ClaimRecord> claim;
     {
@@ -215,14 +212,13 @@ CellCache::fetch(const std::string &cell_key,
             failed.cell = cell;
             failed.failed = true;
             failed.error = claim->error;
-            registry_.counter("cell_cache", "failed_replays").inc();
+            ++counts_.failedReplays;
             return failed;
         }
-        misses.inc();
+        ++counts_.misses;
         return std::nullopt;
     }
-    registry_.counter("cell_cache", "bytes_read")
-        .inc(value->size());
+    counts_.bytesRead += value->size();
     std::optional<CellResult> result = decodeCellResult(*value);
     // Coordinate cross-check: a decode failure or a hash collision
     // (a value recorded for a different cell) degrades to a miss.
@@ -234,20 +230,20 @@ CellCache::fetch(const std::string &cell_key,
         result->cell.l2Bytes != cell.l2Bytes ||
         result->cell.seedIndex != cell.seedIndex ||
         result->cell.seed != cell.seed) {
-        misses.inc();
+        ++counts_.misses;
         return std::nullopt;
     }
     // The stored index is from the recording sweep's expansion;
     // the current spec may order cells differently.
     result->cell.index = cell.index;
-    hits.inc();
+    ++counts_.hits;
     return result;
 }
 
 void
 CellCache::noteMisses(std::uint64_t n)
 {
-    registry_.counter("cell_cache", "misses").inc(n);
+    counts_.misses += n;
 }
 
 void
@@ -303,10 +299,9 @@ CellCache::commitResults(
     }
     tx.commit();
 
-    registry_.counter("cell_cache", "inserts").inc(inserts);
-    registry_.counter("cell_cache", "evictions")
-        .inc(stale.size());
-    registry_.counter("cell_cache", "bytes_written").inc(bytes);
+    counts_.inserts += inserts;
+    counts_.evictions += stale.size();
+    counts_.bytesWritten += bytes;
 }
 
 JsonValue
@@ -316,14 +311,16 @@ CellCache::statsToJson()
     doc.add("schema", "ospredict-store-stats-v1");
     doc.add("fingerprint", fingerprint_);
 
-    // Fixed field order; untouched counters read as zero, so the
-    // document shape never depends on which events occurred.
-    obs::MetricsSnapshot snap = registry_.snapshot();
+    // Fixed field order: the document shape never depends on which
+    // events occurred.
     JsonValue counters = JsonValue::object();
-    for (const char *name :
-         {"hits", "misses", "failed_replays", "inserts",
-          "evictions", "bytes_read", "bytes_written"})
-        counters.add(name, snap.counterValue("cell_cache", name));
+    counters.add("hits", counts_.hits);
+    counters.add("misses", counts_.misses);
+    counters.add("failed_replays", counts_.failedReplays);
+    counters.add("inserts", counts_.inserts);
+    counters.add("evictions", counts_.evictions);
+    counters.add("bytes_read", counts_.bytesRead);
+    counters.add("bytes_written", counts_.bytesWritten);
     doc.add("cache", std::move(counters));
 
     store::StoreInfo info = store_.info();

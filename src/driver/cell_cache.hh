@@ -26,7 +26,7 @@
  * sweep's results.json is byte-identical to a cold run's at every
  * thread count. Volatile statistics (hits/misses/bytes) are kept
  * out of the results document; they live in the cache's own
- * telemetry registry, dumped separately via statsToJson()
+ * CellCacheCounts, dumped separately via statsToJson()
  * ("ospredict-store-stats-v1", the --store-stats file).
  */
 
@@ -39,13 +39,25 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hh"
 #include "store/page_store.hh"
 #include "sweep.hh"
 #include "util/json.hh"
 
 namespace osp
 {
+
+/** A cell cache's volatile statistics, cumulative per handle (the
+ *  "cache" section of --store-stats). */
+struct CellCacheCounts
+{
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t failedReplays = 0;  //!< failed cells from claims
+    std::uint64_t inserts = 0;
+    std::uint64_t evictions = 0;      //!< stale entries dropped
+    std::uint64_t bytesRead = 0;
+    std::uint64_t bytesWritten = 0;
+};
 
 class CellCache
 {
@@ -117,8 +129,8 @@ class CellCache
     store::PageStore &store() { return store_; }
 
     /** Volatile cache statistics (hits/misses/inserts/evictions/
-     *  bytes), as telemetry counters under component "cell_cache". */
-    const obs::Registry &registry() const { return registry_; }
+     *  bytes). */
+    const CellCacheCounts &counts() const { return counts_; }
 
     /**
      * The --store-stats document ("ospredict-store-stats-v1"):
@@ -131,7 +143,7 @@ class CellCache
     store::PageStore &store_;
     std::string fingerprint_;
     std::map<std::string, std::uint64_t> warmProfileHash_;
-    obs::Registry registry_;
+    CellCacheCounts counts_;
 };
 
 } // namespace osp

@@ -114,6 +114,7 @@ runCell(const SweepSpec &spec, const SweepCell &cell,
 
     result.totals = machine->run();
     if (accel) {
+        accel->publishTelemetry();
         result.stats = accel->aggregateStats();
         result.hasStats = true;
         std::ostringstream profile;

@@ -268,8 +268,6 @@ Cache::pollute(std::uint64_t count, PollutionMode mode)
     // believe a request larger than the cache was meaningful.
     if (mode == PollutionMode::InvalidateApp)
         count = std::min(count, residentLines(Owner::App));
-    else if (mode == PollutionMode::InvalidateAny)
-        count = std::min(count, residentLines());
 
     std::uint64_t affected = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
@@ -278,8 +276,8 @@ Cache::pollute(std::uint64_t count, PollutionMode mode)
             static_cast<std::size_t>(set) * params_.assoc;
 
         // Invalid slot first: a free victim for Install, a no-op
-        // draw for the invalidating modes (Sec. 4.5 victim order).
-        // Otherwise the LRU eligible line (any owner, or application
+        // draw for InvalidateApp (Sec. 4.5 victim order). Otherwise
+        // the LRU eligible line (any owner for Install, application
         // lines only for InvalidateApp).
         std::uint32_t unused;
         std::uint32_t victim = findWay(base, kInvalidTag, unused);

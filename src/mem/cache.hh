@@ -158,8 +158,6 @@ class Cache
          *  invalid line yields no victim (the paper's Sec. 4.5
          *  formulation). */
         InvalidateApp,
-        /** Invalidate the LRU victim regardless of owner. */
-        InvalidateAny,
         /** Replace the victim (or an invalid slot) with a synthetic
          *  never-matching OS-owned line, modelling the skipped
          *  service actually fetching its footprint. Keeps sets full,
@@ -170,9 +168,8 @@ class Cache
 
     /**
      * Inject @p count predicted-miss displacements into uniformly
-     * random sets (Sec. 4.5). For the invalidating modes the count
-     * is clamped to the lines actually eligible (valid lines, or
-     * valid application-owned lines for InvalidateApp): asking for
+     * random sets (Sec. 4.5). For InvalidateApp the count is
+     * clamped to the valid application-owned lines: asking for
      * more evictions than the cache holds cannot evict more than it
      * holds, and the excess draws would only burn the RNG. Stats
      * record what really happened — evictions only when a valid

@@ -3,22 +3,25 @@
  * Typed simulator metrics: counters, gauges and histograms behind a
  * per-run registry.
  *
- * The registry exists so a sweep cell's internal behaviour —
- * predictor phase transitions, PLT occupancy, pollution-injector
- * effectiveness — can be surfaced in the results document without
- * each component growing ad-hoc stats plumbing. Design constraints,
- * in order:
+ * The registry is the export format of a sweep cell's internal
+ * behaviour (predictor phase counts, PLT occupancy, pollution
+ * effectiveness) in the results document. It is not where the
+ * simulator counts: each component keeps its counts once, in the
+ * plain fields it reads itself (RunTotals, ServicePredictor::Stats,
+ * CacheStats, a few members next to them), and publishes them into
+ * a registry in one step when the run ends. Design constraints, in
+ * order:
  *
  *  - *Determinism.* Snapshots enumerate instruments in sorted
  *    (component, name) order, so two runs that perform the same work
  *    serialize byte-identically — the sweep harness extends its
  *    thread-count-invariance contract over the telemetry section.
- *  - *Zero cost when detached.* Components hold instrument pointers
- *    that are null until a Telemetry sink is attached; the untaken
- *    branch on a null pointer is the entire disabled-path cost, and
- *    nothing is ever looked up by name on a hot path.
- *  - *Stable addresses.* Instruments live in node-based maps, so the
- *    pointers cached at attach time survive later registrations.
+ *  - *Nothing on the hot path.* Registry lookups are by name and
+ *    happen only in a component's end-of-run publish step; a run
+ *    with no registry attached publishes nothing.
+ *  - *Additive publishing.* Publishing adds a count to the
+ *    instrument (Counter::inc, Histogram::merge), so two publishers
+ *    of one instrument sum as a merged snapshot would.
  *
  * One registry belongs to one simulator instance (sweep cell); it is
  * deliberately not thread-safe. Parallelism in this repo is across
@@ -28,6 +31,7 @@
 #ifndef OSP_OBS_METRICS_HH
 #define OSP_OBS_METRICS_HH
 
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -80,6 +84,16 @@ class Histogram
         sum_ += value;
     }
 
+    /** Add every sample of @p other (same bucket layout). */
+    void
+    merge(const Histogram &other)
+    {
+        for (std::size_t i = 0; i < numBuckets; ++i)
+            buckets_[i] += other.buckets_[i];
+        count_ += other.count_;
+        sum_ += other.sum_;
+    }
+
     std::uint64_t count() const { return count_; }
     std::uint64_t sum() const { return sum_; }
 
@@ -90,12 +104,7 @@ class Histogram
     static std::size_t
     bucketOf(std::uint64_t value)
     {
-        std::size_t width = 0;
-        while (value) {
-            ++width;
-            value >>= 1;
-        }
-        return width;
+        return static_cast<std::size_t>(std::bit_width(value));
     }
 
     /** Inclusive lower bound of bucket i. */

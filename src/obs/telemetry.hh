@@ -7,12 +7,15 @@
  * by the Machine).
  *
  * Producers (Machine, Accelerator, ServicePredictor) accept a
- * `Telemetry *` that defaults to null; every instrumentation site is
- * either a null-pointer branch or an increment through a pointer
- * cached at attach time, so runs without a sink pay nothing
- * measurable. The sweep runner owns one Telemetry per cell and
- * serializes all three parts into the results document after the
- * run.
+ * `Telemetry *` that defaults to null. The tracer and the ledger
+ * are event streams: a producer records into them as events happen,
+ * behind a null-pointer test. Counts are not: each producer keeps
+ * its counts once, in plain fields, and publishes them into the
+ * registry when the run ends (Machine at the end of run(), the
+ * Accelerator when the sweep runner asks), so a run without a sink
+ * pays nothing for them beyond the fields themselves. The sweep
+ * runner owns one Telemetry per cell and serializes all three parts
+ * into the results document after the run.
  */
 
 #ifndef OSP_OBS_TELEMETRY_HH

@@ -15,9 +15,6 @@ pollutionPolicyName(PollutionPolicy policy)
       case PollutionPolicy::None: return "none";
       case PollutionPolicy::PaperInvalidateApp:
         return "paper-invalidate-app";
-      case PollutionPolicy::InvalidateAny: return "invalidate-any";
-      case PollutionPolicy::SyntheticInstall:
-        return "synthetic-install";
       case PollutionPolicy::Footprint: return "footprint";
     }
     return "?";
@@ -62,40 +59,6 @@ Machine::setSamplePlan(const SamplePlan *plan)
 }
 
 void
-Machine::setTelemetry(obs::Telemetry *telemetry)
-{
-    telemetry_ = telemetry;
-    if (!telemetry) {
-        cServicesDetailed_ = nullptr;
-        cServicesPredicted_ = nullptr;
-        cPollutionRequested_ = nullptr;
-        cPollutionAffected_ = nullptr;
-        cFootprintFills_ = nullptr;
-        cIntervalsSampled_ = nullptr;
-        cSampleDetailedInsts_ = nullptr;
-        cSampleFfInsts_ = nullptr;
-        hServiceInsts_ = nullptr;
-        return;
-    }
-    obs::Registry &reg = telemetry->registry;
-    cServicesDetailed_ = &reg.counter("machine", "services_detailed");
-    cServicesPredicted_ =
-        &reg.counter("machine", "services_predicted");
-    cPollutionRequested_ =
-        &reg.counter("machine", "pollution_lines_requested");
-    cPollutionAffected_ =
-        &reg.counter("machine", "pollution_slots_affected");
-    cFootprintFills_ =
-        &reg.counter("machine", "footprint_install_fills");
-    cIntervalsSampled_ =
-        &reg.counter("machine", "intervals_sampled");
-    cSampleDetailedInsts_ =
-        &reg.counter("machine", "sample_detailed_insts");
-    cSampleFfInsts_ = &reg.counter("machine", "sample_ff_insts");
-    hServiceInsts_ = &reg.histogram("machine", "service_insts");
-}
-
-void
 Machine::warmOp(const MicroOp &op, Addr &fetch_line)
 {
     // Same state-mutating calls the timing engines make (fetch per
@@ -121,11 +84,28 @@ Machine::warmOp(const MicroOp &op, Addr &fetch_line)
 }
 
 void
-Machine::publishCacheStats()
+Machine::publishTelemetry()
 {
     if (!telemetry_)
         return;
     obs::Registry &reg = telemetry_->registry;
+    auto count = [&](const char *name, std::uint64_t value) {
+        reg.counter("machine", name).inc(value);
+    };
+    count("services_detailed", totals_.osSimulated);
+    count("services_predicted", totals_.osPredicted);
+    count("pollution_lines_requested", pollutionRequested_);
+    count("pollution_slots_affected", pollutionAffected_);
+    count("footprint_install_fills", footprintFills_);
+    InstCount sampled_insts = 0;
+    for (const IntervalSample &s : sampleLog_)
+        sampled_insts += s.appInsts;
+    count("intervals_sampled", sampleLog_.size());
+    count("sample_detailed_insts", sampled_insts);
+    count("sample_ff_insts",
+          samplePlan_ ? totals_.appInsts - sampled_insts : 0);
+    reg.histogram("machine", "service_insts").merge(serviceInsts_);
+
     auto publish = [&](const std::string &comp, const Cache &c) {
         const CacheStats &s = c.stats();
         auto app = static_cast<int>(Owner::App);
@@ -291,8 +271,7 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
     rec.insts = n;
     rec.detailed = detailed;
 
-    if (hServiceInsts_)
-        hServiceInsts_->observe(n);
+    serviceInsts_.observe(n);
 
     if (detailed) {
         ++totals_.osSimulated;
@@ -300,8 +279,6 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
         svc.cycles += sim_cycles;
         rec.cycles = sim_cycles;
         rec.mem = mem_delta;
-        if (cServicesDetailed_)
-            cServicesDetailed_->inc();
         trace(obs::TraceEventKind::ServiceDetailed,
               static_cast<std::uint8_t>(type_idx), n, sim_cycles);
     } else {
@@ -313,8 +290,6 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
         svc.cycles += pred.cycles;
         rec.cycles = pred.cycles;
         rec.mem = pred.mem;
-        if (cServicesPredicted_)
-            cServicesPredicted_->inc();
         trace(obs::TraceEventKind::ServicePredicted,
               static_cast<std::uint8_t>(type_idx), n, pred.cycles);
         // Model the skipped service's displacement of cached state
@@ -333,18 +308,6 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
                     pred.mem.l1iMisses, pred.mem.l1dMisses,
                     pred.mem.l2Misses,
                     Cache::PollutionMode::InvalidateApp);
-                break;
-              case PollutionPolicy::InvalidateAny:
-                affected = hier.pollute(
-                    pred.mem.l1iMisses, pred.mem.l1dMisses,
-                    pred.mem.l2Misses,
-                    Cache::PollutionMode::InvalidateAny);
-                break;
-              case PollutionPolicy::SyntheticInstall:
-                affected = hier.pollute(
-                    pred.mem.l1iMisses, pred.mem.l1dMisses,
-                    pred.mem.l2Misses,
-                    Cache::PollutionMode::Install);
                 break;
               case PollutionPolicy::Footprint:
                 {
@@ -376,8 +339,7 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
                     };
                     std::uint64_t fills =
                         code.l1Fills + data.l1Fills + l2_fills;
-                    if (cFootprintFills_)
-                        cFootprintFills_->inc(fills);
+                    footprintFills_ += fills;
                     affected = fills + hier.pollute(
                         rest(pred.mem.l1iMisses, code.l1Fills),
                         rest(pred.mem.l1dMisses, data.l1Fills),
@@ -387,10 +349,8 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
                 break;
             }
             if (requested) {
-                if (cPollutionRequested_)
-                    cPollutionRequested_->inc(requested);
-                if (cPollutionAffected_)
-                    cPollutionAffected_->inc(affected);
+                pollutionRequested_ += requested;
+                pollutionAffected_ += affected;
                 trace(obs::TraceEventKind::Pollution,
                       static_cast<std::uint8_t>(type_idx),
                       requested, affected);
@@ -691,18 +651,10 @@ Machine::runLoop(EngineT *eng, InstCount max_insts, bool warmup_only)
     }
     if (profiler_)
         profiler_->finish(totals_.appInsts);
-    if (samplePlan_ && cIntervalsSampled_) {
-        InstCount detailed = 0;
-        for (const IntervalSample &s : sampleLog_)
-            detailed += s.appInsts;
-        cIntervalsSampled_->inc(sampleLog_.size());
-        cSampleDetailedInsts_->inc(detailed);
-        cSampleFfInsts_->inc(totals_.appInsts - detailed);
-    }
 
     drainIntoT(eng, Owner::App);
     totals_.measuredMem = hier.counts();
-    publishCacheStats();
+    publishTelemetry();
     if (telemetry_) {
         // Hand the accuracy ledger its error-budget denominator:
         // total simulated time and the predicted share of it.

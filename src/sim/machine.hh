@@ -41,20 +41,16 @@ namespace osp
 
 /**
  * How a predicted (emulated) OS-service interval's cache side
- * effects are modelled.
+ * effects are modelled. The values enter cell-cache keys, so they
+ * never change; 2 and 3 were policies abl4 rejected (EXPERIMENTS.md).
  */
 enum class PollutionPolicy
 {
     /** No pollution modeling at all (ablation baseline). */
-    None,
+    None = 0,
     /** The paper's Sec. 4.5 model: invalidate predicted-miss-count
      *  application-owned victims in uniformly random sets. */
-    PaperInvalidateApp,
-    /** As above but victims may be any line. */
-    InvalidateAny,
-    /** Replace victims with synthetic never-hit lines: full
-     *  capacity displacement, no footprint reuse. */
-    SyntheticInstall,
+    PaperInvalidateApp = 1,
     /**
      * Footprint-faithful: install predicted-miss-count lines with
      * *real* addresses drawn from the skipped service's plan
@@ -66,7 +62,7 @@ enum class PollutionPolicy
      * draw visits (at most the plan's) plus the installs, per
      * skipped interval.
      */
-    Footprint,
+    Footprint = 4,
 };
 
 /** Display name for reports. */
@@ -210,16 +206,19 @@ class Machine
 
     /**
      * Attach (or detach, with nullptr) a telemetry sink. Not owned;
-     * must outlive the run. The machine registers its own
-     * instruments under "machine", publishes per-level cache
-     * statistics under "mem.<level>" when run() returns, drives
-     * the tracer's clock with the retired-instruction count (the
-     * only clock that is identical across thread counts), and
-     * hands the accuracy ledger the end-of-run cycle totals it
-     * needs to turn per-cluster error into an error budget. Purely
-     * observational: attaching changes no simulated outcome.
+     * must outlive the run. When run() ends the machine publishes
+     * its counts under "machine" and per-level cache statistics
+     * under "mem.<level>", and hands the accuracy ledger the cycle
+     * totals it needs to turn per-cluster error into an error
+     * budget. During the run it drives the tracer's clock with the
+     * retired-instruction count (the only clock that is identical
+     * across thread counts). Purely observational: attaching
+     * changes no simulated outcome.
      */
-    void setTelemetry(obs::Telemetry *telemetry);
+    void setTelemetry(obs::Telemetry *telemetry)
+    {
+        telemetry_ = telemetry;
+    }
 
     /**
      * Attach (or detach, with nullptr) a Phase-1 interval profiler.
@@ -289,7 +288,6 @@ class Machine
 
     MemoryHierarchy &hierarchy() { return hier; }
     const MachineConfig &config() const { return config_; }
-    const GshareBp &branchPredictor() const { return bp; }
     UserProgram &workload() { return *workload_; }
     KernelIface &kernel() { return *kernel_; }
 
@@ -355,8 +353,9 @@ class Machine
             telemetry_->tracer.record(kind, service, a, b);
     }
 
-    /** Copy final per-level cache statistics into the registry. */
-    void publishCacheStats();
+    /** Publish the run's counts (machine.*) and per-level cache
+     *  statistics (mem.*) into the attached registry. */
+    void publishTelemetry();
 
     MachineConfig config_;
     std::unique_ptr<UserProgram> workload_;
@@ -396,17 +395,17 @@ class Machine
     std::vector<Addr> dataSample;
     std::vector<Addr> codeSample;
 
-    // Telemetry (null/cached-pointer scheme: see obs/telemetry.hh).
     obs::Telemetry *telemetry_ = nullptr;
-    obs::Counter *cServicesDetailed_ = nullptr;
-    obs::Counter *cServicesPredicted_ = nullptr;
-    obs::Counter *cPollutionRequested_ = nullptr;
-    obs::Counter *cPollutionAffected_ = nullptr;
-    obs::Counter *cFootprintFills_ = nullptr;
-    obs::Counter *cIntervalsSampled_ = nullptr;
-    obs::Counter *cSampleDetailedInsts_ = nullptr;
-    obs::Counter *cSampleFfInsts_ = nullptr;
-    obs::Histogram *hServiceInsts_ = nullptr;
+
+    // Counts of the measured part that neither totals_ nor the
+    // caches keep; published as machine.* when the run ends.
+    /** Pollution displacements asked for and slots affected. */
+    std::uint64_t pollutionRequested_ = 0;
+    std::uint64_t pollutionAffected_ = 0;
+    /** Lines the footprint installs filled, all levels. */
+    std::uint64_t footprintFills_ = 0;
+    /** Instructions per OS-service invocation. */
+    obs::Histogram serviceInsts_;
 };
 
 } // namespace osp

@@ -7,46 +7,6 @@
 namespace osp
 {
 
-Histogram::Histogram(double bin_width, double orig)
-    : binWidth(bin_width), origin(orig)
-{
-    if (bin_width <= 0.0)
-        osp_panic("Histogram bin width must be positive");
-}
-
-void
-Histogram::add(double x)
-{
-    bins[binOf(x)] += 1;
-    total += 1;
-}
-
-std::int64_t
-Histogram::binOf(double x) const
-{
-    return static_cast<std::int64_t>(
-        std::floor((x - origin) / binWidth));
-}
-
-double
-Histogram::binCenter(std::int64_t bin) const
-{
-    return origin + (static_cast<double>(bin) + 0.5) * binWidth;
-}
-
-std::uint64_t
-Histogram::countAt(std::int64_t bin) const
-{
-    auto it = bins.find(bin);
-    return it == bins.end() ? 0 : it->second;
-}
-
-std::vector<std::pair<std::int64_t, std::uint64_t>>
-Histogram::nonEmpty() const
-{
-    return {bins.begin(), bins.end()};
-}
-
 BubbleHistogram::BubbleHistogram(double x_bin_width, double y_bin_width)
     : xWidth(x_bin_width), yWidth(y_bin_width)
 {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Fixed-bin 1-D histograms and 2-D "bubble" histograms.
+ * Fixed-bin 2-D "bubble" histograms.
  *
  * Figure 5 of the paper plots occurrences of sys_read invocations in
  * (instruction-count x cycle-count) bins of 1000 instructions by 4000
@@ -18,43 +18,6 @@
 
 namespace osp
 {
-
-/**
- * A 1-D histogram with uniform bin width. Bin i covers
- * [origin + i*width, origin + (i+1)*width).
- */
-class Histogram
-{
-  public:
-    /** @param bin_width width of every bin (must be > 0)
-     *  @param origin    left edge of bin 0 */
-    explicit Histogram(double bin_width, double origin = 0.0);
-
-    /** Add one sample. */
-    void add(double x);
-
-    /** Index of the bin a value falls into (may be negative). */
-    std::int64_t binOf(double x) const;
-
-    /** Center of the given bin. */
-    double binCenter(std::int64_t bin) const;
-
-    /** Population of the given bin (0 if never touched). */
-    std::uint64_t countAt(std::int64_t bin) const;
-
-    /** Total number of samples added. */
-    std::uint64_t totalCount() const { return total; }
-
-    /** All non-empty bins in ascending bin order. */
-    std::vector<std::pair<std::int64_t, std::uint64_t>> nonEmpty()
-        const;
-
-  private:
-    double binWidth;
-    double origin;
-    std::uint64_t total = 0;
-    std::map<std::int64_t, std::uint64_t> bins;
-};
 
 /**
  * A sparse 2-D histogram over (x, y) bins; each non-empty cell is a

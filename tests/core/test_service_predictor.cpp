@@ -269,7 +269,7 @@ TEST(ServicePredictorAudit, RoutesAuditsIntoAccuracyLedger)
     p.auditEvery = 1;
     p.auditWarmup = 0;
     ServicePredictor pred(p);
-    pred.attachTelemetry(&tel, "predictor.test", 7);
+    pred.attachTelemetry(&tel, 7);
     pred.recordDetailed(metrics(1000, 5000));
 
     bool outlier = true;
@@ -291,8 +291,9 @@ TEST(ServicePredictorAudit, RoutesAuditsIntoAccuracyLedger)
     // predicted 5000 vs measured 6000.
     EXPECT_NEAR(e.errMean, (5000.0 - 6000.0) / 6000.0, 1e-12);
 
-    // Satellite: the per-service audit counters surface in
-    // metrics snapshots, not just the aggregate stats.
+    // The per-service audit counters surface in metrics snapshots,
+    // not just the aggregate stats.
+    pred.publish(tel.registry, "predictor.test");
     obs::MetricsSnapshot ms = tel.registry.snapshot();
     EXPECT_EQ(ms.counterValue("predictor.test", "audits"), 1u);
     EXPECT_EQ(ms.counterValue("predictor.test", "audit_failures"),
@@ -309,7 +310,7 @@ TEST(ServicePredictorAudit, NoClusterAuditSkipsLedger)
     obs::Telemetry tel;
     PredictorParams p = testParams(0, 1);
     ServicePredictor pred(p);
-    pred.attachTelemetry(&tel, "predictor.test", 3);
+    pred.attachTelemetry(&tel, 3);
     pred.predict(1234, 0);
     obs::AccuracySnapshot snap = tel.accuracy.snapshot();
     ASSERT_EQ(snap.entries.size(), 1u);
@@ -441,7 +442,7 @@ TEST(ServicePredictorLedger, AuditAttributionSurvivesTableGrowth)
     p.auditEvery = 1;
     p.auditWarmup = 0;
     ServicePredictor pred(p);
-    pred.attachTelemetry(&tel, "predictor.test", 1);
+    pred.attachTelemetry(&tel, 1);
     pred.recordDetailed(memMetrics(1000, 5000));  // cluster 0
     ASSERT_FALSE(pred.wantsDetail());
 

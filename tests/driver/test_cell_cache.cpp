@@ -160,9 +160,7 @@ TEST_F(CellCacheTest, WarmIncrementalRunIsByteIdenticalAcrossThreads)
     SweepResult cold = runSweep(spec, cold_opts);
     ASSERT_TRUE(cold.store.present);
     ASSERT_EQ(cold.store.cellKeys.size(), cold.cells.size());
-    EXPECT_EQ(cache.registry().snapshot().counterValue(
-                  "cell_cache", "inserts"),
-              cold.cells.size());
+    EXPECT_EQ(cache.counts().inserts, cold.cells.size());
 
     // Warm incremental run on four threads: every cell a hit, and
     // the canonical document byte-identical — the store section's
@@ -175,10 +173,8 @@ TEST_F(CellCacheTest, WarmIncrementalRunIsByteIdenticalAcrossThreads)
     SweepResult warm = runSweep(spec, warm_opts);
 
     EXPECT_EQ(canonicalJson(warm), canonicalJson(cold));
-    auto snap = warm_cache.registry().snapshot();
-    EXPECT_EQ(snap.counterValue("cell_cache", "hits"),
-              cold.cells.size());
-    EXPECT_EQ(snap.counterValue("cell_cache", "misses"), 0u);
+    EXPECT_EQ(warm_cache.counts().hits, cold.cells.size());
+    EXPECT_EQ(warm_cache.counts().misses, 0u);
 }
 
 TEST_F(CellCacheTest, ColdNonIncrementalRunCountsAllMisses)
@@ -189,10 +185,8 @@ TEST_F(CellCacheTest, ColdNonIncrementalRunCountsAllMisses)
     opts.threads = 2;
     opts.cache = &cache;
     SweepResult result = runSweep(spec, opts);
-    auto snap = cache.registry().snapshot();
-    EXPECT_EQ(snap.counterValue("cell_cache", "misses"),
-              result.cells.size());
-    EXPECT_EQ(snap.counterValue("cell_cache", "hits"), 0u);
+    EXPECT_EQ(cache.counts().misses, result.cells.size());
+    EXPECT_EQ(cache.counts().hits, 0u);
 }
 
 TEST_F(CellCacheTest, CollisionOnMismatchedCellDegradesToMiss)
@@ -245,9 +239,7 @@ TEST_F(CellCacheTest, StaleFingerprintEntriesAreEvictedOnCommit)
     CellCache new_cache(*store_, "new1new1new1new1");
     new_cache.commitResults(
         {{new_cache.cellKey(spec, cells[0], 0), &real}});
-    EXPECT_EQ(new_cache.registry().snapshot().counterValue(
-                  "cell_cache", "evictions"),
-              1u);
+    EXPECT_EQ(new_cache.counts().evictions, 1u);
 
     std::size_t old_keys = 0, new_keys = 0;
     store_->beginRead().scan(

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -14,6 +15,8 @@
 #include "core/accelerator.hh"
 #include "driver/experiments.hh"
 #include "driver/sweep.hh"
+#include "obs/snapshot_io.hh"
+#include "util/hash.hh"
 #include "workload/registry.hh"
 
 namespace osp
@@ -404,6 +407,105 @@ TEST(RunSweep, TelemetryPreservesThreadCountInvariance)
     EXPECT_NE(t1.str().find("traceEvents"), std::string::npos);
 }
 
+/**
+ * Check that every machine.* and predictor.<service>.* instrument
+ * of @p r's telemetry equals what it is published from: the run
+ * totals, the aggregate predictor stats, the sample section, the
+ * PLT profile and the per-level cache statistics.
+ */
+void
+expectTelemetryMatchesFields(const CellResult &r)
+{
+    const obs::MetricsSnapshot &m = r.telemetry;
+    const RunTotals &t = r.totals;
+    const std::string what = r.cell.workload + " " +
+                             runModeName(r.cell.mode);
+    auto machine = [&](const char *name) {
+        return m.counterValue("machine", name);
+    };
+    EXPECT_EQ(machine("services_detailed"), t.osSimulated) << what;
+    EXPECT_EQ(machine("services_predicted"), t.osPredicted) << what;
+    const obs::HistogramEntry *service_insts =
+        m.findHistogram("machine", "service_insts");
+    ASSERT_NE(service_insts, nullptr) << what;
+    EXPECT_EQ(service_insts->count, t.osInvocations) << what;
+    EXPECT_EQ(service_insts->sum, t.osInsts) << what;
+
+    const CellSampleSection &sec = r.sample;
+    EXPECT_EQ(machine("intervals_sampled"),
+              sec.present ? sec.sampledIntervals + (sec.tailInsts ? 1 : 0)
+                          : 0u)
+        << what;
+    EXPECT_EQ(machine("sample_detailed_insts"),
+              sec.present ? sec.detailedAppInsts : 0u)
+        << what;
+    EXPECT_EQ(machine("sample_ff_insts"),
+              sec.present ? sec.ffAppInsts : 0u)
+        << what;
+
+    // Footprint pollution fills only through the injected paths, so
+    // the slots it reports are the caches' injected fills.
+    std::uint64_t injected = 0;
+    for (const char *level : {"mem.l1i", "mem.l1d", "mem.l2"})
+        injected += m.counterValue(level, "injected_fills");
+    EXPECT_EQ(machine("pollution_slots_affected"), injected) << what;
+    EXPECT_LE(machine("footprint_install_fills"),
+              machine("pollution_slots_affected"))
+        << what;
+
+    // Per-service predictor counts sum to the aggregate stats; the
+    // cluster gauge is the service's table in the saved profile.
+    std::map<std::string, std::uint64_t> sums;
+    std::map<std::string, std::uint64_t> created;
+    for (const auto &c : m.counters) {
+        if (c.component.rfind("predictor.", 0) != 0)
+            continue;
+        sums[c.name] += c.value;
+        if (c.name == "clusters_created")
+            created[c.component] = c.value;
+    }
+    EXPECT_EQ(sums["predicted_runs"], r.stats.predictedRuns) << what;
+    EXPECT_EQ(sums["outliers"], r.stats.outliers) << what;
+    EXPECT_EQ(sums["relearn_events"], r.stats.relearnEvents) << what;
+    EXPECT_EQ(sums["audits"], r.stats.audits) << what;
+    EXPECT_EQ(sums["audit_failures"], r.stats.auditFailures) << what;
+    EXPECT_EQ(sums["drift_resets"], r.stats.driftResets) << what;
+    EXPECT_EQ(sums["decide_emulate"], r.stats.predictedRuns) << what;
+    if (r.hasStats) {
+        EXPECT_EQ(sums["decide_detail"] + sums["decide_emulate"],
+                  t.osInvocations)
+            << what;
+    }
+    std::map<std::string, double> profile_clusters;
+    std::istringstream profile(r.pltProfile);
+    for (std::string word; profile >> word;) {
+        int type = 0;
+        std::size_t count = 0;
+        if (word == "service" && profile >> type >> count)
+            profile_clusters[std::string("predictor.") +
+                             serviceName(
+                                 static_cast<ServiceType>(type))] =
+                static_cast<double>(count);
+    }
+    std::uint64_t predicted_insts = 0;
+    for (const auto &g : m.gauges) {
+        ASSERT_EQ(g.name, "plt_clusters") << what;
+        EXPECT_EQ(g.value, profile_clusters[g.component])
+            << what << " " << g.component;
+        // A cold run's table only grows, one cluster per creation.
+        EXPECT_EQ(g.value, static_cast<double>(created[g.component]))
+            << what << " " << g.component;
+        const obs::HistogramEntry *h =
+            m.findHistogram(g.component, "predicted_insts");
+        ASSERT_NE(h, nullptr) << what << " " << g.component;
+        EXPECT_EQ(h->count,
+                  m.counterValue(g.component, "predicted_runs"))
+            << what << " " << g.component;
+        predicted_insts += h->sum;
+    }
+    EXPECT_EQ(predicted_insts, t.osPredInsts) << what;
+}
+
 TEST(RunSweep, CellsCarryPopulatedTelemetry)
 {
     SweepSpec spec = tinySpec();
@@ -432,14 +534,44 @@ TEST(RunSweep, CellsCarryPopulatedTelemetry)
             EXPECT_GT(r.traceInfo.recorded, 0u);
             EXPECT_EQ(r.trace.size(),
                       r.traceInfo.recorded - r.traceInfo.dropped);
-            // Telemetry mirrors the existing stats plumbing.
-            EXPECT_EQ(r.telemetry.counterValue(
-                          "machine", "services_predicted"),
-                      r.totals.osPredicted);
-            EXPECT_EQ(r.telemetry.counterValue(
-                          "machine", "services_detailed"),
-                      r.totals.osSimulated);
         }
+        expectTelemetryMatchesFields(r);
+    }
+}
+
+TEST(RunSweep, TelemetryIsPinned)
+{
+    // The encoded telemetry snapshot of four fig13 smoke cells,
+    // hashed. Any change to what is counted, where, or how it is
+    // published shows here; every number also appears in
+    // expectTelemetryMatchesFields's cross-checks.
+    struct Pin
+    {
+        const char *workload;
+        RunMode mode;
+        const char *hash;
+    };
+    const Pin pins[] = {
+        {"ab-seq", RunMode::Accelerated, "3fa7d6f8e13876f0"},
+        {"ab-seq", RunMode::SampledAccel, "3301fbbbafc1f996"},
+        {"du", RunMode::Accelerated, "e05bc91afdcfd0f2"},
+        {"du", RunMode::SampledAccel, "5d688b3460bbb43d"},
+    };
+    SweepSpec spec = makeNamedSweep("fig13", 1.0 / 20.0, true);
+    const std::vector<SweepCell> cells = expandSweep(spec);
+    for (const Pin &pin : pins) {
+        const SweepCell *cell = nullptr;
+        for (const SweepCell &c : cells)
+            if (c.workload == pin.workload && c.mode == pin.mode)
+                cell = &c;
+        const std::string what =
+            std::string(pin.workload) + " " + runModeName(pin.mode);
+        ASSERT_NE(cell, nullptr) << what;
+        const CellResult r = runCell(spec, *cell);
+        const std::string encoded =
+            obs::metricsSnapshotToJson(r.telemetry).dump(-1);
+        EXPECT_EQ(StableHash().str(encoded).hex(), pin.hash) << what;
+        expectTelemetryMatchesFields(r);
     }
 }
 

@@ -174,15 +174,6 @@ TEST(Cache, PollutionInvalidateAppNoOpOnInvalidSlot)
     EXPECT_TRUE(c.probe(0x000));
 }
 
-TEST(Cache, PollutionInvalidateAnyTakesOsVictims)
-{
-    Cache c(smallCache(128, 2));
-    c.access(0x000, false, Owner::Os);
-    c.access(0x040, false, Owner::Os);
-    EXPECT_EQ(c.pollute(1, Cache::PollutionMode::InvalidateAny), 1u);
-    EXPECT_EQ(c.residentLines(Owner::Os), 1u);
-}
-
 TEST(Cache, PollutionInstallKeepsSetsFull)
 {
     Cache c(smallCache(128, 2));
@@ -220,9 +211,9 @@ TEST(Cache, PollutionInvalidateClampsToLiveLines)
     c.access(0x080, false, Owner::Os);
 
     std::uint64_t n =
-        c.pollute(1000, Cache::PollutionMode::InvalidateAny);
-    // At most the 3 resident lines can go; no over-reporting.
-    EXPECT_LE(n, 3u);
+        c.pollute(1000, Cache::PollutionMode::InvalidateApp);
+    // At most the 2 resident app lines can go; no over-reporting.
+    EXPECT_LE(n, 2u);
     EXPECT_EQ(c.stats().injectedEvictions, n);
     EXPECT_EQ(c.residentLines(Owner::App) +
                   c.residentLines(Owner::Os),
@@ -247,8 +238,6 @@ TEST(Cache, PollutionInvalidateAppClampsToAppLines)
 TEST(Cache, PollutionOnEmptyCacheIsNoOpForInvalidation)
 {
     Cache c(smallCache(1024, 2));
-    EXPECT_EQ(c.pollute(64, Cache::PollutionMode::InvalidateAny),
-              0u);
     EXPECT_EQ(c.pollute(64, Cache::PollutionMode::InvalidateApp),
               0u);
     EXPECT_EQ(c.stats().injectedEvictions, 0u);
@@ -399,24 +388,6 @@ TEST(Cache, FlushResetsReplacementStateDeterministically)
               fresh.residentLines(Owner::App));
 }
 
-/** InvalidateAny on a completely full cache: every draw lands on a
- *  full set, so each invalidates exactly one victim. */
-TEST(Cache, PollutionInvalidateAnyOnFullCache)
-{
-    Cache c(smallCache(8 * 1024, 4));  // 32 sets x 4 ways
-    const std::uint64_t cap = 128;
-    for (std::uint64_t i = 0; i < cap; ++i)
-        c.access(64 * i, false, Owner::App);
-    ASSERT_EQ(c.residentLines(), cap);
-
-    std::uint64_t n = c.pollute(1 << 20,
-                                Cache::PollutionMode::InvalidateAny);
-    EXPECT_GE(n, 1u);
-    EXPECT_LE(n, cap);
-    EXPECT_EQ(c.residentLines(), cap - n);
-    EXPECT_EQ(c.stats().injectedEvictions, n);
-}
-
 /** InvalidateApp with zero app-owned lines resident clamps to zero
  *  before any RNG draw: a free no-op regardless of request size. */
 TEST(Cache, PollutionInvalidateAppZeroAppLinesIsFreeNoOp)
@@ -528,15 +499,11 @@ class ReferenceCache
     std::uint64_t
     pollute(std::uint64_t count, Cache::PollutionMode mode)
     {
-        std::uint64_t app = 0, all = 0;
-        for (const Way &w : ways_) {
-            all += w.valid;
+        std::uint64_t app = 0;
+        for (const Way &w : ways_)
             app += w.valid && w.owner == Owner::App;
-        }
         if (mode == Cache::PollutionMode::InvalidateApp)
             count = std::min(count, app);
-        else if (mode == Cache::PollutionMode::InvalidateAny)
-            count = std::min(count, all);
         std::uint64_t affected = 0;
         for (std::uint64_t i = 0; i < count; ++i) {
             Way *set = &ways_[std::size_t(rng_.range(sets_)) *
@@ -681,7 +648,7 @@ TEST(Cache, OneScanMatchesReferenceModel)
                     << i;
             } else {
                 auto mode = static_cast<Cache::PollutionMode>(
-                    rng.range(3));
+                    rng.range(2));
                 std::uint64_t n = rng.range(12);
                 ASSERT_EQ(c.pollute(n, mode),
                           ref.pollute(n, mode))
@@ -778,9 +745,6 @@ class ListLruCache
     {
         if (mode == Cache::PollutionMode::InvalidateApp)
             count = std::min(count, resident(Owner::App));
-        else if (mode == Cache::PollutionMode::InvalidateAny)
-            count = std::min(count, resident(Owner::App) +
-                                        resident(Owner::Os));
         std::uint64_t affected = 0;
         for (std::uint64_t i = 0; i < count; ++i) {
             const std::uint32_t set = rng_.range(sets_);
@@ -941,7 +905,7 @@ TEST(Cache, LruVictimsMatchReferenceModel)
                 ASSERT_EQ(c.install(a, o), ref.install(a, o)) << i;
             } else if (op < 998) {
                 auto mode =
-                    static_cast<Cache::PollutionMode>(rng.range(3));
+                    static_cast<Cache::PollutionMode>(rng.range(2));
                 std::uint64_t n = rng.range(12);
                 ASSERT_EQ(c.pollute(n, mode), ref.pollute(n, mode))
                     << i;
@@ -1018,9 +982,9 @@ TEST(Cache, InstallCycledMatchesPerLineLoop)
             if (round > 10 && rng.range(3) == 0) {
                 const std::uint64_t n = rng.range(16 * assoc);
                 ASSERT_EQ(
-                    c.pollute(n, Cache::PollutionMode::InvalidateAny),
+                    c.pollute(n, Cache::PollutionMode::InvalidateApp),
                     ref.pollute(n,
-                                Cache::PollutionMode::InvalidateAny));
+                                Cache::PollutionMode::InvalidateApp));
             }
             std::vector<Addr> sample(1 + rng.range(3 * 16 * assoc));
             for (Addr &a : sample)

@@ -1,4 +1,4 @@
-/** @file Tests for 1-D and bubble histograms (Fig. 5 binning). */
+/** @file Tests for bubble histograms (Fig. 5 binning). */
 
 #include <gtest/gtest.h>
 
@@ -8,62 +8,6 @@ namespace osp
 {
 namespace
 {
-
-TEST(Histogram, BinAssignment)
-{
-    Histogram h(1000.0);
-    EXPECT_EQ(h.binOf(0.0), 0);
-    EXPECT_EQ(h.binOf(999.9), 0);
-    EXPECT_EQ(h.binOf(1000.0), 1);
-    EXPECT_EQ(h.binOf(-1.0), -1);
-}
-
-TEST(Histogram, OriginShiftsBins)
-{
-    Histogram h(10.0, 5.0);
-    EXPECT_EQ(h.binOf(5.0), 0);
-    EXPECT_EQ(h.binOf(14.9), 0);
-    EXPECT_EQ(h.binOf(15.0), 1);
-    EXPECT_EQ(h.binOf(4.9), -1);
-}
-
-TEST(Histogram, CountsAccumulate)
-{
-    Histogram h(10.0);
-    h.add(1.0);
-    h.add(2.0);
-    h.add(15.0);
-    EXPECT_EQ(h.countAt(0), 2u);
-    EXPECT_EQ(h.countAt(1), 1u);
-    EXPECT_EQ(h.countAt(2), 0u);
-    EXPECT_EQ(h.totalCount(), 3u);
-}
-
-TEST(Histogram, BinCenter)
-{
-    Histogram h(1000.0);
-    EXPECT_DOUBLE_EQ(h.binCenter(0), 500.0);
-    EXPECT_DOUBLE_EQ(h.binCenter(3), 3500.0);
-}
-
-TEST(Histogram, NonEmptySortedAscending)
-{
-    Histogram h(1.0);
-    h.add(5.0);
-    h.add(2.0);
-    h.add(5.5);
-    auto bins = h.nonEmpty();
-    ASSERT_EQ(bins.size(), 2u);
-    EXPECT_EQ(bins[0].first, 2);
-    EXPECT_EQ(bins[0].second, 1u);
-    EXPECT_EQ(bins[1].first, 5);
-    EXPECT_EQ(bins[1].second, 2u);
-}
-
-TEST(Histogram, ZeroWidthDies)
-{
-    EXPECT_DEATH(Histogram(0.0), "positive");
-}
 
 TEST(BubbleHistogram, PaperBinning)
 {

@@ -34,6 +34,11 @@ instead of a band:
     (microbench_components --bench-json). Skipping OS services must
     pay for itself in host time, not only in detailed instructions.
 
+Every ratio and floor is checked and its verdict printed (passes on
+stdout, failures on stderr); the exit status is 1 if any check failed,
+so one red floor cannot hide another. A document or baseline the gate
+cannot read (bad schema, missing metrics) stops it at once.
+
 Regenerate the baseline (after an intentional hot-path change), on a
 quiet machine with a Release (-O3) build:
 
@@ -158,36 +163,47 @@ def main():
         fail(f"metrics disappeared: {sorted(missing)}")
 
     tol = want.get("ratio_tol", RATIO_TOL)
+    failed = []
+
+    def check(ok, msg):
+        if ok:
+            print(f"perf baseline: ok: {msg}")
+        else:
+            failed.append(msg)
+            print(f"perf baseline: FAIL: {msg}", file=sys.stderr)
+
     for name, base in want["ratios"].items():
         cur = got.get(name)
         if cur is None:
             fail(f"ratio {name!r} not computable from results")
-        if not base / tol <= cur <= base * tol:
-            fail(f"{name} {cur:.3f} outside [{base / tol:.3f}, "
-                 f"{base * tol:.3f}] (baseline {base:.3f}, "
-                 f"tol x{tol})")
+        check(base / tol <= cur <= base * tol,
+              f"{name} {cur:.3f}, band [{base / tol:.3f}, "
+              f"{base * tol:.3f}] (baseline {base:.3f}, tol x{tol})")
 
     if "sampled_vs_full_speedup" in want.get("required_metrics",
                                              []):
         sampled_floor = want.get("sampled_floor", SAMPLED_FLOOR)
         speedup = metrics["sampled_vs_full_speedup"]
-        if speedup < sampled_floor:
-            fail(f"sampled_vs_full_speedup {speedup:.3f} fell "
-                 f"below the floor {sampled_floor} — the composed "
-                 f"sampling x prediction shrink regressed")
+        check(speedup >= sampled_floor,
+              f"sampled_vs_full_speedup {speedup:.4f}, floor "
+              f"{sampled_floor}: the composed sampling x prediction "
+              f"shrink")
         fraction = metrics.get("sampled_detailed_fraction")
-        if fraction is None or not fraction < 1.0:
-            fail(f"sampled_detailed_fraction {fraction!r} must be "
-                 f"below 1.0 — sampled runs are not skipping work")
+        check(fraction is not None and fraction < 1.0,
+              f"sampled_detailed_fraction {fraction!r}, must be below "
+              f"1.0: sampled runs skip work")
 
     wall_floor = want.get("wall_floor", WALL_FLOOR)
     for name in WALL_SPEEDUPS:
-        if name in want.get("required_metrics", []) and \
-                metrics[name] < wall_floor:
-            fail(f"{name} {metrics[name]:.3f} fell below the floor "
-                 f"{wall_floor} — the skipping mode is slower than "
-                 f"full detail")
+        if name in want.get("required_metrics", []):
+            check(metrics[name] >= wall_floor,
+                  f"{name} {metrics[name]:.3f}, floor {wall_floor}: "
+                  f"the skipping mode must beat full detail")
 
+    if failed:
+        print(f"perf baseline: {len(failed)} check(s) failed",
+              file=sys.stderr)
+        sys.exit(1)
     print(f"perf baseline: OK ({len(want['ratios'])} ratios within "
           f"x{tol} of baseline)")
 
