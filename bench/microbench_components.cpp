@@ -372,21 +372,6 @@ BM_OooExecute(benchmark::State &state)
 BENCHMARK(BM_OooExecute);
 
 void
-BM_TelemetryCounterInc(benchmark::State &state)
-{
-    // One counter increment through a held reference: what a count
-    // costs (components count in plain fields and publish once).
-    obs::Registry reg;
-    obs::Counter *c = &reg.counter("bench", "ops");
-    for (auto _ : state) {
-        c->inc();
-        benchmark::DoNotOptimize(c);
-    }
-    benchmark::DoNotOptimize(c->value());
-}
-BENCHMARK(BM_TelemetryCounterInc);
-
-void
 BM_TelemetryTracerDisabled(benchmark::State &state)
 {
     // record() on a capacity-0 tracer: a single predictable branch.

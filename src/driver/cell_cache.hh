@@ -20,7 +20,7 @@
  * hash collision degrades to a miss, never a wrong result.
  *
  * Determinism: the cache sits entirely on the sweep's driving
- * thread (lookups before the pool starts, one commit transaction
+ * thread (lookups before any cell runs, one commit transaction
  * after the join), and a hit reproduces the exact CellResult bytes
  * a fresh run would have produced — so a fully-warm incremental
  * sweep's results.json is byte-identical to a cold run's at every

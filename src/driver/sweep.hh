@@ -7,9 +7,10 @@
  * strategy x pollution policy x L2 size x seed, each point an
  * independent Machine(+Accelerator) run. A SweepSpec names such a
  * product, expandSweep() flattens it into indexed cells, and
- * runSweep() executes the cells on a work-stealing pool, each cell
- * an isolated simulator instance with a deterministic seed derived
- * from (baseSeed, seed index).
+ * runSweep() executes the cells on plain threads that take them in
+ * index order from one shared counter, each cell an isolated
+ * simulator instance with a deterministic seed derived from
+ * (baseSeed, seed index).
  *
  * Determinism contract: the aggregated result — and its JSON form
  * with timing excluded — is byte-identical for any thread count at
@@ -369,7 +370,8 @@ struct RunnerOptions
 };
 
 /**
- * Execute every cell of the sweep on a work-stealing pool and
+ * Execute every cell of the sweep on options.threads threads (the
+ * calling one and threads - 1 helpers, joined before returning) and
  * aggregate (error vs baselines, Eq. 10 estimates, per-variant
  * summaries). See the file comment for the determinism contract.
  */
@@ -378,7 +380,7 @@ SweepResult runSweep(const SweepSpec &spec,
 
 /**
  * Run a single cell in isolation: the exact Machine(+Accelerator)
- * construction the pool workers perform. Exposed so tests can
+ * construction runSweep's threads perform. Exposed so tests can
  * assert that sweep cells match standalone runs, and so tools can
  * re-run one point of a sweep.
  *

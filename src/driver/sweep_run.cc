@@ -1,15 +1,16 @@
 #include "sweep.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <exception>
 #include <optional>
 #include <sstream>
+#include <thread>
 
 #include "cell_cache.hh"
 #include "core/accelerator.hh"
-#include "thread_pool.hh"
 #include "util/logging.hh"
 #include "workload/registry.hh"
 
@@ -191,7 +192,7 @@ namespace
 /**
  * Fill the derived fields: error vs the Full baseline at the same
  * (workload, L2, seed index), Eq. 10 estimates, and the
- * per-predictor-variant rollup. Runs after the pool join, in
+ * per-predictor-variant rollup. Runs after the threads join, in
  * cell-index order — part of the determinism contract.
  */
 void
@@ -352,35 +353,38 @@ runSweep(const SweepSpec &spec, const RunnerOptions &options)
         }
     }
 
-    // One worker per uncached cell at most: more would only idle
-    // (the pool clamps 0 to 1, for a fully cached sweep).
+    // One thread per uncached cell at most: more would only idle
+    // (a fully cached sweep runs on this thread alone).
     unsigned threads = options.threads;
     if (threads == 0)
         threads = std::thread::hardware_concurrency();
     auto pending = static_cast<unsigned>(
         std::count(cached.begin(), cached.end(), false));
-    threads = std::min(threads, pending);
+    threads = std::max(1u, std::min(threads, pending));
+    result.threads = threads;
 
     auto start = std::chrono::steady_clock::now();
-    {
-        WorkStealingPool pool(threads);
-        result.threads = pool.numThreads();
-        for (const SweepCell &cell : cells) {
-            if (cached[cell.index])
-                continue;
-            // Each task owns exactly one preassigned result slot,
-            // so completion order cannot affect the aggregate. A
-            // throwing cell is captured into its own slot: the rest
-            // of the sweep completes, and the failure is reported in
-            // the results document instead of tearing down the pool.
-            CellResult *slot = &result.cells[cell.index];
-            pool.submit([slot, &spec, &options, cell] {
-                *slot = executeCell(spec, cell, options.traceCapacity,
-                                    options.warmProfiles,
-                                    options.cellRunner);
-            });
+    // This thread and threads - 1 helpers take cells in index order
+    // from one shared counter and run the uncached ones. Each cell
+    // writes only its own preassigned slot, so the order they finish
+    // in cannot affect the aggregate; a throwing cell is captured
+    // into its slot, and the rest of the sweep completes.
+    std::atomic<std::size_t> next{0};
+    auto work = [&] {
+        for (std::size_t i = next++; i < cells.size(); i = next++) {
+            if (!cached[i])
+                result.cells[i] = executeCell(
+                    spec, cells[i], options.traceCapacity,
+                    options.warmProfiles, options.cellRunner);
         }
-        pool.wait();
+    };
+    {
+        // A jthread joins when destroyed, so the helpers are joined
+        // at the end of this block on every path.
+        std::vector<std::jthread> helpers;
+        for (unsigned t = 1; t < threads; ++t)
+            helpers.emplace_back(work);
+        work();
     }
     auto end = std::chrono::steady_clock::now();
     result.wallSeconds =

@@ -16,6 +16,24 @@ duplicateKind(const std::pair<std::string, std::string> &key)
               "' already registered as a different instrument type");
 }
 
+/** Snapshot entry for one live histogram. */
+HistogramEntry
+histogramEntry(std::string component, std::string name,
+               const Histogram &h)
+{
+    HistogramEntry e;
+    e.component = std::move(component);
+    e.name = std::move(name);
+    e.count = h.count();
+    e.sum = h.sum();
+    for (std::size_t i = 0; i < Histogram::numBuckets; ++i) {
+        if (h.bucket(i))
+            e.buckets.emplace_back(Histogram::bucketLow(i),
+                                   h.bucket(i));
+    }
+    return e;
+}
+
 } // namespace
 
 Counter &
@@ -47,12 +65,6 @@ Registry::histogram(const std::string &component,
     return histograms_[std::move(key)];
 }
 
-std::size_t
-Registry::size() const
-{
-    return counters_.size() + gauges_.size() + histograms_.size();
-}
-
 MetricsSnapshot
 Registry::snapshot() const
 {
@@ -68,23 +80,6 @@ Registry::snapshot() const
         snap.histograms.push_back(
             histogramEntry(key.first, key.second, h));
     return snap;
-}
-
-HistogramEntry
-histogramEntry(std::string component, std::string name,
-               const Histogram &h)
-{
-    HistogramEntry e;
-    e.component = std::move(component);
-    e.name = std::move(name);
-    e.count = h.count();
-    e.sum = h.sum();
-    for (std::size_t i = 0; i < Histogram::numBuckets; ++i) {
-        if (h.bucket(i))
-            e.buckets.emplace_back(Histogram::bucketLow(i),
-                                   h.bucket(i));
-    }
-    return e;
 }
 
 std::uint64_t
@@ -107,100 +102,6 @@ MetricsSnapshot::findHistogram(std::string_view component,
             return &h;
     }
     return nullptr;
-}
-
-namespace
-{
-
-/** Order entries the way Registry::snapshot emits them. */
-template <typename Entry>
-int
-compareKeys(const Entry &a, const Entry &b)
-{
-    if (int c = a.component.compare(b.component))
-        return c;
-    return a.name.compare(b.name);
-}
-
-/** Merge two (component, name)-sorted entry vectors; matching keys
- *  are combined with @p combine, the rest copied through in order. */
-template <typename Entry, typename Combine>
-std::vector<Entry>
-mergeSorted(std::vector<Entry> a, const std::vector<Entry> &b,
-            Combine combine)
-{
-    std::vector<Entry> out;
-    out.reserve(a.size() + b.size());
-    std::size_t i = 0, j = 0;
-    while (i < a.size() && j < b.size()) {
-        int c = compareKeys(a[i], b[j]);
-        if (c < 0) {
-            out.push_back(std::move(a[i++]));
-        } else if (c > 0) {
-            out.push_back(b[j++]);
-        } else {
-            combine(a[i], b[j]);
-            out.push_back(std::move(a[i]));
-            ++i;
-            ++j;
-        }
-    }
-    for (; i < a.size(); ++i)
-        out.push_back(std::move(a[i]));
-    for (; j < b.size(); ++j)
-        out.push_back(b[j]);
-    return out;
-}
-
-/** Merge sorted (low, count) bucket lists, summing matching lows. */
-std::vector<std::pair<std::uint64_t, std::uint64_t>>
-mergeBuckets(
-    const std::vector<std::pair<std::uint64_t, std::uint64_t>> &a,
-    const std::vector<std::pair<std::uint64_t, std::uint64_t>> &b)
-{
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-    out.reserve(a.size() + b.size());
-    std::size_t i = 0, j = 0;
-    while (i < a.size() && j < b.size()) {
-        if (a[i].first < b[j].first) {
-            out.push_back(a[i++]);
-        } else if (a[i].first > b[j].first) {
-            out.push_back(b[j++]);
-        } else {
-            out.emplace_back(a[i].first,
-                             a[i].second + b[j].second);
-            ++i;
-            ++j;
-        }
-    }
-    for (; i < a.size(); ++i)
-        out.push_back(a[i]);
-    for (; j < b.size(); ++j)
-        out.push_back(b[j]);
-    return out;
-}
-
-} // namespace
-
-void
-MetricsSnapshot::merge(const MetricsSnapshot &other)
-{
-    counters = mergeSorted(std::move(counters), other.counters,
-                           [](CounterEntry &a, const CounterEntry &b) {
-                               a.value += b.value;
-                           });
-    gauges = mergeSorted(std::move(gauges), other.gauges,
-                         [](GaugeEntry &a, const GaugeEntry &b) {
-                             if (b.value > a.value)
-                                 a.value = b.value;
-                         });
-    histograms = mergeSorted(
-        std::move(histograms), other.histograms,
-        [](HistogramEntry &a, const HistogramEntry &b) {
-            a.count += b.count;
-            a.sum += b.sum;
-            a.buckets = mergeBuckets(a.buckets, b.buckets);
-        });
 }
 
 } // namespace osp::obs

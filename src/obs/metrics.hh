@@ -21,7 +21,7 @@
  *    with no registry attached publishes nothing.
  *  - *Additive publishing.* Publishing adds a count to the
  *    instrument (Counter::inc, Histogram::merge), so two publishers
- *    of one instrument sum as a merged snapshot would.
+ *    of one instrument sum.
  *
  * One registry belongs to one simulator instance (sweep cell); it is
  * deliberately not thread-safe. Parallelism in this repo is across
@@ -169,26 +169,7 @@ struct MetricsSnapshot
     const HistogramEntry *
     findHistogram(std::string_view component,
                   std::string_view name) const;
-
-    /**
-     * Fold @p other into this snapshot, instrument by instrument.
-     * Counters sum; histograms add count/sum and merge their
-     * (low, count) bucket lists (exact, since both sides share the
-     * power-of-two bucket layout); gauges keep the high-water value,
-     * the only order-independent reduction for point-in-time
-     * readings. Instruments present on one side only are copied.
-     * Both snapshots must be in sorted (component, name) order —
-     * everything Registry::snapshot or metricsSnapshotFromJson
-     * produces is — and the result preserves that order, so merging
-     * is deterministic regardless of worker arrival order.
-     */
-    void merge(const MetricsSnapshot &other);
 };
-
-/** Snapshot entry for one live histogram (shared by Registry
- *  snapshots and ad-hoc instrument exports). */
-HistogramEntry histogramEntry(std::string component, std::string name,
-                              const Histogram &h);
 
 /** See file comment. */
 class Registry
@@ -206,9 +187,6 @@ class Registry
                  const std::string &name);
     Histogram &histogram(const std::string &component,
                          const std::string &name);
-
-    /** Number of registered instruments (all types). */
-    std::size_t size() const;
 
     /** Enumerate everything in sorted (component, name) order. */
     MetricsSnapshot snapshot() const;

@@ -175,6 +175,8 @@ TEST_F(CellCacheTest, WarmIncrementalRunIsByteIdenticalAcrossThreads)
     EXPECT_EQ(canonicalJson(warm), canonicalJson(cold));
     EXPECT_EQ(warm_cache.counts().hits, cold.cells.size());
     EXPECT_EQ(warm_cache.counts().misses, 0u);
+    // Nothing was left to run, so no helper thread started.
+    EXPECT_EQ(warm.threads, 1u);
 }
 
 TEST_F(CellCacheTest, ColdNonIncrementalRunCountsAllMisses)

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <map>
 #include <set>
@@ -158,9 +159,9 @@ TEST(RunSweep, AutoThreadCountIsRecordedResolved)
     EXPECT_EQ(doc["timing"]["threads"].asUint(), result.threads);
 }
 
-TEST(RunSweep, PoolNeverExceedsCellCount)
+TEST(RunSweep, ThreadsNeverExceedCellCount)
 {
-    // Workers beyond the number of cells would only idle.
+    // Threads beyond the number of cells would only idle.
     SweepSpec spec = tinySpec();
     spec.workloads = {"du"};
     spec.predictors.resize(1);
@@ -175,6 +176,35 @@ TEST(RunSweep, PoolNeverExceedsCellCount)
         return r;
     };
     EXPECT_EQ(runSweep(spec, opts).threads, 2u);
+}
+
+TEST(RunSweep, EveryCellRunsOnceInItsOwnSlot)
+{
+    // Eight threads share one cell index: each cell must be taken
+    // exactly once and land in the slot of its own index.
+    SweepSpec spec = tinySpec();
+    spec.numSeeds = 20;
+    std::size_t n = expandSweep(spec).size();
+    ASSERT_GE(n, 100u);
+
+    std::vector<std::atomic<int>> runs(n);
+    RunnerOptions opts;
+    opts.threads = 8;
+    opts.cellRunner = [&runs](const SweepSpec &, const SweepCell &cell,
+                              std::size_t) {
+        runs[cell.index].fetch_add(1);
+        CellResult r;
+        r.cell = cell;
+        return r;
+    };
+    SweepResult result = runSweep(spec, opts);
+
+    EXPECT_EQ(result.threads, 8u);
+    ASSERT_EQ(result.cells.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(runs[i].load(), 1) << "cell " << i;
+        EXPECT_EQ(result.cells[i].cell.index, i);
+    }
 }
 
 TEST(RunSweep, CellsMatchStandaloneRuns)

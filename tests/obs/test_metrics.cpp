@@ -151,16 +151,5 @@ TEST(Registry, CrossTypeRegistrationPanics)
     EXPECT_DEATH(reg.histogram("m", "x"), "");
 }
 
-TEST(Registry, SizeCountsAllInstrumentTypes)
-{
-    Registry reg;
-    EXPECT_EQ(reg.size(), 0u);
-    reg.counter("a", "c");
-    reg.gauge("a", "g");
-    reg.histogram("a", "h");
-    reg.counter("a", "c");  // re-lookup, not a new instrument
-    EXPECT_EQ(reg.size(), 3u);
-}
-
 } // namespace
 } // namespace osp::obs

@@ -1,9 +1,7 @@
-/** @file Tests for the shared metrics-snapshot codec
- *  (obs/snapshot_io.hh) and the cross-worker merge semantics of
- *  MetricsSnapshot: byte-stable round-trips (the format is part of
- *  the cell cache's byte-identity contract), strict decode of
- *  malformed documents, counter summing, gauge high-water,
- *  histogram bucket merging, and order preservation under merge. */
+/** @file Tests for the metrics-snapshot codec (obs/snapshot_io.hh):
+ *  byte-stable round-trips (the format is part of the cell cache's
+ *  byte-identity contract) and strict decode of malformed
+ *  documents. */
 
 #include <gtest/gtest.h>
 
@@ -89,82 +87,6 @@ TEST(SnapshotIo, MalformedDocumentsDecodeFalse)
         MetricsSnapshot out;
         EXPECT_FALSE(metricsSnapshotFromJson(doc, out)) << text;
     }
-}
-
-TEST(SnapshotMerge, CountersSumAndOneSidedCopy)
-{
-    Registry a;
-    a.counter("cache", "hits").inc(5);
-    a.counter("cache", "misses").inc(2);
-    Registry b;
-    b.counter("cache", "hits").inc(3);
-    b.counter("store", "commits").inc(9);
-
-    MetricsSnapshot merged = a.snapshot();
-    merged.merge(b.snapshot());
-    EXPECT_EQ(merged.counterValue("cache", "hits"), 8u);
-    EXPECT_EQ(merged.counterValue("cache", "misses"), 2u);
-    EXPECT_EQ(merged.counterValue("store", "commits"), 9u);
-    ASSERT_EQ(merged.counters.size(), 3u);
-    // Sorted (component, name) order is preserved.
-    EXPECT_EQ(merged.counters[0].name, "hits");
-    EXPECT_EQ(merged.counters[1].name, "misses");
-    EXPECT_EQ(merged.counters[2].component, "store");
-}
-
-TEST(SnapshotMerge, GaugesKeepHighWater)
-{
-    Registry a;
-    a.gauge("plt", "occupancy").set(0.25);
-    Registry b;
-    b.gauge("plt", "occupancy").set(0.75);
-
-    MetricsSnapshot lowFirst = a.snapshot();
-    lowFirst.merge(b.snapshot());
-    MetricsSnapshot highFirst = b.snapshot();
-    highFirst.merge(a.snapshot());
-    ASSERT_EQ(lowFirst.gauges.size(), 1u);
-    EXPECT_DOUBLE_EQ(lowFirst.gauges[0].value, 0.75);
-    // High-water is the order-independent reduction.
-    EXPECT_DOUBLE_EQ(highFirst.gauges[0].value, 0.75);
-}
-
-TEST(SnapshotMerge, HistogramsMergeBucketLists)
-{
-    Registry a;
-    Histogram &ha = a.histogram("claim_loop", "cell_wall_us");
-    ha.observe(0);
-    ha.observe(3);  // bucket low 2
-    Registry b;
-    Histogram &hb = b.histogram("claim_loop", "cell_wall_us");
-    hb.observe(2);   // bucket low 2
-    hb.observe(70);  // bucket low 64
-
-    MetricsSnapshot merged = a.snapshot();
-    merged.merge(b.snapshot());
-    const HistogramEntry *h =
-        merged.findHistogram("claim_loop", "cell_wall_us");
-    ASSERT_NE(h, nullptr);
-    EXPECT_EQ(h->count, 4u);
-    EXPECT_EQ(h->sum, 75u);
-    // (0,1), (2,2), (64,1): matching lows added, others spliced in
-    // ascending order.
-    ASSERT_EQ(h->buckets.size(), 3u);
-    EXPECT_EQ(h->buckets[0], (std::pair<std::uint64_t,
-                                        std::uint64_t>{0, 1}));
-    EXPECT_EQ(h->buckets[1], (std::pair<std::uint64_t,
-                                        std::uint64_t>{2, 2}));
-    EXPECT_EQ(h->buckets[2], (std::pair<std::uint64_t,
-                                        std::uint64_t>{64, 1}));
-}
-
-TEST(SnapshotMerge, MergeIntoEmptyCopiesEverything)
-{
-    MetricsSnapshot merged;
-    MetricsSnapshot src = sampleSnapshot();
-    merged.merge(src);
-    EXPECT_EQ(metricsSnapshotToJson(merged).dump(-1),
-              metricsSnapshotToJson(src).dump(-1));
 }
 
 } // namespace

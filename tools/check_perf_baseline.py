@@ -16,8 +16,8 @@ simulator's hot path:
     models suspiciously cheap) without noticing.
   - sweep_threads_scaling = sweep_table2_threads1_wall_seconds /
                             sweep_table2_threads2_wall_seconds
-    A second thread must keep helping a sweep: the work-stealing
-    pool (src/driver/thread_pool.hh) stays free of serialisation.
+    A second thread must keep helping a sweep: runSweep's threads
+    (src/driver/sweep_run.cc) share nothing but a cell index.
     (That claim-loop workers execute cells outside the store's
     writer gate is a deterministic unit test,
     ClaimExecutorTest.WorkersExecuteCellsOutsideTheWriterGate.)
