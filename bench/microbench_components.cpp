@@ -299,6 +299,29 @@ BM_HierarchyAccess(benchmark::State &state)
 }
 BENCHMARK(BM_HierarchyAccess);
 
+/** Miss-heavy demand accesses at the default geometry: 64K lines
+ *  over a 64MB span, 64 times the L2, a quarter of them stores, so
+ *  nearly every access misses the DTLB, L1D and L2 into full sets
+ *  and takes each level's victim path. */
+void
+BM_HierarchyAccessMiss(benchmark::State &state)
+{
+    MemoryHierarchy hier((HierarchyParams()));
+    Pcg32 rng(1);
+    std::vector<Addr> addrs;
+    for (int i = 0; i < 65536; ++i)
+        addrs.push_back(64ULL * rng.range(1 << 20));
+    std::size_t i = 0;
+    Cycles now = 0;
+    for (auto _ : state) {
+        const AccessType type =
+            i & 3 ? AccessType::Load : AccessType::Store;
+        benchmark::DoNotOptimize(hier.access(
+            addrs[i++ & 65535], type, Owner::App, now += 4));
+    }
+}
+BENCHMARK(BM_HierarchyAccessMiss);
+
 void
 BM_CodegenLowering(benchmark::State &state)
 {

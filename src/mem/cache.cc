@@ -8,33 +8,17 @@
 namespace osp
 {
 
-namespace
-{
-
-bool
-isPowerOfTwo(std::uint64_t x)
-{
-    return x != 0 && (x & (x - 1)) == 0;
-}
-
-/** Exact log2 of a power of two (C++20 countr_zero, no loop). */
-std::uint32_t
-log2u(std::uint64_t x)
-{
-    return static_cast<std::uint32_t>(std::countr_zero(x));
-}
-
-} // namespace
-
 Cache::Cache(const CacheParams &params, std::uint64_t seed)
     : params_(params), rng(seed, 0x9e3779b97f4a7c15ULL)
 {
-    if (!isPowerOfTwo(params_.lineBytes) || params_.lineBytes < 2) {
+    if (!std::has_single_bit(params_.lineBytes) ||
+        params_.lineBytes < 2) {
         osp_fatal(params_.name,
                   ": line size must be a power of two >= 2");
     }
-    if (params_.assoc == 0)
-        osp_fatal(params_.name, ": associativity must be >= 1");
+    if (params_.assoc == 0 || params_.assoc > 16)
+        osp_fatal(params_.name, ": associativity must be 1 to 16 (the"
+                  " LRU age matrix's limit), got ", params_.assoc);
     if (params_.sizeBytes == 0 ||
         params_.sizeBytes % (static_cast<std::uint64_t>(
                                  params_.lineBytes) *
@@ -47,61 +31,114 @@ Cache::Cache(const CacheParams &params, std::uint64_t seed)
         params_.sizeBytes /
         (static_cast<std::uint64_t>(params_.lineBytes) *
          params_.assoc);
-    if (!isPowerOfTwo(sets))
+    if (!std::has_single_bit(sets))
         osp_fatal(params_.name, ": number of sets must be a power of"
                                 " two, got ", sets);
     numSets_ = static_cast<std::uint32_t>(sets);
-    lineShift = log2u(params_.lineBytes);
+    lineShift =
+        static_cast<std::uint32_t>(std::countr_zero(params_.lineBytes));
+    ageWords_ = params_.assoc <= 8 ? 1 : 4;
+    allWays_ = (std::uint64_t(1) << params_.assoc) - 1;
     std::size_t n = static_cast<std::size_t>(numSets_) * params_.assoc;
     lines.resize(n);
     tags_.assign(n, kInvalidTag);
-    stamps_.assign(n, 0);
+    ages_.assign(static_cast<std::size_t>(numSets_) * ageWords_, 0);
     mruWay_.assign(numSets_, 0);
 }
 
+template <std::uint32_t Ways>
 std::uint32_t
-Cache::findWay(std::size_t base, Addr tag,
-               std::uint32_t &free_way) const
+Cache::findWay(const Addr *t, std::uint32_t assoc, Addr tag,
+               std::uint32_t &free_way)
 {
-    const Addr *t = &tags_[base];
+    // Selects instead of an early exit: hits and misses come in no
+    // learnable order, so a branch on each way's tag mispredicts.
+    // Scanning high way to low leaves the lowest match of each.
+    const std::uint32_t n = Ways ? Ways : assoc;
+    std::uint32_t hit = kNoWay;
     free_way = kNoWay;
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        if (t[w] == tag)
-            return w;
-        if (t[w] == kInvalidTag && free_way == kNoWay)
-            free_way = w;
+    for (std::uint32_t w = n; w-- > 0;) {
+        hit = t[w] == tag ? w : hit;
+        free_way = t[w] == kInvalidTag ? w : free_way;
     }
-    return kNoWay;
+    return hit;
 }
 
-std::uint32_t
-Cache::victimWay(std::size_t base, std::uint32_t free_way)
+/**
+ * The LRU age matrix of a set of up to RowBits (8 or 16) ways: row
+ * w has bit j set when way w was used after way j, and 64 / RowBits
+ * rows share a word. Using a way fills its row and clears its
+ * column. Every way of a full set has been used (only a use fills a
+ * way), so there the rows order the ways as last-use stamps would,
+ * and the least recently used way is the one whose row is empty.
+ */
+template <unsigned RowBits>
+struct Cache::AgeMatrix
 {
-    // Invalid way first.
-    if (free_way != kNoWay)
-        return free_way;
-    return lruWay(base, false);
+    static constexpr unsigned kRows = 64 / RowBits;  //!< per word
+    static constexpr unsigned kWords = RowBits / kRows;
+    /** Bit 0 of every row; column j is kColumn << j. */
+    static constexpr std::uint64_t kColumn =
+        ~std::uint64_t(0) / ((std::uint64_t(1) << RowBits) - 1);
+    /** Every bit but each row's top one. */
+    static constexpr std::uint64_t kLow =
+        kColumn * ((std::uint64_t(1) << (RowBits - 1)) - 1);
+    /** Bit r of each row r of word 0 (of word i: << i * kRows). */
+    static constexpr std::uint64_t kDiagonal =
+        RowBits == 8 ? 0x8040201008040201 : 0x0008000400020001;
+
+    /** Way @p way was used; @p all_ways has one bit per way. The
+     *  word index is a constant 0 for one word, so the compiler
+     *  merges both updates into one read-modify-write. */
+    static void
+    use(std::uint64_t *age, std::uint32_t way, std::uint64_t all_ways)
+    {
+        age[way / kRows % kWords] |= all_ways << (way % kRows * RowBits);
+        for (unsigned i = 0; i < kWords; ++i)
+            age[i] &= ~(kColumn << way);
+    }
+
+    /** The way of mask @p ways used before every other way of it
+     *  (kNoWay if @p ways is empty). */
+    static std::uint32_t
+    oldest(const std::uint64_t *age, std::uint64_t ways)
+    {
+        // Keep the eligible columns, and make each ineligible row
+        // (rows past the associativity too) non-empty through its
+        // otherwise clear diagonal bit; an exact SWAR zero test then
+        // marks the top bit of the one empty row.
+        const std::uint64_t cols = ways * kColumn;
+        for (unsigned i = 0; i < kWords; ++i) {
+            const std::uint64_t x =
+                (age[i] & cols) | ((kDiagonal << (i * kRows)) & ~cols);
+            const std::uint64_t empty =
+                ~(((x & kLow) + kLow) | x | kLow);
+            if (empty != 0) {
+                return static_cast<std::uint32_t>(
+                    i * kRows + std::countr_zero(empty) / RowBits);
+            }
+        }
+        return kNoWay;
+    }
+};
+
+inline void
+Cache::touch(std::uint32_t set, std::uint32_t way)
+{
+    std::uint64_t *age = &ages_[std::size_t(set) * ageWords_];
+    if (ageWords_ == 1)
+        AgeMatrix<8>::use(age, way, allWays_);
+    else
+        AgeMatrix<16>::use(age, way, allWays_);
+    mruWay_[set] = way;
 }
 
-std::uint32_t
-Cache::lruWay(std::size_t base, bool app_only) const
+inline std::uint32_t
+Cache::lruWay(std::uint32_t set, std::uint64_t ways) const
 {
-    // Branch-free argmin (the victim's way is data-dependent, so a
-    // compare-and-branch mispredicts about once per fill): a strict
-    // compare keeps the lowest way on ties, and ineligible ways
-    // never beat the ~0 start value (real stamps are far below it).
-    const std::uint64_t *stamp = &stamps_[base];
-    std::uint64_t victim = kNoWay;
-    std::uint64_t best = ~std::uint64_t(0);
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        bool eligible =
-            !app_only || lines[base + w].owner == Owner::App;
-        std::uint64_t older = 0 - static_cast<std::uint64_t>(
-                                      eligible & (stamp[w] < best));
-        victim = (w & older) | (victim & ~older);
-        best = (stamp[w] & older) | (best & ~older);
-    }
-    return static_cast<std::uint32_t>(victim);
+    const std::uint64_t *age = &ages_[std::size_t(set) * ageWords_];
+    return ageWords_ == 1 ? AgeMatrix<8>::oldest(age, ways)
+                          : AgeMatrix<16>::oldest(age, ways);
 }
 
 unsigned
@@ -109,36 +146,36 @@ Cache::accessSlow(std::uint32_t set, Addr tag, std::size_t base,
                   bool is_write, Owner owner)
 {
     std::uint32_t free_way;
-    std::uint32_t hit = findWay(base, tag, free_way);
-    if (hit != kNoWay) {
-        stamps_[base + hit] = lruClock;
-        if (is_write)
-            lines[base + hit].dirty = true;
-        mruWay_[set] = hit;
-        return kHitBit;
-    }
-
-    // Miss: allocate (write-allocate policy), evicting if needed.
-    stats_.misses[static_cast<int>(owner)] += 1;
-    unsigned result = 0;
-    std::uint32_t way = victimWay(base, free_way);
-    Line &line = lines[base + way];
-    if (line.valid) {
-        stats_.evictions += 1;
-        if (line.dirty) {
-            stats_.writebacks += 1;
-            result |= kWritebackBit;
+    std::uint32_t way =
+        findWay<0>(&tags_[base], params_.assoc, tag, free_way);
+    const bool miss = way == kNoWay;
+    // A miss allocates (write-allocate policy) into an invalid way
+    // if the set has one, else evicts the LRU way. Recency first,
+    // as in installLoop().
+    if (miss)
+        way = free_way != kNoWay ? free_way : lruWay(set, allWays_);
+    touch(set, way);
+    unsigned result = kHitBit;
+    if (miss) {
+        stats_.misses[static_cast<int>(owner)] += 1;
+        result = 0;
+        Line &line = lines[base + way];
+        if (line.valid) {
+            stats_.evictions += 1;
+            if (line.dirty) {
+                stats_.writebacks += 1;
+                result |= kWritebackBit;
+            }
+            if (line.owner == Owner::App && owner == Owner::Os) {
+                stats_.crossEvictions += 1;
+                result |= kCrossEvictionBit;
+            }
         }
-        if (line.owner == Owner::App && owner == Owner::Os) {
-            stats_.crossEvictions += 1;
-            result |= kCrossEvictionBit;
-        }
+        retag(base + way, true, owner);
+        tags_[base + way] = tag;
+        line.dirty = false;
     }
-    retag(base + way, true, owner);
-    tags_[base + way] = tag;
-    line.dirty = is_write;
-    stamps_[base + way] = lruClock;
-    mruWay_[set] = way;
+    lines[base + way].dirty |= is_write;
     return result;
 }
 
@@ -156,35 +193,37 @@ Cache::installCycled(std::span<const Addr> sample,
         return 0;
     switch (params_.assoc) {
       case 2:
-        return installLoop<2>(sample, count, owner);
+        return installLoop<2, 8>(sample, count, owner);
       case 4:
-        return installLoop<4>(sample, count, owner);
+        return installLoop<4, 8>(sample, count, owner);
       case 8:
-        return installLoop<8>(sample, count, owner);
+        return installLoop<8, 8>(sample, count, owner);
       case 16:
-        return installLoop<16>(sample, count, owner);
+        return installLoop<16, 16>(sample, count, owner);
       default:
-        return installLoop<0>(sample, count, owner);
+        return ageWords_ == 1 ? installLoop<0, 8>(sample, count, owner)
+                              : installLoop<0, 16>(sample, count, owner);
     }
 }
 
-template <std::uint32_t Ways>
+template <std::uint32_t Ways, unsigned RowBits>
 std::uint64_t
 Cache::installLoop(std::span<const Addr> sample, std::uint64_t count,
                    Owner owner)
 {
+    using Age = AgeMatrix<RowBits>;
     const std::uint32_t assoc = Ways ? Ways : params_.assoc;
+    const std::uint64_t all_ways =
+        Ways ? (std::uint64_t(1) << Ways) - 1 : allWays_;
     const std::uint32_t set_mask = numSets_ - 1;
     const std::uint32_t shift = lineShift;
     Addr *const tags = tags_.data();
-    std::uint64_t *const stamps = stamps_.data();
+    std::uint64_t *const ages = ages_.data();
     Line *const meta = lines.data();
     std::uint32_t *const mru = mruWay_.data();
-    // The clock and the counters live in registers for the whole
-    // footprint and are written back once: through the members,
-    // every store to the tag, stamp and line arrays would force
-    // them to be reloaded.
-    std::uint64_t clock = lruClock;
+    // The counters live in registers for the whole footprint and are
+    // written back once: through the members, every store to the
+    // tag, age and line arrays would force them to be reloaded.
     std::uint64_t fills = 0;
     std::uint64_t displaced_app = 0;
     std::uint64_t displaced_os = 0;
@@ -196,48 +235,30 @@ Cache::installLoop(std::span<const Addr> sample, std::uint64_t count,
         const std::uint32_t set =
             static_cast<std::uint32_t>(tag) & set_mask;
         const std::size_t base = static_cast<std::size_t>(set) * assoc;
-        ++clock;
-        // findWay()'s scan with selects instead of an early exit: a
-        // footprint's installs hit and miss at random, so a branch
-        // on each way's tag mispredicts. High way to low leaves
-        // free_way at the lowest invalid way, as findWay() does.
-        const Addr *t = tags + base;
-        std::uint32_t hit = kNoWay;
-        std::uint32_t free_way = kNoWay;
-        for (std::uint32_t w = assoc; w-- > 0;) {
-            hit = t[w] == tag ? w : hit;
-            free_way = t[w] == kInvalidTag ? w : free_way;
+        std::uint64_t *const age = ages + std::size_t(set) * Age::kWords;
+        std::uint32_t free_way;
+        std::uint32_t way =
+            findWay<Ways>(tags + base, assoc, tag, free_way);
+        const bool miss = way == kNoWay;
+        if (miss) {
+            way = free_way != kNoWay ? free_way
+                                     : Age::oldest(age, all_ways);
         }
-        if (hit != kNoWay) {
-            stamps[base + hit] = clock;
-            continue;
-        }
-        std::uint32_t way = free_way;
-        if (way == kNoWay) {
-            // lruWay()'s branch-free argmin over every way.
-            const std::uint64_t *stamp = stamps + base;
-            std::uint64_t victim = 0;
-            std::uint64_t best = stamp[0];
-            for (std::uint32_t w = 1; w < assoc; ++w) {
-                const std::uint64_t older =
-                    0 - static_cast<std::uint64_t>(stamp[w] < best);
-                victim = (w & older) | (victim & ~older);
-                best = (stamp[w] & older) | (best & ~older);
-            }
-            way = static_cast<std::uint32_t>(victim);
-        }
-        Line &line = meta[base + way];
-        displaced_app += line.valid & (line.owner == Owner::App);
-        displaced_os += line.valid & (line.owner == Owner::Os);
-        line.valid = true;
-        line.dirty = false;
-        line.owner = owner;
-        tags[base + way] = tag;
-        stamps[base + way] = clock;
+        // Recency first: after the tag store below (same element
+        // type) the compiler would have to reload the age word.
+        Age::use(age, way, all_ways);
         mru[set] = way;
-        ++fills;
+        if (miss) {
+            Line &line = meta[base + way];
+            displaced_app += line.valid & (line.owner == Owner::App);
+            displaced_os += line.valid & (line.owner == Owner::Os);
+            line.valid = true;
+            line.dirty = false;
+            line.owner = owner;
+            tags[base + way] = tag;
+            ++fills;
+        }
     }
-    lruClock = clock;
     validLines_[static_cast<int>(Owner::App)] -= displaced_app;
     validLines_[static_cast<int>(Owner::Os)] -= displaced_os;
     validLines_[static_cast<int>(owner)] += fills;
@@ -252,11 +273,9 @@ Cache::probe(Addr addr) const
     std::uint32_t set = setIndex(addr);
     Addr tag = tagOf(addr);
     std::size_t base = static_cast<std::size_t>(set) * params_.assoc;
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        if (tags_[base + w] == tag)
-            return true;
-    }
-    return false;
+    std::uint32_t unused;
+    return findWay<0>(&tags_[base], params_.assoc, tag, unused) !=
+           kNoWay;
 }
 
 std::uint64_t
@@ -280,13 +299,18 @@ Cache::pollute(std::uint64_t count, PollutionMode mode)
         // the LRU eligible line (any owner for Install, application
         // lines only for InvalidateApp).
         std::uint32_t unused;
-        std::uint32_t victim = findWay(base, kInvalidTag, unused);
+        std::uint32_t victim =
+            findWay<0>(&tags_[base], params_.assoc, kInvalidTag, unused);
         if (victim != kNoWay) {
             if (mode != PollutionMode::Install)
                 continue;
         } else {
-            victim =
-                lruWay(base, mode == PollutionMode::InvalidateApp);
+            std::uint64_t ways = allWays_;
+            if (mode == PollutionMode::InvalidateApp)
+                for (std::uint32_t w = 0; w < params_.assoc; ++w)
+                    if (lines[base + w].owner != Owner::App)
+                        ways &= ~(std::uint64_t(1) << w);
+            victim = lruWay(set, ways);
             if (victim == kNoWay)
                 continue;
         }
@@ -301,7 +325,7 @@ Cache::pollute(std::uint64_t count, PollutionMode mode)
             retag(idx, true, Owner::Os);
             tags_[idx] = (1ULL << 52) + syntheticTag++;
             line.dirty = false;
-            stamps_[idx] = ++lruClock;
+            touch(set, victim);
             stats_.injectedFills += 1;
         } else {
             retag(idx, false, line.owner);
@@ -324,14 +348,13 @@ Cache::flush()
         line.dirty = false;
     }
     std::fill(tags_.begin(), tags_.end(), kInvalidTag);
-    std::fill(stamps_.begin(), stamps_.end(), 0);
+    std::fill(ages_.begin(), ages_.end(), 0);
     std::fill(mruWay_.begin(), mruWay_.end(), 0u);
     validLines_[0] = 0;
     validLines_[1] = 0;
     // With every line invalid this state is unobservable; rewinding
-    // it makes a reused cache's LRU stamps and synthetic tags
+    // it makes a reused cache's recency and synthetic tags
     // independent of prior-run history (see header comment).
-    lruClock = 0;
     syntheticTag = 0;
 }
 

@@ -27,7 +27,8 @@
 namespace osp
 {
 
-/** Static geometry of one cache (replacement is always LRU). */
+/** Static geometry of one cache (replacement is always LRU; at
+ *  most 16 ways, the LRU age matrix's limit). */
 struct CacheParams
 {
     std::string name = "cache";     //!< for error messages / reports
@@ -60,15 +61,6 @@ struct CacheStats
     }
 
     std::uint64_t totalMisses() const { return misses[0] + misses[1]; }
-
-    double
-    missRate() const
-    {
-        std::uint64_t a = totalAccesses();
-        return a ? static_cast<double>(totalMisses()) /
-                       static_cast<double>(a)
-                 : 0.0;
-    }
 
     double
     missRateFor(Owner owner) const
@@ -124,15 +116,14 @@ class Cache
             static_cast<std::size_t>(set) * params_.assoc;
 
         stats_.accesses[static_cast<int>(owner)] += 1;
-        ++lruClock;
 
-        // Fast path: the way that hit (or filled) last time in this
-        // set. One compare against the compact tag array; invalid
-        // ways hold a never-matching sentinel so no valid bit is
-        // consulted.
+        // Fast path: the way used last in this set. One compare
+        // against the compact tag array; invalid ways hold a
+        // never-matching sentinel so no valid bit is consulted. It
+        // is already the set's most recent way, so its hit changes
+        // no recency state.
         std::uint32_t mru = mruWay_[set];
         if (tags_[base + mru] == tag) {
-            stamps_[base + mru] = lruClock;
             if (is_write)
                 lines[base + mru].dirty = true;
             return AccessResult{true, false, false};
@@ -195,8 +186,8 @@ class Cache
      * (sample[k % sample.size()]), in order; an empty sample
      * installs nothing. One loop per footprint, specialised to the
      * associativity (2, 4, 8 and 16 ways, and a generic loop), with
-     * the LRU clock and the fill, eviction and residency counts in
-     * locals written back once per call.
+     * the fill, eviction and residency counts in locals written back
+     * once per call.
      *
      * @return number of lines filled (install() returned true).
      */
@@ -205,12 +196,12 @@ class Cache
 
     /**
      * Invalidate everything (cold-start). Statistics survive. Also
-     * rewinds the LRU clock, the synthetic-tag allocator and the
-     * MRU-way memos: with no valid lines left, none of that state
-     * is observable, and resetting it makes a flushed cache replay
-     * exactly like a freshly constructed one (the pollution RNG is
-     * the one deliberate exception: flushing does not rewind its
-     * draws).
+     * clears the LRU age matrices, the MRU-way memos and the
+     * synthetic-tag allocator: with no valid lines left, none of
+     * that state is observable, and resetting it makes a flushed
+     * cache replay exactly like a freshly constructed one (the
+     * pollution RNG is the one deliberate exception: flushing does
+     * not rewind its draws).
      */
     void flush();
 
@@ -243,12 +234,11 @@ class Cache
 
   private:
     /**
-     * Per-line metadata. The tag and the LRU stamp live in the
-     * separate compact tags_ and stamps_ arrays (8 bytes per way
-     * each, sequential in memory), so the hit path — by far the
-     * hottest loop in the simulator — and a victim scan each touch
-     * one dense run per set instead of striding through this
-     * struct.
+     * Per-line metadata. The tag lives in the separate compact tags_
+     * array (8 bytes per way, sequential in memory), so the hit path
+     * — by far the hottest loop in the simulator — touches one dense
+     * run per set instead of striding through this struct; recency
+     * lives in the per-set age matrices (ages_).
      */
     struct Line
     {
@@ -278,25 +268,27 @@ class Cache
     static constexpr std::uint32_t kNoWay = ~std::uint32_t(0);
 
     /**
-     * One scan of the set at flat index @p base: returns the way
-     * holding @p tag (kNoWay on a miss). On a miss @p free_way is
-     * the set's first invalid way (kNoWay if none), which is all a
-     * miss needs to pick its victim without rescanning.
+     * One scan of the @p assoc tags at @p t (@p Ways of them unless
+     * 0): the lowest way holding @p tag, and in @p free_way the
+     * lowest invalid way, which is all a miss needs to pick its
+     * victim without rescanning (each kNoWay if none).
      */
-    std::uint32_t findWay(std::size_t base, Addr tag,
-                          std::uint32_t &free_way) const;
-
-    /** Pick the victim way of a miss per the policy: @p free_way
-     *  (from findWay) when the set has one, else random or LRU. */
-    std::uint32_t victimWay(std::size_t base, std::uint32_t free_way);
-
-    /** The least recently used way of the set at flat index
-     *  @p base (lowest way on ties), among application-owned ways
-     *  only if @p app_only; kNoWay when none is eligible. */
-    std::uint32_t lruWay(std::size_t base, bool app_only) const;
-
-    /** installCycled()'s loop for @p Ways ways (0: any). */
     template <std::uint32_t Ways>
+    static std::uint32_t findWay(const Addr *t, std::uint32_t assoc,
+                                 Addr tag, std::uint32_t &free_way);
+
+    template <unsigned RowBits> struct AgeMatrix;  //!< LRU order
+
+    /** Make @p way the most recently used way of @p set. */
+    void touch(std::uint32_t set, std::uint32_t way);
+
+    /** The least recently used of the ways of the full set @p set
+     *  that mask @p ways names (bit w: way w); kNoWay if none. */
+    std::uint32_t lruWay(std::uint32_t set, std::uint64_t ways) const;
+
+    /** installCycled()'s loop: @p Ways ways (0: any), RowBits as
+     *  in AgeMatrix. */
+    template <std::uint32_t Ways, unsigned RowBits>
     std::uint64_t installLoop(std::span<const Addr> sample,
                               std::uint64_t count, Owner owner);
 
@@ -306,8 +298,8 @@ class Cache
     static constexpr unsigned kCrossEvictionBit = 4;
 
     /** Way scan, fill and eviction for a non-MRU access; the stats
-     *  and LRU-clock bumps already happened in access(). Returns
-     *  the outcome as k*Bit flags. */
+     *  bump already happened in access(). Returns the outcome as
+     *  k*Bit flags. */
     unsigned accessSlow(std::uint32_t set, Addr tag, std::size_t base,
                         bool is_write, Owner owner);
 
@@ -334,20 +326,21 @@ class Cache
     CacheParams params_;
     std::uint32_t numSets_ = 0;
     std::uint32_t lineShift = 0;
-    std::uint64_t lruClock = 0;
+    std::uint32_t ageWords_ = 1;  //!< per set: 1 up to 8 ways, else 4
+    std::uint64_t allWays_ = 0;   //!< one bit per way of a set
     std::uint64_t syntheticTag = 0;
     std::uint64_t validLines_[numOwners] = {0, 0};
     std::vector<Line> lines;  //!< numSets * assoc, set-major
     /** Compact tag-or-sentinel per way, same indexing as lines. */
     std::vector<Addr> tags_;
-    /** LRU clock value of each way's last touch, same indexing. */
-    std::vector<std::uint64_t> stamps_;
+    /** Per-set LRU age matrices (AgeMatrix), ageWords_ words each:
+     *  replacement reads them, never the MRU memo. */
+    std::vector<std::uint64_t> ages_;
     /**
-     * Per-set memo of the most recently hitting/filled way: the
-     * common "hit the same line again" case is a single compare
-     * against tags_ with no scan. Purely an access-order hint —
-     * never consulted for replacement, so victimWay semantics are
-     * untouched.
+     * Per-set memo of the most recently used way, kept exact by
+     * every use of a way: the common "hit the same line again" case
+     * is a single compare against tags_ with no scan and no recency
+     * update.
      */
     std::vector<std::uint32_t> mruWay_;
     CacheStats stats_;

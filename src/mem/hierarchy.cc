@@ -58,11 +58,9 @@ MemoryHierarchy::pollute(std::uint64_t l1i_lines,
                          std::uint64_t l2_lines,
                          Cache::PollutionMode mode)
 {
-    std::uint64_t affected = 0;
-    affected += l1i_.pollute(l1i_lines, mode);
-    affected += l1d_.pollute(l1d_lines, mode);
-    affected += l2_.pollute(l2_lines, mode);
-    return affected;
+    // The levels share no state, so the order of the calls is moot.
+    return l1i_.pollute(l1i_lines, mode) +
+           l1d_.pollute(l1d_lines, mode) + l2_.pollute(l2_lines, mode);
 }
 
 MemoryHierarchy::InstallOutcome
@@ -83,14 +81,8 @@ MemoryHierarchy::installFootprint(std::span<const Addr> sample,
 HierarchyCounts
 MemoryHierarchy::counts() const
 {
-    HierarchyCounts c;
-    c.l1iAccesses = l1i_.stats().totalAccesses();
-    c.l1iMisses = l1i_.stats().totalMisses();
-    c.l1dAccesses = l1d_.stats().totalAccesses();
-    c.l1dMisses = l1d_.stats().totalMisses();
-    c.l2Accesses = l2_.stats().totalAccesses();
-    c.l2Misses = l2_.stats().totalMisses();
-    return c;
+    HierarchyCounts c = countsFor(Owner::App);
+    return c += countsFor(Owner::Os);
 }
 
 HierarchyCounts
@@ -110,26 +102,18 @@ MemoryHierarchy::countsFor(Owner owner) const
 void
 MemoryHierarchy::flushAll()
 {
-    l1i_.flush();
-    l1d_.flush();
-    l2_.flush();
-    if (itlb_)
-        itlb_->flush();
-    if (dtlb_)
-        dtlb_->flush();
+    for (Cache *c : {&l1i_, &l1d_, &l2_, itlb_.get(), dtlb_.get()})
+        if (c)
+            c->flush();
     busFreeAt = 0;
 }
 
 void
 MemoryHierarchy::resetStats()
 {
-    l1i_.resetStats();
-    l1d_.resetStats();
-    l2_.resetStats();
-    if (itlb_)
-        itlb_->resetStats();
-    if (dtlb_)
-        dtlb_->resetStats();
+    for (Cache *c : {&l1i_, &l1d_, &l2_, itlb_.get(), dtlb_.get()})
+        if (c)
+            c->resetStats();
 }
 
 } // namespace osp

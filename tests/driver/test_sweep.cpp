@@ -571,10 +571,12 @@ TEST(RunSweep, CellsCarryPopulatedTelemetry)
 
 TEST(RunSweep, TelemetryIsPinned)
 {
-    // The encoded telemetry snapshot of four fig13 smoke cells,
+    // The encoded telemetry snapshot of six fig13 smoke cells,
     // hashed. Any change to what is counted, where, or how it is
     // published shows here; every number also appears in
-    // expectTelemetryMatchesFields's cross-checks.
+    // expectTelemetryMatchesFields's cross-checks. The Full and
+    // Sampled cells pin the cache counters of the timing engines
+    // and of functional warming.
     struct Pin
     {
         const char *workload;
@@ -582,6 +584,8 @@ TEST(RunSweep, TelemetryIsPinned)
         const char *hash;
     };
     const Pin pins[] = {
+        {"ab-seq", RunMode::Full, "e880aec52d329958"},
+        {"ab-seq", RunMode::Sampled, "8f2a27b835eecb2f"},
         {"ab-seq", RunMode::Accelerated, "3fa7d6f8e13876f0"},
         {"ab-seq", RunMode::SampledAccel, "3301fbbbafc1f996"},
         {"du", RunMode::Accelerated, "e05bc91afdcfd0f2"},

@@ -142,6 +142,15 @@ TEST(Cache, BadGeometryDies)
     EXPECT_DEATH(Cache c(r), "associativity");
 }
 
+TEST(Cache, MoreThanSixteenWaysDies)
+{
+    // The LRU age matrix holds at most 16 ways per set.
+    Cache sixteen(smallCache(64 * 16, 16));
+    EXPECT_EQ(sixteen.assoc(), 16u);
+    EXPECT_DEATH(Cache c(smallCache(64 * 17, 17)), "1 to 16");
+    EXPECT_DEATH(Cache c(smallCache(64 * 32, 32)), "1 to 16");
+}
+
 TEST(Cache, PollutionInvalidateAppPrefersAppLru)
 {
     Cache c(smallCache(128, 2));  // 1 set, 2 ways
@@ -620,16 +629,16 @@ expectSameStats(const CacheStats &got, const CacheStats &want)
 }
 
 /** One-scan access/install/pollute against the reference model on
- *  random mixed streams at two associativities: every outcome, the
- *  statistics, the residency and the contents must agree
+ *  random mixed streams at associativities 1 to 16: every outcome,
+ *  the statistics, the residency and the contents must agree
  *  throughout. */
 TEST(Cache, OneScanMatchesReferenceModel)
 {
-    for (std::uint32_t assoc : {4u, 8u}) {
-        CacheParams p = smallCache(4 * 1024, assoc);
+    for (std::uint32_t assoc : {1u, 2u, 3u, 4u, 6u, 8u, 16u}) {
+        CacheParams p = smallCache(16ULL * 64 * assoc, assoc);
         Cache c(p, 77);
         ReferenceCache ref(p, 77);
-        const std::uint64_t span = 3 * 4 * 1024 / 64;
+        const std::uint64_t span = 3 * 16 * assoc;
         Pcg32 rng(5, assoc);
         for (int i = 0; i < 20000; ++i) {
             Addr a = 64ULL * rng.range(span) + rng.range(64);
@@ -878,13 +887,14 @@ class ListLruCache
     std::vector<std::list<int>> recency_;  //!< per set, MRU first
 };
 
-/** The stamp array against a recency-list LRU on 2-, 4- and 8-way
- *  geometries: random access, install, pollute in all three modes
- *  and the occasional flush must yield the same outcomes, victims
- *  (hence residency), evictions, writebacks and injected counts. */
+/** The age matrices against a recency-list LRU at associativities
+ *  1 to 16 (byte rows up to 8 ways, 16-bit rows beyond): random
+ *  access, install, pollute in both modes and the occasional flush
+ *  must yield the same outcomes, victims (hence residency),
+ *  evictions, writebacks and injected counts. */
 TEST(Cache, LruVictimsMatchReferenceModel)
 {
-    for (std::uint32_t assoc : {2u, 4u, 8u}) {
+    for (std::uint32_t assoc : {1u, 2u, 3u, 4u, 6u, 8u, 16u}) {
         const CacheParams p = smallCache(16ULL * 64 * assoc, assoc);
         Cache c(p, 31);
         ListLruCache ref(p, 31);
@@ -929,6 +939,46 @@ TEST(Cache, LruVictimsMatchReferenceModel)
         EXPECT_GT(c.stats().evictions, 0u);
         EXPECT_GT(c.stats().writebacks, 0u);
         EXPECT_GT(c.stats().injectedEvictions, 0u);
+    }
+}
+
+/** A hit on the MRU-memo way writes no recency, so the memo must
+ *  follow every use of a way. In a one-set cache, install-hit a way
+ *  that is not the memo's, or make a pollute(Install) fill, then hit
+ *  the way the memo held through access(), then miss until the set
+ *  has turned over: every victim must be the recency list's. */
+TEST(Cache, MruMemoFollowsInstallHitsAndPollutionFills)
+{
+    for (std::uint32_t assoc : {2u, 4u, 8u, 16u}) {
+        for (bool pollute : {false, true}) {
+            const CacheParams p = smallCache(64ULL * assoc, assoc);
+            Cache c(p, 3);
+            ListLruCache ref(p, 3);
+            for (Addr l = 0; l < assoc; ++l) {
+                c.access(64 * l, false, Owner::App);
+                ref.access(64 * l, false, Owner::App);
+            }
+            // The memo holds the last way filled; way 0 is LRU.
+            if (pollute) {
+                ASSERT_EQ(c.pollute(1, Cache::PollutionMode::Install),
+                          1u);
+                ref.pollute(1, Cache::PollutionMode::Install);
+            } else {
+                ASSERT_FALSE(c.install(0, Owner::Os));
+                ref.install(0, Owner::Os);
+            }
+            const Addr memo = 64 * (assoc - 1);
+            ASSERT_TRUE(c.access(memo, false, Owner::App).hit);
+            ref.access(memo, false, Owner::App);
+            for (Addr l = assoc; l < 2 * assoc; ++l) {
+                ASSERT_FALSE(c.access(64 * l, false, Owner::App).hit);
+                ref.access(64 * l, false, Owner::App);
+                for (Addr q = 0; q < 2 * assoc; ++q)
+                    ASSERT_EQ(c.probe(64 * q), ref.probe(64 * q))
+                        << assoc << "-way, pollute " << pollute
+                        << ": line " << q << " after miss " << l;
+            }
+        }
     }
 }
 
