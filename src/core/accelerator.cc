@@ -66,15 +66,6 @@ Accelerator::publishTelemetry() const
     }
 }
 
-const ServicePredictor &
-Accelerator::predictor(ServiceType type) const
-{
-    auto idx = static_cast<int>(type);
-    if (idx < 0 || idx >= numServiceTypes || !predictors[idx])
-        osp_panic("Accelerator: no predictor for service ", idx);
-    return *predictors[idx];
-}
-
 DetailLevel
 Accelerator::chooseLevel(ServiceType type)
 {

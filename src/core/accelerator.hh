@@ -36,9 +36,6 @@ class Accelerator : public ServiceController
     DetailLevel chooseLevel(ServiceType type) override;
     Prediction onServiceEnd(const IntervalOutcome &outcome) override;
 
-    /** Per-service predictor access (reports, tests). */
-    const ServicePredictor &predictor(ServiceType type) const;
-
     /**
      * Aggregate predictor statistics over all services. Note this
      * is a total: the per-service split of every field — including

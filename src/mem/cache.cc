@@ -179,12 +179,6 @@ Cache::accessSlow(std::uint32_t set, Addr tag, std::size_t base,
     return result;
 }
 
-bool
-Cache::install(Addr addr, Owner owner)
-{
-    return installCycled(std::span<const Addr>(&addr, 1), 1, owner) != 0;
-}
-
 std::uint64_t
 Cache::installCycled(std::span<const Addr> sample,
                      std::uint64_t count, Owner owner)
@@ -338,24 +332,6 @@ Cache::pollute(std::uint64_t count, PollutionMode mode)
         ++affected;
     }
     return affected;
-}
-
-void
-Cache::flush()
-{
-    for (Line &line : lines) {
-        line.valid = false;
-        line.dirty = false;
-    }
-    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
-    std::fill(ages_.begin(), ages_.end(), 0);
-    std::fill(mruWay_.begin(), mruWay_.end(), 0u);
-    validLines_[0] = 0;
-    validLines_[1] = 0;
-    // With every line invalid this state is unobservable; rewinding
-    // it makes a reused cache's recency and synthetic tags
-    // independent of prior-run history (see header comment).
-    syntheticTag = 0;
 }
 
 } // namespace osp

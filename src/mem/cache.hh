@@ -61,15 +61,6 @@ struct CacheStats
     }
 
     std::uint64_t totalMisses() const { return misses[0] + misses[1]; }
-
-    double
-    missRateFor(Owner owner) const
-    {
-        auto i = static_cast<int>(owner);
-        return accesses[i] ? static_cast<double>(misses[i]) /
-                                 static_cast<double>(accesses[i])
-                           : 0.0;
-    }
 };
 
 /**
@@ -171,39 +162,20 @@ class Cache
     std::uint64_t pollute(std::uint64_t count, PollutionMode mode);
 
     /**
-     * Silently make @p addr resident on behalf of a skipped OS
-     * service (footprint-faithful pollution): a hit refreshes LRU, a
-     * miss fills the victim slot. No access/miss statistics are
-     * touched; evictions count as injected. installCycled() of a
-     * one-line sample.
+     * Silently make the first @p count entries of @p sample cycled
+     * (sample[k % sample.size()]) resident, in order, on behalf of a
+     * skipped OS service (footprint-faithful pollution); an empty
+     * sample installs nothing. Per line: a hit refreshes LRU, a miss
+     * fills the victim slot; no access/miss statistics are touched,
+     * and evictions count as injected. One loop per footprint,
+     * specialised to the associativity (2, 4, 8 and 16 ways, and a
+     * generic loop), with the fill, eviction and residency counts in
+     * locals written back once per call.
      *
-     * @return true if the line was filled (was not resident).
-     */
-    bool install(Addr addr, Owner owner);
-
-    /**
-     * install() the first @p count entries of @p sample cycled
-     * (sample[k % sample.size()]), in order; an empty sample
-     * installs nothing. One loop per footprint, specialised to the
-     * associativity (2, 4, 8 and 16 ways, and a generic loop), with
-     * the fill, eviction and residency counts in locals written back
-     * once per call.
-     *
-     * @return number of lines filled (install() returned true).
+     * @return number of lines filled (were not resident).
      */
     std::uint64_t installCycled(std::span<const Addr> sample,
                                 std::uint64_t count, Owner owner);
-
-    /**
-     * Invalidate everything (cold-start). Statistics survive. Also
-     * clears the LRU age matrices, the MRU-way memos and the
-     * synthetic-tag allocator: with no valid lines left, none of
-     * that state is observable, and resetting it makes a flushed
-     * cache replay exactly like a freshly constructed one (the
-     * pollution RNG is the one deliberate exception: flushing does
-     * not rewind its draws).
-     */
-    void flush();
 
     /** Number of currently valid lines owned by @p owner (O(1):
      *  tracked incrementally). */
@@ -222,9 +194,6 @@ class Cache
 
     /** Accumulated statistics. */
     const CacheStats &stats() const { return stats_; }
-
-    /** Reset statistics (contents survive). */
-    void resetStats() { stats_ = CacheStats(); }
 
     /** Geometry accessors. */
     std::uint32_t numSets() const { return numSets_; }

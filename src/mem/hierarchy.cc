@@ -81,39 +81,14 @@ MemoryHierarchy::installFootprint(std::span<const Addr> sample,
 HierarchyCounts
 MemoryHierarchy::counts() const
 {
-    HierarchyCounts c = countsFor(Owner::App);
-    return c += countsFor(Owner::Os);
-}
-
-HierarchyCounts
-MemoryHierarchy::countsFor(Owner owner) const
-{
-    auto i = static_cast<int>(owner);
     HierarchyCounts c;
-    c.l1iAccesses = l1i_.stats().accesses[i];
-    c.l1iMisses = l1i_.stats().misses[i];
-    c.l1dAccesses = l1d_.stats().accesses[i];
-    c.l1dMisses = l1d_.stats().misses[i];
-    c.l2Accesses = l2_.stats().accesses[i];
-    c.l2Misses = l2_.stats().misses[i];
+    c.l1iAccesses = l1i_.stats().totalAccesses();
+    c.l1iMisses = l1i_.stats().totalMisses();
+    c.l1dAccesses = l1d_.stats().totalAccesses();
+    c.l1dMisses = l1d_.stats().totalMisses();
+    c.l2Accesses = l2_.stats().totalAccesses();
+    c.l2Misses = l2_.stats().totalMisses();
     return c;
-}
-
-void
-MemoryHierarchy::flushAll()
-{
-    for (Cache *c : {&l1i_, &l1d_, &l2_, itlb_.get(), dtlb_.get()})
-        if (c)
-            c->flush();
-    busFreeAt = 0;
-}
-
-void
-MemoryHierarchy::resetStats()
-{
-    for (Cache *c : {&l1i_, &l1d_, &l2_, itlb_.get(), dtlb_.get()})
-        if (c)
-            c->resetStats();
 }
 
 } // namespace osp

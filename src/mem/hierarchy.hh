@@ -183,13 +183,14 @@ class MemoryHierarchy
 
     /**
      * Footprint-faithful pollution: silently make the addresses a
-     * skipped OS service touched resident (see Cache::install) —
-     * the first @p count entries of @p sample, cycled, in the right
-     * L1, the L2 and the matching TLB. Each level takes the whole
-     * sample in turn (L1, then L2, then TLB): the levels share no
-     * state, and each still sees the same addresses in the same
-     * order, so this equals installing line by line through all
-     * three while walking each level's sets in one sweep.
+     * skipped OS service touched resident (see
+     * Cache::installCycled) — the first @p count entries of
+     * @p sample, cycled, in the right L1, the L2 and the matching
+     * TLB. Each level takes the whole sample in turn (L1, then L2,
+     * then TLB): the levels share no state, and each still sees the
+     * same addresses in the same order, so this equals installing
+     * line by line through all three while walking each level's
+     * sets in one sweep.
      */
     InstallOutcome installFootprint(std::span<const Addr> sample,
                                     std::uint64_t count, bool is_code,
@@ -197,9 +198,6 @@ class MemoryHierarchy
 
     /** Total (both-owner) counter snapshot, for interval deltas. */
     HierarchyCounts counts() const;
-
-    /** Per-owner counter snapshot. */
-    HierarchyCounts countsFor(Owner owner) const;
 
     const Cache &l1i() const { return l1i_; }
     const Cache &l1d() const { return l1d_; }
@@ -210,12 +208,6 @@ class MemoryHierarchy
     const Cache *dtlb() const { return dtlb_.get(); }
 
     const HierarchyParams &params() const { return params_; }
-
-    /** Drop all cached contents (statistics survive). */
-    void flushAll();
-
-    /** Zero all statistics (contents survive). */
-    void resetStats();
 
   private:
     HierarchyParams params_;

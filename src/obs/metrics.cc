@@ -93,15 +93,4 @@ MetricsSnapshot::counterValue(std::string_view component,
     return 0;
 }
 
-const HistogramEntry *
-MetricsSnapshot::findHistogram(std::string_view component,
-                               std::string_view name) const
-{
-    for (const auto &h : histograms) {
-        if (h.component == component && h.name == name)
-            return &h;
-    }
-    return nullptr;
-}
-
 } // namespace osp::obs

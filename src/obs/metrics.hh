@@ -164,11 +164,6 @@ struct MetricsSnapshot
     /** Counter value lookup (tests, aggregation); 0 when absent. */
     std::uint64_t counterValue(std::string_view component,
                                std::string_view name) const;
-
-    /** Histogram lookup by (component, name); nullptr when absent. */
-    const HistogramEntry *
-    findHistogram(std::string_view component,
-                  std::string_view name) const;
 };
 
 /** See file comment. */

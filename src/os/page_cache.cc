@@ -23,9 +23,7 @@ PageCache::PageCache(const PageCache &other)
       poolFrames(other.poolFrames),
       nextFrame(other.nextFrame),
       frameInUse(other.frameInUse),
-      lru(other.lru),
-      hits_(other.hits_),
-      misses_(other.misses_)
+      lru(other.lru)
 {
     for (auto it = lru.begin(); it != lru.end(); ++it)
         map.emplace(it->key, it);
@@ -48,11 +46,8 @@ std::optional<Addr>
 PageCache::lookup(std::uint32_t file, std::uint32_t page)
 {
     auto it = map.find(key(file, page));
-    if (it == map.end()) {
-        ++misses_;
+    if (it == map.end())
         return std::nullopt;
-    }
-    ++hits_;
     lru.splice(lru.begin(), lru, it->second);
     return frameBase + 4096ULL * it->second->frame;
 }
@@ -83,20 +78,6 @@ PageCache::fill(std::uint32_t file, std::uint32_t page)
     map[k] = lru.begin();
     result.frameAddr = frameBase + 4096ULL * frame;
     return result;
-}
-
-void
-PageCache::invalidateFile(std::uint32_t file)
-{
-    for (auto it = lru.begin(); it != lru.end();) {
-        if ((it->key >> 32) == file) {
-            frameInUse[it->frame] = false;
-            map.erase(it->key);
-            it = lru.erase(it);
-        } else {
-            ++it;
-        }
-    }
 }
 
 } // namespace osp

@@ -69,9 +69,6 @@ class PageCache
      */
     FillResult fill(std::uint32_t file, std::uint32_t page);
 
-    /** Drop every page of @p file (e.g. on truncate). */
-    void invalidateFile(std::uint32_t file);
-
     /** Number of resident pages. */
     std::uint32_t residentPages() const
     {
@@ -79,10 +76,6 @@ class PageCache
     }
 
     std::uint32_t capacity() const { return capacityPages; }
-
-    /** Lifetime lookup hits / misses (lookup() only). */
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
 
   private:
     static std::uint64_t
@@ -108,8 +101,6 @@ class PageCache
     /** MRU at front. */
     std::list<Entry> lru;
     std::unordered_map<std::uint64_t, std::list<Entry>::iterator> map;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
 };
 
 } // namespace osp

@@ -39,8 +39,7 @@ Vfs::Vfs(const Vfs &other)
     : params(other.params),
       files(other.files),
       dirs(other.dirs),
-      dentryLru(other.dentryLru),
-      evictions(other.evictions)
+      dentryLru(other.dentryLru)
 {
     for (auto it = dentryLru.begin(); it != dentryLru.end(); ++it)
         dentryMap.emplace(*it, it);
@@ -97,7 +96,6 @@ Vfs::touchDentry(std::uint64_t key)
         std::uint64_t victim = dentryLru.back();
         dentryLru.pop_back();
         dentryMap.erase(victim);
-        ++evictions;
     }
     dentryLru.push_front(key);
     dentryMap[key] = dentryLru.begin();

@@ -79,9 +79,6 @@ class Vfs
      */
     std::uint32_t resolve(std::uint32_t file);
 
-    /** Total dentry-cache insertions that evicted an entry. */
-    std::uint64_t dentryEvictions() const { return evictions; }
-
   private:
     struct FileInfo
     {
@@ -101,7 +98,6 @@ class Vfs
     std::unordered_map<std::uint64_t,
                        std::list<std::uint64_t>::iterator>
         dentryMap;
-    std::uint64_t evictions = 0;
 };
 
 } // namespace osp

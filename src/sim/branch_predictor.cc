@@ -6,12 +6,11 @@ namespace osp
 {
 
 GshareBp::GshareBp(std::uint32_t history_bits)
-    : historyBits(history_bits)
 {
     if (history_bits == 0 || history_bits > 24)
         osp_fatal("GshareBp: history bits must be in [1, 24]");
-    mask = (1u << historyBits) - 1;
-    counters.assign(1u << historyBits, 1);  // weakly not-taken
+    mask = (1u << history_bits) - 1;
+    counters.assign(1u << history_bits, 1);  // weakly not-taken
 }
 
 std::uint32_t
@@ -21,21 +20,11 @@ GshareBp::index(Addr pc) const
 }
 
 bool
-GshareBp::predict(Addr pc) const
-{
-    return counters[index(pc)] >= 2;
-}
-
-bool
 GshareBp::predictAndUpdate(Addr pc, bool taken)
 {
     std::uint32_t idx = index(pc);
     bool prediction = counters[idx] >= 2;
     bool correct = (prediction == taken);
-
-    ++lookups_;
-    if (!correct)
-        ++mispredicts_;
 
     if (taken && counters[idx] < 3)
         ++counters[idx];
@@ -44,15 +33,6 @@ GshareBp::predictAndUpdate(Addr pc, bool taken)
 
     history = ((history << 1) | (taken ? 1u : 0u)) & mask;
     return correct;
-}
-
-void
-GshareBp::reset()
-{
-    counters.assign(counters.size(), 1);
-    history = 0;
-    lookups_ = 0;
-    mispredicts_ = 0;
 }
 
 } // namespace osp

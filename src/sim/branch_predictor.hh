@@ -31,42 +31,18 @@ class GshareBp
      *  2^history_bits counters. */
     explicit GshareBp(std::uint32_t history_bits = 12);
 
-    /** Predict the direction of the branch at @p pc. */
-    bool predict(Addr pc) const;
-
     /**
      * Update with the architectural outcome and return whether the
      * prediction (made with the pre-update state) was correct.
      */
     bool predictAndUpdate(Addr pc, bool taken);
 
-    /** Number of predictions made via predictAndUpdate(). */
-    std::uint64_t lookups() const { return lookups_; }
-
-    /** Number of those that were wrong. */
-    std::uint64_t mispredicts() const { return mispredicts_; }
-
-    /** Misprediction ratio (0 when no lookups yet). */
-    double
-    mispredictRate() const
-    {
-        return lookups_ ? static_cast<double>(mispredicts_) /
-                              static_cast<double>(lookups_)
-                        : 0.0;
-    }
-
-    /** Clear tables, history and statistics. */
-    void reset();
-
   private:
     std::uint32_t index(Addr pc) const;
 
-    std::uint32_t historyBits;
     std::uint32_t mask;
     std::uint32_t history = 0;
     std::vector<std::uint8_t> counters;
-    std::uint64_t lookups_ = 0;
-    std::uint64_t mispredicts_ = 0;
 };
 
 } // namespace osp

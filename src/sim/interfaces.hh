@@ -159,12 +159,9 @@ class KernelIface
      * Machine uses this to skip the per-instruction
      * pendingInterrupt() poll: it only polls once the count reaches
      * the bound, and refreshes the bound after every service
-     * invocation (which may schedule earlier events). Returning 0 —
-     * the conservative default — restores the poll-every-op
-     * behaviour, so implementations that cannot cheaply answer stay
-     * correct.
+     * invocation (which may schedule earlier events).
      */
-    virtual InstCount nextInterruptAt() const { return 0; }
+    virtual InstCount nextInterruptAt() const = 0;
 
     /**
      * Page granularity of touchUserPage(): implementations must

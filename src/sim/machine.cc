@@ -393,9 +393,7 @@ Machine::runLoop(EngineT *eng, InstCount max_insts, bool warmup_only)
 
     // Earliest pending interrupt: polled per instruction only once
     // the retired count reaches it, refreshed after every service
-    // invocation (which may schedule earlier events). The default
-    // KernelIface hint of 0 degenerates to the poll-every-op
-    // behaviour this loop replaced.
+    // invocation (which may schedule earlier events).
     constexpr InstCount kNever = ~InstCount(0);
     InstCount irq_due = kNever;
     auto refreshIrq = [&] {

@@ -31,17 +31,4 @@ serviceName(ServiceType type)
               static_cast<int>(type));
 }
 
-bool
-isInterrupt(ServiceType type)
-{
-    switch (type) {
-      case ServiceType::IntDisk:
-      case ServiceType::IntNic:
-      case ServiceType::IntTimer:
-        return true;
-      default:
-        return false;
-    }
-}
-
 } // namespace osp

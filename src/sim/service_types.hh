@@ -53,10 +53,6 @@ inline constexpr int numServiceTypes =
 /** Linux-style display name, e.g. "sys_read" or "Int_239". */
 const char *serviceName(ServiceType type);
 
-/** True for asynchronous services (interrupts), false for system
- *  calls and synchronous exceptions. */
-bool isInterrupt(ServiceType type);
-
 /** Arguments passed from user mode on a syscall; the meaning of each
  *  register is service-specific (like x86 EBX/ECX/EDX). */
 struct SyscallArgs

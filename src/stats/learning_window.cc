@@ -7,47 +7,6 @@
 namespace osp
 {
 
-double
-probOccursAtLeastOnce(double p, std::uint64_t n)
-{
-    if (p <= 0.0)
-        return 0.0;
-    if (p >= 1.0)
-        return n >= 1 ? 1.0 : 0.0;
-    return 1.0 - std::pow(1.0 - p, static_cast<double>(n));
-}
-
-double
-binomialPmf(std::uint64_t n, std::uint64_t k, double p)
-{
-    if (k > n)
-        return 0.0;
-    if (p <= 0.0)
-        return k == 0 ? 1.0 : 0.0;
-    if (p >= 1.0)
-        return k == n ? 1.0 : 0.0;
-    double log_pmf = std::lgamma(static_cast<double>(n) + 1.0) -
-                     std::lgamma(static_cast<double>(k) + 1.0) -
-                     std::lgamma(static_cast<double>(n - k) + 1.0) +
-                     static_cast<double>(k) * std::log(p) +
-                     static_cast<double>(n - k) * std::log(1.0 - p);
-    return std::exp(log_pmf);
-}
-
-double
-binomialTailAtLeast(std::uint64_t n, std::uint64_t k, double p)
-{
-    if (k == 0)
-        return 1.0;
-    // P(X >= k) = 1 - P(X <= k-1); sum whichever side is shorter.
-    double cdf = 0.0;
-    for (std::uint64_t i = 0; i < k; ++i)
-        cdf += binomialPmf(n, i, p);
-    if (cdf > 1.0)
-        cdf = 1.0;
-    return 1.0 - cdf;
-}
-
 std::uint64_t
 learningWindowSize(double p_min, double doc)
 {

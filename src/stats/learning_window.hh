@@ -24,18 +24,6 @@
 namespace osp
 {
 
-/** Probability that an event with per-trial probability p occurs at
- *  least once in n independent trials: 1 - (1-p)^n (Eq. 2). */
-double probOccursAtLeastOnce(double p, std::uint64_t n);
-
-/** Binomial probability mass: P(exactly k successes in n trials with
- *  per-trial probability p) (Eq. 1). Computed in log space so large n
- *  does not overflow. */
-double binomialPmf(std::uint64_t n, std::uint64_t k, double p);
-
-/** Binomial upper tail: P(at least k successes in n trials). */
-double binomialTailAtLeast(std::uint64_t n, std::uint64_t k, double p);
-
 /**
  * Smallest learning window N such that a cluster with probability of
  * occurrence >= p_min is seen at least once with probability >= doc

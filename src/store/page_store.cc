@@ -701,16 +701,6 @@ ReadTx::scan(std::string_view prefix,
     }
 }
 
-std::uint64_t
-ReadTx::size() const
-{
-    auto index = store_->decodeRoot(*view_, root_);
-    std::uint64_t keys = 0;
-    for (const auto &[first, leaf] : index)
-        keys += store_->readHeader(*view_, leaf).count;
-    return keys;
-}
-
 WriteTx
 PageStore::beginWrite()
 {
@@ -850,27 +840,6 @@ WriteTx::get(std::string_view key) const
             break;
     }
     return std::nullopt;
-}
-
-void
-WriteTx::scan(std::string_view prefix,
-              const std::function<bool(std::string_view,
-                                       std::string_view)> &fn) const
-{
-    std::size_t num_leaves = rootIndex_.size();
-    if (num_leaves == 0 && !leaves_.empty())
-        num_leaves = 1;
-    for (std::size_t i = 0; i < num_leaves; ++i) {
-        const Leaf &leaf = loadLeaf(i);
-        for (const auto &[k, v] : leaf.records) {
-            if (startsWith(k, prefix)) {
-                if (!fn(k, v))
-                    return;
-            } else if (k > prefix) {
-                return;
-            }
-        }
-    }
 }
 
 void

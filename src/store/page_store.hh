@@ -187,9 +187,6 @@ class ReadTx
               const std::function<bool(std::string_view,
                                        std::string_view)> &fn) const;
 
-    /** Number of keys in the snapshot. */
-    std::uint64_t size() const;
-
     std::uint64_t txid() const { return txid_; }
 
   private:
@@ -226,11 +223,6 @@ class WriteTx
 
     /** Read through the transaction (sees staged writes). */
     std::optional<std::string> get(std::string_view key) const;
-
-    /** scan() over the staged state, in key order. */
-    void scan(std::string_view prefix,
-              const std::function<bool(std::string_view,
-                                       std::string_view)> &fn) const;
 
     /**
      * Write everything out with crash-safe ordering and publish the

@@ -1,19 +1,12 @@
 #include "plt_archive.hh"
 
-#include "util/hash.hh"
-
 namespace osp::store
 {
-
-namespace
-{
-constexpr std::string_view pltPrefix = "plt/";
-}
 
 std::string
 PltArchive::key(std::string_view workload)
 {
-    std::string k(pltPrefix);
+    std::string k("plt/");
     k.append(workload);
     return k;
 }
@@ -30,32 +23,6 @@ std::optional<std::string>
 PltArchive::load(std::string_view workload) const
 {
     return store_.beginRead().get(key(workload));
-}
-
-std::vector<PltArchiveEntry>
-PltArchive::list() const
-{
-    std::vector<PltArchiveEntry> entries;
-    store_.beginRead().scan(
-        pltPrefix,
-        [&](std::string_view k, std::string_view v) {
-            PltArchiveEntry e;
-            e.workload = std::string(k.substr(pltPrefix.size()));
-            e.profileHash = stableHash64(v);
-            e.bytes = v.size();
-            entries.push_back(std::move(e));
-            return true;
-        });
-    return entries;
-}
-
-bool
-PltArchive::remove(std::string_view workload)
-{
-    WriteTx tx = store_.beginWrite();
-    bool erased = tx.erase(key(workload));
-    tx.commit();
-    return erased;
 }
 
 } // namespace osp::store

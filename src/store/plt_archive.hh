@@ -27,24 +27,14 @@
 #ifndef OSP_STORE_PLT_ARCHIVE_HH
 #define OSP_STORE_PLT_ARCHIVE_HH
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "page_store.hh"
 
 namespace osp::store
 {
-
-/** One archived profile (listing view). */
-struct PltArchiveEntry
-{
-    std::string workload;
-    std::uint64_t profileHash = 0;  //!< stableHash64(profile text)
-    std::size_t bytes = 0;
-};
 
 /**
  * Typed accessors for the "plt/" keyspace of a PageStore. Stateless;
@@ -62,12 +52,6 @@ class PltArchive
 
     /** The archived profile for @p workload, or nullopt. */
     std::optional<std::string> load(std::string_view workload) const;
-
-    /** Every archived profile, in workload order. */
-    std::vector<PltArchiveEntry> list() const;
-
-    /** Remove the profile for @p workload; false when absent. */
-    bool remove(std::string_view workload);
 
     /** The store key that holds @p workload's profile. */
     static std::string key(std::string_view workload);

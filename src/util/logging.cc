@@ -16,12 +16,6 @@ setLogLevel(LogLevel level)
     globalLevel = level;
 }
 
-LogLevel
-logLevel()
-{
-    return globalLevel;
-}
-
 namespace detail
 {
 
@@ -48,15 +42,6 @@ warnImpl(const std::string &msg)
 {
     if (static_cast<int>(globalLevel) >= static_cast<int>(LogLevel::Warn))
         std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string &msg)
-{
-    if (static_cast<int>(globalLevel) >=
-        static_cast<int>(LogLevel::Inform)) {
-        std::fprintf(stdout, "info: %s\n", msg.c_str());
-    }
 }
 
 } // namespace detail

@@ -8,7 +8,6 @@
  *            (bad configuration, invalid arguments); exits with 1.
  * warn()   - something works well enough but may explain odd
  *            behaviour observed later.
- * inform() - normal operating status the user should see.
  */
 
 #ifndef OSP_UTIL_LOGGING_HH
@@ -24,17 +23,14 @@ namespace osp
 /** Verbosity levels accepted by setLogLevel(). */
 enum class LogLevel
 {
-    Silent = 0,  //!< suppress warn() and inform()
-    Warn = 1,    //!< show warn() only
-    Inform = 2,  //!< show warn() and inform()
+    Silent = 0,  //!< suppress warn()
+    Warn = 1,    //!< show warn()
+    Inform = 2,  //!< show warn() (the default; nothing prints more)
 };
 
-/** Set the global verbosity for warn()/inform(). panic()/fatal()
- *  always print. */
+/** Set the global verbosity for warn(). panic()/fatal() always
+ *  print. */
 void setLogLevel(LogLevel level);
-
-/** Current global verbosity. */
-LogLevel logLevel();
 
 namespace detail
 {
@@ -54,7 +50,6 @@ concat(Args &&...args)
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 } // namespace detail
 
@@ -74,14 +69,6 @@ void
 warn(Args &&...args)
 {
     detail::warnImpl(detail::concat(std::forward<Args>(args)...));
-}
-
-/** Print an informational status message. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::informImpl(detail::concat(std::forward<Args>(args)...));
 }
 
 } // namespace osp

@@ -84,8 +84,8 @@ class Pcg32
 
     /**
      * Re-initialize with a new (seed, stream) pair: afterwards the
-     * generator equals Pcg32(seed, stream), including the Box-Muller
-     * spare and the range/geometric memos.
+     * generator equals Pcg32(seed, stream), including the
+     * range/geometric memos.
      */
     void
     reseed(std::uint64_t seed, std::uint64_t stream = 0)
@@ -269,36 +269,6 @@ class Pcg32
         return next() < threshold;
     }
 
-    /** Normally distributed double (Box-Muller, one value per call). */
-    double
-    gaussian(double mean = 0.0, double stddev = 1.0)
-    {
-        if (haveSpare) {
-            haveSpare = false;
-            return mean + stddev * spare;
-        }
-        double u, v, s;
-        do {
-            u = uniform(-1.0, 1.0);
-            v = uniform(-1.0, 1.0);
-            s = u * u + v * v;
-        } while (s >= 1.0 || s == 0.0);
-        double mul = std::sqrt(-2.0 * std::log(s) / s);
-        spare = v * mul;
-        haveSpare = true;
-        return mean + stddev * u * mul;
-    }
-
-    /** Exponentially distributed double with the given mean. */
-    double
-    exponential(double mean)
-    {
-        double u = uniform();
-        if (u <= 0.0)
-            u = 1e-12;
-        return -mean * std::log(u);
-    }
-
     /**
      * Geometrically distributed trial count (>= 1) with success
      * probability p. Used for dependency-distance sampling.
@@ -473,8 +443,6 @@ class Pcg32
 
     std::uint64_t state = 0;
     std::uint64_t inc = 0;
-    bool haveSpare = false;
-    double spare = 0.0;
     RangeDraw rangeMemo;         //!< memoized range() bound
     std::uint32_t rangeLast = 0;  //!< bound of the previous range()
     double geomP = -1.0;

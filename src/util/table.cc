@@ -71,20 +71,4 @@ TablePrinter::print(std::ostream &os) const
         emit(row);
 }
 
-void
-TablePrinter::printCsv(std::ostream &os) const
-{
-    auto emit = [&](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            os << row[c];
-            if (c + 1 < row.size())
-                os << ',';
-        }
-        os << '\n';
-    };
-    emit(header);
-    for (const auto &row : rows)
-        emit(row);
-}
-
 } // namespace osp

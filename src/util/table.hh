@@ -1,10 +1,10 @@
 /**
  * @file
- * Aligned-column table and CSV emission for benchmark harnesses.
+ * Aligned-column tables for benchmark harnesses.
  *
  * Every bench binary regenerates one figure or table of the paper;
- * TablePrinter renders the rows the paper reports in a form that is
- * readable on a terminal and trivially machine-parsable as CSV.
+ * TablePrinter renders the rows the paper reports in aligned
+ * columns readable on a terminal.
  */
 
 #ifndef OSP_UTIL_TABLE_HH
@@ -44,9 +44,6 @@ class TablePrinter
 
     /** Render with aligned columns and a header separator. */
     void print(std::ostream &os) const;
-
-    /** Render as comma-separated values (header + rows). */
-    void printCsv(std::ostream &os) const;
 
     /** Number of data rows added so far. */
     std::size_t numRows() const { return rows.size(); }

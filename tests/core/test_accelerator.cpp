@@ -91,15 +91,5 @@ TEST(Accelerator, AggregateStatsSumAcrossServices)
     EXPECT_EQ(stats.learnedRuns, 0u);
 }
 
-TEST(Accelerator, PredictorAccessor)
-{
-    Accelerator accel(fastParams());
-    accel.chooseLevel(ServiceType::SysPoll);
-    EXPECT_EQ(accel.predictor(ServiceType::SysPoll).learningWindow(),
-              3u);
-    EXPECT_DEATH(accel.predictor(ServiceType::SysBrk),
-                 "no predictor");
-}
-
 } // namespace
 } // namespace osp

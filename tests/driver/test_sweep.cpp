@@ -11,6 +11,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 
 #include "core/accelerator.hh"
@@ -437,6 +438,18 @@ TEST(RunSweep, TelemetryPreservesThreadCountInvariance)
     EXPECT_NE(t1.str().find("traceEvents"), std::string::npos);
 }
 
+/** The histogram (@p component, @p name) of @p m; nullptr when
+ *  absent. */
+const obs::HistogramEntry *
+findHistogram(const obs::MetricsSnapshot &m, std::string_view component,
+              std::string_view name)
+{
+    for (const auto &h : m.histograms)
+        if (h.component == component && h.name == name)
+            return &h;
+    return nullptr;
+}
+
 /**
  * Check that every machine.* and predictor.<service>.* instrument
  * of @p r's telemetry equals what it is published from: the run
@@ -456,7 +469,7 @@ expectTelemetryMatchesFields(const CellResult &r)
     EXPECT_EQ(machine("services_detailed"), t.osSimulated) << what;
     EXPECT_EQ(machine("services_predicted"), t.osPredicted) << what;
     const obs::HistogramEntry *service_insts =
-        m.findHistogram("machine", "service_insts");
+        findHistogram(m, "machine", "service_insts");
     ASSERT_NE(service_insts, nullptr) << what;
     EXPECT_EQ(service_insts->count, t.osInvocations) << what;
     EXPECT_EQ(service_insts->sum, t.osInsts) << what;
@@ -526,7 +539,7 @@ expectTelemetryMatchesFields(const CellResult &r)
         EXPECT_EQ(g.value, static_cast<double>(created[g.component]))
             << what << " " << g.component;
         const obs::HistogramEntry *h =
-            m.findHistogram(g.component, "predicted_insts");
+            findHistogram(m, g.component, "predicted_insts");
         ASSERT_NE(h, nullptr) << what << " " << g.component;
         EXPECT_EQ(h->count,
                   m.counterValue(g.component, "predicted_runs"))

@@ -114,11 +114,13 @@ TEST(Hierarchy, PerOwnerCounts)
     MemoryHierarchy h(tinyParams());
     h.access(0x0, AccessType::Load, Owner::App, 0);
     h.access(0x1000, AccessType::Load, Owner::Os, 0);
-    auto app = h.countsFor(Owner::App);
-    auto os = h.countsFor(Owner::Os);
-    EXPECT_EQ(app.l1dAccesses, 1u);
-    EXPECT_EQ(os.l1dAccesses, 1u);
-    EXPECT_EQ(app.l1dMisses, 1u);
+    const CacheStats &l1d = h.l1d().stats();
+    const auto app = static_cast<int>(Owner::App);
+    const auto os = static_cast<int>(Owner::Os);
+    EXPECT_EQ(l1d.accesses[app], 1u);
+    EXPECT_EQ(l1d.accesses[os], 1u);
+    EXPECT_EQ(l1d.misses[app], 1u);
+    EXPECT_EQ(h.counts().l1dAccesses, 2u);
 }
 
 TEST(Hierarchy, ProbeL1MatchesResidency)
@@ -236,16 +238,6 @@ TEST(Hierarchy, FootprintInstallMatchesPerLineLoop)
         demand(500);
     }
     expectSameHierarchy(batched, per_line);
-}
-
-TEST(Hierarchy, FlushAllDropsContents)
-{
-    MemoryHierarchy h(tinyParams());
-    h.access(0x0, AccessType::Load, Owner::App, 0);
-    h.flushAll();
-    auto res = h.access(0x0, AccessType::Load, Owner::App, 0);
-    EXPECT_TRUE(res.l1Miss);
-    EXPECT_TRUE(res.l2Miss);
 }
 
 TEST(Hierarchy, DefaultParamsMatchPaper)

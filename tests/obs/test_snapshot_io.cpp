@@ -49,11 +49,12 @@ TEST(SnapshotIo, RoundTripIsByteStable)
     EXPECT_EQ(back.counterValue("cache", "hits"), 7u);
     ASSERT_EQ(back.gauges.size(), 1u);
     EXPECT_DOUBLE_EQ(back.gauges[0].value, 0.75);
-    const HistogramEntry *h =
-        back.findHistogram("intervals", "length");
-    ASSERT_NE(h, nullptr);
-    EXPECT_EQ(h->count, 5u);
-    EXPECT_EQ(h->sum, 1011u);
+    ASSERT_EQ(back.histograms.size(), 1u);
+    const HistogramEntry &h = back.histograms[0];
+    EXPECT_EQ(h.component, "intervals");
+    EXPECT_EQ(h.name, "length");
+    EXPECT_EQ(h.count, 5u);
+    EXPECT_EQ(h.sum, 1011u);
 }
 
 TEST(SnapshotIo, EmptySnapshotRoundTrips)

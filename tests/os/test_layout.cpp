@@ -89,18 +89,13 @@ TEST(ServiceProfiles, CopyLoopHasTinyFootprint)
               svc.base + svc.size);
 }
 
-TEST(ServiceTypes, NamesAndInterruptFlags)
+TEST(ServiceTypes, Names)
 {
     EXPECT_STREQ(serviceName(ServiceType::SysRead), "sys_read");
     EXPECT_STREQ(serviceName(ServiceType::IntTimer), "Int_239");
     EXPECT_STREQ(serviceName(ServiceType::IntNic), "Int_121");
     EXPECT_STREQ(serviceName(ServiceType::IntDisk), "Int_49");
     EXPECT_STREQ(serviceName(ServiceType::IntPageFault), "Int_14");
-    EXPECT_TRUE(isInterrupt(ServiceType::IntTimer));
-    EXPECT_TRUE(isInterrupt(ServiceType::IntNic));
-    EXPECT_TRUE(isInterrupt(ServiceType::IntDisk));
-    EXPECT_FALSE(isInterrupt(ServiceType::IntPageFault));
-    EXPECT_FALSE(isInterrupt(ServiceType::SysRead));
 }
 
 } // namespace

@@ -1,5 +1,4 @@
-/** @file Tests for the binomial learning-window analysis (Sec. 4.3,
- *  Fig. 7). */
+/** @file Tests for the learning-window size of Sec. 4.3 (Fig. 7). */
 
 #include <gtest/gtest.h>
 
@@ -11,6 +10,14 @@ namespace osp
 {
 namespace
 {
+
+/** Eq. 2: the probability that an event of per-trial probability
+ *  @p p occurs at least once in @p n independent trials. */
+double
+probOccursAtLeastOnce(double p, std::uint64_t n)
+{
+    return 1.0 - std::pow(1.0 - p, static_cast<double>(n));
+}
 
 TEST(LearningWindow, PaperOperatingPoint95)
 {
@@ -55,61 +62,6 @@ TEST(LearningWindow, InvalidArgumentsDie)
     EXPECT_DEATH(learningWindowSize(1.0, 0.95), "p_min");
     EXPECT_DEATH(learningWindowSize(0.03, 0.0), "doc");
     EXPECT_DEATH(learningWindowSize(0.03, 1.0), "doc");
-}
-
-TEST(ProbOccurs, Extremes)
-{
-    EXPECT_DOUBLE_EQ(probOccursAtLeastOnce(0.0, 100), 0.0);
-    EXPECT_DOUBLE_EQ(probOccursAtLeastOnce(1.0, 1), 1.0);
-    EXPECT_DOUBLE_EQ(probOccursAtLeastOnce(0.5, 0), 0.0);
-}
-
-TEST(ProbOccurs, MatchesClosedForm)
-{
-    // 1 - (1-p)^n
-    EXPECT_NEAR(probOccursAtLeastOnce(0.5, 2), 0.75, 1e-12);
-    EXPECT_NEAR(probOccursAtLeastOnce(0.1, 10),
-                1.0 - std::pow(0.9, 10), 1e-12);
-}
-
-TEST(BinomialPmf, SumsToOne)
-{
-    double sum = 0.0;
-    for (std::uint64_t k = 0; k <= 20; ++k)
-        sum += binomialPmf(20, k, 0.3);
-    EXPECT_NEAR(sum, 1.0, 1e-9);
-}
-
-TEST(BinomialPmf, KnownValues)
-{
-    // C(4,2) * 0.5^4 = 6/16
-    EXPECT_NEAR(binomialPmf(4, 2, 0.5), 0.375, 1e-12);
-    EXPECT_NEAR(binomialPmf(3, 0, 0.2), 0.512, 1e-12);
-    EXPECT_DOUBLE_EQ(binomialPmf(3, 4, 0.2), 0.0);
-}
-
-TEST(BinomialPmf, DegenerateProbabilities)
-{
-    EXPECT_DOUBLE_EQ(binomialPmf(5, 0, 0.0), 1.0);
-    EXPECT_DOUBLE_EQ(binomialPmf(5, 3, 0.0), 0.0);
-    EXPECT_DOUBLE_EQ(binomialPmf(5, 5, 1.0), 1.0);
-    EXPECT_DOUBLE_EQ(binomialPmf(5, 4, 1.0), 0.0);
-}
-
-TEST(BinomialTail, AgreesWithAtLeastOnce)
-{
-    // Eq. 2 is the k >= 1 tail of Eq. 1.
-    for (double p : {0.01, 0.03, 0.1, 0.5}) {
-        for (std::uint64_t n : {1u, 10u, 100u}) {
-            EXPECT_NEAR(binomialTailAtLeast(n, 1, p),
-                        probOccursAtLeastOnce(p, n), 1e-9);
-        }
-    }
-}
-
-TEST(BinomialTail, AtLeastZeroIsCertain)
-{
-    EXPECT_DOUBLE_EQ(binomialTailAtLeast(10, 0, 0.3), 1.0);
 }
 
 /** Fig. 7 property: the curve the paper plots. */

@@ -88,7 +88,7 @@ TEST(RunningStats, MergeEqualsSequential)
     RunningStats a;
     RunningStats b;
     for (int i = 0; i < 500; ++i) {
-        double x = rng.gaussian(5.0, 3.0);
+        double x = rng.uniform(-4.0, 14.0);
         whole.add(x);
         (i < 200 ? a : b).add(x);
     }

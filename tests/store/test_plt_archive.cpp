@@ -13,7 +13,6 @@
 #include "driver/experiments.hh"
 #include "driver/sweep.hh"
 #include "store/plt_archive.hh"
-#include "util/hash.hh"
 
 namespace osp
 {
@@ -78,38 +77,6 @@ TEST_F(PltArchiveTest, SaveLoadRoundTrip)
     archive.save("du", "ospredict-profile v1\nnewer\n");
     EXPECT_EQ(archive.load("du"),
               "ospredict-profile v1\nnewer\n");
-}
-
-TEST_F(PltArchiveTest, ListIsSortedAndScopedToPltKeys)
-{
-    store::PltArchive archive(*store_);
-    archive.save("zz-last", "profile-z");
-    archive.save("aa-first", "profile-a");
-    {
-        // A foreign keyspace entry (what the cell cache writes)
-        // must not leak into the listing.
-        store::WriteTx tx = store_->beginWrite();
-        tx.put("cell/deadbeef/0123456789abcdef", "{}");
-        tx.commit();
-    }
-
-    auto entries = archive.list();
-    ASSERT_EQ(entries.size(), 2u);
-    EXPECT_EQ(entries[0].workload, "aa-first");
-    EXPECT_EQ(entries[0].profileHash, stableHash64("profile-a"));
-    EXPECT_EQ(entries[0].bytes, 9u);
-    EXPECT_EQ(entries[1].workload, "zz-last");
-}
-
-TEST_F(PltArchiveTest, RemoveDeletesOnlyItsWorkload)
-{
-    store::PltArchive archive(*store_);
-    archive.save("a", "pa");
-    archive.save("b", "pb");
-    EXPECT_TRUE(archive.remove("a"));
-    EXPECT_FALSE(archive.remove("a"));
-    EXPECT_EQ(archive.load("a"), std::nullopt);
-    EXPECT_EQ(archive.load("b"), "pb");
 }
 
 TEST_F(PltArchiveTest, KeyLayout)

@@ -30,15 +30,6 @@ TEST(TablePrinter, AlignsColumns)
     EXPECT_EQ(lines, 4);
 }
 
-TEST(TablePrinter, CsvOutput)
-{
-    TablePrinter t({"a", "b"});
-    t.addRow({"1", "2"});
-    std::ostringstream oss;
-    t.printCsv(oss);
-    EXPECT_EQ(oss.str(), "a,b\n1,2\n");
-}
-
 TEST(TablePrinter, FmtPrecision)
 {
     EXPECT_EQ(TablePrinter::fmt(3.14159, 2), "3.14");
