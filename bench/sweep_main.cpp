@@ -230,16 +230,14 @@ flagTable(Options &o)
          "merge this sweep's wall-clock into an ospredict-bench-v1 "
          "document (see tools/check_perf_baseline.py)",
          setText(o.benchJsonPath)},
-        {"--log-level", "{silent,warn,inform}",
-         "global verbosity (default inform)",
+        {"--log-level", "{silent,warn}",
+         "global verbosity (default warn)",
          [](const char *v) {
              std::string level = v;
              if (level == "silent")
                  setLogLevel(LogLevel::Silent);
              else if (level == "warn")
                  setLogLevel(LogLevel::Warn);
-             else if (level == "inform")
-                 setLogLevel(LogLevel::Inform);
              else
                  return false;
              return true;

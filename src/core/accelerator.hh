@@ -65,8 +65,6 @@ class Accelerator : public ServiceController
      */
     bool loadState(std::istream &is);
 
-    const PredictorParams &params() const { return params_; }
-
     /**
      * Attach a telemetry sink. Every per-service predictor (existing
      * and future) records trace events into it and routes

@@ -93,8 +93,6 @@ class PerfLookupTable
         return clusters;
     }
 
-    double rangeFrac() const { return rangeFrac_; }
-
     /** Serializable summaries of every regular cluster. */
     std::vector<ClusterSnapshot> snapshotAll() const;
 

@@ -90,7 +90,6 @@ class ScaledCluster
      */
     ServiceMetrics predict() const;
 
-    double centroid() const { return centroid_; }
     double rangeLo() const { return centroid_ * (1.0 - rangeFrac); }
     double rangeHi() const { return centroid_ * (1.0 + rangeFrac); }
     std::uint64_t count() const { return cycles_.count(); }
@@ -98,7 +97,6 @@ class ScaledCluster
     /** Per-metric member statistics (CV analyses, Fig. 6). */
     const RunningStats &cyclesStats() const { return cycles_; }
     const RunningStats &ipcStats() const { return ipc_; }
-    const RunningStats &instsStats() const { return insts_; }
 
   private:
     double rangeFrac;

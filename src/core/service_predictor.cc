@@ -340,7 +340,6 @@ ServicePredictor::restoreTable(
     auditWarming = false;
     consecutiveAuditFailures = 0;
     auditErr_.clear();
-    lastMatchedCluster_ = obs::accuracyNoCluster;
 }
 
 ServiceMetrics
@@ -376,18 +375,18 @@ ServicePredictor::predict(InstCount insts,
         trace(obs::TraceEventKind::ClusterMatch, r.cluster, insts);
     }
 
-    lastMatchedCluster_ = r.cluster;
-
     ServiceMetrics prediction;
     if (r.hasSource)
         prediction = r.metrics;
     prediction.insts = insts;
     if (telemetry_) {
         // Book the predicted-cycle mass under the producing cluster
-        // so end-to-end error can be attributed back to it.
+        // (for an outlier the closest one used) so end-to-end error
+        // can be attributed back to it. The index is the table's at
+        // this lookup; a later restoreTable() or drift reset starts
+        // a new index epoch.
         telemetry_->accuracy.notePrediction(
-            serviceIndex_, lastMatchedCluster_, prediction.cycles,
-            outlier);
+            serviceIndex_, r.cluster, prediction.cycles, outlier);
     }
     return prediction;
 }

@@ -135,14 +135,11 @@ class ServicePredictor
   public:
     explicit ServicePredictor(const PredictorParams &params);
 
-    /** Should the next invocation be fully simulated? (Pure query;
-     *  does not advance audit scheduling.) */
-    bool wantsDetail() const { return mode_ != Mode::Predicting; }
-
     /**
      * Decide how to run the next invocation, advancing the audit
-     * schedule: like wantsDetail(), but while predicting, every
-     * auditEvery-th call returns true to request an audit sample.
+     * schedule: true outside the prediction phase and, while
+     * predicting, on every auditEvery-th call to request an audit
+     * sample.
      */
     bool decideDetail();
 
@@ -163,29 +160,6 @@ class ServicePredictor
     ServiceMetrics predict(InstCount insts,
                            std::uint64_t invocation_index,
                            bool *was_outlier = nullptr);
-
-    /** Effective learning-window size in use. */
-    std::uint64_t learningWindow() const { return window; }
-
-    /**
-     * Index of the PLT cluster that produced the most recent
-     * predict(). Outlier predictions report the closest cluster
-     * actually used; obs::accuracyNoCluster when the table was
-     * empty. The index is resolved at lookup time — before any
-     * drift reset or re-learning can mutate the table — so this is
-     * what ties a prediction (and its audit outcome) back to a
-     * named entry in the accuracy ledger's error budget. Note it
-     * describes the table as it stood at that lookup: a later
-     * restoreTable()/drift reset starts a new index epoch.
-     */
-    std::uint32_t lastMatchedCluster() const
-    {
-        return lastMatchedCluster_;
-    }
-
-    /** The service's PLT (reports/benches that inspect
-     *  clusters). */
-    const PerfLookupTable &table() const { return plt_; }
 
     /** Serializable learned state (profile persistence). */
     std::vector<ClusterSnapshot> snapshotTable() const
@@ -250,6 +224,8 @@ class ServicePredictor
                  const std::string &component) const;
 
   private:
+    friend struct ServicePredictorTestPeer;
+
     enum class Mode
     {
         Warmup,
@@ -325,7 +301,6 @@ class ServicePredictor
     /** Per-cluster audit relative-error accumulators feeding the
      *  statistical drift trigger; cleared on learning entry. */
     std::map<std::uint32_t, RunningStats> auditErr_;
-    std::uint32_t lastMatchedCluster_ = obs::accuracyNoCluster;
     Stats stats_;
     // Counts only publish() reads.
     std::uint64_t decideDetail_ = 0;

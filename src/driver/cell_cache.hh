@@ -128,10 +128,6 @@ class CellCache
      *  run its claim/commit transactions. */
     store::PageStore &store() { return store_; }
 
-    /** Volatile cache statistics (hits/misses/inserts/evictions/
-     *  bytes). */
-    const CellCacheCounts &counts() const { return counts_; }
-
     /**
      * The --store-stats document ("ospredict-store-stats-v1"):
      * cache counters plus the store's page-level statistics.

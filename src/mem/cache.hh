@@ -185,21 +185,8 @@ class Cache
         return validLines_[static_cast<int>(owner)];
     }
 
-    /** Number of currently valid lines (both owners). */
-    std::uint64_t
-    residentLines() const
-    {
-        return validLines_[0] + validLines_[1];
-    }
-
     /** Accumulated statistics. */
     const CacheStats &stats() const { return stats_; }
-
-    /** Geometry accessors. */
-    std::uint32_t numSets() const { return numSets_; }
-    std::uint32_t assoc() const { return params_.assoc; }
-    std::uint32_t lineBytes() const { return params_.lineBytes; }
-    const CacheParams &params() const { return params_; }
 
   private:
     /**

@@ -5,24 +5,28 @@
 namespace osp
 {
 
+namespace
+{
+
+/** A TLB is a set-associative cache of 4KB pages. */
+CacheParams
+tlbParams(const HierarchyParams &params, const char *name)
+{
+    return {name,
+            static_cast<std::uint64_t>(params.tlbEntries) * 4096,
+            params.tlbAssoc, 4096};
+}
+
+} // namespace
+
 MemoryHierarchy::MemoryHierarchy(const HierarchyParams &params)
     : params_(params),
       l1i_(params.l1i, params.seed * 3 + 1),
       l1d_(params.l1d, params.seed * 3 + 2),
-      l2_(params.l2, params.seed * 3 + 3)
+      l2_(params.l2, params.seed * 3 + 3),
+      itlb_(tlbParams(params, "itlb"), params.seed * 3 + 4),
+      dtlb_(tlbParams(params, "dtlb"), params.seed * 3 + 5)
 {
-    if (params_.tlbEntries) {
-        // A TLB is a set-associative cache of 4KB pages.
-        CacheParams tlb;
-        tlb.sizeBytes =
-            static_cast<std::uint64_t>(params_.tlbEntries) * 4096;
-        tlb.assoc = params_.tlbAssoc;
-        tlb.lineBytes = 4096;
-        tlb.name = "itlb";
-        itlb_ = std::make_unique<Cache>(tlb, params.seed * 3 + 4);
-        tlb.name = "dtlb";
-        dtlb_ = std::make_unique<Cache>(tlb, params.seed * 3 + 5);
-    }
 }
 
 AccessOutcome
@@ -73,8 +77,7 @@ MemoryHierarchy::installFootprint(std::span<const Addr> sample,
         (is_code ? l1i_ : l1d_).installCycled(sample, count, owner);
     out.l2Fills = l2_.installCycled(sample, count, owner);
     // Footprint pollution displaces TLB entries too.
-    if (Cache *tlb = is_code ? itlb_.get() : dtlb_.get())
-        tlb->installCycled(sample, count, owner);
+    (is_code ? itlb_ : dtlb_).installCycled(sample, count, owner);
     return out;
 }
 

@@ -18,7 +18,6 @@
 #define OSP_MEM_HIERARCHY_HH
 
 #include <cstdint>
-#include <memory>
 #include <span>
 
 #include "cache.hh"
@@ -54,7 +53,8 @@ struct HierarchyParams
      * The kernel's large footprints trash the TLBs just like the
      * caches, which is part of why OS-heavy execution is slow;
      * the footprint pollution policy replays this for predicted
-     * intervals. Set tlbEntries to 0 to disable.
+     * intervals. tlbEntries must be positive (every hierarchy has
+     * both TLBs).
      */
     std::uint32_t tlbEntries = 64;
     std::uint32_t tlbAssoc = 4;
@@ -203,19 +203,17 @@ class MemoryHierarchy
     const Cache &l1d() const { return l1d_; }
     const Cache &l2() const { return l2_; }
 
-    /** TLBs (null when disabled). */
-    const Cache *itlb() const { return itlb_.get(); }
-    const Cache *dtlb() const { return dtlb_.get(); }
-
     const HierarchyParams &params() const { return params_; }
 
   private:
+    friend struct MemoryHierarchyTestPeer;
+
     HierarchyParams params_;
     Cache l1i_;
     Cache l1d_;
     Cache l2_;
-    std::unique_ptr<Cache> itlb_;
-    std::unique_ptr<Cache> dtlb_;
+    Cache itlb_;
+    Cache dtlb_;
     Cycles busFreeAt = 0;
 };
 
@@ -230,13 +228,10 @@ MemoryHierarchy::accessL1(Addr addr, AccessType type, Owner owner)
         is_fetch ? params_.l1iHitLatency : params_.l1dHitLatency;
 
     // Address translation first.
-    Cache *tlb = is_fetch ? itlb_.get() : dtlb_.get();
-    if (tlb) {
-        auto tlb_res = tlb->access(addr, false, owner);
-        if (!tlb_res.hit) {
-            out.tlbMiss = true;
-            out.latency += params_.tlbMissPenalty;
-        }
+    Cache &tlb = is_fetch ? itlb_ : dtlb_;
+    if (!tlb.access(addr, false, owner).hit) {
+        out.tlbMiss = true;
+        out.latency += params_.tlbMissPenalty;
     }
 
     out.l1Miss = !l1.access(addr, is_write, owner).hit;
@@ -262,8 +257,7 @@ MemoryHierarchy::warmAccess(Addr addr, AccessType type, Owner owner)
     bool is_write = (type == AccessType::Store);
     Cache &l1 = is_fetch ? l1i_ : l1d_;
 
-    if (Cache *tlb = is_fetch ? itlb_.get() : dtlb_.get())
-        tlb->access(addr, false, owner);
+    (is_fetch ? itlb_ : dtlb_).access(addr, false, owner);
 
     if (!l1.access(addr, is_write, owner).hit)
         l2_.access(addr, is_write, owner);

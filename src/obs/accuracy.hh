@@ -65,8 +65,8 @@ struct AuditSample
 struct AccuracyEntry
 {
     std::uint8_t service = 0;
-    /** Index into the service's PLT cluster array (the identity
-     *  exposed by ServicePredictor::lastMatchedCluster()). */
+    /** Index into the service's PLT cluster array (the cluster
+     *  ServicePredictor::predict() predicted from). */
     std::uint32_t cluster = accuracyNoCluster;
 
     std::uint64_t predictions = 0;
@@ -178,7 +178,6 @@ class AccuracyLedger
     /** Audit tolerance the drift test uses (PredictorParams::
      *  auditTolerance; the Accelerator sets it on attach). */
     void setTolerance(double tolerance) { tolerance_ = tolerance; }
-    double tolerance() const { return tolerance_; }
 
     /** Book one prediction's cycle mass under the cluster that
      *  produced it. */
@@ -199,9 +198,6 @@ class AccuracyLedger
         totalCycles_ = total_cycles;
         predictedCycles_ = predicted_cycles;
     }
-
-    /** True when no prediction or audit was ever recorded. */
-    bool empty() const { return entries_.empty(); }
 
     /** Deterministic snapshot, sorted by (service, cluster), with
      *  the derived CI and drift fields filled in. */

@@ -88,12 +88,10 @@ class EventTracer
         ring_.reserve(capacity);
     }
 
-    bool enabled() const { return capacity_ != 0; }
     std::size_t capacity() const { return capacity_; }
 
     /** Advance the event clock (the machine's instruction count). */
     void setTick(std::uint64_t tick) { tick_ = tick; }
-    std::uint64_t tick() const { return tick_; }
 
     /** Record one event at the current tick. No-op when disabled. */
     void

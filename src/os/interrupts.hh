@@ -45,9 +45,6 @@ class InterruptController
      */
     std::optional<ServiceRequest> nextDue(InstCount now);
 
-    /** Pending one-shot events (excludes the self-arming timer). */
-    std::size_t pending() const { return heap.size(); }
-
     /**
      * Instruction count of the earliest pending event (one-shot or
      * timer), or InstCount max when nothing will ever fire. Exact:
@@ -63,8 +60,6 @@ class InterruptController
             due = nextTimerAt;
         return due;
     }
-
-    InstCount timerPeriod() const { return timerPeriod_; }
 
   private:
     struct Event

@@ -103,12 +103,10 @@ class SyntheticKernel : public KernelIface
 
     /** Subsystem access (workload setup and tests). */
     Vfs &vfs() { return vfs_; }
-    NetStack &net() { return net_; }
-    PageCache &pageCache() { return pageCache_; }
-    const KernelLayout &layout() const { return layout_; }
-    const KernelParams &params() const { return params_; }
 
   private:
+    friend struct SyntheticKernelTestPeer;
+
     /** File-descriptor table entry. */
     struct Fd
     {

@@ -69,11 +69,6 @@ class NetStack
     /** The shared sk_buff pool region (hot on every tx/rx path). */
     Region skbPool() const { return skbPool_; }
 
-    std::uint32_t maxSockets() const
-    {
-        return static_cast<std::uint32_t>(sockets.size());
-    }
-
   private:
     struct Socket
     {

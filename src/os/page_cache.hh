@@ -69,14 +69,6 @@ class PageCache
      */
     FillResult fill(std::uint32_t file, std::uint32_t page);
 
-    /** Number of resident pages. */
-    std::uint32_t residentPages() const
-    {
-        return static_cast<std::uint32_t>(map.size());
-    }
-
-    std::uint32_t capacity() const { return capacityPages; }
-
   private:
     static std::uint64_t
     key(std::uint32_t file, std::uint32_t page)

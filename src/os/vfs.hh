@@ -57,11 +57,6 @@ class Vfs
         return static_cast<std::uint32_t>(dirs.size());
     }
 
-    std::uint32_t numFiles() const
-    {
-        return static_cast<std::uint32_t>(files.size());
-    }
-
     /** File ids contained in directory @p dir. */
     const std::vector<std::uint32_t> &dirFiles(std::uint32_t dir)
         const;

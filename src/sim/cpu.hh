@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared CPU-model interface and parameters.
+ * Parameters and helpers shared by the CPU timing models.
  *
  * The simulator supports the same detail levels the paper measures
  * in Table 1 — in-order or out-of-order core, with or without the
@@ -10,6 +10,8 @@
  * user/kernel mode switch; a mode switch serializes the pipeline,
  * which is architecturally faithful (syscall/iret are serializing on
  * x86) and gives each OS-service interval a well-defined cycle cost.
+ * There is no common base class: the Machine's run loop is a
+ * template instantiated per concrete model, so every call is direct.
  */
 
 #ifndef OSP_SIM_CPU_HH
@@ -59,37 +61,6 @@ earliestFree(const std::vector<Cycles> &busy_until)
     }
     return best;
 }
-
-/**
- * Interface of an interval-draining timing model.
- *
- * The memory hierarchy pointer may be null: that is the "nocache"
- * configuration, where every access costs CpuParams::noCacheMemLatency.
- */
-class CpuModel
-{
-  public:
-    virtual ~CpuModel() = default;
-
-    /** Account one instruction. */
-    virtual void execute(const MicroOp &op, Owner owner) = 0;
-
-    /**
-     * Close the current interval: complete everything in flight and
-     * return the cycles the interval consumed. The next interval
-     * starts from a serialized (empty) pipeline.
-     */
-    virtual Cycles drain() = 0;
-
-    /** Absolute cycle count since construction/reset. */
-    virtual Cycles now() const = 0;
-
-    /** Instructions executed since construction/reset. */
-    virtual InstCount instructions() const = 0;
-
-    /** Full reset (pipeline, clocks, statistics). */
-    virtual void reset() = 0;
-};
 
 } // namespace osp
 

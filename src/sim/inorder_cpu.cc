@@ -19,14 +19,4 @@ InOrderCpu::drain()
     return cycles;
 }
 
-void
-InOrderCpu::reset()
-{
-    now_ = 0;
-    intervalStart = 0;
-    insts = 0;
-    lastFetchLine = ~static_cast<Addr>(0);
-    storeBusyUntil.assign(storeBusyUntil.size(), 0);
-}
-
 } // namespace osp

@@ -19,10 +19,8 @@
 namespace osp
 {
 
-/** See file comment. `final` so the Machine's concrete-engine run
- *  loop calls execute() directly (and inlines it) instead of going
- *  through the vtable. */
-class InOrderCpu final : public CpuModel
+/** See file comment. */
+class InOrderCpu
 {
   public:
     /**
@@ -35,15 +33,21 @@ class InOrderCpu final : public CpuModel
     InOrderCpu(const CpuParams &params, MemoryHierarchy *hierarchy,
                GshareBp *bp);
 
-    /** Defined inline below the class: this is the per-instruction
-     *  body of every in-order simulation, and keeping it visible to
-     *  the caller lets the whole fetch/load hit chain flatten into
-     *  the run loop. */
-    void execute(const MicroOp &op, Owner owner) override;
-    Cycles drain() override;
-    Cycles now() const override { return now_; }
-    InstCount instructions() const override { return insts; }
-    void reset() override;
+    /** Account one instruction. Defined inline below the class:
+     *  this is the per-instruction body of every in-order
+     *  simulation, and keeping it visible to the caller lets the
+     *  whole fetch/load hit chain flatten into the run loop. */
+    void execute(const MicroOp &op, Owner owner);
+
+    /**
+     * Close the current interval: complete everything in flight and
+     * return the cycles the interval consumed. The next interval
+     * starts from a serialized (empty) pipeline.
+     */
+    Cycles drain();
+
+    /** Absolute cycle count since construction. */
+    Cycles now() const { return now_; }
 
   private:
     CpuParams params;
@@ -51,7 +55,6 @@ class InOrderCpu final : public CpuModel
     GshareBp *bp;
     Cycles now_ = 0;
     Cycles intervalStart = 0;
-    InstCount insts = 0;
     Addr lastFetchLine = ~static_cast<Addr>(0);
     /** Write-buffer slots: store misses retire immediately unless
      *  all slots are busy, bounding memory-system pressure. */
@@ -61,8 +64,6 @@ class InOrderCpu final : public CpuModel
 inline void
 InOrderCpu::execute(const MicroOp &op, Owner owner)
 {
-    ++insts;
-
     // Instruction fetch: one cache access per new 64B line.
     if (hier) {
         Addr line = op.pc >> 6;

@@ -103,8 +103,7 @@ class UserProgram
     /**
      * A copy of this program in its current state, running on
      * @p kernel: a copy of the kernel this program runs on, made at
-     * the same moment (nullptr for a kernel-less machine). Machine
-     * ::fork() uses it. The default returns nullptr: the program
+     * the same moment. Machine::fork() uses it. The default returns nullptr: the program
      * cannot be copied, and fork() dies.
      */
     virtual std::unique_ptr<UserProgram>

@@ -17,7 +17,6 @@ IntervalProfiler::reset()
 {
     intervals_.clear();
     fullIntervals_ = 0;
-    tailInsts_ = 0;
 }
 
 IntervalFeatures &
@@ -63,10 +62,8 @@ void
 IntervalProfiler::finish(InstCount total_app_insts)
 {
     fullIntervals_ = total_app_insts / intervalLen_;
-    tailInsts_ = total_app_insts % intervalLen_;
     // A trailing partial interval may have tallies; keep them out
-    // of the feature matrix (the tail is measured, not sampled) but
-    // leave the record in place for inspection.
+    // of the feature matrix (the tail is measured, not sampled).
     if (intervals_.size() <
         static_cast<std::size_t>(fullIntervals_))
         intervals_.resize(

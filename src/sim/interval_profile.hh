@@ -73,14 +73,9 @@ class IntervalProfiler
     /** Close the profile at @p total_app_insts retired. */
     void finish(InstCount total_app_insts);
 
-    const std::vector<IntervalFeatures> &intervals() const
-    {
-        return intervals_;
-    }
     /** Intervals of exactly intervalLen() app insts; anything past
      *  fullIntervals() * intervalLen() is the always-detailed tail. */
     std::uint64_t fullIntervals() const { return fullIntervals_; }
-    InstCount tailInsts() const { return tailInsts_; }
 
     /** Feature matrix over the full intervals (densities per app
      *  instruction + service-signature mix), for stratification. */
@@ -96,7 +91,6 @@ class IntervalProfiler
     InstCount intervalLen_;
     std::vector<IntervalFeatures> intervals_;
     std::uint64_t fullIntervals_ = 0;
-    InstCount tailInsts_ = 0;
 };
 
 /** Phase-2 contract: which intervals run on the timing engine. */

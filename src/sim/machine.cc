@@ -36,8 +36,8 @@ Machine::Machine(const MachineConfig &config,
 {
     if (!workload_)
         osp_fatal("Machine requires a workload");
-    if (!kernel_ && !config_.appOnly)
-        osp_fatal("Machine requires a kernel unless appOnly is set");
+    if (!kernel_)
+        osp_fatal("Machine requires a kernel");
 }
 
 void
@@ -208,8 +208,8 @@ Machine::runServiceT(EngineT *eng, const ServiceRequest &req)
     if (detailed) {
         if constexpr (timing) {
             // The hot learning path: retire the kernel plan in
-            // blocks on the concrete engine — no virtual dispatch,
-            // no per-op queue-front checks.
+            // blocks on the engine, with no per-op queue-front
+            // checks.
             MicroOp buf[kMaxBlockOps];
             std::size_t filled;
             while ((filled = gen.nextBlock(buf, kMaxBlockOps)) != 0) {
@@ -397,7 +397,7 @@ Machine::runLoop(EngineT *eng, InstCount max_insts, bool warmup_only)
     constexpr InstCount kNever = ~InstCount(0);
     InstCount irq_due = kNever;
     auto refreshIrq = [&] {
-        if (!app_only && kernel_)
+        if (!app_only)
             irq_due = kernel_->nextInterruptAt();
     };
     refreshIrq();
@@ -468,12 +468,9 @@ Machine::runLoop(EngineT *eng, InstCount max_insts, bool warmup_only)
             }
             if (s != UserProgram::Step::Op) {
                 if (app_only) {
-                    ServiceResult res =
-                        kernel_
-                            ? kernel_->invoke(req.type, req.args,
-                                              totals_.totalInsts(),
-                                              nullptr)
-                            : ServiceResult();
+                    ServiceResult res = kernel_->invoke(
+                        req.type, req.args, totals_.totalInsts(),
+                        nullptr);
                     workload_->onServiceReturn(req.type, res);
                 } else {
                     runServiceT(eng, req);
@@ -486,24 +483,6 @@ Machine::runLoop(EngineT *eng, InstCount max_insts, bool warmup_only)
             }
             buf[0] = op;
             n = 1;
-        }
-
-        if constexpr (!timing) {
-            if (app_only) {
-                // Pure emulation with no kernel: whole-block
-                // retirement — no faults, no interrupts, no timing
-                // models. Clamp so the retired count never passes
-                // max_insts (the per-op loop stopped exactly there).
-                std::size_t take = n;
-                if (max_insts) {
-                    InstCount room =
-                        max_insts - totals_.totalInsts();
-                    take = static_cast<std::size_t>(
-                        std::min<InstCount>(take, room));
-                }
-                totals_.appInsts += take;
-                continue;
-            }
         }
 
         // Retire the block in chunks whose boundaries are the next
@@ -707,13 +686,10 @@ Machine::fork(const MachineConfig &config) const
 {
     if (stage == Stage::Ran)
         osp_panic("Machine::fork() after run()");
-    std::unique_ptr<KernelIface> kernel;
-    if (kernel_) {
-        kernel = kernel_->clone();
-        if (!kernel)
-            osp_panic("Machine::fork(): the kernel of '",
-                      workload_->name(), "' cannot be copied");
-    }
+    std::unique_ptr<KernelIface> kernel = kernel_->clone();
+    if (!kernel)
+        osp_panic("Machine::fork(): the kernel of '",
+                  workload_->name(), "' cannot be copied");
     std::unique_ptr<UserProgram> program =
         workload_->clone(kernel.get());
     if (!program)

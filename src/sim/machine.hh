@@ -250,7 +250,7 @@ class Machine
     /**
      * Run until the workload completes or @p max_insts total
      * instructions retire (0 = no limit). Returns the totals, which
-     * stay accessible via totals() afterwards.
+     * live as long as the machine.
      */
     const RunTotals &run(InstCount max_insts = 0);
 
@@ -278,26 +278,21 @@ class Machine
      */
     std::unique_ptr<Machine> fork(const MachineConfig &config) const;
 
-    const RunTotals &totals() const { return totals_; }
-
     /** Per-interval log (only populated with recordIntervals). */
     const std::vector<IntervalRecord> &intervals() const
     {
         return intervals_;
     }
 
-    MemoryHierarchy &hierarchy() { return hier; }
-    const MachineConfig &config() const { return config_; }
     UserProgram &workload() { return *workload_; }
-    KernelIface &kernel() { return *kernel_; }
 
   private:
     /**
      * Tag type standing in for "no timing model": the run loop is
      * instantiated once per concrete engine (InOrderCpu, OooCpu,
      * EmulateEngine), so the per-instruction path calls the timing
-     * model directly — inlineable, no virtual dispatch — and the
-     * Emulate instantiation compiles the timing calls out entirely.
+     * model directly and inlines it, and the Emulate instantiation
+     * compiles the timing calls out entirely.
      */
     struct EmulateEngine
     {
@@ -316,7 +311,7 @@ class Machine
     const RunTotals &dispatch(InstCount max_insts, bool warmup_only);
 
     /**
-     * The run loop, devirtualized over the engine type. With
+     * The run loop, instantiated per engine type. With
      * @p warmup_only it returns at the end of warm-up (or of the
      * program), before any end-of-run bookkeeping.
      */

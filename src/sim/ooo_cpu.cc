@@ -37,8 +37,6 @@ OooCpu::producerReady(std::uint32_t dist, Cycles dflt) const
 void
 OooCpu::execute(const MicroOp &op, Owner owner)
 {
-    ++insts;
-
     // Reorder-buffer occupancy: the slot this op will take frees at
     // the commit time of the op windowSize earlier.
     if (seq >= intervalSeq + params.windowSize) {
@@ -176,23 +174,6 @@ OooCpu::drain()
     intervalSeq = seq;
     lastFetchLine = ~static_cast<Addr>(0);
     return cycles;
-}
-
-void
-OooCpu::reset()
-{
-    rob.assign(params.windowSize, RobSlot());
-    mshrBusyUntil.assign(mshrBusyUntil.size(), 0);
-    robIdx = 0;
-    seq = 0;
-    intervalSeq = 0;
-    fetchCycle = 0;
-    fetchedThisCycle = 0;
-    lastCommit = 0;
-    committedThisCycle = 0;
-    lastFetchLine = ~static_cast<Addr>(0);
-    intervalStart = 0;
-    insts = 0;
 }
 
 } // namespace osp

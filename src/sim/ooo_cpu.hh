@@ -25,9 +25,8 @@
 namespace osp
 {
 
-/** See file comment. `final` so concrete-pointer callers (the
- *  Machine's templated run loop) can devirtualize execute(). */
-class OooCpu final : public CpuModel
+/** See file comment. */
+class OooCpu
 {
   public:
     /**
@@ -39,11 +38,18 @@ class OooCpu final : public CpuModel
     OooCpu(const CpuParams &params, MemoryHierarchy *hierarchy,
            GshareBp *bp);
 
-    void execute(const MicroOp &op, Owner owner) override;
-    Cycles drain() override;
-    Cycles now() const override { return lastCommit; }
-    InstCount instructions() const override { return insts; }
-    void reset() override;
+    /** Account one instruction. */
+    void execute(const MicroOp &op, Owner owner);
+
+    /**
+     * Close the current interval: complete everything in flight and
+     * return the cycles the interval consumed. The next interval
+     * starts from a serialized (empty) pipeline.
+     */
+    Cycles drain();
+
+    /** Absolute cycle count since construction. */
+    Cycles now() const { return lastCommit; }
 
   private:
     struct RobSlot
@@ -74,7 +80,6 @@ class OooCpu final : public CpuModel
     std::vector<Cycles> mshrBusyUntil;
 
     Cycles intervalStart = 0;
-    InstCount insts = 0;
 };
 
 } // namespace osp

@@ -20,7 +20,6 @@ BubbleHistogram::add(double x, double y)
     auto xb = static_cast<std::int64_t>(std::floor(x / xWidth));
     auto yb = static_cast<std::int64_t>(std::floor(y / yWidth));
     cells[{xb, yb}] += 1;
-    total += 1;
 }
 
 std::vector<BubbleHistogram::Bubble>

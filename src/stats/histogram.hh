@@ -43,9 +43,6 @@ class BubbleHistogram
     /** Add one (x, y) sample. */
     void add(double x, double y);
 
-    /** Total number of samples added. */
-    std::uint64_t totalCount() const { return total; }
-
     /** Number of non-empty cells (distinct bubbles). */
     std::size_t numBubbles() const { return cells.size(); }
 
@@ -55,7 +52,6 @@ class BubbleHistogram
   private:
     double xWidth;
     double yWidth;
-    std::uint64_t total = 0;
     std::map<std::pair<std::int64_t, std::int64_t>, std::uint64_t>
         cells;
 };

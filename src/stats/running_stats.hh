@@ -38,7 +38,6 @@ class RunningStats
             min_ = x;
         if (x > max_)
             max_ = x;
-        sum_ += x;
     }
 
     /** Merge another accumulator into this one (parallel Welford). */
@@ -62,14 +61,6 @@ class RunningStats
             min_ = other.min_;
         if (other.max_ > max_)
             max_ = other.max_;
-        sum_ += other.sum_;
-    }
-
-    /** Discard all samples. */
-    void
-    reset()
-    {
-        *this = RunningStats();
     }
 
     /**
@@ -89,7 +80,6 @@ class RunningStats
                        static_cast<double>(count_);
         m2 *= scale;
         count_ = max_count;
-        sum_ = mean_ * static_cast<double>(max_count);
     }
 
     /**
@@ -107,7 +97,6 @@ class RunningStats
         s.count_ = count;
         s.mean_ = mean;
         s.m2 = m2;
-        s.sum_ = mean * static_cast<double>(count);
         s.min_ = min_v;
         s.max_ = max_v;
         return s;
@@ -115,9 +104,6 @@ class RunningStats
 
     /** Number of samples seen. */
     std::uint64_t count() const { return count_; }
-
-    /** Sum of all samples. */
-    double sum() const { return sum_; }
 
     /** Arithmetic mean (0 with no samples). */
     double mean() const { return count_ ? mean_ : 0.0; }
@@ -172,7 +158,6 @@ class RunningStats
     std::uint64_t count_ = 0;
     double mean_ = 0.0;
     double m2 = 0.0;
-    double sum_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
 };

@@ -92,8 +92,6 @@ class ClaimTable
     {
     }
 
-    const std::string &fingerprint() const { return fingerprint_; }
-
     /** Record for @p cell_key in @p tx, nullopt when absent or
      *  malformed. */
     template <typename Tx>

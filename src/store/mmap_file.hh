@@ -161,9 +161,6 @@ class FileLock
     /** Release the lock (no-op when not held). */
     void unlock();
 
-    bool held() const { return held_; }
-    const std::string &path() const { return path_; }
-
     /** Last hint written by any holder ("" when none). Read
      *  without the lock: a diagnostic, not a synchronization. */
     std::string holderHint() const;

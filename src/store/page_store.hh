@@ -187,8 +187,6 @@ class ReadTx
               const std::function<bool(std::string_view,
                                        std::string_view)> &fn) const;
 
-    std::uint64_t txid() const { return txid_; }
-
   private:
     friend class PageStore;
     ReadTx(PageStore *store, std::shared_ptr<MappedView> view,
@@ -328,8 +326,6 @@ class PageStore
     StoreProfile profile() const;
 
     const std::string &path() const { return file_->path(); }
-    std::uint32_t pageSize() const { return meta_.pageSize; }
-    bool shared() const { return shared_; }
 
     /** Arm a commit fail point (test seam; one-shot). */
     void setFailPoint(FailPoint fp) { failPoint_ = fp; }

@@ -57,16 +57,6 @@ class StableHash
         return bytes(&sep, 1);
     }
 
-    /** Fold an unsigned 64-bit value, little-endian byte order. */
-    StableHash &
-    u64(std::uint64_t v)
-    {
-        unsigned char b[8];
-        for (int i = 0; i < 8; ++i)
-            b[i] = static_cast<unsigned char>(v >> (8 * i));
-        return bytes(b, 8);
-    }
-
     std::uint64_t value() const { return state_; }
 
     /** 16-digit lowercase hex of value(). */

@@ -50,12 +50,9 @@ class JsonValue
     JsonValue() = default;
     JsonValue(std::nullptr_t) {}
     JsonValue(bool v) : kind_(Kind::Bool), bool_(v) {}
-    JsonValue(int v) : kind_(Kind::Int), int_(v) {}
     JsonValue(long v) : kind_(Kind::Int), int_(v) {}
-    JsonValue(long long v) : kind_(Kind::Int), int_(v) {}
     JsonValue(unsigned v) : kind_(Kind::Uint), uint_(v) {}
     JsonValue(unsigned long v) : kind_(Kind::Uint), uint_(v) {}
-    JsonValue(unsigned long long v) : kind_(Kind::Uint), uint_(v) {}
     JsonValue(double v) : kind_(Kind::Double), double_(v) {}
     JsonValue(const char *v) : kind_(Kind::String), string_(v) {}
     JsonValue(std::string v)
@@ -68,7 +65,6 @@ class JsonValue
     static JsonValue object();
 
     Kind kind() const { return kind_; }
-    bool isNull() const { return kind_ == Kind::Null; }
     bool isBool() const { return kind_ == Kind::Bool; }
     bool isString() const { return kind_ == Kind::String; }
     bool isArray() const { return kind_ == Kind::Array; }

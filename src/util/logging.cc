@@ -7,7 +7,7 @@ namespace osp
 
 namespace
 {
-LogLevel globalLevel = LogLevel::Inform;
+LogLevel globalLevel = LogLevel::Warn;
 } // namespace
 
 void
@@ -40,7 +40,7 @@ fatalImpl(const char *file, int line, const std::string &msg)
 void
 warnImpl(const std::string &msg)
 {
-    if (static_cast<int>(globalLevel) >= static_cast<int>(LogLevel::Warn))
+    if (globalLevel == LogLevel::Warn)
         std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 

@@ -24,8 +24,7 @@ namespace osp
 enum class LogLevel
 {
     Silent = 0,  //!< suppress warn()
-    Warn = 1,    //!< show warn()
-    Inform = 2,  //!< show warn() (the default; nothing prints more)
+    Warn = 1,    //!< show warn() (the default)
 };
 
 /** Set the global verbosity for warn(). panic()/fatal() always

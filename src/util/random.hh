@@ -84,8 +84,8 @@ class Pcg32
 
     /**
      * Re-initialize with a new (seed, stream) pair: afterwards the
-     * generator equals Pcg32(seed, stream), including the
-     * range/geometric memos.
+     * generator equals Pcg32(seed, stream), including the range()
+     * memo.
      */
     void
     reseed(std::uint64_t seed, std::uint64_t stream = 0)
@@ -271,7 +271,8 @@ class Pcg32
 
     /**
      * Geometrically distributed trial count (>= 1) with success
-     * probability p. Used for dependency-distance sampling.
+     * probability p: the reference formula that geometricWith(),
+     * through which the simulator draws, reproduces bit for bit.
      */
     std::uint32_t
     geometric(double p)
@@ -283,16 +284,8 @@ class Pcg32
         double u = uniform();
         if (u <= 0.0)
             u = 1e-12;
-        // log(1 - p) depends only on p; components call geometric()
-        // with a fixed per-profile p, so memoizing halves the log
-        // count on the lowering hot path without changing any sample
-        // (same p -> bit-identical denominator).
-        if (p != geomP) {
-            geomP = p;
-            geomLogOneMinusP = std::log(1.0 - p);
-        }
         return 1 + static_cast<std::uint32_t>(std::log(u) /
-                                              geomLogOneMinusP);
+                                              std::log(1.0 - p));
     }
 
     /**
@@ -445,8 +438,6 @@ class Pcg32
     std::uint64_t inc = 0;
     RangeDraw rangeMemo;         //!< memoized range() bound
     std::uint32_t rangeLast = 0;  //!< bound of the previous range()
-    double geomP = -1.0;
-    double geomLogOneMinusP = 1.0;
 };
 
 } // namespace osp

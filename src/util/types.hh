@@ -44,13 +44,6 @@ enum class Owner : std::uint8_t
 /** Number of distinct Owner values (for owner-indexed arrays). */
 inline constexpr int numOwners = 2;
 
-/** Short human-readable owner name ("app" / "os"). */
-inline const char *
-ownerName(Owner owner)
-{
-    return owner == Owner::App ? "app" : "os";
-}
-
 } // namespace osp
 
 #endif // OSP_UTIL_TYPES_HH

@@ -49,8 +49,6 @@ class IperfWorkload : public BaseWorkload
         return cloneOnto(*this, kernel);
     }
 
-    std::uint32_t writesDone() const { return writesDone_; }
-
   protected:
     Advance advance(ServiceRequest &req) override;
 

@@ -58,8 +58,6 @@ class OltpWorkload : public BaseWorkload
         return cloneOnto(*this, kernel);
     }
 
-    std::uint32_t transactionsDone() const { return done_; }
-
   protected:
     Advance advance(ServiceRequest &req) override;
 

@@ -59,9 +59,6 @@ class AbWorkload : public BaseWorkload
         return cloneOnto(*this, kernel);
     }
 
-    /** Requests fully completed so far. */
-    std::uint32_t requestsDone() const { return requestsDone_; }
-
   protected:
     Advance advance(ServiceRequest &req) override;
 

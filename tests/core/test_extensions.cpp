@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "core/accelerator.hh"
+#include "service_predictor_peer.hh"
 
 namespace osp
 {
@@ -29,7 +30,8 @@ TEST(ClusterSnapshot, RoundTripPreservesPrediction)
     original.add(serviceMetrics(1020, 5200));
     ScaledCluster restored(original.snapshot(), 0.05);
 
-    EXPECT_DOUBLE_EQ(restored.centroid(), original.centroid());
+    // distance(0) is the centroid.
+    EXPECT_DOUBLE_EQ(restored.distance(0), original.distance(0));
     EXPECT_EQ(restored.count(), original.count());
     EXPECT_EQ(restored.predict().cycles,
               original.predict().cycles);
@@ -156,7 +158,7 @@ TEST(AuditSampling, WarmupBurstPrecedesAudit)
     ServicePredictor pred(pp);
     ServiceMetrics m = serviceMetrics(1000, 5000);
     pred.recordDetailed(m);
-    ASSERT_FALSE(pred.wantsDetail());
+    ASSERT_FALSE(wantsDetail(pred));
     // Every 3rd prediction expands to a 3-run detailed burst: two
     // discarded re-warm runs, then the audited one.
     int audits_seen = 0;
@@ -196,10 +198,10 @@ TEST(AuditSampling, DriftTriggersRelearning)
     for (int i = 0; i < 4; ++i) {
         pred.recordDetailed(serviceMetrics(1000, 5000));
     }
-    EXPECT_FALSE(pred.wantsDetail());
+    EXPECT_FALSE(wantsDetail(pred));
     // Now the same signature costs 3x: audits must catch it.
     std::uint64_t inv = 4;
-    for (int i = 0; i < 20 && !pred.wantsDetail(); ++i) {
+    for (int i = 0; i < 20 && !wantsDetail(pred); ++i) {
         if (pred.decideDetail()) {
             pred.recordDetailed(serviceMetrics(1000, 15000));
         } else {
@@ -213,7 +215,7 @@ TEST(AuditSampling, DriftTriggersRelearning)
     // The audit that triggered the reset seeds the new window but
     // counts as an audit, not as learning.
     EXPECT_EQ(pred.stats().learnedRuns, 4u);
-    EXPECT_TRUE(pred.wantsDetail());  // back in a learning window
+    EXPECT_TRUE(wantsDetail(pred));  // back in a learning window
 }
 
 TEST(AuditSampling, StationaryNoiseDoesNotTrigger)
@@ -264,12 +266,12 @@ TEST(AuditSampling, SustainedBiasTriggersStatisticalReset)
     for (int i = 0; i < 100; ++i) {
         pred.recordDetailed(serviceMetrics(1000, 5000));
     }
-    EXPECT_FALSE(pred.wantsDetail());
+    EXPECT_FALSE(wantsDetail(pred));
     // Behaviour shifts to 5900 cycles (~15% off): inside the 30%
     // per-audit tolerance, so every individual audit passes — only
     // the CI on the accumulated mean error can prove the bias.
     std::uint64_t inv = 100;
-    for (int i = 0; i < 100 && !pred.wantsDetail(); ++i) {
+    for (int i = 0; i < 100 && !wantsDetail(pred); ++i) {
         if (pred.decideDetail()) {
             pred.recordDetailed(serviceMetrics(1000, 5900));
         } else {
@@ -279,7 +281,7 @@ TEST(AuditSampling, SustainedBiasTriggersStatisticalReset)
     }
     EXPECT_EQ(pred.stats().auditFailures, 0u);
     EXPECT_EQ(pred.stats().driftResets, 1u);
-    EXPECT_TRUE(pred.wantsDetail());  // back in a learning window
+    EXPECT_TRUE(wantsDetail(pred));  // back in a learning window
 }
 
 TEST(AuditSampling, StatisticalTriggerCanBeDisabled)
@@ -297,7 +299,7 @@ TEST(AuditSampling, StatisticalTriggerCanBeDisabled)
         pred.recordDetailed(serviceMetrics(1000, 5000));
     }
     std::uint64_t inv = 100;
-    for (int i = 0; i < 100 && !pred.wantsDetail(); ++i) {
+    for (int i = 0; i < 100 && !wantsDetail(pred); ++i) {
         if (pred.decideDetail()) {
             pred.recordDetailed(serviceMetrics(1000, 5900));
         } else {
@@ -306,7 +308,7 @@ TEST(AuditSampling, StatisticalTriggerCanBeDisabled)
         ++inv;
     }
     EXPECT_EQ(pred.stats().driftResets, 0u);
-    EXPECT_FALSE(pred.wantsDetail());
+    EXPECT_FALSE(wantsDetail(pred));
 }
 
 TEST(AdaptiveWarmup, ExtendsWhileCpiDrifts)
@@ -320,7 +322,7 @@ TEST(AdaptiveWarmup, ExtendsWhileCpiDrifts)
     ServicePredictor pred(pp);
     // Strongly cooling CPI: warm-up must extend past the minimum.
     std::uint64_t runs = 0;
-    while (pred.wantsDetail() && runs < 300) {
+    while (wantsDetail(pred) && runs < 300) {
         Cycles cycles = 20000 - 90 * std::min<std::uint64_t>(
                                          runs, 200);
         pred.recordDetailed(serviceMetrics(1000, cycles));
@@ -340,7 +342,7 @@ TEST(AdaptiveWarmup, StableCpiEndsAtMinimum)
     pp.learningWindow = 5;
     ServicePredictor pred(pp);
     std::uint64_t runs = 0;
-    while (pred.wantsDetail() && runs < 100) {
+    while (wantsDetail(pred) && runs < 100) {
         pred.recordDetailed(serviceMetrics(1000, 5000));
         ++runs;
     }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/service_predictor.hh"
+#include "service_predictor_peer.hh"
 
 namespace osp
 {
@@ -54,36 +55,36 @@ TEST(ServicePredictor, DefaultWindowFromBinomialAnalysis)
     p.pMin = 0.03;
     p.doc = 0.95;
     ServicePredictor pred(p);
-    EXPECT_EQ(pred.learningWindow(), 99u);
+    EXPECT_EQ(ServicePredictorTestPeer::learningWindow(pred), 99u);
 }
 
 TEST(ServicePredictor, LifecyclePhases)
 {
     ServicePredictor pred(testParams(2, 3));
     // Warm-up: wants detail, records nothing.
-    EXPECT_TRUE(pred.wantsDetail());
+    EXPECT_TRUE(wantsDetail(pred));
     pred.recordDetailed(metrics(1000, 5000));
     pred.recordDetailed(metrics(1000, 5000));
-    EXPECT_EQ(pred.table().numClusters(), 0u);
+    EXPECT_EQ(pred.snapshotTable().size(), 0u);
     EXPECT_EQ(pred.stats().warmupRuns, 2u);
 
     // Learning: records into the PLT.
-    EXPECT_TRUE(pred.wantsDetail());
+    EXPECT_TRUE(wantsDetail(pred));
     pred.recordDetailed(metrics(1000, 5000));
     pred.recordDetailed(metrics(1010, 5100));
     pred.recordDetailed(metrics(4000, 20000));
-    EXPECT_EQ(pred.table().numClusters(), 2u);
+    EXPECT_EQ(pred.snapshotTable().size(), 2u);
     EXPECT_EQ(pred.stats().learnedRuns, 3u);
 
     // Window exhausted: predicting.
-    EXPECT_FALSE(pred.wantsDetail());
+    EXPECT_FALSE(wantsDetail(pred));
 }
 
 TEST(ServicePredictor, ZeroWarmupStartsLearning)
 {
     ServicePredictor pred(testParams(0, 2));
     pred.recordDetailed(metrics(1000, 5000));
-    EXPECT_EQ(pred.table().numClusters(), 1u);
+    EXPECT_EQ(pred.snapshotTable().size(), 1u);
 }
 
 TEST(ServicePredictor, PredictsFromMatchingCluster)
@@ -118,16 +119,17 @@ TEST(ServicePredictor, EagerOutlierForcesRelearning)
     ServicePredictor pred(params);
     pred.recordDetailed(metrics(1000, 5000));
     pred.recordDetailed(metrics(1000, 5000));
-    EXPECT_FALSE(pred.wantsDetail());
+    EXPECT_FALSE(wantsDetail(pred));
     pred.predict(9000, 2);
     // Back to learning for a fresh window.
-    EXPECT_TRUE(pred.wantsDetail());
+    EXPECT_TRUE(wantsDetail(pred));
     EXPECT_EQ(pred.stats().relearnEvents, 1u);
-    EXPECT_EQ(pred.table().numOutlierEntries(), 0u);
+    EXPECT_EQ(
+        ServicePredictorTestPeer::table(pred).numOutlierEntries(), 0u);
     // The new cluster gets captured this time.
     pred.recordDetailed(metrics(9000, 90000));
     pred.recordDetailed(metrics(9000, 90000));
-    EXPECT_FALSE(pred.wantsDetail());
+    EXPECT_FALSE(wantsDetail(pred));
     bool outlier = true;
     ServiceMetrics p = pred.predict(9000, 5, &outlier);
     EXPECT_FALSE(outlier);
@@ -142,7 +144,7 @@ TEST(ServicePredictor, BestMatchNeverRelearns)
     pred.recordDetailed(metrics(1000, 5000));
     for (std::uint64_t i = 1; i <= 500; ++i) {
         pred.predict(100000, i);
-        EXPECT_FALSE(pred.wantsDetail());
+        EXPECT_FALSE(wantsDetail(pred));
     }
     EXPECT_EQ(pred.stats().relearnEvents, 0u);
     EXPECT_EQ(pred.stats().outliers, 500u);
@@ -161,11 +163,11 @@ TEST(ServicePredictor, DetailedWhilePredictingStillLearns)
 {
     ServicePredictor pred(testParams(0, 1));
     pred.recordDetailed(metrics(1000, 5000));
-    EXPECT_FALSE(pred.wantsDetail());
+    EXPECT_FALSE(wantsDetail(pred));
     // A forced detailed run while predicting updates the PLT.
     pred.recordDetailed(metrics(3000, 9000));
-    EXPECT_EQ(pred.table().numClusters(), 2u);
-    EXPECT_FALSE(pred.wantsDetail());
+    EXPECT_EQ(pred.snapshotTable().size(), 2u);
+    EXPECT_FALSE(wantsDetail(pred));
 }
 
 TEST(ServicePredictorAudit, AuditEveryOneAuditsEachPrediction)
@@ -175,7 +177,7 @@ TEST(ServicePredictorAudit, AuditEveryOneAuditsEachPrediction)
     p.auditWarmup = 0;
     ServicePredictor pred(p);
     pred.recordDetailed(metrics(1000, 5000));
-    ASSERT_FALSE(pred.wantsDetail());
+    ASSERT_FALSE(wantsDetail(pred));
     // Every decision is an audit: the service never emulates.
     for (int i = 0; i < 6; ++i) {
         ASSERT_TRUE(pred.decideDetail());
@@ -213,19 +215,19 @@ TEST(ServicePredictorAudit, PendingAuditDroppedOnRelearnEntry)
     ServicePredictor pred(p);
     pred.recordDetailed(metrics(1000, 5000));
     pred.recordDetailed(metrics(1000, 5000));
-    ASSERT_FALSE(pred.wantsDetail());
+    ASSERT_FALSE(wantsDetail(pred));
     ASSERT_TRUE(pred.decideDetail());  // audit now pending
     // Outlier prediction forces an eager relearn before the
     // detailed outcome comes back.
     pred.predict(9000, 2);
-    ASSERT_TRUE(pred.wantsDetail());
+    ASSERT_TRUE(wantsDetail(pred));
     pred.recordDetailed(metrics(9000, 90000));
     // The sample joined the learning window instead of auditing.
     EXPECT_EQ(pred.stats().audits, 0u);
     EXPECT_EQ(pred.stats().learnedRuns, 3u);
     // The schedule resumes cleanly once predicting again.
     pred.recordDetailed(metrics(9000, 90000));
-    ASSERT_FALSE(pred.wantsDetail());
+    ASSERT_FALSE(wantsDetail(pred));
     ASSERT_TRUE(pred.decideDetail());
     pred.recordDetailed(metrics(9000, 90000));
     EXPECT_EQ(pred.stats().audits, 1u);
@@ -240,24 +242,24 @@ TEST(ServicePredictorAudit, TriggerCountInvalidatesAndRelearns)
     ServicePredictor pred(p);
     pred.recordDetailed(metrics(1000, 5000));
     pred.recordDetailed(metrics(1000, 5000));
-    ASSERT_FALSE(pred.wantsDetail());
+    ASSERT_FALSE(wantsDetail(pred));
 
     // Behaviour jumps 4x: two consecutive audit failures force a
     // re-learning window without clearing the table.
     ASSERT_TRUE(pred.decideDetail());
     pred.recordDetailed(metrics(1000, 20000));
     EXPECT_EQ(pred.stats().auditFailures, 1u);
-    EXPECT_FALSE(pred.wantsDetail());  // one strike is noise
+    EXPECT_FALSE(wantsDetail(pred));  // one strike is noise
     ASSERT_TRUE(pred.decideDetail());
     pred.recordDetailed(metrics(1000, 20000));
     EXPECT_EQ(pred.stats().auditFailures, 2u);
     EXPECT_EQ(pred.stats().driftResets, 1u);
-    EXPECT_TRUE(pred.wantsDetail());  // back in a learning window
+    EXPECT_TRUE(wantsDetail(pred));  // back in a learning window
 
     // The drift sample plus one more complete the fresh window and
     // pull the surviving cluster's mean toward current behaviour.
     pred.recordDetailed(metrics(1000, 20000));
-    EXPECT_FALSE(pred.wantsDetail());
+    EXPECT_FALSE(wantsDetail(pred));
     ServiceMetrics after = pred.predict(1000, 6);
     EXPECT_EQ(after.cycles, (5000u + 5000 + 20000 + 20000) / 4);
 }
@@ -275,7 +277,6 @@ TEST(ServicePredictorAudit, RoutesAuditsIntoAccuracyLedger)
     bool outlier = true;
     ServiceMetrics pr = pred.predict(1000, 1, &outlier);
     EXPECT_FALSE(outlier);
-    EXPECT_EQ(pred.lastMatchedCluster(), 0u);
     ASSERT_TRUE(pred.decideDetail());
     pred.recordDetailed(metrics(1000, 6000));  // passes (noise)
 
@@ -342,7 +343,7 @@ TEST(ServicePredictorAudit, WarmRunsDoNotPerturbClusters)
     }
     EXPECT_GE(pred.stats().auditWarmupRuns, 2u);
     EXPECT_EQ(pred.stats().auditFailures, 0u);
-    ASSERT_EQ(pred.table().numClusters(), 1u);
+    ASSERT_EQ(pred.snapshotTable().size(), 1u);
     ServiceMetrics pr = pred.predict(1000, inv);
     EXPECT_EQ(pr.cycles, 5000u);
 }
@@ -353,7 +354,7 @@ TEST(ServicePredictor, CoverageReflectsWindowAndTraffic)
     ServicePredictor pred(testParams(2, 5));
     std::uint64_t detailed = 0;
     for (std::uint64_t i = 0; i < 100; ++i) {
-        if (pred.wantsDetail()) {
+        if (wantsDetail(pred)) {
             ++detailed;
             pred.recordDetailed(metrics(1000, 5000));
         } else {
@@ -378,7 +379,7 @@ TEST(ServicePredictorRestore, ClearsPendingAuditAndFailureStreak)
     p.auditTriggerCount = 2;
     ServicePredictor pred(p);
     pred.recordDetailed(memMetrics(1000, 5000));
-    ASSERT_FALSE(pred.wantsDetail());
+    ASSERT_FALSE(wantsDetail(pred));
 
     // One audit failure: streak at 1 of the 2 needed for a reset.
     ASSERT_TRUE(pred.decideDetail());
@@ -416,7 +417,7 @@ TEST(ServicePredictorRestore, ResetsAuditSchedule)
     p.auditWarmup = 0;
     ServicePredictor pred(p);
     pred.recordDetailed(memMetrics(1000, 5000));
-    ASSERT_FALSE(pred.wantsDetail());
+    ASSERT_FALSE(wantsDetail(pred));
 
     // Half the audit period elapses...
     ASSERT_FALSE(pred.decideDetail());
@@ -444,7 +445,7 @@ TEST(ServicePredictorLedger, AuditAttributionSurvivesTableGrowth)
     ServicePredictor pred(p);
     pred.attachTelemetry(&tel, 1);
     pred.recordDetailed(memMetrics(1000, 5000));  // cluster 0
-    ASSERT_FALSE(pred.wantsDetail());
+    ASSERT_FALSE(wantsDetail(pred));
 
     // Grow the table by dozens of distinct clusters (forced
     // detailed runs while predicting), reallocating the vector
@@ -455,7 +456,7 @@ TEST(ServicePredictorLedger, AuditAttributionSurvivesTableGrowth)
         pred.recordDetailed(memMetrics(n, 5 * n));
         insts *= 1.2;
     }
-    ASSERT_EQ(pred.table().numClusters(), 65u);
+    ASSERT_EQ(pred.snapshotTable().size(), 65u);
 
     // Audit the original cluster: the ledger must book it under
     // cluster 0, the index resolved at lookup time.

@@ -36,10 +36,17 @@ install(Cache &c, Addr addr, Owner owner)
 
 TEST(Cache, GeometryDerivation)
 {
+    // 16KB of 2-way 64B lines: 128 sets, so lines 8KB apart share
+    // a set and a third one evicts the least recently used.
     Cache c(smallCache(16 * 1024, 2));
-    EXPECT_EQ(c.numSets(), 128u);
-    EXPECT_EQ(c.assoc(), 2u);
-    EXPECT_EQ(c.lineBytes(), 64u);
+    c.access(0x0000, false, Owner::App);
+    EXPECT_TRUE(c.access(0x003f, false, Owner::App).hit);
+    EXPECT_FALSE(c.access(0x0040, false, Owner::App).hit);
+    c.access(0x2000, false, Owner::App);
+    EXPECT_TRUE(c.probe(0x0000));
+    c.access(0x4000, false, Owner::App);
+    EXPECT_FALSE(c.probe(0x0000));
+    EXPECT_TRUE(c.probe(0x0040));
 }
 
 TEST(Cache, ColdMissThenHit)
@@ -146,7 +153,10 @@ TEST(Cache, MoreThanSixteenWaysDies)
 {
     // The LRU age matrix holds at most 16 ways per set.
     Cache sixteen(smallCache(64 * 16, 16));
-    EXPECT_EQ(sixteen.assoc(), 16u);
+    for (Addr a = 0; a < 64 * 16; a += 64)
+        sixteen.access(a, false, Owner::App);
+    for (Addr a = 0; a < 64 * 16; a += 64)
+        EXPECT_TRUE(sixteen.probe(a));
     EXPECT_DEATH(Cache c(smallCache(64 * 17, 17)), "1 to 16");
     EXPECT_DEATH(Cache c(smallCache(64 * 32, 32)), "1 to 16");
 }
@@ -255,12 +265,12 @@ TEST(Cache, PollutionOnEmptyCacheIsNoOpForInvalidation)
 TEST(Cache, ResidentLineCountsTrackStateChanges)
 {
     Cache c(smallCache(128, 2));
-    EXPECT_EQ(c.residentLines(), 0u);
+    EXPECT_EQ(c.residentLines(Owner::App), 0u);
+    EXPECT_EQ(c.residentLines(Owner::Os), 0u);
     c.access(0x000, false, Owner::App);
     c.access(0x040, false, Owner::Os);
     EXPECT_EQ(c.residentLines(Owner::App), 1u);
     EXPECT_EQ(c.residentLines(Owner::Os), 1u);
-    EXPECT_EQ(c.residentLines(), 2u);
     // Demand eviction of the app LRU line by an OS miss.
     c.access(0x080, false, Owner::Os);
     EXPECT_EQ(c.residentLines(Owner::App), 0u);
@@ -380,7 +390,6 @@ TEST(Cache, PollutionInstallSyntheticLinesNeverHit)
 {
     CacheParams p = smallCache(2 * 64, 2);  // one set, two ways
     Cache c(p);
-    ASSERT_EQ(c.numSets(), 1u);
     std::uint64_t n =
         c.pollute(2, Cache::PollutionMode::Install);
     EXPECT_EQ(n, 2u);

@@ -10,6 +10,23 @@
 
 namespace osp
 {
+
+/** Reads the TLBs, which no shipped code inspects. */
+struct MemoryHierarchyTestPeer
+{
+    static const Cache &
+    itlb(const MemoryHierarchy &h)
+    {
+        return h.itlb_;
+    }
+
+    static const Cache &
+    dtlb(const MemoryHierarchy &h)
+    {
+        return h.dtlb_;
+    }
+};
+
 namespace
 {
 
@@ -168,8 +185,10 @@ expectSameHierarchy(const MemoryHierarchy &got,
     expectSameStats(got.l1i().stats(), want.l1i().stats(), "l1i");
     expectSameStats(got.l1d().stats(), want.l1d().stats(), "l1d");
     expectSameStats(got.l2().stats(), want.l2().stats(), "l2");
-    expectSameStats(got.itlb()->stats(), want.itlb()->stats(), "itlb");
-    expectSameStats(got.dtlb()->stats(), want.dtlb()->stats(), "dtlb");
+    expectSameStats(MemoryHierarchyTestPeer::itlb(got).stats(),
+                    MemoryHierarchyTestPeer::itlb(want).stats(), "itlb");
+    expectSameStats(MemoryHierarchyTestPeer::dtlb(got).stats(),
+                    MemoryHierarchyTestPeer::dtlb(want).stats(), "dtlb");
     EXPECT_EQ(got.l2().residentLines(Owner::Os),
               want.l2().residentLines(Owner::Os));
 }
@@ -276,13 +295,17 @@ TEST(HierarchyTlb, SeparateInstructionAndDataTlbs)
     HierarchyParams p = tinyParams();
     p.tlbEntries = 8;
     MemoryHierarchy h(p);
-    h.access(0x8000, AccessType::Load, Owner::App, 0);
+    EXPECT_TRUE(h.access(0x8000, AccessType::Load, Owner::App, 0)
+                    .tlbMiss);
     // Fetching from the same page still misses the I-TLB.
     auto fetch =
         h.access(0x8000, AccessType::InstFetch, Owner::App, 0);
     EXPECT_TRUE(fetch.tlbMiss);
-    EXPECT_EQ(h.itlb()->stats().totalMisses(), 1u);
-    EXPECT_EQ(h.dtlb()->stats().totalMisses(), 1u);
+    // Each TLB now holds the page.
+    EXPECT_FALSE(h.access(0x8040, AccessType::Store, Owner::App, 0)
+                     .tlbMiss);
+    EXPECT_FALSE(h.access(0x8040, AccessType::InstFetch, Owner::App, 0)
+                     .tlbMiss);
 }
 
 TEST(HierarchyTlb, CapacityEviction)
@@ -298,15 +321,11 @@ TEST(HierarchyTlb, CapacityEviction)
     EXPECT_TRUE(res.tlbMiss);
 }
 
-TEST(HierarchyTlb, DisabledWhenZeroEntries)
+TEST(HierarchyTlb, ZeroEntriesDies)
 {
     HierarchyParams p = tinyParams();
     p.tlbEntries = 0;
-    MemoryHierarchy h(p);
-    EXPECT_EQ(h.itlb(), nullptr);
-    EXPECT_EQ(h.dtlb(), nullptr);
-    auto res = h.access(0x8000, AccessType::Load, Owner::App, 0);
-    EXPECT_FALSE(res.tlbMiss);
+    EXPECT_DEATH(MemoryHierarchy h(p), "itlb: size must be a positive");
 }
 
 TEST(HierarchyTlb, FootprintInstallWarmsTlb)

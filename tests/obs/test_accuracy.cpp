@@ -203,12 +203,12 @@ TEST(AccuracyRollup, MergesErrorStatsAcrossEntries)
 TEST(AccuracyLedger, EmptyUntilFed)
 {
     AccuracyLedger ledger;
-    EXPECT_TRUE(ledger.empty());
     EXPECT_TRUE(ledger.snapshot().empty());
     ledger.noteRunTotals(100, 0);
-    EXPECT_TRUE(ledger.empty());  // totals alone create no entries
+    // Totals alone create no entries.
+    EXPECT_TRUE(ledger.snapshot().empty());
     ledger.notePrediction(0, 0, 1, false);
-    EXPECT_FALSE(ledger.empty());
+    EXPECT_FALSE(ledger.snapshot().empty());
 }
 
 } // namespace

@@ -81,16 +81,6 @@ TEST(InterruptController, DeviceBeforeTimerWhenEarlier)
     EXPECT_EQ(second->type, ServiceType::IntTimer);
 }
 
-TEST(InterruptController, PendingCountsOneShotsOnly)
-{
-    InterruptController irq(100);
-    EXPECT_EQ(irq.pending(), 0u);
-    irq.schedule(ServiceType::IntDisk, 50);
-    EXPECT_EQ(irq.pending(), 1u);
-    irq.nextDue(50);
-    EXPECT_EQ(irq.pending(), 0u);
-}
-
 /** nextDueAt() is the exact poll-skipping hint the Machine's run
  *  loop uses: nextDue(now) yields an event iff now >= nextDueAt(). */
 TEST(InterruptController, NextDueAtIsExact)

@@ -28,6 +28,12 @@ TEST_P(KernelFuzz, RandomServiceSequencesSurvive)
     params.timerPeriod = 0;
     SyntheticKernel kernel(params);
     Pcg32 rng(GetParam(), 0xF0FF);
+    // File ids are 0 .. num_files-1, all in the tree (none is added
+    // below).
+    std::uint32_t num_files = 0;
+    for (std::uint32_t d = 0; d < kernel.vfs().numDirs(); ++d)
+        num_files += static_cast<std::uint32_t>(
+            kernel.vfs().dirFiles(d).size());
 
     std::vector<std::uint64_t> file_fds;
     std::vector<std::uint64_t> sock_fds;
@@ -38,7 +44,7 @@ TEST_P(KernelFuzz, RandomServiceSequencesSurvive)
         int action = rng.range(10);
         if (action == 0 || file_fds.empty()) {
             std::uint32_t file =
-                rng.range(kernel.vfs().numFiles());
+                rng.range(num_files);
             auto fd = kernel.invoke(ServiceType::SysOpen,
                                     {file, 0, 0}, now, &gen);
             file_fds.push_back(fd.value);
@@ -67,7 +73,7 @@ TEST_P(KernelFuzz, RandomServiceSequencesSurvive)
         } else if (action == 7) {
             kernel.invoke(
                 ServiceType::SysStat64,
-                {rng.range(kernel.vfs().numFiles()), 0x30000000ULL,
+                {rng.range(num_files), 0x30000000ULL,
                  0},
                 now, &gen);
         } else if (action == 8) {

@@ -25,12 +25,23 @@ smallParams()
     return p;
 }
 
+/** Number of files: every file is in a directory (addFile()'s
+ *  in directory 0), with ids 0 .. n-1. */
+std::uint32_t
+numFiles(const Vfs &vfs)
+{
+    std::size_t n = 0;
+    for (std::uint32_t d = 0; d < vfs.numDirs(); ++d)
+        n += vfs.dirFiles(d).size();
+    return static_cast<std::uint32_t>(n);
+}
+
 TEST(Vfs, DeterministicTree)
 {
     Vfs a(smallParams(), 42);
     Vfs b(smallParams(), 42);
-    ASSERT_EQ(a.numFiles(), b.numFiles());
-    for (std::uint32_t f = 0; f < a.numFiles(); ++f) {
+    ASSERT_EQ(numFiles(a), numFiles(b));
+    for (std::uint32_t f = 0; f < numFiles(a); ++f) {
         EXPECT_EQ(a.fileSize(f), b.fileSize(f));
         EXPECT_EQ(a.pathDepth(f), b.pathDepth(f));
     }
@@ -40,9 +51,9 @@ TEST(Vfs, DifferentSeedsDiffer)
 {
     Vfs a(smallParams(), 42);
     Vfs b(smallParams(), 43);
-    bool any_diff = a.numFiles() != b.numFiles();
+    bool any_diff = numFiles(a) != numFiles(b);
     for (std::uint32_t f = 0;
-         !any_diff && f < std::min(a.numFiles(), b.numFiles()); ++f) {
+         !any_diff && f < std::min(numFiles(a), numFiles(b)); ++f) {
         any_diff = a.fileSize(f) != b.fileSize(f);
     }
     EXPECT_TRUE(any_diff);
@@ -60,8 +71,7 @@ TEST(Vfs, TreeShapeWithinParams)
         EXPECT_LE(files.size(), p.filesPerDirMax);
         total += files.size();
     }
-    EXPECT_EQ(total, vfs.numFiles());
-    for (std::uint32_t f = 0; f < vfs.numFiles(); ++f) {
+    for (std::uint32_t f = 0; f < total; ++f) {
         EXPECT_GE(vfs.fileSize(f), p.fileSizeMin);
         EXPECT_LE(vfs.fileSize(f),
                   static_cast<std::uint64_t>(p.fileSizeMax * 1.01));
@@ -73,7 +83,7 @@ TEST(Vfs, TreeShapeWithinParams)
 TEST(Vfs, AddFileRegisters)
 {
     Vfs vfs(smallParams(), 7);
-    std::uint32_t before = vfs.numFiles();
+    std::uint32_t before = numFiles(vfs);
     std::uint32_t id = vfs.addFile(1400 * 1024, 4);
     EXPECT_EQ(id, before);
     EXPECT_EQ(vfs.fileSize(id), 1400u * 1024);

@@ -52,7 +52,6 @@ TEST(InOrderCpu, OneIpcWithoutMemory)
     for (int i = 0; i < 1000; ++i)
         cpu.execute(alu(), Owner::App);
     EXPECT_EQ(cpu.drain(), 1000u);
-    EXPECT_EQ(cpu.instructions(), 1000u);
 }
 
 TEST(InOrderCpu, LoadsAddFlatLatencyWithoutCaches)
@@ -201,18 +200,6 @@ TEST(OooCpu, DrainSerializesIntervals)
     EXPECT_EQ(cpu.now(), first + second);
 }
 
-TEST(OooCpu, ResetRestoresInitialState)
-{
-    CpuParams params;
-    OooCpu cpu(params, nullptr, nullptr);
-    for (int i = 0; i < 100; ++i)
-        cpu.execute(alu(), Owner::App);
-    cpu.drain();
-    cpu.reset();
-    EXPECT_EQ(cpu.now(), 0u);
-    EXPECT_EQ(cpu.instructions(), 0u);
-}
-
 TEST(OooCpu, BadParamsDie)
 {
     CpuParams params;
@@ -274,14 +261,16 @@ struct GoldenRun
  * Drive @p cpu with a fixed Pcg32 stream of hand-made ops: every
  * class, dependence distances up to 255 (past the 126-entry window),
  * code past the L1I and data past the L2 (TLB misses, dirty
- * writebacks), both owners. Drains every 997 ops and resets the core
- * once midway; the result is the sum of the drained cycles. Integer
+ * writebacks), both owners. Drains every 997 ops and replaces the
+ * core with a fresh one once midway (caches and predictor stay
+ * warm); the result is the sum of the drained cycles. Integer
  * arithmetic only, so the pins hold on every compiler.
  */
 template <class Cpu>
 GoldenRun
-runGoldenStream(Cpu &cpu, const MemoryHierarchy &hier)
+runGoldenStream(MemoryHierarchy &hier, GshareBp &bp)
 {
+    Cpu cpu(CpuParams{}, &hier, &bp);
     Pcg32 rng(2024, 7);
     GoldenRun run;
     Addr pc = 0x400000;
@@ -330,7 +319,7 @@ runGoldenStream(Cpu &cpu, const MemoryHierarchy &hier)
             run.cycles += cpu.drain();
         if (i == 25000) {
             run.cycles += cpu.drain();
-            cpu.reset();
+            cpu = Cpu(CpuParams{}, &hier, &bp);
         }
     }
     run.cycles += cpu.drain();
@@ -358,8 +347,7 @@ TEST(OooCpu, GoldenCyclesOnSeededStream)
 {
     MemoryHierarchy hier{HierarchyParams{}};
     GshareBp bp(12);
-    OooCpu cpu(CpuParams{}, &hier, &bp);
-    GoldenRun run = runGoldenStream(cpu, hier);
+    GoldenRun run = runGoldenStream<OooCpu>(hier, bp);
     expectGolden(run, 2198555,
                  HierarchyCounts{4875, 4568, 25159, 7278, 11846, 9358});
 }
@@ -370,8 +358,7 @@ TEST(InOrderCpu, GoldenCyclesOnSeededStream)
 {
     MemoryHierarchy hier{HierarchyParams{}};
     GshareBp bp(12);
-    InOrderCpu cpu(CpuParams{}, &hier, &bp);
-    GoldenRun run = runGoldenStream(cpu, hier);
+    GoldenRun run = runGoldenStream<InOrderCpu>(hier, bp);
     expectGolden(run, 3758033,
                  HierarchyCounts{4831, 4568, 25159, 7278, 11846, 9358});
 }

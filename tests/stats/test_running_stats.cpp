@@ -51,7 +51,6 @@ TEST(RunningStats, MatchesNaiveComputation)
     EXPECT_NEAR(s.mean(), mean, 1e-12);
     EXPECT_NEAR(s.variance(), var, 1e-12);
     EXPECT_NEAR(s.stddev(), std::sqrt(var), 1e-12);
-    EXPECT_DOUBLE_EQ(s.sum(), sum);
 }
 
 TEST(RunningStats, SampleVarianceUsesNMinusOne)
@@ -115,15 +114,6 @@ TEST(RunningStats, MergeWithEmpty)
     other.merge(a);
     EXPECT_EQ(other.count(), 2u);
     EXPECT_DOUBLE_EQ(other.mean(), 1.5);
-}
-
-TEST(RunningStats, ResetClears)
-{
-    RunningStats s;
-    s.add(5.0);
-    s.reset();
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.mean(), 0.0);
 }
 
 TEST(RunningStats, NumericallyStableForLargeOffsets)

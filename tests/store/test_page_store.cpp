@@ -238,7 +238,7 @@ TEST_F(PageStoreTest, TornMetaFallsBackToOtherSlot)
     std::uint32_t page_size = 0;
     {
         auto store = PageStore::open(path_);
-        page_size = store->pageSize();
+        page_size = store->info().pageSize;
         {
             WriteTx tx = store->beginWrite();
             tx.put("a", "1");
@@ -333,7 +333,7 @@ TEST_F(PageStoreTest, TruncatedFileIsAnError)
     std::uint32_t page_size = 0;
     {
         auto store = PageStore::open(path_);
-        page_size = store->pageSize();
+        page_size = store->info().pageSize;
         // Two commits so BOTH meta slots reference the grown file
         // (otherwise open could legitimately fall back to the
         // still-valid older slot).

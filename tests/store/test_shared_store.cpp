@@ -225,26 +225,26 @@ TEST_F(SharedStoreTest, TransactionGateTimesOutWithHolderHint)
 }
 
 /** A value that pairs with counter @p n: "<n>:" followed by
- *  three pages' worth of one letter chosen by @p n, so the record
- *  spans an overflow run and a torn read shows as mixed letters. */
+ *  three pages' worth (of @p page_size bytes) of one letter chosen
+ *  by @p n, so the record spans an overflow run and a torn read
+ *  shows as mixed letters. */
 std::string
-pairedValue(std::uint64_t n, const PageStore &store)
+pairedValue(std::uint64_t n, std::uint32_t page_size)
 {
     return std::to_string(n) + ":" +
-           std::string(3 * store.pageSize(),
-                       static_cast<char>('a' + n % 26));
+           std::string(3 * page_size, static_cast<char>('a' + n % 26));
 }
 
 /** The counter @p value was written with; nullopt when the
  *  value is not exactly pairedValue() of its own prefix. */
 std::optional<std::uint64_t>
-pairedNumber(const std::string &value, const PageStore &store)
+pairedNumber(const std::string &value, std::uint32_t page_size)
 {
     std::size_t colon = value.find(':');
     if (colon == std::string::npos || colon == 0)
         return std::nullopt;
     std::uint64_t n = std::stoull(value.substr(0, colon));
-    if (value != pairedValue(n, store))
+    if (value != pairedValue(n, page_size))
         return std::nullopt;
     return n;
 }
@@ -263,12 +263,13 @@ TEST_F(SharedStoreTest, SnapshotReadersSeeOldOrNewNeverTorn)
 
     auto writer = PageStore::open(path_, sharedOptions());
     auto reader = PageStore::open(path_, sharedOptions());
+    const std::uint32_t page_size = writer->info().pageSize;
 
     std::atomic<bool> done{false};
     std::thread publisher([&] {
         for (std::uint64_t i = 1; i <= rounds; ++i) {
             WriteTx tx = writer->beginWrite();
-            tx.put(key, pairedValue(i, *writer));
+            tx.put(key, pairedValue(i, page_size));
             tx.put(hb_key, std::to_string(i));
             tx.commit();
         }
@@ -290,7 +291,7 @@ TEST_F(SharedStoreTest, SnapshotReadersSeeOldOrNewNeverTorn)
             EXPECT_FALSE(hb.has_value());
             continue;
         }
-        auto n = pairedNumber(*raw, *reader);
+        auto n = pairedNumber(*raw, page_size);
         ASSERT_TRUE(n.has_value()) << "torn value bytes";
         ASSERT_TRUE(hb.has_value());
         // The pair is atomic and time never runs backwards.
@@ -302,7 +303,7 @@ TEST_F(SharedStoreTest, SnapshotReadersSeeOldOrNewNeverTorn)
 
     // After the writer is done the final pair is durable.
     ReadTx read = reader->beginRead();
-    EXPECT_EQ(pairedNumber(*read.get(key), *reader), rounds);
+    EXPECT_EQ(pairedNumber(*read.get(key), page_size), rounds);
     EXPECT_EQ(read.get(hb_key), std::to_string(rounds));
 }
 
@@ -318,9 +319,10 @@ TEST_F(SharedStoreTest, FailedCommitPreservesPreviousSnapshot)
     const std::string hb_key = "counter/" + std::string(fp);
 
     auto store = PageStore::open(path_, sharedOptions());
+    const std::uint32_t page_size = store->info().pageSize;
     {
         WriteTx tx = store->beginWrite();
-        tx.put(key, pairedValue(1, *store));
+        tx.put(key, pairedValue(1, page_size));
         tx.put(hb_key, "1");
         tx.commit();
     }
@@ -328,7 +330,7 @@ TEST_F(SharedStoreTest, FailedCommitPreservesPreviousSnapshot)
     store->setFailPoint(PageStore::FailPoint::BeforeMetaWrite);
     {
         WriteTx tx = store->beginWrite();
-        tx.put(key, pairedValue(2, *store));
+        tx.put(key, pairedValue(2, page_size));
         tx.put(hb_key, "2");
         EXPECT_THROW(tx.commit(), std::runtime_error);
     }
@@ -337,7 +339,7 @@ TEST_F(SharedStoreTest, FailedCommitPreservesPreviousSnapshot)
     // In-process state rolled back to value 1...
     {
         ReadTx read = store->beginRead();
-        EXPECT_EQ(pairedNumber(*read.get(key), *store), 1u);
+        EXPECT_EQ(pairedNumber(*read.get(key), page_size), 1u);
         EXPECT_EQ(read.get(hb_key), "1");
     }
     // ...and so did the durable state a fresh reader opens.
@@ -346,18 +348,18 @@ TEST_F(SharedStoreTest, FailedCommitPreservesPreviousSnapshot)
         ro.readOnly = true;
         auto fresh = PageStore::open(path_, ro);
         EXPECT_EQ(
-            pairedNumber(*fresh->beginRead().get(key), *fresh), 1u);
+            pairedNumber(*fresh->beginRead().get(key), page_size), 1u);
     }
 
     // The store keeps working on the old tree: the next commit
     // lands normally.
     {
         WriteTx tx = store->beginWrite();
-        tx.put(key, pairedValue(2, *store));
+        tx.put(key, pairedValue(2, page_size));
         tx.put(hb_key, "2");
         tx.commit();
     }
-    EXPECT_EQ(pairedNumber(*store->beginRead().get(key), *store),
+    EXPECT_EQ(pairedNumber(*store->beginRead().get(key), page_size),
               2u);
 }
 

@@ -45,8 +45,8 @@ TEST(Json, DoublesRoundTripShortest)
 TEST(Json, ObjectPreservesInsertionOrder)
 {
     JsonValue obj = JsonValue::object();
-    obj.add("zebra", 1);
-    obj.add("alpha", 2);
+    obj.add("zebra", 1L);
+    obj.add("alpha", 2L);
     obj.add("mid", JsonValue::array());
     EXPECT_EQ(obj.dump(-1), "{\"zebra\":1,\"alpha\":2,\"mid\":[]}");
 }
@@ -54,7 +54,7 @@ TEST(Json, ObjectPreservesInsertionOrder)
 TEST(Json, IndentedOutput)
 {
     JsonValue obj = JsonValue::object();
-    obj.add("a", 1);
+    obj.add("a", 1L);
     JsonValue arr = JsonValue::array();
     arr.append(true);
     obj.add("b", std::move(arr));
@@ -74,7 +74,7 @@ TEST(Json, ParseRoundTrip)
     JsonValue cells = JsonValue::array();
     for (int i = 0; i < 3; ++i) {
         JsonValue cell = JsonValue::object();
-        cell.add("index", i);
+        cell.add("index", std::int64_t{i});
         cells.append(std::move(cell));
     }
     obj.add("cells", std::move(cells));
@@ -156,7 +156,7 @@ TEST(Json, ParseUnicodeEscapes)
 TEST(Json, FindAndLookup)
 {
     JsonValue obj = JsonValue::object();
-    obj.add("x", 1);
+    obj.add("x", 1L);
     EXPECT_NE(obj.find("x"), nullptr);
     EXPECT_EQ(obj.find("y"), nullptr);
     EXPECT_EQ(obj["x"].asInt(), 1);

@@ -48,7 +48,7 @@ checkParse(const std::string &in)
     JsonValue v;
     ASSERT_NO_THROW(v = JsonValue::parse(in, &ok, &error)) << in;
     if (!ok) {
-        ASSERT_TRUE(v.isNull()) << in;
+        ASSERT_TRUE(v.kind() == JsonValue::Kind::Null) << in;
         const std::string tag = "json parse error at offset ";
         ASSERT_EQ(error.compare(0, tag.size(), tag), 0) << error;
         const std::size_t offset =

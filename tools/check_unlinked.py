@@ -5,12 +5,15 @@ Usage: check_unlinked.py BUILD_DIR [EXTRA_BUILD_DIR ...]
 
 BUILD_DIR is the main CMake build tree; each EXTRA_BUILD_DIR is
 another tree built from the same sources (perfbench/, configured on
-its own). Both must be built at -O0 with -ffunction-sections
--fdata-sections and linked with -Wl,--gc-sections, so that every
-function a binary does not reach is dropped from it with its symbol,
-and no function vanishes into an inlined caller:
+its own). Both must be built at Debug (-g) and -O0 with
+-ffunction-sections -fdata-sections -fkeep-inline-functions and
+linked with -Wl,--gc-sections, so that every function a binary does
+not reach is dropped from it with its symbol, no function vanishes
+into an inlined caller, and every header-inline function is emitted
+into the libraries whether or not a library calls it:
 
     flags="-O0 -ffunction-sections -fdata-sections"
+    flags="$flags -fkeep-inline-functions"
     cmake -B build -S . -G Ninja -DCMAKE_BUILD_TYPE=Debug \\
         -DCMAKE_CXX_FLAGS="$flags" \\
         -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections
@@ -18,17 +21,21 @@ and no function vanishes into an inlined caller:
     cmake --build build -j && cmake --build build-perfbench -j
     python3 tools/check_unlinked.py build build-perfbench
 
-The script takes the global text symbols in namespace osp that the
-libraries build/src/*/libosp_*.a define (the out-of-line functions;
-header-inline ones are weak and not counted), and removes every
-symbol that some shipped executable defines: each ELF executable in
-the given trees except the test binary (anything under BUILD_DIR's
-tests/) and CMake's own probes. A function left over is reached only
-by tests. It is either deleted or listed in ALLOWLIST below with the
-reason it stays. Exits 1 naming every leftover function that is not
-on the allowlist, and names allowlist entries that no longer match a
-leftover (stale: the function is gone or now linked); exits 2 when a
-tree holds no library or no executable.
+The script takes the functions in namespace osp that the libraries
+build/src/*/libosp_*.a define: the global (T, out-of-line) and weak
+(W, header-inline and template) text symbols. It drops those the
+compiler wrote rather than a person (implicit constructors,
+destructors and assignments, lambda conversion thunks), which the
+DWARF marks DW_AT_artificial, and every function that some shipped
+executable defines under any of its symbols (a constructor has
+several): each ELF executable in the given trees except the test
+binary (anything under BUILD_DIR's tests/) and CMake's own probes.
+A function left over is reached only by tests. It is either deleted
+or listed in ALLOWLIST below with the reason it stays. Exits 1
+naming every leftover function that is not on the allowlist, and
+names allowlist entries that no longer match a leftover (stale: the
+function is gone or now linked); exits 2 when a tree holds no
+library or no executable, or the libraries carry no DWARF.
 """
 
 import os
@@ -39,6 +46,11 @@ import sys
 ALLOWLIST = {
     "osp::Cache::probe(unsigned long) const":
         "ROADMAP item 11 probes a service's plan against the L2 with it",
+    "osp::Pcg32::geometric(double)":
+        "the reference that Pcg32::geometricWith is tested against",
+    "osp::store::PageStore::setFailPoint("
+    "osp::store::PageStore::FailPoint)":
+        "the crash tests inject their faults with it",
 }
 
 
@@ -73,6 +85,38 @@ def text_symbols(paths, types):
         text=True, check=True).stdout
     return {parts[2] for parts in map(str.split, out.splitlines())
             if len(parts) == 3 and parts[1] in types}
+
+
+def artificial_functions(paths):
+    """Mangled names of the functions that the DWARF of @p paths
+    marks DW_AT_artificial (written by the compiler, not in the
+    source)."""
+    found = set()
+    tag, linkage, artificial = None, None, False
+
+    def close_entry():
+        if tag == "DW_TAG_subprogram" and artificial and linkage:
+            found.add(linkage)
+
+    with subprocess.Popen(["readelf", "--debug-dump=info", *paths],
+                          stdout=subprocess.PIPE, text=True) as proc:
+        for line in proc.stdout:
+            # An entry opens with " <depth><offset>: Abbrev Number:
+            # N (DW_TAG_...)"; its attributes follow, indented more.
+            if line.startswith(" <"):
+                close_entry()
+                tag = line[line.find("(") + 1:line.rfind(")")]
+                linkage, artificial = None, False
+            elif tag != "DW_TAG_subprogram":
+                continue
+            elif "DW_AT_linkage_name" in line:
+                linkage = line.rsplit(": ", 1)[1].strip()
+            elif "DW_AT_artificial" in line:
+                artificial = True
+        close_entry()
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, "readelf")
+    return found
 
 
 def demangle(names):
@@ -110,11 +154,21 @@ def main(argv):
               file=sys.stderr)
         return 2
 
-    defined = {m: d for m, d in
-               demangle(sorted(text_symbols(libs, {"T"}))).items()
-               if d.startswith("osp::")}
+    # Matched demangled: the DWARF names a constructor by its
+    # unified C4 symbol, the objects define C1 and C2.
+    artificial = set(demangle(sorted(artificial_functions(libs))).values())
+    if not artificial:
+        print(f"check_unlinked: no DWARF in {src}/*/libosp_*.a "
+              "(build at Debug)", file=sys.stderr)
+        return 2
+    # Demangled signature -> its symbols: one per constructor or
+    # destructor variant, and the same weak symbol in many members.
+    defined = {}
+    for m, d in demangle(sorted(text_symbols(libs, {"T", "W"}))).items():
+        if d.startswith("osp::") and d not in artificial:
+            defined.setdefault(d, set()).add(m)
     linked = text_symbols(exes, {"T", "t", "W", "w"})
-    unlinked = sorted(d for m, d in defined.items() if m not in linked)
+    unlinked = sorted(d for d, ms in defined.items() if not ms & linked)
 
     print(f"check_unlinked: {len(defined)} osp:: functions in "
           f"{len(libs)} libraries, {len(exes)} shipped executables, "
